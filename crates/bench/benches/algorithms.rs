@@ -7,7 +7,9 @@ use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmreliable::frontend::SnapshotFrontEnd;
 use mmreliable::probing::relative_from_powers;
-use mmreliable::superres::{estimate_per_beam, SuperResConfig};
+use mmreliable::superres::{
+    estimate_per_beam, estimate_per_beam_with, SuperResConfig, SuperResScratch,
+};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
 use mmwave_channel::environment::Scene;
@@ -52,6 +54,11 @@ fn bench_superres(c: &mut Criterion) {
         let cfg = SuperResConfig::default();
         group.bench_with_input(BenchmarkId::new("beams", k), &k, |b, _| {
             b.iter(|| estimate_per_beam(&obs, &rel, &cfg))
+        });
+        // The controller's path: one scratch reused across fits.
+        let mut scratch = SuperResScratch::default();
+        group.bench_with_input(BenchmarkId::new("beams_warm", k), &k, |b, _| {
+            b.iter(|| estimate_per_beam_with(&mut scratch, &obs, &rel, &cfg))
         });
     }
     group.finish();

@@ -35,10 +35,14 @@ use std::time::Instant;
 ///
 /// The two workloads stress different layers: the reactive baseline is
 /// data-plane bound (the per-slot snapshot/CSI path this refactor
-/// targets, ~6x), while mmReliable's wall time is dominated by
-/// super-resolution grid-search trig inside its maintenance ticks, which
-/// bit-identity forbids restructuring — its speedup comes only from the
-/// shared slot path, scratch reuse, and cross-crate LTO (~1.4x).
+/// targets, ~6x), while mmReliable's wall time was then dominated by
+/// super-resolution grid-search trig inside its maintenance ticks. That
+/// refactor kept the grid search bit-identical, so mmReliable's speedup
+/// came only from the shared slot path, scratch reuse, and cross-crate
+/// LTO (~1.4x). The grid search has since been restructured around a
+/// τ₀-invariant Gram (`mmreliable::superres`): results moved in the last
+/// ulps only, under a reviewed fingerprint re-pin (DESIGN.md §8), so the
+/// mmReliable baseline below predates that change.
 const BASELINE_SLOTS_PER_SEC: [(&str, f64); 2] = [
     ("single-beam reactive", 110_716.0),
     ("mmReliable", 18_132.0),

@@ -7,6 +7,7 @@
 
 pub mod admin;
 pub mod figures;
+pub mod fingerprint;
 pub mod supervised;
 
 pub use figures::all_figure_ids;

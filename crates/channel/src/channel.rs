@@ -195,7 +195,6 @@ impl GeometricChannel {
     /// `h_eff[n] = Σ_l α_l · sinc(B·(n·Ts − τ_l))`, with delays re-referenced
     /// to the earliest path (plus `guard_s` of leading margin so early sinc
     /// sidelobes are visible).
-    // xtask-allow(hot-path-closure): owned-output variant for analysis callers; the slot loop uses cir_into with reused scratch
     pub fn cir(
         &self,
         geom: &ArrayGeometry,

@@ -30,7 +30,7 @@ use crate::config::MmReliableConfig;
 use crate::frontend::LinkFrontEnd;
 use crate::linkstate::{LinkLifecycle, LinkSignal, LinkState, Transition};
 use crate::probing::two_probe_relative;
-use crate::superres::{estimate_per_beam, SuperResConfig};
+use crate::superres::{estimate_per_beam_with, SuperResConfig, SuperResScratch};
 use crate::tracking::BeamTracker;
 use crate::training::{beam_training, TrainingResult};
 use mmwave_array::codebook::Codebook;
@@ -112,6 +112,8 @@ pub struct RoundReport {
 pub struct MmReliableController {
     cfg: MmReliableConfig,
     superres_cfg: SuperResConfig,
+    /// Buffers of the per-beam fit, reused across maintenance rounds.
+    superres_scratch: SuperResScratch,
     mb: Option<MultiBeam>,
     rel_delays_ns: Vec<f64>,
     trackers: Vec<BeamTracker>,
@@ -148,6 +150,7 @@ impl MmReliableController {
         Self {
             cfg,
             superres_cfg: SuperResConfig::default(),
+            superres_scratch: SuperResScratch::default(),
             mb: None,
             rel_delays_ns: Vec::new(),
             trackers: Vec::new(),
@@ -178,7 +181,7 @@ impl MmReliableController {
     /// Super-resolution per-beam fit, wrapped in a telemetry span so the
     /// fit's latency lands in the `superres-fit` histogram.
     fn fit_per_beam(
-        &self,
+        &mut self,
         obs: &mmwave_phy::chanest::ProbeObservation,
         t_s: f64,
     ) -> crate::superres::PerBeamEstimate {
@@ -186,7 +189,12 @@ impl MmReliableController {
         let _ = t_s;
         #[cfg(feature = "telemetry")]
         let clock = self.tracer.begin();
-        let est = estimate_per_beam(obs, &self.rel_delays_ns, &self.superres_cfg);
+        let est = estimate_per_beam_with(
+            &mut self.superres_scratch,
+            obs,
+            &self.rel_delays_ns,
+            &self.superres_cfg,
+        );
         #[cfg(feature = "telemetry")]
         self.tracer
             .end(clock, mmwave_telemetry::Stage::SuperresFit, t_s);

@@ -8,6 +8,8 @@
 
 use crate::frontend::LinkFrontEnd;
 use mmwave_array::codebook::Codebook;
+use mmwave_dsp::complex::Complex64;
+use mmwave_dsp::fft::{ifft_into, FftScratch};
 use mmwave_dsp::units::db_from_pow;
 
 /// One viable path found by training.
@@ -97,24 +99,34 @@ pub fn beam_training(
 /// Coarse path-delay estimate from one probe: magnitude peak of the
 /// band-limited CIR with parabolic sub-tap interpolation. Magnitude-based,
 /// hence immune to the CFO common phase.
-// xtask-allow(hot-path-closure): the magnitude profile is one short collect per probe on the amortized re-estimation cadence (ROADMAP item 1)
-// xtask-allow(hot-path-panic): peak is an argmax over the non-empty CIR (emptiness is the early return above), and the parabolic neighbors are taken only when 0 < peak < len − 1
+// xtask-allow(hot-path-closure): one-shot convenience that builds its own transform buffers; maintenance fits call estimate_delay_ns_with through SuperResScratch
 pub fn estimate_delay_ns(obs: &mmwave_phy::chanest::ProbeObservation) -> f64 {
-    let cir = obs.cir();
+    estimate_delay_ns_with(obs, &mut Vec::new(), &mut FftScratch::default())
+}
+
+/// [`estimate_delay_ns`] through caller-owned CIR and transform buffers:
+/// bit-identical, and allocation-free once the buffers are warm.
+// xtask-allow(hot-path-panic): the parabolic neighbors are taken only when 0 < peak < len − 1, and peak is an index of the CIR
+pub fn estimate_delay_ns_with(
+    obs: &mmwave_phy::chanest::ProbeObservation,
+    cir: &mut Vec<Complex64>,
+    fft: &mut FftScratch,
+) -> f64 {
+    ifft_into(&obs.csi, cir, fft);
     if cir.is_empty() || obs.comb_spacing_hz() <= 0.0 {
         return 0.0;
     }
-    let mags: Vec<f64> = cir.iter().map(|v| v.abs()).collect();
-    let peak = mags
+    let peak = cir
         .iter()
+        .map(|v| v.abs())
         .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(i, _)| i)
         .unwrap_or(0);
     // Parabolic interpolation around the peak (guarding the edges).
-    let n = mags.len();
+    let n = cir.len();
     let frac = if peak > 0 && peak + 1 < n {
-        let (a, b, c) = (mags[peak - 1], mags[peak], mags[peak + 1]);
+        let (a, b, c) = (cir[peak - 1].abs(), cir[peak].abs(), cir[peak + 1].abs());
         let denom = a - 2.0 * b + c;
         if denom.abs() > 1e-18 {
             (0.5 * (a - c) / denom).clamp(-0.5, 0.5)

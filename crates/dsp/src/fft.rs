@@ -39,17 +39,39 @@ pub fn ifft_in_place(x: &mut [Complex64]) {
 /// Out-of-place FFT of arbitrary length (radix-2 when possible, Bluestein
 /// otherwise).
 pub fn fft(x: &[Complex64]) -> Vec<Complex64> {
-    transform_any(x, Direction::Forward)
+    let mut out = Vec::new();
+    transform_into(x, Direction::Forward, &mut out, &mut FftScratch::default());
+    out
 }
 
 /// Out-of-place inverse FFT of arbitrary length (includes `1/N` scaling).
 pub fn ifft(x: &[Complex64]) -> Vec<Complex64> {
-    let mut out = transform_any(x, Direction::Inverse);
+    let mut out = Vec::new();
+    ifft_into(x, &mut out, &mut FftScratch::default());
+    out
+}
+
+/// Reusable state for the out-of-place transforms: the Bluestein chirp and
+/// the transform of its conjugate (both depend only on the length and the
+/// direction, so they are kept across calls of the same shape) plus the
+/// convolution workspace. A transform through a warmed scratch allocates
+/// nothing and is bit-identical to [`fft`]/[`ifft`].
+#[derive(Clone, Debug, Default)]
+pub struct FftScratch {
+    /// Length and direction the cached chirp tables belong to.
+    key: Option<(usize, Direction)>,
+    chirp: Vec<Complex64>,
+    chirp_hat: Vec<Complex64>,
+    work: Vec<Complex64>,
+}
+
+/// [`ifft`] into a caller-owned buffer, reusing `scratch` across calls.
+pub fn ifft_into(x: &[Complex64], out: &mut Vec<Complex64>, scratch: &mut FftScratch) {
+    transform_into(x, Direction::Inverse, out, scratch);
     let scale = 1.0 / x.len() as f64;
     for v in out.iter_mut() {
         *v = v.scale(scale);
     }
-    out
 }
 
 /// Reference DFT in O(N²) — used by tests as ground truth and by callers
@@ -86,19 +108,22 @@ pub fn fftshift<T: Copy>(x: &[T]) -> Vec<T> {
     circular_shift_left(x, x.len().div_ceil(2))
 }
 
-// xtask-allow(hot-path-closure): the out-of-place API clones into its output buffer by contract; per-slot code uses fft_in_place/ifft_in_place
-fn transform_any(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
-    let n = x.len();
-    if n.is_power_of_two() {
-        let mut buf = x.to_vec();
-        radix2(&mut buf, dir);
-        buf
+fn transform_into(
+    x: &[Complex64],
+    dir: Direction,
+    out: &mut Vec<Complex64>,
+    scratch: &mut FftScratch,
+) {
+    out.clear();
+    if x.len().is_power_of_two() {
+        out.extend_from_slice(x);
+        radix2(out, dir);
     } else {
-        bluestein(x, dir)
+        bluestein_into(x, dir, out, scratch);
     }
 }
 
-// xtask-allow(hot-path-panic): butterfly indices satisfy i + k + len/2 < n by the loop structure (len ≤ n, i steps by len, k < len/2); the power-of-two assert at entry is the only runtime check
+// xtask-allow(hot-path-panic): butterfly indices satisfy i + len/2 < n by the loop structure (len ≤ n, i = k + j·len < n with k < len/2); the power-of-two assert at entry is the only runtime check
 fn radix2(x: &mut [Complex64], dir: Direction) {
     let n = x.len();
     assert!(
@@ -125,62 +150,75 @@ fn radix2(x: &mut [Complex64], dir: Direction) {
     while len <= n {
         let ang = sign * 2.0 * PI / len as f64;
         let wlen = Complex64::cis(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex64::ONE;
-            for k in 0..len / 2 {
-                let u = x[i + k];
-                let v = x[i + k + len / 2] * w;
-                x[i + k] = u + v;
-                x[i + k + len / 2] = u - v;
-                w *= wlen;
+        let half = len / 2;
+        // Twiddle `w_k = wlen^k` is the same in every block of a stage:
+        // step it once per `k` (the same product sequence each block
+        // would compute) and apply it across the blocks. Butterflies of
+        // one stage touch disjoint pairs, so the order is free.
+        let mut w = Complex64::ONE;
+        for k in 0..half {
+            let mut i = k;
+            while i < n {
+                let u = x[i];
+                let v = x[i + half] * w;
+                x[i] = u + v;
+                x[i + half] = u - v;
+                i += len;
             }
-            i += len;
+            w *= wlen;
         }
         len <<= 1;
     }
 }
 
 /// Bluestein's algorithm: expresses a length-N DFT as a convolution, carried
-/// out with a power-of-two FFT of length ≥ 2N−1.
+/// out with a power-of-two FFT of length ≥ 2N−1. Appends the N outputs to
+/// `out`.
 // xtask-allow(hot-path-panic): all indices are bounded by n = x.len() and m ≥ 2n−1 by construction (k < n ≤ m, m − k > 0)
-// xtask-allow(hot-path-closure): Bluestein owns its chirp/scratch buffers by design; only arbitrary-length analysis windows take this path — the per-slot OFDM grid is power-of-two and stays on in-place radix-2
-fn bluestein(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
+fn bluestein_into(x: &[Complex64], dir: Direction, out: &mut Vec<Complex64>, s: &mut FftScratch) {
     let n = x.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    // Chirp: w[k] = e^{sign·jπk²/n}
-    let chirp: Vec<Complex64> = (0..n)
-        .map(|k| {
+    let m = (2 * n - 1).next_power_of_two();
+    if s.key != Some((n, dir)) {
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        // Chirp: w[k] = e^{sign·jπk²/n}
+        s.chirp.clear();
+        s.chirp.extend((0..n).map(|k| {
             // k² mod 2n to keep the angle argument small and precise.
             let k2 = (k as u128 * k as u128) % (2 * n as u128);
             Complex64::cis(sign * PI * k2 as f64 / n as f64)
-        })
-        .collect();
-
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![Complex64::ZERO; m];
-    let mut b = vec![Complex64::ZERO; m];
-    for k in 0..n {
-        a[k] = x[k] * chirp[k];
-        b[k] = chirp[k].conj();
+        }));
+        let b = &mut s.chirp_hat;
+        b.clear();
+        b.resize(m, Complex64::ZERO);
+        for (bk, c) in b.iter_mut().zip(&s.chirp) {
+            *bk = c.conj();
+        }
+        // b[m − k] = conj(chirp[k]) for k = 1..n.
+        for (bk, c) in b.iter_mut().rev().zip(&s.chirp[1..]) {
+            *bk = c.conj();
+        }
+        radix2(b, Direction::Forward);
+        s.key = Some((n, dir));
     }
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
+    let a = &mut s.work;
+    a.clear();
+    a.resize(m, Complex64::ZERO);
+    for ((ak, &xk), &ck) in a.iter_mut().zip(x).zip(&s.chirp) {
+        *ak = xk * ck;
     }
-    radix2(&mut a, Direction::Forward);
-    radix2(&mut b, Direction::Forward);
-    for k in 0..m {
-        a[k] *= b[k];
+    radix2(a, Direction::Forward);
+    for (v, &b) in a.iter_mut().zip(&s.chirp_hat) {
+        *v *= b;
     }
-    radix2(&mut a, Direction::Inverse);
+    radix2(a, Direction::Inverse);
     let scale = 1.0 / m as f64;
-    (0..n).map(|k| a[k].scale(scale) * chirp[k]).collect()
+    out.extend(a.iter().zip(&s.chirp).map(|(&v, &w)| v.scale(scale) * w));
 }
 
 #[cfg(test)]
@@ -291,6 +329,65 @@ mod tests {
         assert_eq!(fftshift(&v), vec![4, 5, 1, 2, 3]);
         let e: [i32; 0] = [];
         assert!(circular_shift_left(&e, 3).is_empty());
+    }
+
+    #[test]
+    fn radix2_matches_per_block_twiddle_recurrence_bitwise() {
+        // The textbook loop order restarts the twiddle recurrence in every
+        // block; hoisting it out of the blocks must not change a bit.
+        fn per_block(x: &mut [Complex64]) {
+            let n = x.len();
+            let bits = n.trailing_zeros();
+            for i in 0..n {
+                let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
+                if j > i {
+                    x.swap(i, j);
+                }
+            }
+            let mut len = 2;
+            while len <= n {
+                let wlen = Complex64::cis(-2.0 * PI / len as f64);
+                for i in (0..n).step_by(len) {
+                    let mut w = Complex64::ONE;
+                    for k in 0..len / 2 {
+                        let u = x[i + k];
+                        let v = x[i + k + len / 2] * w;
+                        x[i + k] = u + v;
+                        x[i + k + len / 2] = u - v;
+                        w *= wlen;
+                    }
+                }
+                len <<= 1;
+            }
+        }
+        let mut rng = Rng64::seed(11);
+        for n in [2usize, 8, 64, 1024] {
+            let x: Vec<Complex64> = (0..n).map(|_| rng.complex_normal()).collect();
+            let (mut a, mut b) = (x.clone(), x);
+            fft_in_place(&mut a);
+            per_block(&mut b);
+            let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn ifft_into_with_reused_scratch_is_bit_identical() {
+        // Alternating lengths re-key the cached chirp tables; every call
+        // must still reproduce the one-shot transform bit for bit.
+        let mut rng = Rng64::seed(10);
+        let mut scratch = FftScratch::default();
+        let mut out = Vec::new();
+        for n in [264usize, 264, 37, 64, 264, 0] {
+            let x: Vec<Complex64> = (0..n).map(|_| rng.complex_normal()).collect();
+            ifft_into(&x, &mut out, &mut scratch);
+            let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&out), bits(&ifft(&x)), "n = {n}");
+        }
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //!
 //! - [`CMatrix`] — row-major dense complex matrix with the usual products,
 //! - [`solve`] — Gaussian elimination with partial pivoting,
-//! - [`cholesky_solve`] — for Hermitian positive-definite systems,
+//! - [`cholesky_solve`] — for Hermitian positive-definite systems, also
+//!   split into [`cholesky_factor_into`] + [`cholesky_solve_factored`] so
+//!   one factor can serve many right-hand sides,
 //! - [`ridge_least_squares`] — `argmin ‖Ax − b‖² + λ‖x‖²` via the normal
 //!   equations (exactly the paper's regularized formulation).
 
 use crate::complex::Complex64;
 
-/// Row-major dense complex matrix.
-#[derive(Clone, Debug, PartialEq)]
+/// Row-major dense complex matrix. The default is the empty 0×0 matrix.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
@@ -23,7 +25,6 @@ pub struct CMatrix {
 
 impl CMatrix {
     /// Creates a zero matrix.
-    // xtask-allow(hot-path-closure): constructor allocates by definition; steady-state reuses FitScratch/reset() buffers, only amortized tick-path solves construct (ROADMAP item 1)
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
@@ -168,7 +169,6 @@ impl CMatrix {
     /// Same single-pass layout as [`CMatrix::gram`]: one accumulator per
     /// output entry, each summing in row order — bit-identical to the
     /// column-at-a-time evaluation.
-    // xtask-allow(hot-path-closure): returns an owned K-vector (K ≤ 4) from the amortized tick-path fit; not called per slot (ROADMAP item 1)
     pub fn hermitian_mul_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(b.len(), self.rows, "dimension mismatch");
         let mut acc = vec![Complex64::ZERO; self.cols];
@@ -225,8 +225,6 @@ impl std::fmt::Display for LinalgError {
 impl std::error::Error for LinalgError {}
 
 /// Solves `A·x = b` by Gaussian elimination with partial pivoting.
-// xtask-allow(hot-path-panic): every index is bounded by the n×n dimension check at entry (bad dims return Err); the pivot expect scans the non-empty range col..n
-// xtask-allow(hot-path-closure): the solver owns its working copy (clone + rhs vec) by design; reached only from amortized tick-path fits, not the per-slot loop (ROADMAP item 1)
 pub fn solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, LinalgError> {
     let n = a.rows();
     if a.cols() != n || b.len() != n {
@@ -279,15 +277,28 @@ pub fn solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, LinalgError
 
 /// Solves `A·x = b` for Hermitian positive-definite `A` using a complex
 /// Cholesky factorization `A = L·Lᴴ`.
-// xtask-allow(hot-path-panic): every index is bounded by the n×n dimension check at entry (bad dims return Err)
-// xtask-allow(hot-path-closure): factor and solution vectors are owned by design; reached only from amortized tick-path fits, not the per-slot loop (ROADMAP item 1)
 pub fn cholesky_solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n || b.len() != n {
+    if b.len() != a.rows() {
         return Err(LinalgError::DimensionMismatch);
     }
-    // Factor.
-    let mut l = CMatrix::zeros(n, n);
+    let mut l = CMatrix::default();
+    cholesky_factor_into(a, &mut l)?;
+    let mut x = b.to_vec();
+    cholesky_solve_factored(&l, &mut x);
+    Ok(x)
+}
+
+/// Writes the lower-triangular Cholesky factor `L` of a Hermitian
+/// positive-definite `A = L·Lᴴ` into `l`, reusing its storage. Solve
+/// against it with [`cholesky_solve_factored`]; [`cholesky_solve`] is
+/// exactly these two steps.
+pub fn cholesky_factor_into(a: &CMatrix, l: &mut CMatrix) -> Result<(), LinalgError> {
+    let n = a.rows();
+    if a.cols() != n {
+        return Err(LinalgError::DimensionMismatch);
+    }
+    l.reset(n, n);
+    debug_assert!(a.as_slice().len() == n * n && l.as_slice().len() == n * n);
     for i in 0..n {
         for j in 0..=i {
             let mut sum = a[(i, j)];
@@ -306,25 +317,32 @@ pub fn cholesky_solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, Li
             }
         }
     }
+    Ok(())
+}
+
+/// Solves `L·Lᴴ·x = b` in place (`x` holds `b` on entry) for a factor from
+/// [`cholesky_factor_into`]. Allocation-free: the forward solve overwrites
+/// `x[i]` only after its last read of `b[i]`, and the backward solve reads
+/// only entries it has already finalised.
+pub fn cholesky_solve_factored(l: &CMatrix, x: &mut [Complex64]) {
+    let n = x.len();
+    debug_assert!(l.rows() == n && l.cols() == n);
     // Forward solve L·y = b.
-    let mut y = vec![Complex64::ZERO; n];
     for i in 0..n {
-        let mut acc = b[i];
+        let mut acc = x[i];
         for k in 0..i {
-            acc -= l[(i, k)] * y[k];
+            acc -= l[(i, k)] * x[k];
         }
-        y[i] = acc * l[(i, i)].inv();
+        x[i] = acc * l[(i, i)].inv();
     }
     // Backward solve Lᴴ·x = y.
-    let mut x = vec![Complex64::ZERO; n];
     for i in (0..n).rev() {
-        let mut acc = y[i];
+        let mut acc = x[i];
         for k in i + 1..n {
             acc -= l[(k, i)].conj() * x[k];
         }
         x[i] = acc * l[(i, i)].inv();
     }
-    Ok(x)
 }
 
 /// Ridge-regularized least squares:

@@ -1,9 +1,9 @@
 //! `#[hot_path]` — the zero-allocation contract, stated at the definition.
 //!
-//! PR 2 rebuilt the steady-state slot loop around reused buffers
-//! (`SlotWorkspace`, `ChannelSnapshot`, the `*_into` kernels, the
-//! superres `FitScratch`) and proved the result allocation-free with a
-//! counting allocator (`crates/sim/tests/zero_alloc.rs`). That proof is a
+//! The steady-state slot loop runs on reused buffers (`SlotWorkspace`,
+//! `ChannelSnapshot`, the `*_into` kernels, the superres
+//! `SuperResScratch`) and is proved allocation-free with a counting
+//! allocator (`crates/sim/tests/zero_alloc.rs`). That proof is a
 //! single end-to-end test: it tells you *that* a slot allocated, not
 //! *where*, and it only covers the configurations the test happens to
 //! drive.

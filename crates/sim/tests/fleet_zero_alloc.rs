@@ -11,8 +11,9 @@
 //! `SlotLoop` samples, the `IntentQueue`/`StateHandler` scratch swap, and
 //! the fixed-bucket pass-latency histogram.
 //!
-//! Lives in its own integration-test binary so no concurrently running
-//! test can touch the process-global counter mid-measurement.
+//! The counter is per thread. The fleet runs with `threads: 1` and the
+//! shard is stepped inline, so every lane's work lands on the test's own
+//! thread and its counter sees the whole fleet.
 
 use mmwave_channel::SharedSceneCache;
 use mmwave_dsp::count_alloc::{allocation_count, CountingAllocator};

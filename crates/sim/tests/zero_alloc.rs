@@ -9,8 +9,9 @@
 //! the data plane runs entirely out of [`SlotWorkspace`] and the run loop's
 //! reusable weight scratch.
 //!
-//! Lives in its own integration-test binary so no concurrently running test
-//! can touch the process-global counter mid-measurement.
+//! The counter is per thread, so tests the harness runs concurrently in
+//! this binary cannot pollute each other's measurement; each test drives
+//! its whole measured loop on its own thread.
 
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
