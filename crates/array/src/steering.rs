@@ -35,6 +35,13 @@ pub fn steering_vector_az_el(geom: &ArrayGeometry, az_deg: f64, el_deg: f64) -> 
 }
 
 /// Write-into variant of [`steering_vector_az_el`].
+///
+/// At zero elevation (`sin(el)` is `+0.0`, which every
+/// [`steering_vector_into`] call hits) every row of a UPA carries the same
+/// phases, so only the `nx` entries of row 0 are evaluated and the row is
+/// tiled. Bit-identical to the per-element expression: `y·(+0)` is `+0`
+/// for every (non-negative) row position, and `x·su + 0.0` keeps the sign
+/// rule of that sum, turning a `-0` product into `+0` exactly as it does.
 #[hot_path]
 pub fn steering_vector_az_el_into(
     geom: &ArrayGeometry,
@@ -45,11 +52,36 @@ pub fn steering_vector_az_el_into(
     let su = az_deg.to_radians().sin();
     let sv = el_deg.to_radians().sin();
     out.clear();
+    if sv.to_bits() == 0 {
+        tile_azimuth_row(geom, su, |e| e, out);
+        return;
+    }
     out.extend((0..geom.num_elements()).map(|i| {
         let phase =
             -2.0 * PI * (geom.azimuth_position_wl(i) * su + geom.elevation_position_wl(i) * sv);
         Complex64::cis(phase)
     }));
+}
+
+/// Fills the empty `out` with the zero-elevation row
+/// `f(cis(-2π·(x_c·su + 0)))` for the `nx` azimuth columns, then copies
+/// that row once per remaining elevation row.
+#[inline]
+fn tile_azimuth_row(
+    geom: &ArrayGeometry,
+    su: f64,
+    f: impl Fn(Complex64) -> Complex64,
+    out: &mut Vec<Complex64>,
+) {
+    let nx = geom.azimuth_elements();
+    out.extend((0..nx).map(|c| {
+        f(Complex64::cis(
+            -2.0 * PI * (geom.azimuth_position_wl(c) * su + 0.0),
+        ))
+    }));
+    for _ in 1..geom.num_elements() / nx {
+        out.extend_from_within(..nx);
+    }
 }
 
 /// Conjugate (maximum-ratio) single-beam weights toward `aod_deg`
@@ -65,18 +97,13 @@ pub fn single_beam(geom: &ArrayGeometry, aod_deg: f64) -> BeamWeights {
 /// allocating (when its capacity suffices).
 #[hot_path]
 pub fn single_beam_into(geom: &ArrayGeometry, aod_deg: f64, out: &mut BeamWeights) {
-    // Bit-identical to `single_beam`: same phase expression (elevation term
-    // kept, multiplied by sin 0 = 0) and the same conj/scale per element.
+    // Bit-identical to `single_beam`: the same tiled zero-elevation row
+    // and the same conj/scale per element.
     let su = aod_deg.to_radians().sin();
-    let sv = 0.0f64;
     let n = (geom.num_elements() as f64).sqrt();
     let v = out.vec_mut();
     v.clear();
-    v.extend((0..geom.num_elements()).map(|i| {
-        let phase =
-            -2.0 * PI * (geom.azimuth_position_wl(i) * su + geom.elevation_position_wl(i) * sv);
-        Complex64::cis(phase).conj() / n
-    }));
+    tile_azimuth_row(geom, su, |e| e.conj() / n, v);
 }
 
 /// Single-beam weights with explicit azimuth and elevation.

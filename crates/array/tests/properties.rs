@@ -4,9 +4,16 @@ use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::multibeam::{BeamComponent, MultiBeam};
 use mmwave_array::pattern::{array_factor, invert_gain_drop, ula_gain_rel};
 use mmwave_array::quantize::Quantizer;
-use mmwave_array::steering::{single_beam, steering_vector};
+use mmwave_array::steering::{
+    single_beam, single_beam_into, steering_vector, steering_vector_az_el_into,
+    steering_vector_into,
+};
+use mmwave_array::weights::BeamWeights;
+use mmwave_dsp::complex::Complex64;
+use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::db_from_pow;
 use proptest::prelude::*;
+use std::f64::consts::PI;
 
 fn angle() -> impl Strategy<Value = f64> {
     -60.0..60.0f64
@@ -110,5 +117,120 @@ proptest! {
             prop_assert!((v.abs() - 1.0).abs() < 1e-9);
         }
         let _ = steering_vector(&g, az);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tiled zero-elevation kernels vs the per-element expression
+// ---------------------------------------------------------------------------
+
+/// The per-element steering expression `cis(-2π·(x·su + y·sv))` the tiled
+/// kernels replace, evaluated for every element into `out`.
+fn reference_steering(geom: &ArrayGeometry, az_deg: f64, el_deg: f64, out: &mut Vec<Complex64>) {
+    let su = az_deg.to_radians().sin();
+    let sv = el_deg.to_radians().sin();
+    out.clear();
+    out.extend((0..geom.num_elements()).map(|i| {
+        Complex64::cis(
+            -2.0 * PI * (geom.azimuth_position_wl(i) * su + geom.elevation_position_wl(i) * sv),
+        )
+    }));
+}
+
+fn assert_bits_eq(got: &[Complex64], want: &[Complex64], geom: &ArrayGeometry, az: f64, el: f64) {
+    let same = got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, e)| g.re.to_bits() == e.re.to_bits() && g.im.to_bits() == e.im.to_bits());
+    assert!(same, "{geom:?} az {az} el {el}: {got:?} vs {want:?}");
+}
+
+fn tiling_geometries() -> Vec<ArrayGeometry> {
+    let mut geoms: Vec<ArrayGeometry> = (1..=16).map(ArrayGeometry::ula).collect();
+    geoms.push(ArrayGeometry::paper_8x8());
+    geoms.push(ArrayGeometry::upa(4, 2));
+    geoms.extend([1, 2, 5, 8].map(|n| ArrayGeometry::upa(1, n)));
+    geoms
+}
+
+/// Seeded sweep size: 100 000 natively, a few hundred under Miri, whose
+/// interpreter would take hours over the full sweep.
+const fn sweep(native: usize) -> usize {
+    if cfg!(miri) {
+        native / 500
+    } else {
+        native
+    }
+}
+
+/// 100 000 seeded azimuths over the full circle plus the edge cases of the
+/// `x·su + 0.0` rewrite: signed zeros (a `-0` product must come out `+0`),
+/// the ±90° extremes, ±180° (where `sin` is a tiny signed value), tiny
+/// and subnormal angles and NaN.
+fn tiling_azimuths() -> Vec<f64> {
+    let mut rng = Rng64::seed(0x7113_D0A2);
+    let mut az = vec![
+        0.0,
+        -0.0,
+        90.0,
+        -90.0,
+        180.0,
+        -180.0,
+        1e-300,
+        -1e-300,
+        5e-324,
+        -5e-324,
+        f64::NAN,
+    ];
+    az.extend((0..sweep(100_000)).map(|_| rng.uniform_in(-180.0, 180.0)));
+    az
+}
+
+#[test]
+fn tiled_kernels_are_bit_identical_to_per_element() {
+    let geoms = tiling_geometries();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let mut beam = BeamWeights::muted(1);
+    for (k, az) in tiling_azimuths().into_iter().enumerate() {
+        for g in &geoms {
+            reference_steering(g, az, 0.0, &mut want);
+            steering_vector_into(g, az, &mut got);
+            assert_bits_eq(&got, &want, g, az, 0.0);
+            let n = (g.num_elements() as f64).sqrt();
+            for v in &mut want {
+                *v = v.conj() / n;
+            }
+            single_beam_into(g, az, &mut beam);
+            assert_bits_eq(beam.as_slice(), &want, g, az, 0.0);
+            // The owned variant tiles through `steering_vector`; sampled.
+            if k % 64 == 0 {
+                assert_bits_eq(single_beam(g, az).as_slice(), &want, g, az, 0.0);
+            }
+        }
+    }
+}
+
+#[test]
+fn nonzero_elevation_steering_matches_per_element() {
+    // Any elevation whose sine is not `+0.0` — `-0.0` included — takes the
+    // per-element loop and must keep its bits.
+    let mut rng = Rng64::seed(0xE1E7);
+    let geoms = [
+        ArrayGeometry::paper_8x8(),
+        ArrayGeometry::upa(4, 2),
+        ArrayGeometry::upa(1, 5),
+        ArrayGeometry::ula(7),
+    ];
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for _ in 0..sweep(5_000) {
+        let az = rng.uniform_in(-180.0, 180.0);
+        for el in [-0.0, 1e-300, 3.0, -25.0, rng.uniform_in(-90.0, 90.0)] {
+            for g in &geoms {
+                reference_steering(g, az, el, &mut want);
+                steering_vector_az_el_into(g, az, el, &mut got);
+                assert_bits_eq(&got, &want, g, az, el);
+            }
+        }
     }
 }

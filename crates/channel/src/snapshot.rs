@@ -15,7 +15,8 @@
 //! - per-path gNB steering rows `a(φ_l)` (flat `n_paths × n_elements`),
 //! - per-path beam-independent coefficients `γ_l·g_rx(θ_l)`,
 //! - per-path delays `τ_l` (seconds),
-//! - the per-element response at band center (oracle baselines).
+//! - the CSI phase tables `cis(-2π·f·τ_l)` for the two most recently read
+//!   frequency combs (the SNR metric's and the sounder's).
 //!
 //! Every reader then costs only inner products against the cached rows; no
 //! buffer is reallocated in steady state. **Invalidation rule (DESIGN.md
@@ -60,19 +61,15 @@ pub struct ChannelSnapshot {
     row_aods: Vec<f64>,
     /// Per-path gNB steering rows, flat `n_paths × n_elements`.
     steer_rows: Vec<Complex64>,
-    /// Cached CSI phase table `cis(-2π·f·τ)`, flat `n_freqs × n_paths`,
-    /// keyed bitwise by the frequency comb and delay list it was built
-    /// for. Delays only move when the pose moves, so static slots and
-    /// repeated probes on the same comb skip all the `cis` calls.
-    phase_freqs: Vec<f64>,
-    phase_delays: Vec<f64>,
-    phase_table: Vec<Complex64>,
+    /// Cached CSI phase tables, least recently used first. Two slots so
+    /// the SNR metric's comb and the sounder's probe comb do not evict
+    /// each other. Delays only move when the pose moves, so static slots
+    /// and repeated probes on either comb skip all the `cis` calls.
+    phase_tables: [PhaseTable; 2],
     /// Per-path beam-independent coefficient `γ_l · g_rx(θ_l)`.
     coeffs: Vec<Complex64>,
     /// Per-path delay, seconds.
     delays_s: Vec<f64>,
-    /// Per-element response at band center (what the oracle measures).
-    elem_response: Vec<Complex64>,
     n_elements: usize,
     /// Scratch: UE-side steering vector (directional receivers only).
     ue_steer: Vec<Complex64>,
@@ -99,12 +96,9 @@ impl ChannelSnapshot {
             traced_pose: None,
             row_aods: Vec::new(),
             steer_rows: Vec::new(),
-            phase_freqs: Vec::new(),
-            phase_delays: Vec::new(),
-            phase_table: Vec::new(),
+            phase_tables: Default::default(),
             coeffs: Vec::new(),
             delays_s: Vec::new(),
-            elem_response: Vec::new(),
             n_elements: 0,
             ue_steer: Vec::new(),
             alphas: Vec::new(),
@@ -116,7 +110,6 @@ impl ChannelSnapshot {
     /// before any reader; `geom` and `rx` must be the same link-constant
     /// values on every call (the cached rows are specific to them).
     #[hot_path]
-    // xtask-allow(hot-path-panic): coeffs/delays_s are rebuilt in lockstep from the same path list a few lines down, so the enumerate indices are in bounds
     pub fn rebuild(
         &mut self,
         dynamic: &DynamicChannel,
@@ -183,18 +176,6 @@ impl ChannelSnapshot {
             self.delays_s.push(p.tof_ns * 1e-9);
         }
 
-        // Band-center per-element response, identical expression to
-        // `GeometricChannel::element_response_at(…, 0.0)`.
-        self.elem_response.clear();
-        self.elem_response.resize(self.n_elements, Complex64::ZERO);
-        let chunk = self.n_elements.max(1);
-        for (i, row) in self.steer_rows.chunks_exact(chunk).enumerate() {
-            let coeff = self.coeffs[i] * Complex64::cis(-2.0 * PI * 0.0 * self.delays_s[i]);
-            for (hi, ai) in self.elem_response.iter_mut().zip(row) {
-                *hi += coeff * *ai;
-            }
-        }
-
         self.t_s = Some(t_s);
     }
 
@@ -230,12 +211,6 @@ impl ChannelSnapshot {
         self.steer_rows.chunks_exact(self.n_elements.max(1))
     }
 
-    /// Per-element channel vector at band center — what
-    /// [`GeometricChannel::element_response`] computes, read from cache.
-    pub fn element_response(&self) -> &[Complex64] {
-        &self.elem_response
-    }
-
     /// Per-path compound coefficients `(α_l, τ_l)` under transmit weights
     /// `w`, written into `out` — the snapshot-backed equivalent of
     /// [`GeometricChannel::path_alphas`], with the steering inner products
@@ -260,7 +235,7 @@ impl ChannelSnapshot {
         // Split-borrow: alphas is scratch, the rest is read-only.
         let mut alphas = std::mem::take(&mut self.alphas);
         self.path_alphas_into(w, &mut alphas);
-        self.ensure_phase_table(freqs_hz);
+        let table = self.phase_table(freqs_hz);
         out.clear();
         if alphas.is_empty() {
             out.resize(freqs_hz.len(), Complex64::ZERO);
@@ -268,7 +243,7 @@ impl ChannelSnapshot {
             // Same association order as `GeometricChannel::csi_from_alphas`
             // (fold from zero, paths in order), with the `cis` factors read
             // from the cached phase table — bit-identical, `cis`-free.
-            out.extend(self.phase_table.chunks_exact(alphas.len()).map(|row| {
+            out.extend(table.chunks_exact(alphas.len()).map(|row| {
                 let mut acc = Complex64::ZERO;
                 for (&(alpha, _), &e) in alphas.iter().zip(row) {
                     acc += alpha * e;
@@ -279,34 +254,19 @@ impl ChannelSnapshot {
         self.alphas = alphas;
     }
 
-    /// Rebuilds the cached phase table unless it already matches
-    /// `freqs_hz` × current delays bitwise.
-    fn ensure_phase_table(&mut self, freqs_hz: &[f64]) {
-        let valid = self.phase_freqs.len() == freqs_hz.len()
-            && self.phase_delays.len() == self.delays_s.len()
-            && self
-                .phase_freqs
-                .iter()
-                .zip(freqs_hz)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self
-                .phase_delays
-                .iter()
-                .zip(&self.delays_s)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if valid {
-            return;
-        }
-        self.phase_freqs.clear();
-        self.phase_freqs.extend_from_slice(freqs_hz);
-        self.phase_delays.clear();
-        self.phase_delays.extend_from_slice(&self.delays_s);
-        self.phase_table.clear();
-        for &f in freqs_hz {
-            for &tau in &self.delays_s {
-                self.phase_table.push(Complex64::cis(-2.0 * PI * f * tau));
+    /// The phase table for `freqs_hz` × current delays, flat
+    /// `n_freqs × n_paths`: a cached slot when one matches bitwise,
+    /// otherwise the least recently used slot refilled. Either way the
+    /// returned slot becomes the most recently used.
+    fn phase_table(&mut self, freqs_hz: &[f64]) -> &[Complex64] {
+        let [older, newer] = &mut self.phase_tables;
+        if !newer.matches(freqs_hz, &self.delays_s) {
+            if !older.matches(freqs_hz, &self.delays_s) {
+                older.fill(freqs_hz, &self.delays_s);
             }
+            std::mem::swap(older, newer);
         }
+        &newer.table
     }
 
     /// Received signal power (linear) at band center under `w` — the
@@ -322,6 +282,38 @@ impl ChannelSnapshot {
         }
         y.norm_sqr()
     }
+}
+
+/// One cached CSI phase table `cis(-2π·f·τ)`, flat `n_freqs × n_paths`,
+/// keyed bitwise by the frequency comb and delay list it was built for.
+#[derive(Clone, Debug, Default)]
+struct PhaseTable {
+    freqs: Vec<f64>,
+    delays: Vec<f64>,
+    table: Vec<Complex64>,
+}
+
+impl PhaseTable {
+    fn matches(&self, freqs_hz: &[f64], delays_s: &[f64]) -> bool {
+        bitwise_eq(&self.freqs, freqs_hz) && bitwise_eq(&self.delays, delays_s)
+    }
+
+    fn fill(&mut self, freqs_hz: &[f64], delays_s: &[f64]) {
+        self.freqs.clear();
+        self.freqs.extend_from_slice(freqs_hz);
+        self.delays.clear();
+        self.delays.extend_from_slice(delays_s);
+        self.table.clear();
+        for &f in freqs_hz {
+            for &tau in delays_s {
+                self.table.push(Complex64::cis(-2.0 * PI * f * tau));
+            }
+        }
+    }
+}
+
+fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -363,20 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_element_response_matches_direct() {
-        let dc = walker();
-        let geom = ArrayGeometry::paper_8x8();
-        let rx = UeReceiver::Omni;
-        let mut snap = ChannelSnapshot::new();
-        snap.rebuild(&dc, &geom, &rx, 0.25);
-        let want = dc.channel_at(0.25).element_response(&geom, &rx);
-        for (g, e) in snap.element_response().iter().zip(&want) {
-            assert_eq!(g.re.to_bits(), e.re.to_bits());
-            assert_eq!(g.im.to_bits(), e.im.to_bits());
-        }
-    }
-
-    #[test]
     fn snapshot_received_power_matches_direct() {
         let dc = walker();
         let geom = ArrayGeometry::paper_8x8();
@@ -400,6 +378,34 @@ mod tests {
         assert!(!snap.is_valid_at(0.2));
         snap.rebuild(&dc, &geom, &UeReceiver::Omni, 0.2);
         assert!(snap.is_valid_at(0.2));
+    }
+
+    #[test]
+    fn alternating_combs_match_direct_query_bitwise() {
+        // Two combs read in turn (the SNR metric's and the sounder's) each
+        // keep their own table; a third comb evicts the least recently
+        // used one. Every read must still equal the direct query.
+        let dc = walker();
+        let geom = ArrayGeometry::paper_8x8();
+        let rx = UeReceiver::Omni;
+        let w = single_beam(&geom, -7.0);
+        let snr: Vec<f64> = (0..33).map(|i| -200e6 + 12.5e6 * i as f64).collect();
+        let probe: Vec<f64> = (0..20).map(|i| -190e6 + 20e6 * i as f64).collect();
+        let third = [-50e6, 50e6];
+        let mut snap = ChannelSnapshot::new();
+        let mut got = Vec::new();
+        for t in [0.0, 0.0, 0.21, 0.21, 0.44] {
+            snap.rebuild(&dc, &geom, &rx, t);
+            for freqs in [&snr[..], &probe[..], &snr[..], &third[..], &probe[..]] {
+                snap.csi_into(&w, freqs, &mut got);
+                let want = dc.channel_at(t).csi(&geom, &w, &rx, freqs);
+                assert_eq!(got.len(), want.len());
+                for (g, e) in got.iter().zip(&want) {
+                    assert_eq!(g.re.to_bits(), e.re.to_bits(), "t={t}");
+                    assert_eq!(g.im.to_bits(), e.im.to_bits(), "t={t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!   shifts another stage's draws.
 //!
 //! Per-slot stages are `#[hot_path]` and allocation-free: the mismatch
-//! multipliers and coupling matrix are precomputed at construction, and
-//! the coupling kernel runs on a fixed stack scratch.
+//! multipliers and coupling matrix are precomputed at construction, the
+//! coupling kernel runs on a fixed stack scratch, and the data-plane
+//! weight transform is memoised on its bitwise input in buffers sized at
+//! construction (weights change only at ticks).
 
 use crate::faults::FaultEvent;
 use crate::metrics::RunResult;
@@ -53,6 +55,7 @@ use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::amp_from_db;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
+use std::cell::RefCell;
 
 /// Nominal OFDM symbol duration the intra-symbol phase-jitter (ICI)
 /// penalty integrates over: 1/Δf at the paper's 120 kHz subcarrier
@@ -522,6 +525,9 @@ pub struct ImpairedFrontEnd<F> {
     /// Static per-element multipliers (empty when mismatch is disabled).
     mismatch: Vec<Complex64>,
     coupling: Option<MutualCoupling>,
+    /// Last data-plane weight transform, keyed by its bitwise input (see
+    /// [`WeightMemo`]).
+    memo: RefCell<WeightMemo>,
     lo_phasor: Complex64,
     events: Vec<ImpairmentEvent>,
     stages_logged: bool,
@@ -586,6 +592,7 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
             pa,
             mismatch,
             coupling,
+            memo: RefCell::new(WeightMemo::with_capacity(n)),
             lo_phasor,
             events: Vec::new(),
             stages_logged: false,
@@ -751,6 +758,50 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     }
 }
 
+/// Memo of the data-plane transmit-chain transform: PA → mismatch →
+/// coupling is a static, memoryless function of the weights, and the
+/// weights a link radiates change only at maintenance ticks, so between
+/// ticks every slot repeats the last input. A hit copies the cached
+/// output (bit-identical to recomputing it); a miss recomputes and
+/// replaces the entry. Under a drifting [`crate::faults::FaultInjector`]
+/// above this layer the input changes every slot and simply misses.
+#[derive(Debug)]
+struct WeightMemo {
+    input: Vec<Complex64>,
+    output: Vec<Complex64>,
+}
+
+impl WeightMemo {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            input: Vec::with_capacity(n),
+            output: Vec::with_capacity(n),
+        }
+    }
+
+    /// Replaces `v` with `transform(v)`, served from the memo when `v`
+    /// is bitwise equal to the last input.
+    #[hot_path]
+    fn apply(&mut self, v: &mut [Complex64], transform: impl FnOnce(&mut [Complex64])) {
+        // `input` starts empty and an array has at least one element, so
+        // the length test also rules out a hit before the first fill.
+        let hit =
+            self.input.len() == v.len()
+                && self.input.iter().zip(v.iter()).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+        if hit {
+            v.copy_from_slice(&self.output);
+            return;
+        }
+        self.input.clear();
+        self.input.extend_from_slice(v);
+        transform(v);
+        self.output.clear();
+        self.output.extend_from_slice(v);
+    }
+}
+
 impl<F: LinkFrontEnd> LinkFrontEnd for ImpairedFrontEnd<F> {
     fn geometry(&self) -> &ArrayGeometry {
         self.inner.geometry()
@@ -805,7 +856,11 @@ impl<F: SimFrontEnd> SimFrontEnd for ImpairedFrontEnd<F> {
         // The data plane radiates through the same compressed, mismatched,
         // coupled hardware the probes see; compose with the inner stack.
         if self.has_weight_stages() {
-            self.impair_weights_core(w.as_mut_slice());
+            // The data plane has no use for the worst-compression figure
+            // (only probes report it), so the memo keeps just the weights.
+            self.memo.borrow_mut().apply(w.as_mut_slice(), |v| {
+                self.impair_weights_core(v);
+            });
         }
         self.inner.apply_radiated_faults(w);
     }

@@ -3,22 +3,28 @@
 //! across scenarios and seeds), enabled impairments degrade the link
 //! without wedging the lifecycle machine, a compression-driven SNR ceiling
 //! exhausts the retry budget into the wide-beam fallback instead of a
-//! retry storm, and phase-noise ripple straddling the outage threshold
-//! does not flap Steady↔Outage.
+//! retry storm, phase-noise ripple straddling the outage threshold
+//! does not flap Steady↔Outage, and the memoised data-plane weight
+//! transform radiates exactly what a fresh transform would.
 
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
+use mmreliable::frontend::LinkFrontEnd;
 use mmreliable::linkstate::{
     is_legal_transition, LifecycleConfig, LinkLifecycle, LinkSignal, LinkState, LinkStateKind,
     TransitionCause,
 };
+use mmwave_array::steering::single_beam;
+use mmwave_array::weights::BeamWeights;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
+use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::phase_noise::WienerPhase;
 use mmwave_dsp::rng::Rng64;
 use mmwave_sim::impairments::ImpairedFrontEnd;
 use mmwave_sim::metrics::RunResult;
 use mmwave_sim::scenario::{self, Scenario};
-use mmwave_sim::ImpairmentConfig;
+use mmwave_sim::simulator::SimFrontEnd;
+use mmwave_sim::{FaultInjector, FaultSchedule, ImpairmentConfig};
 use proptest::prelude::*;
 
 fn mmreliable() -> Box<dyn BeamStrategy> {
@@ -333,4 +339,115 @@ fn erasure_takes_the_confirmed_outage_path() {
         LinkStateKind::Outage,
         "an erasure must confirm through Outage, not bypass into Recovering"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Data-plane weight memo
+// ---------------------------------------------------------------------------
+
+fn assert_bits_eq(got: &BeamWeights, want: &BeamWeights, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, e) in got.as_slice().iter().zip(want.as_slice()) {
+        assert_eq!(g.re.to_bits(), e.re.to_bits(), "{what}");
+        assert_eq!(g.im.to_bits(), e.im.to_bits(), "{what}");
+    }
+}
+
+/// The un-memoised transform of `w`, from a stack built for this one call.
+fn fresh_transform(cfg: &ImpairmentConfig, w: &BeamWeights) -> BeamWeights {
+    let fe = ImpairedFrontEnd::new(scenario::static_walker().simulator(5), cfg.clone())
+        .expect("valid impairment config");
+    fe.impaired_weights(w)
+}
+
+#[test]
+fn memoised_radiated_weights_match_a_fresh_transform() {
+    // A weight sequence that repeats (hits), changes (misses) and returns
+    // to an earlier input (a miss that must not serve a stale entry).
+    // `a_zero` and `a_neg_zero` differ only in the sign of one zeroed
+    // element, which compares equal as a float but not bitwise.
+    let cfg = ImpairmentConfig::moderate(9);
+    let mut fe = ImpairedFrontEnd::new(scenario::static_walker().simulator(5), cfg.clone())
+        .expect("valid impairment config");
+    let geom = *fe.geometry();
+    let a = single_beam(&geom, 12.0);
+    let b = single_beam(&geom, -30.0);
+    let mut a_zero = a.clone();
+    a_zero.as_mut_slice()[5] = Complex64::ZERO;
+    let mut a_neg_zero = a_zero.clone();
+    a_neg_zero.as_mut_slice()[5] = Complex64::new(-0.0, -0.0);
+    let sequence = [
+        &a,
+        &a,
+        &b,
+        &b,
+        &b,
+        &a,
+        &a_zero,
+        &a_neg_zero,
+        &a_zero,
+        &b,
+        &a,
+    ];
+    let mut got = BeamWeights::muted(geom.num_elements());
+    for (i, w) in sequence.into_iter().enumerate() {
+        fe.radiated_weights_into(w, &mut got);
+        assert_bits_eq(&got, &fresh_transform(&cfg, w), &format!("step {i}"));
+        fe.wait(fe.sim().slot_s);
+    }
+}
+
+#[test]
+fn drifting_faults_over_mild_impairments_match_a_fresh_transform() {
+    // Gain drift above the impairment layer hands it new weights every
+    // slot, so every slot misses the memo; the result must still be the
+    // exact composition drift/failures → PA → mismatch → coupling.
+    let cfg = ImpairmentConfig::mild(4);
+    let schedule = FaultSchedule {
+        seed: 17,
+        failed_elements: vec![3, 17, 42],
+        gain_drift_db: 1.5,
+        gain_drift_period_s: 0.5,
+        ..FaultSchedule::none()
+    };
+    let impaired = ImpairedFrontEnd::new(scenario::static_walker().simulator(5), cfg.clone())
+        .expect("valid impairment config");
+    let mut fe = FaultInjector::new(impaired, schedule).expect("valid fault schedule");
+    let w = single_beam(fe.geometry(), 7.5);
+    let mut got = BeamWeights::muted(w.len());
+    let mut previous = BeamWeights::muted(w.len());
+    let slot_s = fe.sim().slot_s;
+    for slot in 0..200 {
+        fe.radiated_weights_into(&w, &mut got);
+        let want = fresh_transform(&cfg, &fe.faulted_weights(&w));
+        assert_bits_eq(&got, &want, &format!("slot {slot}"));
+        assert_ne!(
+            got, previous,
+            "drift changes the radiated weights every slot"
+        );
+        previous.copy_from(&got);
+        fe.wait(slot_s);
+    }
+}
+
+#[test]
+fn inert_config_radiates_the_bare_simulators_weights() {
+    let mut bare = scenario::static_walker().simulator(5);
+    let mut wrapped = ImpairedFrontEnd::new(
+        scenario::static_walker().simulator(5),
+        ImpairmentConfig::none(),
+    )
+    .expect("valid impairment config");
+    let geom = *wrapped.geometry();
+    let n = geom.num_elements();
+    let (mut want, mut got) = (BeamWeights::muted(n), BeamWeights::muted(n));
+    for angle in [0.0, 0.0, 20.0, -45.0, 0.0] {
+        let w = single_beam(&geom, angle);
+        bare.radiated_weights_into(&w, &mut want);
+        wrapped.radiated_weights_into(&w, &mut got);
+        assert_bits_eq(&got, &want, &format!("angle {angle}"));
+        let slot_s = bare.slot_s;
+        bare.wait(slot_s);
+        wrapped.wait(slot_s);
+    }
 }

@@ -34,24 +34,54 @@ use mmreliable::frontend::LinkFrontEnd;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn static_sim(seed: u64) -> LinkSimulator {
-    let dynamic = DynamicChannel::new(
-        Scene::conference_room(FC_28GHZ),
-        Trajectory::Static {
-            pose: Pose {
-                pos: v2(0.9, 7.0),
-                facing_deg: 180.0,
-            },
-        },
-        BlockageProcess::none(),
-    );
+fn sim_on(trajectory: Trajectory, seed: u64) -> LinkSimulator {
     LinkSimulator::new(
-        dynamic,
+        DynamicChannel::new(
+            Scene::conference_room(FC_28GHZ),
+            trajectory,
+            BlockageProcess::none(),
+        ),
         ChannelSounder::paper_indoor(),
         ArrayGeometry::paper_8x8(),
         UeReceiver::Omni,
         Rng64::seed(seed),
     )
+}
+
+fn static_sim(seed: u64) -> LinkSimulator {
+    let pose = Pose {
+        pos: v2(0.9, 7.0),
+        facing_deg: 180.0,
+    };
+    sim_on(Trajectory::Static { pose }, seed)
+}
+
+/// A UE walking the paper's 1.5 m/s translation: every slot moves the
+/// pose, so the snapshot re-traces the scene, rebuilds its steering rows
+/// and refills a phase-table slot on every slot.
+fn translating_sim(seed: u64) -> LinkSimulator {
+    sim_on(Trajectory::paper_translation(v2(0.0, 7.0)), seed)
+}
+
+/// Drives `slots` steady-state data slots of `strategy` on `fe` — the
+/// run loop's exact per-slot sequence — and returns the mean SNR, dB.
+fn data_slots<F: SimFrontEnd>(
+    fe: &mut F,
+    strategy: &mut dyn BeamStrategy,
+    w_data: &mut BeamWeights,
+    w_rad: &mut BeamWeights,
+    slots: usize,
+) -> f64 {
+    let slot_s = fe.sim().slot_s;
+    let mut acc = 0.0f64;
+    for _ in 0..slots {
+        strategy.observe_truth(fe.sim_mut().channel_now());
+        strategy.weights_into(w_data);
+        fe.radiated_weights_into(w_data, w_rad);
+        acc += fe.sim_mut().true_snr_db(w_rad);
+        fe.sim_mut().wait(slot_s);
+    }
+    acc / slots as f64
 }
 
 #[test]
@@ -239,4 +269,102 @@ fn null_sink_run_is_bit_identical_to_untraced() {
         0,
         "untraced run leaves latency all-zero"
     );
+}
+
+/// A moving UE never reuses the snapshot: the pose, every AoD and every
+/// path delay change from slot to slot, so the ray trace, the tiled
+/// steering rows and the SNR comb's phase table are rebuilt each slot —
+/// in place, without touching the allocator.
+#[test]
+fn translating_ue_data_slots_do_not_allocate() {
+    let mut sim = translating_sim(11);
+    let mut strategy = SingleBeamReactive::new(Default::default());
+    // Warm-up: training probes fill the sounder comb's phase-table slot,
+    // data slots the SNR comb's.
+    let _ = sim.run(&mut strategy, 0.05, 20e-3, "warmup");
+    let n = sim.geom.num_elements();
+    let mut w_data = BeamWeights::muted(n);
+    let mut w_rad = BeamWeights::muted(n);
+    let _ = data_slots(&mut sim, &mut strategy, &mut w_data, &mut w_rad, 8);
+    let aod_before = sim.channel_now().paths[0].aod_deg;
+
+    let before = allocation_count();
+    let mean_snr = data_slots(&mut sim, &mut strategy, &mut w_data, &mut w_rad, 1000);
+    let delta = allocation_count() - before;
+    assert_eq!(
+        delta, 0,
+        "moving-UE slots allocated {delta} times over 1000 slots"
+    );
+    // The geometry really moved, so every slot rebuilt its rows.
+    assert_ne!(sim.channel_now().paths[0].aod_deg, aod_before);
+    assert!(mean_snr > 10.0, "mean snr {mean_snr}");
+}
+
+/// The impairment layer's data-plane memo, both ways: slots that repeat
+/// the last weights hit it, and a weight change misses it and refills the
+/// buffers sized at construction. Neither path allocates.
+#[test]
+fn impaired_memo_hits_and_misses_do_not_allocate() {
+    use mmwave_array::steering::single_beam;
+    use mmwave_sim::impairments::{ImpairedFrontEnd, ImpairmentConfig};
+
+    let mut fe = ImpairedFrontEnd::new(static_sim(11), ImpairmentConfig::moderate(3))
+        .expect("valid impairment config");
+    let mut strategy = SingleBeamReactive::new(Default::default());
+    let _ = fe.run(&mut strategy, 0.05, 20e-3, "warmup");
+    let geom = fe.sim().geom;
+    let beams = [single_beam(&geom, -4.0), single_beam(&geom, 9.0)];
+    let want: Vec<BeamWeights> = beams.iter().map(|w| fe.impaired_weights(w)).collect();
+    let mut w_rad = BeamWeights::muted(geom.num_elements());
+    fe.radiated_weights_into(&beams[0], &mut w_rad);
+    let slot_s = fe.sim().slot_s;
+
+    let before = allocation_count();
+    let mut acc = 0.0f64;
+    for slot in 0..1000 {
+        // Switch beams every 50 slots: one miss, then 49 hits.
+        let k = (slot / 50) % 2;
+        fe.radiated_weights_into(&beams[k], &mut w_rad);
+        acc += fe.sim_mut().true_snr_db(&w_rad);
+        fe.sim_mut().wait(slot_s);
+    }
+    let delta = allocation_count() - before;
+    assert_eq!(
+        delta, 0,
+        "memoised impaired slots allocated {delta} times over 1000 slots"
+    );
+    assert!(acc.is_finite());
+    // Both entries still serve the exact impaired transform.
+    for (w, want) in beams.iter().zip(&want) {
+        fe.radiated_weights_into(w, &mut w_rad);
+        assert_eq!(w_rad.as_slice(), want.as_slice());
+    }
+}
+
+/// mmReliable's data plane: between maintenance ticks a slot reads the
+/// controller's cached multi-beam weights and runs the same snapshot
+/// readers as the baseline, allocation-free.
+#[test]
+fn mmreliable_data_slots_do_not_allocate() {
+    use mmreliable::config::MmReliableConfig;
+    use mmreliable::controller::MmReliableController;
+    use mmwave_baselines::strategy::MmReliableStrategy;
+
+    let mut sim = static_sim(11);
+    let mut strategy =
+        MmReliableStrategy::new(MmReliableController::new(MmReliableConfig::paper_default()));
+    let _ = sim.run(&mut strategy, 0.05, 20e-3, "warmup");
+    let n = sim.geom.num_elements();
+    let mut w_data = BeamWeights::muted(n);
+    let mut w_rad = BeamWeights::muted(n);
+    let _ = data_slots(&mut sim, &mut strategy, &mut w_data, &mut w_rad, 8);
+
+    let before = allocation_count();
+    let mean_snr = data_slots(&mut sim, &mut strategy, &mut w_data, &mut w_rad, 1000);
+    let delta = allocation_count() - before;
+    assert_eq!(
+        delta, 0,
+        "mmReliable data slots allocated {delta} times over 1000 slots"
+    );
+    assert!(mean_snr > 20.0, "mean snr {mean_snr}");
 }
