@@ -11,7 +11,7 @@ fn reactive_fingerprint_is_pinned() {
     let f = fingerprint("single-beam reactive");
     assert_eq!(
         format!("{:016x}", f.hash),
-        "38d2b0adb1a6df90",
+        "636133016b9ede92",
         "{} samples",
         f.samples
     );
@@ -22,7 +22,7 @@ fn mmreliable_fingerprint_is_pinned() {
     let f = fingerprint("mmReliable");
     assert_eq!(
         format!("{:016x}", f.hash),
-        "9958f73b04810188",
+        "7efd71d3fa16c065",
         "{} samples",
         f.samples
     );

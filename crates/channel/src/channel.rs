@@ -12,7 +12,9 @@
 
 use crate::path::Path;
 use mmwave_array::geometry::ArrayGeometry;
-use mmwave_array::steering::steering_vector_into;
+use mmwave_array::steering::{
+    azimuth_row_into, fold_columns_into, folded_array_factor, steering_vector_into,
+};
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::sinc::pulse_train_into;
@@ -60,10 +62,13 @@ impl UeReceiver {
 /// buffers grow to a high-water mark on first use and are then reused.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelScratch {
-    /// gNB-side steering vector (one path at a time).
+    /// gNB-side steering: one path's azimuth row, or its whole vector for
+    /// the per-element response.
     pub steer: Vec<Complex64>,
     /// UE-side steering vector (directional receivers only).
     pub ue_steer: Vec<Complex64>,
+    /// Transmit weights folded onto the gNB's azimuth columns.
+    pub folded: Vec<Complex64>,
     /// Per-path compound coefficients `(α_l, τ_l)`.
     pub alphas: Vec<(Complex64, f64)>,
 }
@@ -92,33 +97,39 @@ impl GeometricChannel {
         w: &BeamWeights,
         rx: &UeReceiver,
     ) -> Vec<(Complex64, f64)> {
-        let mut steer = Vec::new();
-        let mut ue_steer = Vec::new();
-        let mut out = Vec::with_capacity(self.paths.len());
-        self.path_alphas_into(geom, w, rx, &mut steer, &mut ue_steer, &mut out);
-        out
+        let mut scratch = ChannelScratch::default();
+        self.path_alphas_into(geom, w, rx, &mut scratch);
+        scratch.alphas
     }
 
-    /// Write-into variant of [`GeometricChannel::path_alphas`]: clears `out`
-    /// and fills it, reusing `out` plus the gNB-side (`steer`) and UE-side
-    /// (`ue_steer`) steering scratch buffers. Bit-identical to the
-    /// allocating version (same per-path expression and association order).
+    /// Write-into variant of [`GeometricChannel::path_alphas`]: refills
+    /// `scratch.alphas`, reusing every `scratch` buffer. The gNB's steering
+    /// vectors are tiled azimuth rows, so `w` is folded onto the `nx`
+    /// columns once ([`fold_columns_into`]) and each path's array factor
+    /// costs `nx` multiply-adds against its azimuth row. Bit-identical to
+    /// the allocating version and to the per-slot
+    /// [`crate::snapshot::ChannelSnapshot`].
     #[hot_path]
     pub fn path_alphas_into(
         &self,
         geom: &ArrayGeometry,
         w: &BeamWeights,
         rx: &UeReceiver,
-        steer: &mut Vec<Complex64>,
-        ue_steer: &mut Vec<Complex64>,
-        out: &mut Vec<(Complex64, f64)>,
+        scratch: &mut ChannelScratch,
     ) {
-        out.clear();
+        let ChannelScratch {
+            steer,
+            ue_steer,
+            folded,
+            alphas,
+        } = scratch;
+        fold_columns_into(geom, w, folded);
+        alphas.clear();
         for p in &self.paths {
-            steering_vector_into(geom, p.aod_deg, steer);
-            let af = w.apply(steer);
+            azimuth_row_into(geom, p.aod_deg, steer);
+            let af = folded_array_factor(steer, folded);
             let alpha = p.effective_gain() * rx.gain_toward_with(p.aoa_deg, ue_steer) * af;
-            out.push((alpha, p.tof_ns * 1e-9));
+            alphas.push((alpha, p.tof_ns * 1e-9));
         }
     }
 
@@ -139,6 +150,12 @@ impl GeometricChannel {
 
     /// Channel state information across a set of baseband subcarrier
     /// frequencies (Hz offsets from carrier), under transmit weights `w`.
+    ///
+    /// `freqs_hz` must be a uniform comb, `f_i = f₀ + i·Δf` (the SNR
+    /// metric's comb and the sounder's decimated subcarriers both are):
+    /// each path's phases are advanced by multiplication from two `cis`
+    /// evaluations, and a `debug_assert!` checks the spacing to within
+    /// `10⁻⁹·|Δf|`.
     pub fn csi(
         &self,
         geom: &ArrayGeometry,
@@ -154,7 +171,8 @@ impl GeometricChannel {
 
     /// Write-into variant of [`GeometricChannel::csi`]: clears `out` and
     /// fills it with one response per frequency, reusing `out` and the
-    /// `scratch` buffers. Bit-identical to the allocating version.
+    /// `scratch` buffers. Bit-identical to the allocating version. Same
+    /// precondition: `freqs_hz` is a uniform comb.
     #[hot_path]
     pub fn csi_into(
         &self,
@@ -165,30 +183,12 @@ impl GeometricChannel {
         scratch: &mut ChannelScratch,
         out: &mut Vec<Complex64>,
     ) {
-        let ChannelScratch {
-            steer,
-            ue_steer,
-            alphas,
-        } = scratch;
-        self.path_alphas_into(geom, w, rx, steer, ue_steer, alphas);
-        Self::csi_from_alphas(alphas, freqs_hz, out);
-    }
-
-    /// CSI across `freqs_hz` from precomputed per-path `(α_l, τ_l)` pairs —
-    /// the frequency-sweep core shared by [`GeometricChannel::csi_into`] and
-    /// the per-slot [`crate::snapshot::ChannelSnapshot`].
-    pub fn csi_from_alphas(
-        alphas: &[(Complex64, f64)],
-        freqs_hz: &[f64],
-        out: &mut Vec<Complex64>,
-    ) {
+        self.path_alphas_into(geom, w, rx, scratch);
         out.clear();
-        out.extend(freqs_hz.iter().map(|&f| {
-            alphas
-                .iter()
-                .map(|&(alpha, tau)| alpha * Complex64::cis(-2.0 * PI * f * tau))
-                .sum::<Complex64>()
-        }));
+        out.resize(freqs_hz.len(), Complex64::ZERO);
+        for &(alpha, tau) in &scratch.alphas {
+            add_path(out, alpha, comb_phasors(freqs_hz, tau));
+        }
     }
 
     /// Band-limited sampled channel impulse response (paper Eq. 22):
@@ -227,12 +227,8 @@ impl GeometricChannel {
         scratch: &mut ChannelScratch,
         out: &mut Vec<Complex64>,
     ) {
-        let ChannelScratch {
-            steer,
-            ue_steer,
-            alphas,
-        } = scratch;
-        self.path_alphas_into(geom, w, rx, steer, ue_steer, alphas);
+        self.path_alphas_into(geom, w, rx, scratch);
+        let alphas = &mut scratch.alphas;
         let t0 = alphas
             .iter()
             .map(|&(_, tau)| tau)
@@ -349,6 +345,73 @@ impl GeometricChannel {
     /// attained by [`GeometricChannel::optimal_weights`]).
     pub fn optimal_power(&self, geom: &ArrayGeometry, rx: &UeReceiver) -> f64 {
         mmwave_dsp::complex::norm_sqr(&self.element_response(geom, rx))
+    }
+}
+
+/// The phasors `cis(-2π·f_i·τ)` over the uniform comb `freqs_hz`, in
+/// order — the one CSI phase kernel, shared by
+/// [`GeometricChannel::csi_into`] and the per-slot
+/// [`crate::snapshot::ChannelSnapshot`] phase tables so the two stay
+/// bit-identical.
+///
+/// A uniform comb (`f_i = f₀ + i·Δf`) makes the phasors a geometric
+/// sequence, so only two `cis` are evaluated: the start
+/// `cis(-2π·f₀·τ)` and the step `cis(-2π·Δf·τ)` with
+/// `Δf = (f_{n−1} − f₀)/(n − 1)`; every later phasor is the previous one
+/// times the step. Exact in arithmetic; in floating point the error grows
+/// by about an ulp per step: at most 1.8·10⁻¹² against the per-point `cis`
+/// over a 400 MHz comb of up to 4096 points with τ ≤ 2 µs. Precondition,
+/// checked by `debug_assert!`: every `f_i` lies within `10⁻⁹·|Δf|` of
+/// `f₀ + i·Δf`.
+#[hot_path]
+pub(crate) fn comb_phasors(freqs_hz: &[f64], tau_s: f64) -> impl Iterator<Item = Complex64> {
+    debug_assert!(
+        is_uniform_comb(freqs_hz),
+        "CSI comb is not uniformly spaced: {freqs_hz:?}"
+    );
+    let (f0, df) = comb_origin_step(freqs_hz);
+    let step = Complex64::cis(-2.0 * PI * df * tau_s);
+    let mut e = Complex64::cis(-2.0 * PI * f0 * tau_s);
+    (0..freqs_hz.len()).map(move |_| {
+        let v = e;
+        e *= step;
+        v
+    })
+}
+
+/// `(f₀, Δf)` of a comb, `Δf = (f_{n−1} − f₀)/(n − 1)`; `Δf` is 0 below two
+/// points and both are 0 for an empty comb.
+fn comb_origin_step(freqs: &[f64]) -> (f64, f64) {
+    match (freqs.first(), freqs.last()) {
+        (Some(&f0), Some(&f_last)) if freqs.len() > 1 => {
+            (f0, (f_last - f0) / (freqs.len() - 1) as f64)
+        }
+        (Some(&f0), _) => (f0, 0.0),
+        _ => (0.0, 0.0),
+    }
+}
+
+/// True if `freqs` is `f₀ + i·Δf` to within `10⁻⁹·|Δf|` (the
+/// [`comb_phasors`] precondition).
+fn is_uniform_comb(freqs: &[f64]) -> bool {
+    let (f0, df) = comb_origin_step(freqs);
+    freqs
+        .iter()
+        .enumerate()
+        .all(|(i, &f)| (f - (f0 + i as f64 * df)).abs() <= 1e-9 * df.abs())
+}
+
+/// Adds one path's contribution `α·e_i` to every comb point of `out`: the
+/// path-outer accumulation both CSI routes share, so each point is folded
+/// from zero with the paths in order.
+#[hot_path]
+pub(crate) fn add_path(
+    out: &mut [Complex64],
+    alpha: Complex64,
+    phasors: impl Iterator<Item = Complex64>,
+) {
+    for (o, e) in out.iter_mut().zip(phasors) {
+        *o += alpha * e;
     }
 }
 
@@ -496,6 +559,49 @@ mod tests {
         let dir = ch.received_power(&g, &w, &rx);
         // UE array of 4 at unit norm: gain 4 in power.
         assert!((dir / omni - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn comb_phasors_match_per_point_cis() {
+        // Uniform combs across the widest (400 MHz) band, every length the
+        // data plane and the probes use plus the degenerate ones.
+        let mut rng = mmwave_dsp::rng::Rng64::seed(0xC0B5);
+        let mut worst = 0.0f64;
+        // Two delays per comb under Miri, to keep the interpreted run short.
+        let delays = if cfg!(miri) { 2 } else { 64 };
+        for n in [0usize, 1, 2, 33, 66, 792, 4096] {
+            let half = 200e6;
+            let freqs: Vec<f64> = (0..n)
+                .map(|i| -half + 2.0 * half * i as f64 / (n.max(2) - 1) as f64)
+                .collect();
+            for k in 0..delays {
+                let tau = if k == 0 {
+                    2e-6
+                } else {
+                    rng.uniform_in(0.0, 2e-6)
+                };
+                let got: Vec<Complex64> = comb_phasors(&freqs, tau).collect();
+                assert_eq!(got.len(), n);
+                for (e, &f) in got.iter().zip(&freqs) {
+                    worst = worst.max((*e - Complex64::cis(-2.0 * PI * f * tau)).abs());
+                }
+            }
+        }
+        assert!(worst <= 1e-11, "max |Δ| {worst:e}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not uniformly spaced")]
+    fn non_uniform_comb_is_rejected() {
+        let g = ArrayGeometry::ula(8);
+        let ch = two_path_channel(0.5, 0.0);
+        ch.csi(
+            &g,
+            &single_beam(&g, 0.0),
+            &UeReceiver::Omni,
+            &[0.0, 1e6, 3e6],
+        );
     }
 
     #[test]

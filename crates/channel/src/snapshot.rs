@@ -12,32 +12,34 @@
 //! - the frozen [`GeometricChannel`] (path list with blockage applied),
 //! - the cached t = 0 reference path list (time-invariant — traced once per
 //!   run, not once per query),
-//! - per-path gNB steering rows `a(φ_l)` (flat `n_paths × n_elements`),
+//! - per-path gNB azimuth steering rows (flat `n_paths × nx`: every row of
+//!   the tiled zero-elevation steering vector `a(φ_l)` is the same),
 //! - per-path beam-independent coefficients `γ_l·g_rx(θ_l)`,
 //! - per-path delays `τ_l` (seconds),
 //! - the CSI phase tables `cis(-2π·f·τ_l)` for the two most recently read
 //!   frequency combs (the SNR metric's and the sounder's).
 //!
-//! Every reader then costs only inner products against the cached rows; no
+//! Every reader then costs only inner products against the cached rows
+//! (`nx` multiply-adds per path against the column-folded weights); no
 //! buffer is reallocated in steady state. **Invalidation rule (DESIGN.md
 //! §8): advancing simulation time invalidates the snapshot** — callers must
 //! `rebuild` before reading at a new `t_s`. [`ChannelSnapshot::is_valid_at`]
 //! makes the rule checkable.
 //!
-//! Bit-identity: all derived quantities use the same expressions and the
-//! same floating-point association order as the allocating
+//! Bit-identity: all derived quantities use the same kernels
+//! ([`azimuth_row_into`], [`fold_columns_into`], the comb recurrence) and
+//! the same floating-point association order as the allocating
 //! [`GeometricChannel`] methods they replace, so fixed-seed runs are
 //! bit-identical whichever route computes them.
 
-use crate::channel::{GeometricChannel, UeReceiver};
+use crate::channel::{add_path, comb_phasors, GeometricChannel, UeReceiver};
 use crate::dynamics::DynamicChannel;
 use crate::path::Path;
 use mmwave_array::geometry::ArrayGeometry;
-use mmwave_array::steering::steering_vector_into;
+use mmwave_array::steering::{azimuth_row_into, fold_columns_into, folded_array_factor};
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_hotpath::hot_path;
-use std::f64::consts::PI;
 
 /// A reusable, per-slot view of the channel: path list plus every
 /// beam-independent per-path quantity, computed once per time step.
@@ -59,7 +61,7 @@ pub struct ChannelSnapshot {
     /// AoD list the steering rows were built for (bitwise): rows are
     /// reused while no path's AoD moves.
     row_aods: Vec<f64>,
-    /// Per-path gNB steering rows, flat `n_paths × n_elements`.
+    /// Per-path gNB azimuth steering rows, flat `n_paths × nx`.
     steer_rows: Vec<Complex64>,
     /// Cached CSI phase tables, least recently used first. Two slots so
     /// the SNR metric's comb and the sounder's probe comb do not evict
@@ -70,9 +72,13 @@ pub struct ChannelSnapshot {
     coeffs: Vec<Complex64>,
     /// Per-path delay, seconds.
     delays_s: Vec<f64>,
-    n_elements: usize,
+    /// The gNB array the rows were built for (a one-element placeholder
+    /// until the first rebuild).
+    geom: ArrayGeometry,
     /// Scratch: UE-side steering vector (directional receivers only).
     ue_steer: Vec<Complex64>,
+    /// Scratch: transmit weights folded onto the azimuth columns.
+    folded: Vec<Complex64>,
     /// Scratch: per-path `(α_l, τ_l)` for a given transmit beam.
     alphas: Vec<(Complex64, f64)>,
 }
@@ -99,8 +105,9 @@ impl ChannelSnapshot {
             phase_tables: Default::default(),
             coeffs: Vec::new(),
             delays_s: Vec::new(),
-            n_elements: 0,
+            geom: ArrayGeometry::ula(1),
             ue_steer: Vec::new(),
+            folded: Vec::new(),
             alphas: Vec::new(),
         }
     }
@@ -141,13 +148,13 @@ impl ChannelSnapshot {
         self.channel.paths.extend_from_slice(&self.traced);
         dynamic.apply_time_effects(t_s, &self.reference, &mut self.channel.paths);
         self.channel.fc_hz = dynamic.scene.fc_hz;
-        self.n_elements = geom.num_elements();
+        self.geom = *geom;
 
         // Steering rows depend only on the AoD list: reuse them while every
         // AoD is bitwise-unchanged (blockage varies attenuation, not
         // geometry), rebuild otherwise.
         let rows_valid = self.row_aods.len() == self.channel.paths.len()
-            && self.steer_rows.len() == self.row_aods.len() * self.n_elements
+            && self.steer_rows.len() == self.row_aods.len() * geom.azimuth_elements()
             && self
                 .row_aods
                 .iter()
@@ -157,10 +164,9 @@ impl ChannelSnapshot {
             self.steer_rows.clear();
             self.row_aods.clear();
             for p in &self.channel.paths {
-                // `steering_vector_into` needs a whole Vec; build the row in
-                // the UE scratch and append, so rows stay one flat
-                // allocation.
-                steering_vector_into(geom, p.aod_deg, &mut self.ue_steer);
+                // `azimuth_row_into` needs a whole Vec; build the row in the
+                // UE scratch and append, so rows stay one flat allocation.
+                azimuth_row_into(geom, p.aod_deg, &mut self.ue_steer);
                 self.steer_rows.extend_from_slice(&self.ue_steer);
                 self.row_aods.push(p.aod_deg);
             }
@@ -206,59 +212,48 @@ impl ChannelSnapshot {
         self.channel.paths.len()
     }
 
-    /// Per-path gNB steering rows.
-    fn rows(&self) -> impl Iterator<Item = &[Complex64]> {
-        self.steer_rows.chunks_exact(self.n_elements.max(1))
-    }
-
-    /// Per-path compound coefficients `(α_l, τ_l)` under transmit weights
-    /// `w`, written into `out` — the snapshot-backed equivalent of
-    /// [`GeometricChannel::path_alphas`], with the steering inner products
-    /// read from the cached rows.
+    /// Refills `self.alphas` with the per-path compound coefficients
+    /// `(α_l, τ_l)` under transmit weights `w` — the snapshot-backed
+    /// equivalent of [`GeometricChannel::path_alphas_into`], folding `w`
+    /// the same way and reading the cached azimuth rows.
     #[hot_path]
-    pub fn path_alphas_into(&self, w: &BeamWeights, out: &mut Vec<(Complex64, f64)>) {
+    fn path_alphas_into(&mut self, w: &BeamWeights) {
         debug_assert_eq!(self.coeffs.len(), self.delays_s.len());
-        out.clear();
-        for (i, row) in self.rows().enumerate() {
-            let af = w.apply(row);
-            out.push((self.coeffs[i] * af, self.delays_s[i]));
+        fold_columns_into(&self.geom, w, &mut self.folded);
+        let rows = self.steer_rows.chunks_exact(self.geom.azimuth_elements());
+        self.alphas.clear();
+        for ((row, &coeff), &tau) in rows.zip(&self.coeffs).zip(&self.delays_s) {
+            self.alphas
+                .push((coeff * folded_array_factor(row, &self.folded), tau));
         }
     }
 
-    /// CSI across `freqs_hz` under transmit weights `w`, written into
-    /// `out` — the snapshot-backed equivalent of
-    /// [`GeometricChannel::csi`]. Bit-identical to querying the frozen
-    /// channel directly.
+    /// CSI across the uniform comb `freqs_hz` under transmit weights `w`,
+    /// written into `out` — the snapshot-backed equivalent of
+    /// [`GeometricChannel::csi`] (same precondition). Bit-identical to
+    /// querying the frozen channel directly.
     #[hot_path]
     pub fn csi_into(&mut self, w: &BeamWeights, freqs_hz: &[f64], out: &mut Vec<Complex64>) {
         debug_assert!(self.t_s.is_some(), "snapshot read before first rebuild");
-        // Split-borrow: alphas is scratch, the rest is read-only.
-        let mut alphas = std::mem::take(&mut self.alphas);
-        self.path_alphas_into(w, &mut alphas);
-        let table = self.phase_table(freqs_hz);
+        self.path_alphas_into(w);
+        self.refresh_phase_table(freqs_hz);
+        let [_, table] = &self.phase_tables;
         out.clear();
-        if alphas.is_empty() {
-            out.resize(freqs_hz.len(), Complex64::ZERO);
-        } else {
-            // Same association order as `GeometricChannel::csi_from_alphas`
-            // (fold from zero, paths in order), with the `cis` factors read
-            // from the cached phase table — bit-identical, `cis`-free.
-            out.extend(table.chunks_exact(alphas.len()).map(|row| {
-                let mut acc = Complex64::ZERO;
-                for (&(alpha, _), &e) in alphas.iter().zip(row) {
-                    acc += alpha * e;
-                }
-                acc
-            }));
+        out.resize(freqs_hz.len(), Complex64::ZERO);
+        // Same path-outer accumulation as `GeometricChannel::csi_into`,
+        // with the phasors read from the cached table: bit-identical and
+        // `cis`-free.
+        let rows = table.table.chunks_exact(freqs_hz.len().max(1));
+        for (&(alpha, _), row) in self.alphas.iter().zip(rows) {
+            add_path(out, alpha, row.iter().copied());
         }
-        self.alphas = alphas;
     }
 
-    /// The phase table for `freqs_hz` × current delays, flat
-    /// `n_freqs × n_paths`: a cached slot when one matches bitwise,
-    /// otherwise the least recently used slot refilled. Either way the
-    /// returned slot becomes the most recently used.
-    fn phase_table(&mut self, freqs_hz: &[f64]) -> &[Complex64] {
+    /// Makes the newer phase-table slot hold `freqs_hz` × current delays:
+    /// a cached slot when one matches bitwise, otherwise the least recently
+    /// used slot refilled. Either way that slot becomes the most recently
+    /// used.
+    fn refresh_phase_table(&mut self, freqs_hz: &[f64]) {
         let [older, newer] = &mut self.phase_tables;
         if !newer.matches(freqs_hz, &self.delays_s) {
             if !older.matches(freqs_hz, &self.delays_s) {
@@ -266,26 +261,12 @@ impl ChannelSnapshot {
             }
             std::mem::swap(older, newer);
         }
-        &newer.table
-    }
-
-    /// Received signal power (linear) at band center under `w` — the
-    /// snapshot-backed [`GeometricChannel::received_power`].
-    #[hot_path]
-    pub fn received_power(&self, w: &BeamWeights) -> f64 {
-        debug_assert_eq!(self.coeffs.len(), self.delays_s.len());
-        let mut y = Complex64::ZERO;
-        for (i, row) in self.rows().enumerate() {
-            let af = w.apply(row);
-            let alpha = self.coeffs[i] * af;
-            y += alpha * Complex64::cis(-2.0 * PI * 0.0 * self.delays_s[i]);
-        }
-        y.norm_sqr()
     }
 }
 
-/// One cached CSI phase table `cis(-2π·f·τ)`, flat `n_freqs × n_paths`,
-/// keyed bitwise by the frequency comb and delay list it was built for.
+/// One cached CSI phase table `cis(-2π·f·τ)`, flat `n_paths × n_freqs`
+/// (one comb row per path), keyed bitwise by the frequency comb and delay
+/// list it was built for.
 #[derive(Clone, Debug, Default)]
 struct PhaseTable {
     freqs: Vec<f64>,
@@ -304,10 +285,8 @@ impl PhaseTable {
         self.delays.clear();
         self.delays.extend_from_slice(delays_s);
         self.table.clear();
-        for &f in freqs_hz {
-            for &tau in delays_s {
-                self.table.push(Complex64::cis(-2.0 * PI * f * tau));
-            }
+        for &tau in delays_s {
+            self.table.extend(comb_phasors(freqs_hz, tau));
         }
     }
 }
@@ -352,19 +331,6 @@ mod tests {
                 assert_eq!(g.im.to_bits(), e.im.to_bits(), "t={t}");
             }
         }
-    }
-
-    #[test]
-    fn snapshot_received_power_matches_direct() {
-        let dc = walker();
-        let geom = ArrayGeometry::paper_8x8();
-        let rx = UeReceiver::Omni;
-        let w = single_beam(&geom, 0.0);
-        let mut snap = ChannelSnapshot::new();
-        snap.rebuild(&dc, &geom, &rx, 0.4);
-        let want = dc.channel_at(0.4).received_power(&geom, &w, &rx);
-        let got = snap.received_power(&w);
-        assert_eq!(got.to_bits(), want.to_bits());
     }
 
     #[test]

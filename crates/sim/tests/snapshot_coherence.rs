@@ -8,21 +8,27 @@
 //! bit equality for ULA and UPA front ends across arbitrary times, beam
 //! angles, and query orders. Any drift here would silently break the
 //! fixed-seed reproducibility contract (DESIGN.md §8).
+//!
+//! Both routes share the phasor-recurrence kernels (steering rows and CSI
+//! comb), so a last test bounds the slot-path SNR against an oracle that
+//! evaluates one `cis` per element and per frequency.
 
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
 use mmwave_array::weights::BeamWeights;
 use mmwave_channel::blockage::BlockageProcess;
-use mmwave_channel::channel::UeReceiver;
+use mmwave_channel::channel::{GeometricChannel, UeReceiver};
 use mmwave_channel::dynamics::DynamicChannel;
 use mmwave_channel::environment::Scene;
 use mmwave_channel::geom2d::v2;
 use mmwave_channel::mobility::{Pose, Trajectory};
+use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::{db_from_pow, mw_from_dbm, pow_from_db, FC_28GHZ, SPEED_OF_LIGHT};
 use mmwave_phy::chanest::ChannelSounder;
 use mmwave_sim::simulator::LinkSimulator;
 use proptest::prelude::*;
+use std::f64::consts::PI;
 
 use mmreliable::frontend::LinkFrontEnd;
 
@@ -30,8 +36,8 @@ use mmreliable::frontend::LinkFrontEnd;
 /// room, so every drawn timestamp sees a different pose (and therefore a
 /// fresh ray trace, steering rows, and phase table in the snapshot).
 fn walker_sim(geom: ArrayGeometry) -> LinkSimulator {
-    let dynamic = DynamicChannel::new(
-        Scene::conference_room(FC_28GHZ),
+    link_sim(
+        geom,
         Trajectory::TranslateRotate {
             start: Pose {
                 pos: v2(-1.2, 6.5),
@@ -40,15 +46,31 @@ fn walker_sim(geom: ArrayGeometry) -> LinkSimulator {
             velocity: v2(1.0, -0.4),
             rate_deg_s: 25.0,
         },
+        UeReceiver::Omni,
+    )
+}
+
+fn link_sim(geom: ArrayGeometry, trajectory: Trajectory, rx: UeReceiver) -> LinkSimulator {
+    let dynamic = DynamicChannel::new(
+        Scene::conference_room(FC_28GHZ),
+        trajectory,
         BlockageProcess::none(),
     );
     LinkSimulator::new(
         dynamic,
         ChannelSounder::paper_indoor(),
         geom,
-        UeReceiver::Omni,
+        rx,
         Rng64::seed(17),
     )
+}
+
+/// The SNR metric's 33-point comb across the occupied band.
+fn snr_comb(sim: &LinkSimulator) -> Vec<f64> {
+    let half = sim.sounder.grid.occupied_bw_hz() / 2.0;
+    (0..33)
+        .map(|i| -half + 2.0 * half * i as f64 / 32.0)
+        .collect()
 }
 
 /// Recomputes [`LinkSimulator::true_snr_db`] from first principles at an
@@ -60,11 +82,13 @@ fn direct_snr_db(sim: &LinkSimulator, t_s: f64, weights: &BeamWeights) -> f64 {
     if ch.paths.is_empty() {
         return -60.0;
     }
-    let half = sim.sounder.grid.occupied_bw_hz() / 2.0;
-    let freqs: Vec<f64> = (0..33)
-        .map(|i| -half + 2.0 * half * i as f64 / 32.0)
-        .collect();
-    let csi = ch.csi(&sim.geom, weights, &sim.rx, &freqs);
+    let csi = ch.csi(&sim.geom, weights, &sim.rx, &snr_comb(sim));
+    snr_from_csi(sim, &ch, &csi)
+}
+
+/// The metric's scaling from a CSI comb to SNR (dB), as in
+/// [`LinkSimulator::true_snr_db`].
+fn snr_from_csi(sim: &LinkSimulator, ch: &GeometricChannel, csi: &[Complex64]) -> f64 {
     let mean_pow: f64 = csi.iter().map(|v| v.norm_sqr()).sum::<f64>() / csi.len() as f64;
     let tx_mw = mw_from_dbm(sim.sounder.budget.tx_power_dbm);
     let per_sc = tx_mw / sim.sounder.grid.n_subcarriers as f64;
@@ -139,4 +163,85 @@ proptest! {
             prop_assert_eq!(later.to_bits(), direct_snr_db(&sim, t0 + dt, &w1).to_bits());
         }
     }
+}
+
+/// `a(φ)ᵀw` with one `cis` per element: `e^{-j2π·x_n·sin φ}` (zero
+/// elevation, as every channel query uses).
+fn oracle_array_factor(geom: &ArrayGeometry, w: &[Complex64], angle_deg: f64) -> Complex64 {
+    let su = angle_deg.to_radians().sin();
+    (0..geom.num_elements())
+        .map(|i| Complex64::cis(-2.0 * PI * geom.azimuth_position_wl(i) * su) * w[i])
+        .sum()
+}
+
+/// CSI with one `cis` per element and per frequency, no recurrence and no
+/// column fold: `y(f) = Σ_l γ_l·g_rx(θ_l)·a(φ_l)ᵀw·e^{-j2πfτ_l}`.
+fn oracle_csi(
+    ch: &GeometricChannel,
+    geom: &ArrayGeometry,
+    w: &BeamWeights,
+    rx: &UeReceiver,
+    freqs: &[f64],
+) -> Vec<Complex64> {
+    freqs
+        .iter()
+        .map(|&f| {
+            ch.paths
+                .iter()
+                .map(|p| {
+                    let g_rx = match rx {
+                        UeReceiver::Omni => Complex64::ONE,
+                        UeReceiver::Array { geom, weights } => {
+                            oracle_array_factor(geom, weights.as_slice(), p.aoa_deg)
+                        }
+                    };
+                    let af = oracle_array_factor(geom, w.as_slice(), p.aod_deg);
+                    p.effective_gain() * g_rx * af * Complex64::cis(-2.0 * PI * f * p.tof_ns * 1e-9)
+                })
+                .sum()
+        })
+        .collect()
+}
+
+#[test]
+fn slot_snr_matches_per_element_cis_oracle() {
+    // A translating UE (delays and AoDs move every slot) and a UE rotating
+    // in place behind a directional array (its steering moves instead), on
+    // the ULA and the 8×8 UPA: the slot path's recurrences and column fold
+    // stay within 10⁻¹⁰ dB of the per-element, per-frequency oracle.
+    let ue = ArrayGeometry::ula(4);
+    let links = [
+        (
+            Trajectory::paper_translation(v2(-2.0, 7.0)),
+            UeReceiver::Omni,
+        ),
+        (
+            Trajectory::paper_rotation(v2(0.4, 6.0)),
+            UeReceiver::Array {
+                geom: ue,
+                weights: single_beam(&ue, 0.0),
+            },
+        ),
+    ];
+    let mut rng = Rng64::seed(0x0AC1E);
+    let mut worst = 0.0f64;
+    for (trajectory, rx) in links {
+        for geom in geometries() {
+            let mut sim = link_sim(geom, trajectory.clone(), rx.clone());
+            for _ in 0..100 {
+                sim.wait(rng.uniform_in(1e-3, 2e-2));
+                let w = single_beam(&geom, rng.uniform_in(-55.0, 55.0));
+                let got = sim.true_snr_db(&w);
+                let t = sim.now_s();
+                let ch = sim.dynamic.channel_at(t);
+                let want = if ch.paths.is_empty() {
+                    -60.0
+                } else {
+                    snr_from_csi(&sim, &ch, &oracle_csi(&ch, &geom, &w, &rx, &snr_comb(&sim)))
+                };
+                worst = worst.max((got - want).abs());
+            }
+        }
+    }
+    assert!(worst <= 1e-10, "max |ΔSNR| {worst:e} dB");
 }
