@@ -26,8 +26,8 @@ use std::path::Path;
 
 use mmreliable::linkstate::check_transition_tape;
 use mmreliable::Transition;
-use mmwave_sim::campaign::{replay_cell, JournalEntry};
-use mmwave_sim::fleet::{parse_fleet_scenario, replay_fleet_entry, FleetReplay, FleetScenarioRef};
+use mmwave_sim::campaign::{replay_cell, replay_line, JournalEntry, ReplayTarget, Verdict};
+use mmwave_sim::fleet::{parse_fleet_scenario, FleetScenarioRef};
 use mmwave_sim::RunResult;
 use mmwave_telemetry::MetricsRegistry;
 
@@ -233,17 +233,26 @@ pub fn find_resource<'a>(
 /// Replays the journaled cell behind one resource and renders its
 /// lifecycle transition tape — the exact tape `check_transition_tape`
 /// validates, cross-checked here before printing. Errors on aggregate
-/// fleet lines (their members own the tapes) and on entries whose replay
-/// reproduces a recorded failure (the failure class is reported instead).
+/// fleet lines (their members own the tapes), on lines this binary cannot
+/// rebuild (with the skip note), and on entries whose replay reproduces a
+/// recorded failure (the failure class is reported instead).
 pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, String> {
     let (cells, _) = dedup_last_wins(&scan.entries);
     let entry = find_resource(&cells, resource)?;
-    if let Some(FleetScenarioRef::Aggregate { base, n_ues }) = parse_fleet_scenario(&entry.scenario)
-    {
-        return Err(format!(
-            "{resource:?} is a fleet aggregate; ask a member instead (e.g. fleet:{base}:{n_ues}:ue0)"
-        ));
-    }
+    let cell = match ReplayTarget::of(entry) {
+        ReplayTarget::Cell(cell) => cell,
+        ReplayTarget::Fleet(_) => {
+            return Err(format!(
+                "{resource:?} is a fleet aggregate; ask a member instead (e.g. {}:ue0)",
+                entry.scenario
+            ))
+        }
+        ReplayTarget::Skip(note) => {
+            return Err(format!(
+                "{resource:?} cannot be replayed by this binary: {note}"
+            ))
+        }
+    };
     if entry.status != "ok" {
         return Err(format!(
             "cell {} journaled as {:?} ({}); only completed cells have a replayable tape",
@@ -256,7 +265,8 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
             }
         ));
     }
-    let (result, digest) = replay_entry(entry)?;
+    let (result, digest) = replay_cell(&cell)
+        .map_err(|f| format!("replay reproduces {}: {}", f.kind.as_str(), f.message))?;
     let tape: Vec<&Transition> = result.transitions().collect();
     check_transition_tape(tape.iter().copied())
         .map_err(|e| format!("replayed tape violates the lifecycle contract: {e}"))?;
@@ -283,25 +293,6 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
         );
     }
     Ok(out)
-}
-
-/// Replays one ok entry to its `RunResult`, routing fleet member lines
-/// through the fleet replay machinery and everything else through
-/// [`replay_cell`].
-fn replay_entry(entry: &JournalEntry) -> Result<(RunResult, u64), String> {
-    match parse_fleet_scenario(&entry.scenario) {
-        Some(FleetScenarioRef::PerUe { .. }) => match replay_fleet_entry(entry)? {
-            FleetReplay::PerUe { result, digest } => Ok((*result, digest)),
-            FleetReplay::Aggregate { .. } => {
-                Err("internal: per-UE line replayed as aggregate".to_string())
-            }
-        },
-        Some(FleetScenarioRef::Aggregate { .. }) => {
-            Err("aggregate lines have no single transition tape".to_string())
-        }
-        None => replay_cell(entry)
-            .map_err(|f| format!("replay reproduces {}: {}", f.kind.as_str(), f.message)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +373,9 @@ pub enum CellDiff {
     OnlyInA,
     /// Present only in journal B.
     OnlyInB,
+    /// Not replayed: this binary cannot rebuild the line, for the noted
+    /// reason. Not a divergence.
+    Skipped(String),
 }
 
 /// A full journal-vs-journal comparison.
@@ -393,26 +387,27 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// True when every common cell is bit-identical and neither side has
-    /// cells the other lacks.
+    /// True when every common cell is bit-identical or skipped and
+    /// neither side has cells the other lacks.
     pub fn all_identical(&self) -> bool {
-        self.rows.iter().all(|(_, d)| *d == CellDiff::Identical)
+        self.rows
+            .iter()
+            .all(|(_, d)| matches!(d, CellDiff::Identical | CellDiff::Skipped(_)))
     }
 
     /// Renders the report; identical cells compress to a count.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let identical = self
-            .rows
-            .iter()
-            .filter(|(_, d)| *d == CellDiff::Identical)
-            .count();
+        let count = |f: fn(&CellDiff) -> bool| self.rows.iter().filter(|(_, d)| f(d)).count();
+        let identical = count(|d| *d == CellDiff::Identical);
+        let skipped = count(|d| matches!(d, CellDiff::Skipped(_)));
         let _ = writeln!(
             out,
-            "{} cells compared: {} identical, {} divergent/missing (torn lines: {} vs {})",
+            "{} cells compared: {} identical, {} skipped, {} divergent/missing (torn lines: {} vs {})",
             self.rows.len(),
             identical,
-            self.rows.len() - identical,
+            skipped,
+            self.rows.len() - identical - skipped,
             self.torn.0,
             self.torn.1
         );
@@ -439,6 +434,9 @@ impl DiffReport {
                 CellDiff::OnlyInB => {
                     let _ = writeln!(out, "missing-in-a  {id}");
                 }
+                CellDiff::Skipped(note) => {
+                    let _ = writeln!(out, "skipped  {id}: {note}");
+                }
             }
         }
         out
@@ -463,11 +461,20 @@ pub fn first_divergent_slot(a: &RunResult, b: &RunResult) -> Option<usize> {
     (sa.len() != sb.len()).then(|| sa.len().min(sb.len()))
 }
 
+/// Replays a link cell or fleet member line to its run for localization;
+/// `None` for fleet aggregates (their digest is a fold over member
+/// digests — diff the members instead), lines this binary cannot rebuild,
+/// and replays that fail.
+fn replay_run(entry: &JournalEntry) -> Option<RunResult> {
+    match ReplayTarget::of(entry) {
+        ReplayTarget::Cell(cell) => replay_cell(&cell).ok().map(|(r, _)| r),
+        ReplayTarget::Fleet(_) | ReplayTarget::Skip(_) => None,
+    }
+}
+
 /// Diffs two journal scans cell-by-cell (last entry wins on both sides).
 /// With `localize`, divergent-digest cells are replayed on both sides to
-/// pin the first divergent sample; aggregate fleet lines skip
-/// localization (their digest is a fold over member digests — diff the
-/// members instead).
+/// pin the first divergent sample.
 pub fn diff_journals(a: &JournalScan, b: &JournalScan, localize: bool) -> DiffReport {
     let (cells_a, _) = dedup_last_wins(&a.entries);
     let (cells_b, _) = dedup_last_wins(&b.entries);
@@ -490,18 +497,10 @@ pub fn diff_journals(a: &JournalScan, b: &JournalScan, localize: bool) -> DiffRe
                 } else if ea.digest == eb.digest {
                     CellDiff::Identical
                 } else {
-                    let is_aggregate = matches!(
-                        parse_fleet_scenario(&ea.scenario),
-                        Some(FleetScenarioRef::Aggregate { .. })
-                    );
-                    let slot = if localize && ea.status == "ok" && !is_aggregate {
-                        match (replay_entry(ea), replay_entry(eb)) {
-                            (Ok((ra, _)), Ok((rb, _))) => first_divergent_slot(&ra, &rb),
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
+                    let slot = (localize && ea.status == "ok")
+                        .then(|| replay_run(ea))
+                        .flatten()
+                        .and_then(|ra| first_divergent_slot(&ra, &replay_run(eb)?));
                     CellDiff::DivergentDigest {
                         a: ea.digest,
                         b: eb.digest,
@@ -523,48 +522,26 @@ pub fn diff_journals(a: &JournalScan, b: &JournalScan, localize: bool) -> DiffRe
 
 /// Diffs a journal against its own fresh replay: every deduped entry is
 /// re-executed and the reproduced digest (for ok cells) or failure class
-/// (for failed cells) is compared against what the journal recorded. This
-/// is the self-consistency check the CI smoke runs — a bit-identical
-/// codebase yields an all-identical report.
+/// (for failed cells) is compared against what the journal recorded; a
+/// line this binary cannot rebuild is a [`CellDiff::Skipped`] row with
+/// its note. This is the self-consistency check the CI smoke runs — a
+/// bit-identical codebase yields an all-identical report.
 pub fn self_replay_diff(scan: &JournalScan) -> DiffReport {
     let (cells, _) = dedup_last_wins(&scan.entries);
     let mut rows = Vec::with_capacity(cells.len());
     for (id, e) in cells {
-        let d = if e.status == "ok" {
-            let replayed = match parse_fleet_scenario(&e.scenario) {
-                Some(FleetScenarioRef::Aggregate { .. }) => {
-                    replay_fleet_entry(e).map(|r| match r {
-                        FleetReplay::Aggregate { report } => report.digest,
-                        FleetReplay::PerUe { digest, .. } => digest,
-                    })
-                }
-                _ => replay_entry(e).map(|(_, d)| d),
-            };
-            match replayed {
-                Ok(digest) if digest == e.digest => CellDiff::Identical,
-                Ok(digest) => CellDiff::DivergentDigest {
-                    a: e.digest,
-                    b: digest,
-                    first_divergent_slot: None,
-                },
-                Err(msg) => CellDiff::DivergentStatus {
-                    a: e.status.clone(),
-                    b: msg,
-                },
-            }
-        } else {
-            // A recorded failure replays to the same classification.
-            match replay_cell(e) {
-                Err(f) if f.kind.as_str() == e.status => CellDiff::Identical,
-                Err(f) => CellDiff::DivergentStatus {
-                    a: e.status.clone(),
-                    b: f.kind.as_str().to_string(),
-                },
-                Ok((_, digest)) => CellDiff::DivergentStatus {
-                    a: e.status.clone(),
-                    b: format!("ok ({digest:016x})"),
-                },
-            }
+        let d = match replay_line(e).verdict(e) {
+            Verdict::Reproduced(_) => CellDiff::Identical,
+            Verdict::Digest(digest) => CellDiff::DivergentDigest {
+                a: e.digest,
+                b: digest,
+                first_divergent_slot: None,
+            },
+            Verdict::Status(ended) => CellDiff::DivergentStatus {
+                a: e.status.clone(),
+                b: ended,
+            },
+            Verdict::Skipped(note) => CellDiff::Skipped(note),
         };
         rows.push((id, d));
     }

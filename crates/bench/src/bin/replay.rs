@@ -18,16 +18,14 @@
 //! Fleet journals replay too: a `fleet:{base}:{n}:ue{k}` member line
 //! re-executes that one UE as a plain single-link cell (bit-identical to
 //! its in-fleet run), and a `fleet:{base}:{n}` aggregate line re-executes
-//! the whole fleet sequentially. Unrecognized fleet forms from newer
-//! writers warn and are skipped rather than failing the replay; unknown
-//! `spec:` scenario forms get the same treatment, deduped so one unknown
-//! form warns once per file.
+//! the whole fleet sequentially. A line this binary cannot rebuild — a
+//! fleet or `spec:` form from a newer writer, a fleet base outside the
+//! registry, a schedule spec that no longer parses — is noted and skipped
+//! rather than failing the replay, and one unknown form notes once per
+//! file ([`mmwave_sim::campaign::journal_note`]).
 
-use mmwave_sim::campaign::{
-    compiled_features, impairment_note, load_journal, replay_cell, JournalEntry,
-};
-use mmwave_sim::fleet::{fleet_note, replay_fleet_entry, FleetReplay};
-use mmwave_sim::spec::{spec_form_family, spec_note};
+use mmwave_sim::campaign::{compiled_features, load_journal, replay_line, JournalEntry, Verdict};
+use mmwave_sim::spec::spec_form_family;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,49 +37,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Replays a fleet journal entry: a per-UE member line re-executes as a
-/// plain single-link cell (bit-identical to its in-fleet run), an
-/// aggregate line re-executes the whole fleet on one worker and one
-/// shard. Returns `true` when the digest matches the journal.
-fn replay_fleet(entry: &JournalEntry, key: &mmwave_sim::campaign::CellKey) -> bool {
-    match replay_fleet_entry(entry) {
-        Ok(FleetReplay::PerUe { digest, .. }) => {
-            let same = digest == entry.digest;
-            println!(
-                "{key}: fleet member ok, digest {digest:016x} {}",
-                if same {
-                    "== journal (bit-identical)"
-                } else {
-                    "!= journal (DIVERGED)"
-                }
-            );
-            same
-        }
-        Ok(FleetReplay::Aggregate { report }) => {
-            let same = report.digest == entry.digest;
-            println!(
-                "{key}: fleet of {} ok, digest {:016x} {}",
-                report.outcomes.len(),
-                report.digest,
-                if same {
-                    "== journal (bit-identical)"
-                } else {
-                    "!= journal (DIVERGED)"
-                }
-            );
-            same
-        }
-        Err(msg) => {
-            println!("{key}: fleet replay failed: {msg} — NOT reproduced");
-            false
-        }
-    }
-}
-
 /// Replays one entry; returns `true` when the fresh outcome agrees with
-/// the journal line. `warned_spec_forms` dedups unknown-spec-form notes
-/// so a journal full of one future form warns once, not per line.
-fn replay_one(entry: &JournalEntry, warned_spec_forms: &mut BTreeSet<String>) -> bool {
+/// the journal line or the line was skipped. `noted_forms` dedups skip
+/// notes so a journal full of one future form notes once, not per line.
+fn replay_one(entry: &JournalEntry, noted_forms: &mut BTreeSet<String>) -> bool {
     let key = entry.key();
     // Observability features (perf counters, telemetry) are excluded from
     // the digest, so a feature mismatch is informational, not a
@@ -94,71 +53,40 @@ fn replay_one(entry: &JournalEntry, warned_spec_forms: &mut BTreeSet<String>) ->
             entry.features
         );
     }
-    // Same treatment for the hardware-impairment layer: a journal written
-    // before it existed, or a spec this binary cannot parse, deserves a
-    // caution before the digest comparison runs.
-    if let Some(note) = impairment_note(entry) {
-        println!("{key}: note: {note}");
+    // A journal written before the hardware-impairment layer existed
+    // replays as a clean front end; say so before the digest comparison.
+    if entry.impairment.is_empty() {
+        println!(
+            "{key}: note: journal predates the hardware-impairment layer; \
+             replay assumes a clean front end"
+        );
     }
-    // Fleet journal lines (`fleet:{base}:{n}` aggregates and
-    // `fleet:{base}:{n}:ue{k}` members) route through the fleet replayer.
-    // A fleet form from a future writer this binary cannot parse warns
-    // and is skipped, never an error: old replayers stay usable against
-    // newer journals (forward compatibility mirrors impairment specs).
-    if entry.scenario.starts_with("fleet:") {
-        if let Some(note) = fleet_note(entry) {
-            println!("{key}: note: {note} — skipping, not a divergence");
-            return true;
+    match replay_line(entry).verdict(entry) {
+        Verdict::Reproduced(detail) => {
+            println!("{key}: {} reproduced: {detail}", entry.status);
+            true
         }
-        return replay_fleet(entry, &key);
-    }
-    // Spec-form scenarios (`spec:v1:…` and beyond) get the same forward
-    // compatibility: a form from a newer writer this binary cannot parse
-    // warns and is skipped, and the warning dedups per spec family
-    // (`spec:v2:custom` warns once per file, not once per line).
-    if let Some(note) = spec_note(entry) {
-        let family = spec_form_family(&entry.scenario).to_string();
-        if warned_spec_forms.insert(family) {
-            println!("{key}: note: {note} — skipping, not a divergence");
-        } else {
-            println!("{key}: skipped (unknown spec form noted above)");
+        Verdict::Digest(digest) => {
+            println!(
+                "{key}: ok, digest {digest:016x} != journal {:016x} (DIVERGED)",
+                entry.digest
+            );
+            false
         }
-        return true;
-    }
-    match replay_cell(entry) {
-        Ok((result, digest)) => {
-            if entry.status == "ok" {
-                let same = digest == entry.digest;
-                println!(
-                    "{key}: ok, digest {digest:016x} {}",
-                    if same {
-                        "== journal (bit-identical)"
-                    } else {
-                        "!= journal (DIVERGED)"
-                    }
-                );
-                same
+        Verdict::Status(ended) => {
+            println!(
+                "{key}: journal says {} but replay ended {ended} — NOT reproduced",
+                entry.status
+            );
+            false
+        }
+        Verdict::Skipped(note) => {
+            if noted_forms.insert(spec_form_family(&entry.scenario).to_string()) {
+                println!("{key}: note: {note} — skipping, not a divergence");
             } else {
-                println!(
-                    "{key}: journal says {} but replay completed (reliability {:.4}) — NOT reproduced",
-                    entry.status,
-                    result.reliability()
-                );
-                false
+                println!("{key}: skipped (form noted above)");
             }
-        }
-        Err(failure) => {
-            let kind = failure.kind.as_str();
-            if entry.status == kind {
-                println!("{key}: {kind} reproduced: {}", failure.message);
-                true
-            } else {
-                println!(
-                    "{key}: journal says {} but replay failed as {kind}: {} — NOT reproduced",
-                    entry.status, failure.message
-                );
-                false
-            }
+            true
         }
     }
 }
@@ -218,9 +146,9 @@ fn main() -> ExitCode {
     }
 
     let mut divergences = 0usize;
-    let mut warned_spec_forms = BTreeSet::new();
+    let mut noted_forms = BTreeSet::new();
     for entry in &selected {
-        if !replay_one(entry, &mut warned_spec_forms) {
+        if !replay_one(entry, &mut noted_forms) {
             divergences += 1;
         }
     }

@@ -36,6 +36,7 @@ use mmwave_sim::campaign::{
     TelemetrySpec,
 };
 use mmwave_sim::faults::FaultSchedule;
+use mmwave_sim::spec::{ScenarioSpec, WorldSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -48,48 +49,50 @@ const FLAKY_SEEDS: &[u64] = &[7001, 7100];
 /// The cell supervised under a tiny tick budget (deterministic timeout).
 const TIMEOUT_SEED: u64 = 7200;
 
+/// A replayable cell of `world` under `fault`.
+fn job(world: WorldSpec, strategy: &str, seed: u64, fault: &FaultSchedule) -> Job {
+    let spec = ScenarioSpec {
+        fault: fault.clone(),
+        ..ScenarioSpec::single(world, strategy, seed)
+    };
+    Job::from_spec(&spec, 1).expect("registry job")
+}
+
 fn build_jobs() -> Vec<Job> {
     let loss = FaultSchedule::parse_spec("seed=5;loss=0.3@0.2..0.8").expect("valid spec");
     let mut jobs = Vec::new();
     // Plain grid: two strategies × three seeds on the mobile scenario.
     for strategy in ["mmreliable", "single-beam-reactive"] {
         for seed in 7000..7003u64 {
-            jobs.push(
-                Job::from_registry("mobile-blockage", strategy, seed, FaultSchedule::none(), 1)
-                    .expect("registry job"),
-            );
+            jobs.push(job(
+                WorldSpec::MobileBlockage,
+                strategy,
+                seed,
+                &FaultSchedule::none(),
+            ));
         }
     }
     // Faulted cells: probe loss mid-run.
     for seed in [7100u64, 7101] {
-        jobs.push(
-            Job::from_registry("mobile-blockage", "mmreliable", seed, loss.clone(), 1)
-                .expect("registry job"),
-        );
+        jobs.push(job(WorldSpec::MobileBlockage, "mmreliable", seed, &loss));
     }
     // The deterministic timeout: three maintenance ticks, then cancelled.
     jobs.push(
-        Job::from_registry(
-            "static-walker",
+        job(
+            WorldSpec::StaticWalker,
             "mmreliable",
             TIMEOUT_SEED,
-            FaultSchedule::none(),
-            1,
+            &FaultSchedule::none(),
         )
-        .expect("registry job")
         .with_tick_budget(3),
     );
     // The permanently-broken cell.
-    jobs.push(
-        Job::from_registry(
-            "static-walker",
-            "single-beam-reactive",
-            ALWAYS_PANIC_SEED,
-            FaultSchedule::none(),
-            1,
-        )
-        .expect("registry job"),
-    );
+    jobs.push(job(
+        WorldSpec::StaticWalker,
+        "single-beam-reactive",
+        ALWAYS_PANIC_SEED,
+        &FaultSchedule::none(),
+    ));
     jobs
 }
 
@@ -250,14 +253,12 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_file(&chrome_path);
     let trace_jobs: Vec<Job> = (7400..7402u64)
         .map(|seed| {
-            Job::from_registry(
-                "mobile-blockage",
+            job(
+                WorldSpec::MobileBlockage,
                 "mmreliable",
                 seed,
-                FaultSchedule::none(),
-                1,
+                &FaultSchedule::none(),
             )
-            .expect("registry job")
         })
         .collect();
     let trace_cfg = CampaignConfig {

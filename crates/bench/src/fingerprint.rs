@@ -13,6 +13,7 @@ use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
 use mmwave_sim::scenario;
+use mmwave_sim::SimFrontEnd;
 
 /// Strategies covered, in print order.
 pub const STRATEGIES: [&str; 2] = ["single-beam reactive", "mmReliable"];

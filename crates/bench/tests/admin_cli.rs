@@ -10,9 +10,9 @@ use mmwave_bench::admin::{
     diff_journals, entry_id, history_report, merge_snapshots, scan_journal, self_replay_diff,
     status_report, CellDiff,
 };
-use mmwave_sim::campaign::{run_campaign, CampaignConfig, Job, JournalEntry};
+use mmwave_sim::campaign::{journal_note, run_campaign, CampaignConfig, Job, JournalEntry};
 use mmwave_sim::fleet::{run_fleet, FleetConfig};
-use mmwave_sim::FaultSchedule;
+use mmwave_sim::{ScenarioSpec, WorldSpec};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("mmwave-admin-tests");
@@ -25,8 +25,11 @@ fn campaign_journal(name: &str, seeds: std::ops::Range<u64>) -> PathBuf {
     let _ = std::fs::remove_file(&journal);
     let jobs: Vec<Job> = seeds
         .map(|s| {
-            Job::from_registry("mobile-blockage", "mmreliable", s, FaultSchedule::none(), 1)
-                .expect("registry job")
+            Job::from_spec(
+                &ScenarioSpec::single(WorldSpec::MobileBlockage, "mmreliable", s),
+                1,
+            )
+            .expect("registry job")
         })
         .collect();
     let cfg = CampaignConfig {
@@ -162,8 +165,11 @@ fn metrics_snapshots_merge_and_reexport() {
     let _ = std::fs::remove_file(&snapshot);
     let jobs: Vec<Job> = (9300..9302u64)
         .map(|s| {
-            Job::from_registry("mobile-blockage", "mmreliable", s, FaultSchedule::none(), 1)
-                .expect("registry job")
+            Job::from_spec(
+                &ScenarioSpec::single(WorldSpec::MobileBlockage, "mmreliable", s),
+                1,
+            )
+            .expect("registry job")
         })
         .collect();
     let cfg = CampaignConfig {
@@ -200,4 +206,45 @@ fn metrics_snapshots_merge_and_reexport() {
         again.absorb_line(line).expect("reabsorb");
     }
     assert_eq!(again.snapshot_jsonl(), reexport);
+}
+
+#[test]
+fn lines_this_binary_cannot_rebuild_are_skipped_not_divergent() {
+    let journal = campaign_journal("forward-compat.jsonl", 9400..9401);
+    let mut scan = scan_journal(&journal).expect("scan");
+    let real = scan.entries[0].clone();
+    // One line per reason a binary cannot rebuild a journal line.
+    let mut unbuildable = Vec::new();
+    for scenario in [
+        "spec:v2:custom;room=tardis",
+        "fleet:weird:form:x:y",
+        "fleet:no-such-scene:8",
+        "fleet:static-walker:8:ue9",
+    ] {
+        unbuildable.push(JournalEntry {
+            scenario: scenario.to_string(),
+            ..real.clone()
+        });
+    }
+    unbuildable.push(JournalEntry {
+        impairment: "pn=bogus".to_string(),
+        ..real.clone()
+    });
+    scan.entries.extend(unbuildable.iter().cloned());
+
+    let report = self_replay_diff(&scan);
+    assert!(report.all_identical(), "{}", report.render());
+    let skipped = report
+        .rows
+        .iter()
+        .filter(|(_, d)| matches!(d, CellDiff::Skipped(_)))
+        .count();
+    assert_eq!(skipped, unbuildable.len(), "{}", report.render());
+    assert!(report
+        .rows
+        .iter()
+        .any(|(id, d)| id == &entry_id(&real) && *d == CellDiff::Identical));
+    for e in &unbuildable {
+        assert!(journal_note(e).is_some(), "{}", entry_id(e));
+    }
 }

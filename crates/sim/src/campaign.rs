@@ -39,8 +39,9 @@
 //!   in-flight runs finish. Nothing is silently truncated.
 //!
 //! Every failed cell carries its full repro tuple; `mmwave-bench`'s
-//! `replay` binary feeds a journal line to [`replay_cell`], which re-runs
-//! exactly that cell single-threaded and checks the digest.
+//! `replay` binary feeds a journal line to [`replay_line`], which re-runs
+//! exactly that cell (or fleet member, or fleet) single-threaded and
+//! checks the digest.
 //!
 //! Determinism contract: a zero-fault campaign produces results
 //! bit-identical to [`crate::runner::run_many`] over the same seeds,
@@ -48,11 +49,14 @@
 //! key alone, and the supervisor machinery (tokens, watchdog, journal)
 //! never perturbs a run that completes.
 
-use crate::faults::{FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig};
+use crate::faults::FaultSchedule;
+use crate::fleet::{parse_fleet_scenario, run_fleet, FleetConfig, FleetReport, FleetScenarioRef};
+use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
 use crate::runner::panic_msg;
-use crate::scenario::{self, Scenario};
+use crate::scenario::Scenario;
+use crate::simulator::SimFrontEnd;
+use crate::spec::{is_registry_name, parse_mix_fields, ScenarioSpec, WorldSpec};
 use mmreliable::cancel::{is_cancel_unwind, CancelToken, CancelUnwind};
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
@@ -61,7 +65,10 @@ use mmwave_baselines::nr_periodic::{NrPeriodic, NrPeriodicConfig};
 use mmwave_baselines::single_reactive::{ReactiveConfig, SingleBeamReactive};
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::widebeam::{WideBeamConfig, WideBeamStrategy};
-use mmwave_telemetry::{LatencyHist, RingBufferSink, RunLatency, TraceEvent, Tracer, STAGE_COUNT};
+use mmwave_telemetry::{
+    field_f64, field_raw, field_str, field_u64, json_escape, LatencyHist, RingBufferSink,
+    RunLatency, TraceEvent, Tracer, STAGE_COUNT,
+};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -130,20 +137,6 @@ impl std::fmt::Display for CellKey {
 // Registry: named scenarios and strategies (the replay vocabulary)
 // ---------------------------------------------------------------------------
 
-/// Scenario names [`build_scenario`] understands, matching each library
-/// builder's own display name.
-pub const SCENARIO_NAMES: &[&str] = &[
-    "static-walker",
-    "mobile-blockage",
-    "translation-1s",
-    "gnb-rotation",
-    "rotation-blockage",
-    "outdoor",
-    "natural-motion",
-    "appendix-b-28ghz",
-    "appendix-b-60ghz",
-];
-
 /// Strategy names [`build_strategy`] understands.
 pub const STRATEGY_NAMES: &[&str] = &[
     "mmreliable",
@@ -153,29 +146,12 @@ pub const STRATEGY_NAMES: &[&str] = &[
     "beam-spy",
 ];
 
-/// Builds a library scenario by registry name. `seed` parameterizes the
-/// seeded builders (blockage draw); deterministic builders ignore it.
+/// Builds a scenario by world id — a registry name
+/// ([`crate::spec::registry_names`]) or a `spec:` form: a thin delegate to
+/// [`WorldSpec::parse`] and [`WorldSpec::build`]. `seed` parameterizes
+/// the seeded builders (blockage draw); deterministic builders ignore it.
 pub fn build_scenario(name: &str, seed: u64) -> Option<Scenario> {
-    Some(match name {
-        "static-walker" => scenario::static_walker(),
-        "mobile-blockage" => scenario::mobile_blockage(seed),
-        "translation-1s" => scenario::translation_1s(),
-        "gnb-rotation" => scenario::gnb_rotation(24.0),
-        "rotation-blockage" => scenario::rotation_blockage(seed),
-        "outdoor" => scenario::outdoor(30.0, seed),
-        "natural-motion" => scenario::natural_motion(seed),
-        "appendix-b-28ghz" => scenario::appendix_b(false),
-        "appendix-b-60ghz" => scenario::appendix_b(true),
-        // Serialized world specs (`spec:v1:…`) build through the same
-        // entry point, so spec cells journal, resume, and replay exactly
-        // like registry cells.
-        _ if name.starts_with("spec:") => {
-            return crate::spec::WorldSpec::parse(name)
-                .ok()
-                .and_then(|w| w.build(seed).ok())
-        }
-        _ => return None,
-    })
+    WorldSpec::parse(name).ok()?.build(seed).ok()
 }
 
 /// Builds a fresh strategy instance by registry name.
@@ -223,64 +199,26 @@ pub struct Job {
 }
 
 impl Job {
-    /// A registry job: the cell is rebuilt from names alone, so it is
-    /// replayable from its journal line. Fails fast on unknown names or an
-    /// invalid fault schedule.
-    pub fn from_registry(
-        scenario: &str,
-        strategy: &str,
-        seed: u64,
-        fault: FaultSchedule,
-        priority: u32,
-    ) -> Result<Self, String> {
-        fault.validate()?;
-        build_scenario(scenario, seed)
-            .ok_or_else(|| format!("unknown scenario {scenario:?} (known: {SCENARIO_NAMES:?})"))?;
-        build_strategy(strategy)
-            .ok_or_else(|| format!("unknown strategy {strategy:?} (known: {STRATEGY_NAMES:?})"))?;
-        let key = CellKey {
-            scenario: scenario.to_string(),
-            strategy: strategy.to_string(),
-            seed,
-            fault_spec: fault.spec_string(),
-            impairment_spec: "none".to_string(),
-        };
-        Ok(Self {
-            key,
-            priority,
-            tick_budget: None,
-            builder: Arc::new(registry_builder),
-        })
-    }
-
-    /// A job built from a serialized scenario spec: the spec's cell key is
-    /// the job identity, and since [`build_scenario`] rebuilds `spec:`-form
-    /// worlds from their names, the cell stays replayable from its journal
-    /// line like any registry cell. Fleet specs are not campaign cells —
-    /// run those through [`crate::spec::ScenarioSpec::fleet_config`].
-    pub fn from_spec(spec: &crate::spec::ScenarioSpec, priority: u32) -> Result<Self, String> {
+    /// A replayable job: the spec's canonical id is the cell key, and
+    /// [`replay_cell`] parses a journal line's key back into the same
+    /// spec. Fails fast on an invalid spec (unknown world or strategy,
+    /// invalid fault schedule or impairment configuration). Fleet specs
+    /// are not campaign cells — run those through
+    /// [`ScenarioSpec::fleet_config`].
+    pub fn from_spec(spec: &ScenarioSpec, priority: u32) -> Result<Self, String> {
         spec.validate().map_err(|e| e.to_string())?;
         if spec.fleet.is_some() {
             return Err(
                 "fleet specs run through run_fleet, not the campaign supervisor".to_string(),
             );
         }
+        let spec = spec.clone();
         Ok(Self {
             key: spec.cell_key(),
             priority,
             tick_budget: None,
-            builder: Arc::new(registry_builder),
+            builder: Arc::new(move |_: &CellKey| spec_setup(&spec)),
         })
-    }
-
-    /// Attaches a hardware-impairment configuration to a registry job. The
-    /// spec becomes part of the cell identity, so impaired and clean runs of
-    /// the same (scenario, strategy, seed, fault) are distinct journal
-    /// cells. Fails fast on an invalid configuration.
-    pub fn with_impairments(mut self, config: &ImpairmentConfig) -> Result<Self, String> {
-        config.validate()?;
-        self.key.impairment_spec = config.spec_string();
-        Ok(self)
     }
 
     /// A custom job built from an arbitrary setup closure. The key is the
@@ -311,19 +249,12 @@ impl Job {
     }
 }
 
-/// The builder every registry job shares: rebuild scenario + strategy +
-/// fault schedule from the key.
-fn registry_builder(key: &CellKey) -> Result<JobSetup, String> {
-    let fault = FaultSchedule::parse_spec(&key.fault_spec)?;
-    let impairment = ImpairmentConfig::parse_spec(&key.impairment_spec)?;
-    let scenario = build_scenario(&key.scenario, key.seed)
-        .ok_or_else(|| format!("unknown scenario {:?}", key.scenario))?
-        .with_faults(fault)
-        .map_err(|e| e.to_string())?
-        .with_impairments(impairment)
-        .map_err(|e| e.to_string())?;
-    let strategy = build_strategy(&key.strategy)
-        .ok_or_else(|| format!("unknown strategy {:?}", key.strategy))?;
+/// A spec's scenario (with its fault and impairment layers) and a fresh
+/// strategy instance.
+fn spec_setup(spec: &ScenarioSpec) -> Result<JobSetup, String> {
+    let scenario = spec.to_scenario().map_err(|e| e.to_string())?;
+    let strategy = build_strategy(&spec.strategy)
+        .ok_or_else(|| format!("unknown strategy {:?}", spec.strategy))?;
     Ok(JobSetup { scenario, strategy })
 }
 
@@ -705,10 +636,17 @@ impl JournalEntry {
         }
     }
 
-    /// Serializes to one JSONL line (no trailing newline).
+    /// Serializes to one JSONL line (no trailing newline). A non-finite
+    /// reliability is written as `0`: JSON has no NaN, and a `null` would
+    /// not parse back, so a resume would stop at this line.
     pub fn to_json(&self) -> String {
+        let reliability = if self.reliability.is_finite() {
+            self.reliability
+        } else {
+            0.0
+        };
         format!(
-            r#"{{"scenario":"{}","strategy":"{}","seed":{},"fault":"{}","status":"{}","attempts":{},"digest":"{:016x}","tick_budget":{},"reliability":{},"message":"{}","features":"{}","impairment":"{}"}}"#,
+            r#"{{"scenario":"{}","strategy":"{}","seed":{},"fault":"{}","status":"{}","attempts":{},"digest":"{:016x}","tick_budget":{},"reliability":{reliability},"message":"{}","features":"{}","impairment":"{}"}}"#,
             json_escape(&self.scenario),
             json_escape(&self.strategy),
             self.seed,
@@ -718,7 +656,6 @@ impl JournalEntry {
             self.digest,
             self.tick_budget
                 .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            fmt_f64(self.reliability),
             json_escape(&self.message),
             json_escape(&self.features),
             json_escape(&self.impairment),
@@ -732,49 +669,26 @@ impl JournalEntry {
         if !(line.starts_with('{') && line.ends_with('}')) {
             return None;
         }
-        let digest_hex = json_str(line, "digest")?;
         Some(Self {
-            scenario: json_str(line, "scenario")?,
-            strategy: json_str(line, "strategy")?,
-            seed: json_raw(line, "seed")?.parse().ok()?,
-            fault: json_str(line, "fault")?,
-            status: json_str(line, "status")?,
-            attempts: json_raw(line, "attempts")?.parse().ok()?,
-            digest: u64::from_str_radix(&digest_hex, 16).ok()?,
-            tick_budget: match json_raw(line, "tick_budget")?.as_str() {
+            scenario: field_str(line, "scenario")?,
+            strategy: field_str(line, "strategy")?,
+            seed: field_u64(line, "seed")?,
+            fault: field_str(line, "fault")?,
+            status: field_str(line, "status")?,
+            attempts: field_raw(line, "attempts")?.parse().ok()?,
+            digest: u64::from_str_radix(&field_str(line, "digest")?, 16).ok()?,
+            tick_budget: match field_raw(line, "tick_budget")? {
                 "null" => None,
                 n => Some(n.parse().ok()?),
             },
-            reliability: json_raw(line, "reliability")?.parse().ok()?,
-            message: json_str(line, "message")?,
+            reliability: field_f64(line, "reliability")?,
+            message: field_str(line, "message")?,
             // Absent from journals written before the telemetry layer.
-            features: json_str(line, "features").unwrap_or_default(),
+            features: field_str(line, "features").unwrap_or_default(),
             // Absent from journals written before the impairment layer.
-            impairment: json_str(line, "impairment").unwrap_or_default(),
+            impairment: field_str(line, "impairment").unwrap_or_default(),
         })
     }
-}
-
-/// Compares a journal entry's recorded impairment spec against the current
-/// binary's expectations and returns a human-readable caution when a replay
-/// of that line may not be faithful: the entry predates the impairment
-/// layer (field absent), or its spec no longer parses under the current
-/// grammar. `None` means the spec is present and well-formed.
-pub fn impairment_note(entry: &JournalEntry) -> Option<String> {
-    if entry.impairment.is_empty() {
-        return Some(
-            "journal predates the hardware-impairment layer; replay assumes a clean front end"
-                .to_string(),
-        );
-    }
-    if let Err(e) = ImpairmentConfig::parse_spec(&entry.impairment) {
-        return Some(format!(
-            "recorded impairment spec {:?} does not parse under this binary ({e}); \
-             replay will fail validation",
-            entry.impairment
-        ));
-    }
-    None
 }
 
 /// Loads a journal, tolerating a missing file and a torn trailing line.
@@ -867,82 +781,6 @@ impl TraceFile {
     fn append_cell(&mut self, lines: impl IntoIterator<Item = String>) -> Result<(), String> {
         self.lines.extend(lines);
         write_lines_atomic(&self.path, &self.lines)
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Extracts the string value of `"key":"..."`, handling escapes.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(json_unescape(&line[start..i])),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Extracts the raw (non-string) value of `"key":...` up to `,` or `}`.
-fn json_raw(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().to_string())
-}
-
-/// Formats an f64 so it round-trips through `str::parse` (and stays valid
-/// JSON: no NaN/inf).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -1149,8 +987,8 @@ fn execute_cell(
     }
 }
 
-/// Builds the front-end stack for one cell and plays it. The zero-fault
-/// path drives the bare simulator, preserving bit-identity with
+/// Builds the cell's front-end stack ([`Scenario::front_end`]) and plays
+/// it. A clean cell runs the bare simulator, preserving bit-identity with
 /// [`crate::runner::run_many`].
 fn run_setup(
     setup: JobSetup,
@@ -1162,65 +1000,28 @@ fn run_setup(
         scenario: sc,
         mut strategy,
     } = setup;
-    let mut sim = sc.simulator(key.seed);
+    let mut fe = sc.front_end(key.seed).map_err(|e| e.to_string())?;
+    let sim = fe.sim_mut();
     sim.set_cancel_token(token);
     if let Some(t) = tracer {
         // The run loop clones the simulator's tracer into the strategy
         // stack, so this one installation covers every layer.
         sim.set_tracer(t);
     }
-    let result = match (sc.fault.is_inert(), sc.impairment.is_inert()) {
-        (true, true) => sim.run_with_warmup(
-            strategy.as_mut(),
-            sc.duration_s,
-            sc.tick_period_s,
-            sc.name,
-            sc.warmup_s,
-        ),
-        (false, true) => {
-            let mut fe = FaultInjector::new(sim, sc.fault.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-        (true, false) => {
-            let mut fe =
-                ImpairedFrontEnd::new(sim, sc.impairment.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-        // Impairments sit nearest the hardware; faults wrap them so a
-        // probe-loss window suppresses the impaired observation wholesale.
-        (false, false) => {
-            let impaired =
-                ImpairedFrontEnd::new(sim, sc.impairment.clone()).map_err(|e| e.to_string())?;
-            let mut fe =
-                FaultInjector::new(impaired, sc.fault.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-    };
+    let result = fe.run_with_warmup(
+        strategy.as_mut(),
+        sc.duration_s,
+        sc.tick_period_s,
+        sc.name,
+        sc.warmup_s,
+    );
     result.validate()?;
     Ok(result)
 }
 
 /// Replays one journaled cell single-threaded: rebuilds the cell from its
-/// registry names, runs it under the recorded tick budget, and returns the
-/// outcome the run reproduces — `Ok((result, digest))` for a completed run,
+/// key ([`ScenarioSpec::parse_spec`]), runs it under the recorded tick
+/// budget, and returns the outcome the run reproduces — `Ok((result, digest))` for a completed run,
 /// `Err(failure)` carrying the reproduced failure class otherwise.
 pub fn replay_cell(entry: &JournalEntry) -> Result<(RunResult, u64), CampaignFailure> {
     replay_cell_inner(entry, None).0
@@ -1252,8 +1053,8 @@ fn replay_cell_inner(
     let tracer = spec_tracer(spec);
     let run_tracer = tracer.clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let setup = registry_builder(&key)?;
-        run_setup(setup, &key, token.clone(), run_tracer)
+        let spec = ScenarioSpec::parse_spec(&key.id()).map_err(|e| e.to_string())?;
+        run_setup(spec_setup(&spec)?, &key, token.clone(), run_tracer)
     }));
     let trace = tracer.as_ref().map(CellTrace::drain_from);
     let result = match outcome {
@@ -1278,6 +1079,175 @@ fn replay_cell_inner(
         }
     };
     (result, trace)
+}
+
+// ---------------------------------------------------------------------------
+// Journal-line replay
+// ---------------------------------------------------------------------------
+
+/// How this binary rebuilds one journal line: the one place that tells a
+/// link cell, a fleet member, a fleet aggregate, and a line it cannot
+/// rebuild apart.
+pub enum ReplayTarget {
+    /// A link cell, or a fleet member rewritten as the single-link cell its
+    /// in-fleet run is bit-identical to (base scenario, the member's
+    /// derived seed and schedules).
+    Cell(JournalEntry),
+    /// A fleet aggregate, re-run on one worker and one shard.
+    Fleet(FleetConfig),
+    /// A line this binary cannot rebuild; the note says why.
+    Skip(String),
+}
+
+impl ReplayTarget {
+    /// Routes one journal line. Unknown plain scenario or strategy names
+    /// are not skipped: they replay to the validation failure a campaign
+    /// journals for them.
+    pub fn of(entry: &JournalEntry) -> Self {
+        let mut cell = entry.clone();
+        if entry.scenario.starts_with("fleet:") {
+            let Some(fleet) = parse_fleet_scenario(&entry.scenario) else {
+                return Self::Skip(format!(
+                    "scenario {:?} uses a fleet form this binary does not recognize",
+                    entry.scenario
+                ));
+            };
+            let (base, n_ues, member) = match fleet {
+                FleetScenarioRef::Aggregate { base, n_ues } => (base, n_ues, None),
+                FleetScenarioRef::PerUe { base, n_ues, ue } => (base, n_ues, Some(ue)),
+            };
+            if !is_registry_name(&base) {
+                return Self::Skip(format!(
+                    "fleet base scenario {base:?} is not in this binary's registry"
+                ));
+            }
+            let Some(ue) = member else {
+                return match parse_mix_fields(&entry.fault, &entry.impairment) {
+                    Ok(mix) => Self::Fleet(FleetConfig {
+                        threads: 1,
+                        shards: 1,
+                        mix,
+                        ..FleetConfig::new(&base, &entry.strategy, n_ues, entry.seed)
+                    }),
+                    Err(e) => Self::Skip(format!(
+                        "fleet aggregate carries a mix this binary cannot parse ({})",
+                        e.reason()
+                    )),
+                };
+            };
+            if ue >= n_ues {
+                return Self::Skip(format!(
+                    "fleet member index ue{ue} is out of range for a {n_ues}-UE fleet"
+                ));
+            }
+            cell.scenario = base;
+            // Members journaled before fleet mixes wrote an empty fault
+            // field: a clean front end.
+            if cell.fault.is_empty() {
+                cell.fault = "none".to_string();
+            }
+        } else if entry.scenario.starts_with("spec:") {
+            if let Err(e) = WorldSpec::parse(&entry.scenario) {
+                return Self::Skip(format!(
+                    "scenario {:?} uses a spec form this binary cannot parse ({})",
+                    entry.scenario,
+                    e.reason()
+                ));
+            }
+        }
+        let key = cell.key();
+        if let Err(e) = FaultSchedule::parse_spec(&key.fault_spec) {
+            return Self::Skip(format!(
+                "fault spec {:?} does not parse under this binary ({e})",
+                key.fault_spec
+            ));
+        }
+        if let Err(e) = ImpairmentConfig::parse_spec(&key.impairment_spec) {
+            return Self::Skip(format!(
+                "impairment spec {:?} does not parse under this binary ({e})",
+                key.impairment_spec
+            ));
+        }
+        Self::Cell(cell)
+    }
+}
+
+/// Why this binary cannot rebuild a journal line, or `None` when it can:
+/// an unknown fleet or spec form, a fleet base outside the registry, a
+/// member index out of range, or an unparseable mix, fault spec or
+/// impairment spec. Replay tooling notes the reason and skips the line;
+/// such a line is never a divergence.
+pub fn journal_note(entry: &JournalEntry) -> Option<String> {
+    match ReplayTarget::of(entry) {
+        ReplayTarget::Skip(note) => Some(note),
+        _ => None,
+    }
+}
+
+/// A journal line's fresh replay ([`replay_line`]).
+// One short-lived value per replayed line, so the variant size spread
+// costs nothing.
+#[allow(clippy::large_enum_variant)]
+pub enum LineReplay {
+    /// A link cell or fleet member, re-run single-threaded under the
+    /// recorded tick budget.
+    Cell(Result<(RunResult, u64), CampaignFailure>),
+    /// A fleet aggregate, re-run on one worker and one shard.
+    Fleet(Result<FleetReport, String>),
+    /// Not replayed: the line's [`journal_note`].
+    Skipped(String),
+}
+
+/// How a replay compares with the journal line it came from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Verdict {
+    /// An ok line reproduced its digest bit for bit, or a failed line its
+    /// failure class; the detail names what was reproduced.
+    Reproduced(String),
+    /// An ok line completed again, with this different digest.
+    Digest(u64),
+    /// The replay ended differently from the line: how it ended.
+    Status(String),
+    /// Not replayed; the note says why.
+    Skipped(String),
+}
+
+impl LineReplay {
+    /// Compares the replay with `entry`, the line it replayed.
+    pub fn verdict(&self, entry: &JournalEntry) -> Verdict {
+        let (replayed, detail) = match self {
+            LineReplay::Skipped(note) => return Verdict::Skipped(note.clone()),
+            LineReplay::Cell(Ok((_, digest))) => (Ok(*digest), format!("digest {digest:016x}")),
+            LineReplay::Fleet(Ok(report)) => (
+                Ok(report.digest),
+                format!(
+                    "fleet of {}, digest {:016x}",
+                    report.outcomes.len(),
+                    report.digest
+                ),
+            ),
+            LineReplay::Cell(Err(f)) => (Err(f.kind.as_str()), f.message.clone()),
+            LineReplay::Fleet(Err(msg)) => (Err("error"), msg.clone()),
+        };
+        match replayed {
+            Ok(digest) if entry.status != "ok" => {
+                Verdict::Status(format!("ok, digest {digest:016x}"))
+            }
+            Ok(digest) if digest != entry.digest => Verdict::Digest(digest),
+            Err(kind) if kind != entry.status => Verdict::Status(format!("{kind}: {detail}")),
+            _ => Verdict::Reproduced(detail),
+        }
+    }
+}
+
+/// Replays one journal line, whatever its form: a link cell, a fleet
+/// member, a fleet aggregate, or a skip with its [`journal_note`].
+pub fn replay_line(entry: &JournalEntry) -> LineReplay {
+    match ReplayTarget::of(entry) {
+        ReplayTarget::Cell(cell) => LineReplay::Cell(replay_cell(&cell)),
+        ReplayTarget::Fleet(cfg) => LineReplay::Fleet(run_fleet(&cfg)),
+        ReplayTarget::Skip(note) => LineReplay::Skipped(note),
+    }
 }
 
 /// Runs a campaign to completion (see the module docs for the guarantees).
@@ -1552,6 +1522,7 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
 mod tests {
     use super::*;
     use crate::runner::run_many;
+    use crate::scenario;
 
     fn quick_jobs(n: usize, base_seed: u64) -> Vec<Job> {
         closure_jobs(
@@ -1728,6 +1699,22 @@ mod tests {
         };
         let parsed = JournalEntry::parse(&none_budget.to_json()).expect("parses");
         assert_eq!(parsed, none_budget);
+        let escapes = JournalEntry {
+            message: "quote \" backslash \\ newline \n tab \t ctl \u{1} µ→".into(),
+            ..none_budget.clone()
+        };
+        let line = escapes.to_json();
+        mmwave_telemetry::validate_json_line(&line).expect("strict JSON");
+        assert_eq!(JournalEntry::parse(&line).expect("parses"), escapes);
+        // JSON has no NaN: a non-finite reliability is written as 0 and
+        // still parses, so a resume does not stop at the line.
+        let nan = JournalEntry {
+            reliability: f64::NAN,
+            ..none_budget
+        };
+        let line = nan.to_json();
+        assert!(line.contains(r#""reliability":0,"#), "{line}");
+        assert_eq!(JournalEntry::parse(&line).expect("parses").reliability, 0.0);
         assert!(JournalEntry::parse("{\"scenario\":\"torn-li").is_none());
         assert!(JournalEntry::parse("").is_none());
     }
@@ -1852,7 +1839,7 @@ mod tests {
 
     #[test]
     fn registry_names_all_build() {
-        for name in SCENARIO_NAMES {
+        for name in crate::spec::registry_names() {
             assert!(build_scenario(name, 3).is_some(), "{name} must build");
         }
         for name in STRATEGY_NAMES {
@@ -1860,68 +1847,66 @@ mod tests {
         }
         assert!(build_scenario("nope", 0).is_none());
         assert!(build_strategy("nope").is_none());
-        let job = Job::from_registry(
-            "mobile-blockage",
-            "single-beam-reactive",
-            5,
-            FaultSchedule::none(),
-            0,
-        )
-        .unwrap();
+        let job =
+            Job::from_spec(&clean_spec("mobile-blockage", "single-beam-reactive", 5), 0).unwrap();
         assert_eq!(job.key.fault_spec, "none");
-        assert!(Job::from_registry("nope", "mmreliable", 0, FaultSchedule::none(), 0).is_err());
-        let mut bad = FaultSchedule::none();
-        bad.stale_prob = 7.0;
+        // An unknown world has no spec; its journal line fails to parse.
+        assert!(ScenarioSpec::parse_spec("nope//mmreliable//0//none").is_err());
+        assert!(Job::from_spec(&clean_spec("mobile-blockage", "nope", 0), 0).is_err());
+        let mut bad = clean_spec("mobile-blockage", "mmreliable", 0);
+        bad.fault.stale_prob = 7.0;
         assert!(
-            Job::from_registry("mobile-blockage", "mmreliable", 0, bad, 0).is_err(),
+            Job::from_spec(&bad, 0).is_err(),
             "invalid fault schedule must fail job construction"
         );
+        assert!(
+            ScenarioSpec::parse_spec("mobile-blockage//mmreliable//0//seed=1;stale=7").is_err()
+        );
+    }
+
+    fn clean_spec(world: &str, strategy: &str, seed: u64) -> ScenarioSpec {
+        ScenarioSpec::single(WorldSpec::parse(world).unwrap(), strategy, seed)
     }
 
     #[test]
     fn cell_key_id_keeps_four_segments_for_clean_front_ends() {
         // The historical four-segment id is pinned by old journals and the
         // CI soak cell; only an actual impairment spec may extend it.
-        let clean = Job::from_registry(
-            "mobile-blockage",
-            "mmreliable",
-            7000,
-            FaultSchedule::none(),
-            0,
-        )
-        .unwrap();
+        let clean = Job::from_spec(&clean_spec("mobile-blockage", "mmreliable", 7000), 0).unwrap();
         assert_eq!(clean.key.id(), "mobile-blockage//mmreliable//7000//none");
-        let impaired = Job::from_registry(
-            "mobile-blockage",
-            "mmreliable",
-            7000,
-            FaultSchedule::none(),
+        let impaired = Job::from_spec(
+            &ScenarioSpec {
+                impairment: ImpairmentConfig::mild(3),
+                ..clean_spec("mobile-blockage", "mmreliable", 7000)
+            },
             0,
         )
-        .unwrap()
-        .with_impairments(&ImpairmentConfig::mild(3))
         .unwrap();
         let id = impaired.key.id();
         assert_eq!(id.split("//").count(), 5, "impaired id gains one segment");
         assert!(id.starts_with("mobile-blockage//mmreliable//7000//none//seed=3;"));
+        assert_eq!(ScenarioSpec::parse_spec(&id).unwrap().spec_string(), id);
         let mut bad = ImpairmentConfig::mild(3);
         bad.adc = Some(crate::impairments::AdcCfg {
             bits: 0,
             headroom_db: 9.0,
         });
         assert!(
-            Job::from_registry(
-                "mobile-blockage",
-                "mmreliable",
-                7000,
-                FaultSchedule::none(),
+            Job::from_spec(
+                &ScenarioSpec {
+                    impairment: bad.clone(),
+                    ..clean_spec("mobile-blockage", "mmreliable", 7000)
+                },
                 0
             )
-            .unwrap()
-            .with_impairments(&bad)
             .is_err(),
             "invalid impairment config must fail job construction"
         );
+        assert!(ScenarioSpec::parse_spec(&format!(
+            "mobile-blockage//mmreliable//7000//none//{}",
+            bad.spec_string()
+        ))
+        .is_err());
     }
 
     fn entry_with_impairment(impairment: &str) -> JournalEntry {
@@ -1960,19 +1945,69 @@ mod tests {
     }
 
     #[test]
-    fn impairment_note_flags_legacy_and_malformed_entries() {
-        let legacy = entry_with_impairment("");
-        assert!(
-            impairment_note(&legacy)
-                .expect("legacy entry warns")
-                .contains("predates"),
-            "missing field reads as a pre-impairment journal"
-        );
-        assert!(impairment_note(&entry_with_impairment("none")).is_none());
-        let spec = ImpairmentConfig::severe(1).spec_string();
-        assert!(impairment_note(&entry_with_impairment(&spec)).is_none());
-        assert!(impairment_note(&entry_with_impairment("pn=bogus"))
-            .expect("malformed spec warns")
-            .contains("does not parse"),);
+    fn journal_note_skips_exactly_the_lines_this_binary_cannot_rebuild() {
+        let severe = ImpairmentConfig::severe(1).spec_string();
+        let mut cases: Vec<(JournalEntry, bool)> = vec![
+            // A legacy line (impairment field absent) replays as a clean
+            // front end.
+            (entry_with_impairment(""), false),
+            (entry_with_impairment("none"), false),
+            (entry_with_impairment(&severe), false),
+            (entry_with_impairment("pn=bogus"), true),
+        ];
+        for (scenario, skipped) in [
+            ("static-walker", false),
+            ("fleet:static-walker:8", false),
+            ("fleet:static-walker:8:ue3", false),
+            ("fleet:weird:form:x:y", true),
+            ("fleet:no-such-scene:8", true),
+            ("fleet:static-walker:8:ue9", true),
+            ("spec:v1:mixed-mobility", false),
+            ("spec:v2:custom;room=tardis", true),
+            ("spec:v1:garbage", true),
+            // Unknown plain names replay to their validation failure.
+            ("not-a-world", false),
+        ] {
+            let mut e = entry_with_impairment("none");
+            e.scenario = scenario.into();
+            cases.push((e, skipped));
+        }
+        let mut bad_fault = entry_with_impairment("none");
+        bad_fault.fault = "loss=bogus".into();
+        cases.push((bad_fault, true));
+        let mut bad_mix = entry_with_impairment("mix:none");
+        bad_mix.scenario = "fleet:static-walker:8".into();
+        bad_mix.fault = "mix:none|none".into();
+        cases.push((bad_mix, true));
+        for (entry, skipped) in &cases {
+            let note = journal_note(entry);
+            assert_eq!(
+                note.is_some(),
+                *skipped,
+                "{} / {} / {}: {note:?}",
+                entry.scenario,
+                entry.fault,
+                entry.impairment
+            );
+            assert_eq!(
+                matches!(ReplayTarget::of(entry), ReplayTarget::Skip(_)),
+                *skipped
+            );
+        }
+    }
+
+    #[test]
+    fn committed_journals_round_trip_byte_for_byte() {
+        // Resume rewrites every existing line through `to_json`, so the
+        // codec must reproduce the committed journals exactly.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for name in ["admin-journal.jsonl", "admin-journal-replayable.jsonl"] {
+            let text = std::fs::read_to_string(root.join(name)).expect("committed journal");
+            assert!(text.lines().count() > 0);
+            for line in text.lines() {
+                let entry = JournalEntry::parse(line).expect("committed line parses");
+                assert_eq!(entry.to_json(), line, "{name} line must round-trip");
+            }
+        }
     }
 }

@@ -23,13 +23,11 @@
 //! loop drains them into the per-run [`crate::metrics::RunResult`] event
 //! log next to the controller's lifecycle transitions.
 
-use crate::metrics::RunResult;
 use crate::scenario::ScenarioError;
-use crate::simulator::{run_front_end, LinkSimulator, SimFrontEnd};
+use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
-use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::pow_from_db;
@@ -540,46 +538,6 @@ impl<F: SimFrontEnd> SimFrontEnd for FaultInjector<F> {
         // must not swallow an impaired stack's (the usual composition is
         // `FaultInjector<ImpairedFrontEnd<LinkSimulator>>`).
         self.inner.drain_impairment_events()
-    }
-}
-
-impl<F: SimFrontEnd> FaultInjector<F> {
-    /// Plays `strategy` through the faulted stack — the fault-layer
-    /// counterpart of [`LinkSimulator::run`].
-    pub fn run(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            0.0,
-        )
-    }
-
-    /// Faulted counterpart of [`LinkSimulator::run_with_warmup`].
-    pub fn run_with_warmup(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-        warmup_s: f64,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            warmup_s,
-        )
     }
 }
 

@@ -35,28 +35,24 @@
 //! distinguishable scenario form: per-UE lines are
 //! `fleet:{base}:{n}:ue{k}` (seed = the UE's derived seed) and one
 //! aggregate line `fleet:{base}:{n}` (seed = the fleet seed, digest = the
-//! fleet digest). `replay` re-executes a per-UE line as a plain
-//! single-link cell — bit-identically — and [`fleet_note`] warns (never
-//! errors) about fleet forms a binary predates.
+//! fleet digest). [`crate::campaign::replay_line`] re-executes a per-UE
+//! line as a plain single-link cell — bit-identically — and notes and
+//! skips (never errors on) fleet forms a binary predates.
 
 use crate::campaign::{
     build_scenario, build_strategy, compiled_features, load_journal, write_lines_atomic,
-    JournalEntry, SCENARIO_NAMES, STRATEGY_NAMES,
+    JournalEntry, STRATEGY_NAMES,
 };
-use crate::faults::{FaultEvent, FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent};
+use crate::faults::FaultSchedule;
+use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
-use crate::simulator::{LinkSimulator, SimFrontEnd, SlotLoop};
-use crate::spec::{mix_fields, parse_mix_fields, MixGroup};
-use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
+use crate::simulator::{FrontEndStack, SlotLoop};
+use crate::spec::{is_registry_name, mix_fields, registry_names, MixGroup};
 use mmreliable::linkstate::LifecycleConfig;
 use mmreliable::{Intent, IntentKind, IntentQueue, Io, StateHandler, UeId};
-use mmwave_array::geometry::ArrayGeometry;
-use mmwave_array::weights::BeamWeights;
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_channel::{SharedSceneCache, SharedSceneCounters};
 use mmwave_hotpath::hot_path;
-use mmwave_phy::chanest::ProbeObservation;
 use mmwave_telemetry::{LatencyHist, StopWatch};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -134,135 +130,6 @@ pub fn ue_mix_specs(mix: &[MixGroup], ue: u32) -> (String, String) {
     }
 }
 
-/// A fleet lane's front-end stack: the bare simulator or the same
-/// decorator chains the single-link campaign builds, chosen per UE by the
-/// fleet mix. An enum rather than a trait object so [`SlotLoop`]'s generic
-/// stepping stays statically dispatched — the match is control flow only,
-/// so an in-fleet decorated run is bit-identical to the standalone
-/// decorated run at the same derived seed.
-// One value per lane for the whole run, so the variant size spread costs
-// nothing; boxing the decorated variants would add a pointer chase to
-// every per-slot probe instead.
-#[allow(clippy::large_enum_variant)]
-enum LaneFrontEnd {
-    Bare(LinkSimulator),
-    Faulted(FaultInjector<LinkSimulator>),
-    Impaired(ImpairedFrontEnd<LinkSimulator>),
-    Both(FaultInjector<ImpairedFrontEnd<LinkSimulator>>),
-}
-
-macro_rules! lane_delegate {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            LaneFrontEnd::Bare($inner) => $e,
-            LaneFrontEnd::Faulted($inner) => $e,
-            LaneFrontEnd::Impaired($inner) => $e,
-            LaneFrontEnd::Both($inner) => $e,
-        }
-    };
-}
-
-impl LaneFrontEnd {
-    /// Stable annotation for the decorator stack wrapping this lane
-    /// (empty for a clean front-end) — rides on the lane's state-history
-    /// lines so an operator reading a transition tape sees which
-    /// environment produced it.
-    fn note(&self) -> &'static str {
-        match self {
-            LaneFrontEnd::Bare(_) => "",
-            LaneFrontEnd::Faulted(_) => "faulted",
-            LaneFrontEnd::Impaired(_) => "impaired",
-            LaneFrontEnd::Both(_) => "faulted+impaired",
-        }
-    }
-}
-
-impl LaneFrontEnd {
-    /// Wraps `sim` in the decorator stack the mix calls for — the same
-    /// nesting order as the campaign's `run_setup` (impairments nearest
-    /// the hardware, faults outermost).
-    fn build(
-        sim: LinkSimulator,
-        fault: FaultSchedule,
-        impairment: ImpairmentConfig,
-    ) -> Result<Self, String> {
-        Ok(match (fault.is_inert(), impairment.is_inert()) {
-            (true, true) => LaneFrontEnd::Bare(sim),
-            (false, true) => {
-                LaneFrontEnd::Faulted(FaultInjector::new(sim, fault).map_err(|e| e.to_string())?)
-            }
-            (true, false) => LaneFrontEnd::Impaired(
-                ImpairedFrontEnd::new(sim, impairment).map_err(|e| e.to_string())?,
-            ),
-            (false, false) => {
-                let impaired = ImpairedFrontEnd::new(sim, impairment).map_err(|e| e.to_string())?;
-                LaneFrontEnd::Both(FaultInjector::new(impaired, fault).map_err(|e| e.to_string())?)
-            }
-        })
-    }
-}
-
-impl LinkFrontEnd for LaneFrontEnd {
-    fn geometry(&self) -> &ArrayGeometry {
-        lane_delegate!(self, f => f.geometry())
-    }
-
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
-        lane_delegate!(self, f => f.probe_kind(weights, kind))
-    }
-
-    fn probe_kind_into(
-        &mut self,
-        weights: &BeamWeights,
-        kind: ProbeKind,
-        out: &mut ProbeObservation,
-    ) {
-        lane_delegate!(self, f => f.probe_kind_into(weights, kind, out))
-    }
-
-    fn wait(&mut self, dur_s: f64) {
-        lane_delegate!(self, f => f.wait(dur_s))
-    }
-
-    fn now_s(&self) -> f64 {
-        lane_delegate!(self, f => f.now_s())
-    }
-
-    fn cancel_requested(&self) -> bool {
-        lane_delegate!(self, f => f.cancel_requested())
-    }
-
-    fn probes_used(&self) -> usize {
-        lane_delegate!(self, f => f.probes_used())
-    }
-}
-
-impl SimFrontEnd for LaneFrontEnd {
-    fn sim(&self) -> &LinkSimulator {
-        lane_delegate!(self, f => f.sim())
-    }
-
-    fn sim_mut(&mut self) -> &mut LinkSimulator {
-        lane_delegate!(self, f => f.sim_mut())
-    }
-
-    fn radiated_weights_into(&self, w: &BeamWeights, out: &mut BeamWeights) {
-        lane_delegate!(self, f => f.radiated_weights_into(w, out))
-    }
-
-    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
-        lane_delegate!(self, f => f.apply_radiated_faults(w))
-    }
-
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        lane_delegate!(self, f => f.drain_fault_events())
-    }
-
-    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
-        lane_delegate!(self, f => f.drain_impairment_events())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fleet scenario identity (journal / replay vocabulary)
 // ---------------------------------------------------------------------------
@@ -326,54 +193,6 @@ pub fn parse_fleet_scenario(s: &str) -> Option<FleetScenarioRef> {
     }
 }
 
-/// Compares a journal entry's scenario field against this binary's fleet
-/// vocabulary and returns a human-readable caution when a replay of that
-/// line may not be faithful — the fleet counterpart of
-/// [`crate::campaign::impairment_note`]. `None` means either a non-fleet
-/// entry or a fleet form this binary fully understands. Replay tooling
-/// *warns* with this note and keeps going; it never hard-errors on fleet
-/// entries it predates.
-pub fn fleet_note(entry: &JournalEntry) -> Option<String> {
-    if !entry.scenario.starts_with("fleet:") {
-        return None;
-    }
-    let parsed = match parse_fleet_scenario(&entry.scenario) {
-        Some(p) => p,
-        None => {
-            return Some(format!(
-                "journal entry scenario {:?} uses a fleet form this binary does not \
-                 recognize; replay cannot reconstruct the cell",
-                entry.scenario
-            ))
-        }
-    };
-    let (base, n_ues, ue) = match &parsed {
-        FleetScenarioRef::Aggregate { base, n_ues } => (base, *n_ues, None),
-        FleetScenarioRef::PerUe { base, n_ues, ue } => (base, *n_ues, Some(*ue)),
-    };
-    if !SCENARIO_NAMES.contains(&base.as_str()) {
-        return Some(format!(
-            "fleet base scenario {base:?} is not in this binary's registry; \
-             replay cannot rebuild the fleet"
-        ));
-    }
-    if let Some(ue) = ue {
-        if ue >= n_ues {
-            return Some(format!(
-                "fleet member index ue{ue} is out of range for a {n_ues}-UE fleet; \
-                 the entry cannot belong to the fleet it names"
-            ));
-        }
-    } else if let Err(e) = parse_mix_fields(&entry.fault, &entry.impairment) {
-        return Some(format!(
-            "fleet aggregate entry carries a mix this binary cannot parse ({}); \
-             replay cannot rebuild the fleet",
-            e.reason()
-        ));
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
@@ -382,7 +201,7 @@ pub fn fleet_note(entry: &JournalEntry) -> Option<String> {
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Base single-link scenario registry name (see
-    /// [`crate::campaign::SCENARIO_NAMES`]); every UE plays this scenario
+    /// [`crate::spec::registry_names`]); every UE plays this scenario
     /// under its derived seed.
     pub scenario: String,
     /// Strategy registry name; each UE gets a fresh instance.
@@ -432,11 +251,11 @@ impl FleetConfig {
 
     /// Fails fast on a config the registry cannot build.
     pub fn validate(&self) -> Result<(), String> {
-        if !SCENARIO_NAMES.contains(&self.scenario.as_str()) {
+        if !is_registry_name(&self.scenario) {
             return Err(format!(
                 "unknown fleet base scenario {:?} (known: {})",
                 self.scenario,
-                SCENARIO_NAMES.join(", ")
+                registry_names().join(", ")
             ));
         }
         if !STRATEGY_NAMES.contains(&self.strategy.as_str()) {
@@ -470,7 +289,7 @@ impl FleetConfig {
 
 struct UeLane {
     ue: u32,
-    sim: LaneFrontEnd,
+    sim: FrontEndStack,
     strategy: Box<dyn BeamStrategy + Send>,
     /// `Some` until [`FleetShard::finish`] consumes it.
     sl: Option<SlotLoop>,
@@ -530,10 +349,9 @@ impl FleetShard {
                     raw.dynamic.set_shared_cache(Arc::clone(c));
                 }
             }
-            let mut sim = match ue_mix(&cfg.mix, ue) {
-                None => LaneFrontEnd::Bare(raw),
-                Some((fault, impairment)) => LaneFrontEnd::build(raw, fault, impairment)?,
-            };
+            let (fault, impairment) = ue_mix(&cfg.mix, ue)
+                .unwrap_or_else(|| (FaultSchedule::none(), ImpairmentConfig::none()));
+            let mut sim = FrontEndStack::new(raw, fault, impairment).map_err(|e| e.to_string())?;
             let sl = SlotLoop::new(
                 &mut sim,
                 strategy.as_mut(),
@@ -1018,82 +836,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     Ok(report)
 }
 
-// ---------------------------------------------------------------------------
-// Replay
-// ---------------------------------------------------------------------------
-
-/// What a fleet journal line replays into.
-pub enum FleetReplay {
-    /// A per-UE line re-executed as a plain single-link cell
-    /// (bit-identical to the member's in-fleet run).
-    PerUe {
-        /// The re-executed run.
-        result: Box<RunResult>,
-        /// Its digest.
-        digest: u64,
-    },
-    /// An aggregate line re-executed as a one-thread, one-shard fleet
-    /// under the default pass cadence.
-    Aggregate {
-        /// The re-executed fleet.
-        report: Box<FleetReport>,
-    },
-}
-
-/// Re-executes one fleet journal line. Per-UE entries rebuild the
-/// member's single-link cell from the registry — the shared cache and
-/// `SlotLoop` stepping are both arithmetic-neutral, so the standalone
-/// re-run reproduces the in-fleet digest bit-for-bit. Aggregate entries
-/// re-run the whole fleet single-threaded.
-pub fn replay_fleet_entry(entry: &JournalEntry) -> Result<FleetReplay, String> {
-    let parsed = parse_fleet_scenario(&entry.scenario).ok_or_else(|| {
-        format!(
-            "scenario {:?} is not a fleet form this binary understands",
-            entry.scenario
-        )
-    })?;
-    match parsed {
-        FleetScenarioRef::PerUe { base, .. } => {
-            let mut single = entry.clone();
-            single.scenario = base;
-            if single.impairment.is_empty() {
-                single.impairment = "none".to_string();
-            }
-            if single.fault.is_empty() {
-                single.fault = "none".to_string();
-            }
-            let (result, digest) = crate::campaign::replay_cell(&single).map_err(|f| f.message)?;
-            Ok(FleetReplay::PerUe {
-                result: Box::new(result),
-                digest,
-            })
-        }
-        FleetScenarioRef::Aggregate { base, n_ues } => {
-            let mix = parse_mix_fields(&entry.fault, &entry.impairment)
-                .map_err(|e| format!("aggregate entry mix fields: {e}"))?;
-            let cfg = FleetConfig {
-                scenario: base,
-                strategy: entry.strategy.clone(),
-                n_ues,
-                seed: entry.seed,
-                threads: 1,
-                shards: 1,
-                pass_period_s: PASS_PERIOD_S,
-                journal: None,
-                mix,
-                metrics: None,
-            };
-            let report = run_fleet(&cfg)?;
-            Ok(FleetReplay::Aggregate {
-                report: Box::new(report),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::SimFrontEnd;
 
     #[test]
     fn scenario_id_round_trips() {
@@ -1118,33 +864,6 @@ mod tests {
         assert_eq!(parse_fleet_scenario("fleet:x"), None);
         assert_eq!(parse_fleet_scenario("fleet:x:0"), None);
         assert_eq!(parse_fleet_scenario("fleet:x:4:7"), None);
-    }
-
-    fn entry_with_scenario(scenario: &str) -> JournalEntry {
-        JournalEntry {
-            scenario: scenario.to_string(),
-            strategy: "single-beam-reactive".to_string(),
-            seed: 42,
-            fault: "none".to_string(),
-            status: "ok".to_string(),
-            attempts: 1,
-            digest: 1,
-            tick_budget: None,
-            reliability: 1.0,
-            message: String::new(),
-            features: String::new(),
-            impairment: "none".to_string(),
-        }
-    }
-
-    #[test]
-    fn fleet_note_warns_on_unknown_forms_only() {
-        assert!(fleet_note(&entry_with_scenario("static-walker")).is_none());
-        assert!(fleet_note(&entry_with_scenario("fleet:static-walker:8")).is_none());
-        assert!(fleet_note(&entry_with_scenario("fleet:static-walker:8:ue3")).is_none());
-        assert!(fleet_note(&entry_with_scenario("fleet:weird:form:x:y")).is_some());
-        assert!(fleet_note(&entry_with_scenario("fleet:no-such-scene:8")).is_some());
-        assert!(fleet_note(&entry_with_scenario("fleet:static-walker:8:ue9")).is_some());
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::faults::{FaultSchedule, ProbeLossWindow, SnrGlitch};
 use crate::fleet::run_fleet;
 use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
+use crate::simulator::SimFrontEnd;
 use crate::spec::{
     curated_worlds, BlockerSpec, CustomWorld, FleetMixSpec, MixGroup, RoomKind, ScenarioSpec,
     TrajSpec, WorldSpec,

@@ -39,14 +39,12 @@
 //! construction (weights change only at ticks).
 
 use crate::faults::FaultEvent;
-use crate::metrics::RunResult;
 use crate::scenario::ScenarioError;
-use crate::simulator::{run_front_end, LinkSimulator, SimFrontEnd};
+use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::coupling::{MutualCoupling, MAX_COUPLED_ELEMENTS};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
-use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::adc::{quantize_clip, rail_rms};
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::nonlinearity::RappPa;
@@ -873,46 +871,6 @@ impl<F: SimFrontEnd> SimFrontEnd for ImpairedFrontEnd<F> {
         let mut evs = self.inner.drain_impairment_events();
         evs.extend(self.take_events());
         evs
-    }
-}
-
-impl<F: SimFrontEnd> ImpairedFrontEnd<F> {
-    /// Plays `strategy` through the impaired stack — the impairment-layer
-    /// counterpart of [`LinkSimulator::run`].
-    pub fn run(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            0.0,
-        )
-    }
-
-    /// Impaired counterpart of [`LinkSimulator::run_with_warmup`].
-    pub fn run_with_warmup(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-        warmup_s: f64,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            warmup_s,
-        )
     }
 }
 

@@ -66,14 +66,14 @@ pub mod simulator;
 pub mod spec;
 
 pub use campaign::{
-    backoff_delay, closure_jobs, impairment_note, load_journal, replay_cell, run_campaign,
-    CampaignConfig, CampaignFailure, CampaignReport, CellKey, CellOutcome, CellStatus, FailureKind,
-    Job, JournalEntry,
+    backoff_delay, closure_jobs, journal_note, load_journal, replay_cell, replay_line,
+    run_campaign, CampaignConfig, CampaignFailure, CampaignReport, CellKey, CellOutcome,
+    CellStatus, FailureKind, Job, JournalEntry, LineReplay, ReplayTarget, Verdict,
 };
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, ProbeLossWindow};
 pub use fleet::{
-    fleet_digest, fleet_note, parse_fleet_scenario, replay_fleet_entry, run_fleet, shard_of,
-    ue_seed, FleetConfig, FleetReplay, FleetReport, FleetScenarioRef, FleetShard, UeOutcome,
+    fleet_digest, parse_fleet_scenario, run_fleet, shard_of, ue_seed, FleetConfig, FleetReport,
+    FleetScenarioRef, FleetShard, UeOutcome,
 };
 pub use impairments::{
     ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent, ImpairmentKind, ImpairmentStage,
@@ -81,5 +81,7 @@ pub use impairments::{
 pub use metrics::{csv_field, csv_parse_row, RunCounters, RunEvent, RunResult, Sample};
 pub use runner::{run_many, try_run_many, Aggregate, FailedRun};
 pub use scenario::{Scenario, ScenarioError, ValidationMessage};
-pub use simulator::{run_front_end, LinkSimulator, SimFrontEnd, SlotLoop, SlotWorkspace};
-pub use spec::{spec_note, CustomWorld, FleetMixSpec, MixGroup, ScenarioSpec, WorldSpec};
+pub use simulator::{
+    run_front_end, FrontEndStack, LinkSimulator, SimFrontEnd, SlotLoop, SlotWorkspace,
+};
+pub use spec::{CustomWorld, FleetMixSpec, MixGroup, ScenarioSpec, WorldSpec};

@@ -7,6 +7,7 @@
 
 use crate::metrics::RunResult;
 use crate::scenario::Scenario;
+use crate::simulator::SimFrontEnd;
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::stats;
 use mmwave_phy::mcs::McsTable;

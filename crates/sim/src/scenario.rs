@@ -4,9 +4,9 @@
 //! experiment an evaluation binary can instantiate into a
 //! [`crate::LinkSimulator`] and run against any strategy.
 
-use crate::faults::{FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig};
-use crate::simulator::LinkSimulator;
+use crate::faults::FaultSchedule;
+use crate::impairments::ImpairmentConfig;
+use crate::simulator::{FrontEndStack, LinkSimulator};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_channel::blockage::{BlockageEvent, BlockageProcess};
 use mmwave_channel::channel::UeReceiver;
@@ -164,28 +164,14 @@ impl Scenario {
         Ok(self)
     }
 
-    /// Instantiates the full faulted front-end stack: the seeded simulator
-    /// wrapped in a [`FaultInjector`] driving this scenario's schedule.
-    /// Campaign code that wants the zero-fault bit-identity guarantee
-    /// checks [`FaultSchedule::is_inert`] and runs the bare simulator
-    /// instead.
-    pub fn faulted_simulator(
-        &self,
-        seed: u64,
-    ) -> Result<FaultInjector<LinkSimulator>, ScenarioError> {
-        FaultInjector::new(self.simulator(seed), self.fault.clone())
-    }
-
-    /// Instantiates the impaired front-end stack: the seeded simulator
-    /// wrapped in an [`ImpairedFrontEnd`] driving this scenario's
-    /// impairment configuration. Callers that also inject faults wrap the
-    /// result in a [`FaultInjector`] (impairments sit nearest the
-    /// hardware).
-    pub fn impaired_simulator(
-        &self,
-        seed: u64,
-    ) -> Result<ImpairedFrontEnd<LinkSimulator>, ScenarioError> {
-        ImpairedFrontEnd::new(self.simulator(seed), self.impairment.clone())
+    /// Instantiates the seeded simulator wrapped in this scenario's
+    /// fault and impairment layers ([`FrontEndStack::new`]).
+    pub fn front_end(&self, seed: u64) -> Result<FrontEndStack, ScenarioError> {
+        FrontEndStack::new(
+            self.simulator(seed),
+            self.fault.clone(),
+            self.impairment.clone(),
+        )
     }
 
     /// Total simulated time including warm-up.

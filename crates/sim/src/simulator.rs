@@ -8,9 +8,10 @@
 //! moving and no data flows. Reliability and throughput then fall out of a
 //! single per-slot record with no separate bookkeeping.
 
-use crate::faults::FaultEvent;
-use crate::impairments::ImpairmentEvent;
+use crate::faults::{FaultEvent, FaultInjector, FaultSchedule};
+use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent};
 use crate::metrics::{RunCounters, RunEvent, RunResult, Sample};
+use crate::scenario::ScenarioError;
 use mmreliable::cancel::CancelToken;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::geometry::ArrayGeometry;
@@ -249,31 +250,51 @@ impl LinkSimulator {
         let noise = self.sounder.noise_power_mw();
         db_from_pow((mean_pow * per_sc * atmo / noise).max(1e-6)).max(-60.0)
     }
+}
 
-    /// Plays `strategy` for `duration_s`, giving it a maintenance tick every
-    /// `tick_period_s` (the CSI-RS cadence). Returns the full run record.
-    pub fn run(
+/// A front-end stack the run loop can drive: the bare simulator, or any
+/// chain of decorators (e.g. [`crate::faults::FaultInjector`]) bottoming
+/// out in one. Decorators forward [`SimFrontEnd::sim`] and may transform
+/// the data-plane weights and contribute fault events.
+pub trait SimFrontEnd: LinkFrontEnd {
+    /// Plays `strategy` for `duration_s`, giving it a maintenance tick
+    /// every `tick_period_s` (the CSI-RS cadence). Returns the full run
+    /// record.
+    fn run(
         &mut self,
         strategy: &mut dyn BeamStrategy,
         duration_s: f64,
         tick_period_s: f64,
         scenario_name: &str,
-    ) -> RunResult {
-        self.run_with_warmup(strategy, duration_s, tick_period_s, scenario_name, 0.0)
+    ) -> RunResult
+    where
+        Self: Sized,
+    {
+        run_front_end(
+            self,
+            strategy,
+            duration_s,
+            tick_period_s,
+            scenario_name,
+            0.0,
+        )
     }
 
-    /// Like [`LinkSimulator::run`], but runs an unmeasured warm-up window
+    /// Like [`SimFrontEnd::run`], but runs an unmeasured warm-up window
     /// first (initial beam training happens there, per the paper's
     /// protocol). The returned record covers warm-up + measurement; its
     /// metrics ignore the warm-up.
-    pub fn run_with_warmup(
+    fn run_with_warmup(
         &mut self,
         strategy: &mut dyn BeamStrategy,
         duration_s: f64,
         tick_period_s: f64,
         scenario_name: &str,
         warmup_s: f64,
-    ) -> RunResult {
+    ) -> RunResult
+    where
+        Self: Sized,
+    {
         run_front_end(
             self,
             strategy,
@@ -283,13 +304,7 @@ impl LinkSimulator {
             warmup_s,
         )
     }
-}
 
-/// A front-end stack the run loop can drive: the bare simulator, or any
-/// chain of decorators (e.g. [`crate::faults::FaultInjector`]) bottoming
-/// out in one. Decorators forward [`SimFrontEnd::sim`] and may transform
-/// the data-plane weights and contribute fault events.
-pub trait SimFrontEnd: LinkFrontEnd {
     /// The simulator at the bottom of the stack.
     fn sim(&self) -> &LinkSimulator;
 
@@ -340,6 +355,136 @@ impl SimFrontEnd for LinkSimulator {
 
     fn sim_mut(&mut self) -> &mut LinkSimulator {
         self
+    }
+}
+
+/// The one front-end stack every link runs through: the bare simulator, or
+/// the decorator chain its fault schedule and impairment configuration
+/// call for. This is the only code that knows the nesting order —
+/// impairments sit nearest the hardware, faults wrap them so a probe-loss
+/// window suppresses the impaired observation wholesale.
+///
+/// An enum rather than a trait object so [`SlotLoop`]'s generic stepping
+/// stays statically dispatched: the match is control flow only, so a run
+/// through the stack is bit-identical to a run through the concrete
+/// decorator chain, and inert layers are never built.
+// One value per link for the whole run, so the variant size spread costs
+// nothing; boxing the decorated variants would add a pointer chase to
+// every per-slot probe instead.
+#[allow(clippy::large_enum_variant)]
+pub enum FrontEndStack {
+    /// No fault and no impairment: the simulator itself.
+    Bare(LinkSimulator),
+    /// Faults only.
+    Faulted(FaultInjector<LinkSimulator>),
+    /// Impairments only.
+    Impaired(ImpairedFrontEnd<LinkSimulator>),
+    /// Faults over impairments.
+    Both(FaultInjector<ImpairedFrontEnd<LinkSimulator>>),
+}
+
+macro_rules! stack_delegate {
+    ($self:ident, $inner:ident => $e:expr) => {
+        match $self {
+            FrontEndStack::Bare($inner) => $e,
+            FrontEndStack::Faulted($inner) => $e,
+            FrontEndStack::Impaired($inner) => $e,
+            FrontEndStack::Both($inner) => $e,
+        }
+    };
+}
+
+impl FrontEndStack {
+    /// Wraps `sim` in the layers `fault` and `impairment` call for; an
+    /// inert schedule or configuration adds no layer. Fails fast on an
+    /// invalid one.
+    pub fn new(
+        sim: LinkSimulator,
+        fault: FaultSchedule,
+        impairment: ImpairmentConfig,
+    ) -> Result<Self, ScenarioError> {
+        Ok(match (fault.is_inert(), impairment.is_inert()) {
+            (true, true) => FrontEndStack::Bare(sim),
+            (false, true) => FrontEndStack::Faulted(FaultInjector::new(sim, fault)?),
+            (true, false) => FrontEndStack::Impaired(ImpairedFrontEnd::new(sim, impairment)?),
+            (false, false) => FrontEndStack::Both(FaultInjector::new(
+                ImpairedFrontEnd::new(sim, impairment)?,
+                fault,
+            )?),
+        })
+    }
+
+    /// Stable annotation for the layers wrapping the simulator (empty for
+    /// a clean front end). Fleet lanes put it on their state-history lines
+    /// so a transition tape says which environment produced it.
+    pub fn note(&self) -> &'static str {
+        match self {
+            FrontEndStack::Bare(_) => "",
+            FrontEndStack::Faulted(_) => "faulted",
+            FrontEndStack::Impaired(_) => "impaired",
+            FrontEndStack::Both(_) => "faulted+impaired",
+        }
+    }
+}
+
+impl LinkFrontEnd for FrontEndStack {
+    fn geometry(&self) -> &ArrayGeometry {
+        stack_delegate!(self, f => f.geometry())
+    }
+
+    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+        stack_delegate!(self, f => f.probe_kind(weights, kind))
+    }
+
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
+        stack_delegate!(self, f => f.probe_kind_into(weights, kind, out))
+    }
+
+    fn wait(&mut self, dur_s: f64) {
+        stack_delegate!(self, f => f.wait(dur_s))
+    }
+
+    fn now_s(&self) -> f64 {
+        stack_delegate!(self, f => f.now_s())
+    }
+
+    fn cancel_requested(&self) -> bool {
+        stack_delegate!(self, f => f.cancel_requested())
+    }
+
+    fn probes_used(&self) -> usize {
+        stack_delegate!(self, f => f.probes_used())
+    }
+}
+
+impl SimFrontEnd for FrontEndStack {
+    fn sim(&self) -> &LinkSimulator {
+        stack_delegate!(self, f => f.sim())
+    }
+
+    fn sim_mut(&mut self) -> &mut LinkSimulator {
+        stack_delegate!(self, f => f.sim_mut())
+    }
+
+    fn radiated_weights_into(&self, w: &BeamWeights, out: &mut BeamWeights) {
+        stack_delegate!(self, f => f.radiated_weights_into(w, out))
+    }
+
+    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
+        stack_delegate!(self, f => f.apply_radiated_faults(w))
+    }
+
+    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
+        stack_delegate!(self, f => f.drain_fault_events())
+    }
+
+    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
+        stack_delegate!(self, f => f.drain_impairment_events())
     }
 }
 

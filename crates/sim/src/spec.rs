@@ -25,8 +25,8 @@
 //!
 //! The grammar never uses `/` (it nests inside `//`-separated cell ids)
 //! and is versioned: a binary that meets a `spec:v2:…` world it cannot
-//! parse warns and skips ([`spec_note`]) instead of erroring, mirroring
-//! the fleet/impairment forward-compatibility pattern.
+//! parse notes and skips the line ([`crate::campaign::journal_note`])
+//! instead of erroring, like every other journal form it predates.
 
 use crate::campaign::{CellKey, JournalEntry, STRATEGY_NAMES};
 use crate::faults::FaultSchedule;
@@ -43,9 +43,8 @@ use mmwave_channel::mobility::{Pose, Trajectory};
 use mmwave_dsp::units::{FC_28GHZ, FC_60GHZ};
 use mmwave_phy::chanest::ChannelSounder;
 
-/// The registry parameter [`crate::campaign::build_scenario`] passes to
-/// [`scenario::gnb_rotation`] — a [`WorldSpec::GnbRotation`] at this rate
-/// canonicalizes to the bare registry name.
+/// The gantry rate the bare `gnb-rotation` registry name denotes — a
+/// [`WorldSpec::GnbRotation`] at this rate canonicalizes to that name.
 pub const REGISTRY_GNB_RATE_DEG_S: f64 = 24.0;
 
 /// The registry parameter for [`scenario::outdoor`]'s link distance.
@@ -555,10 +554,10 @@ impl WorldSpec {
         Err(ScenarioError::spec(format!("unknown spec world {body:?}")))
     }
 
-    /// Builds the [`Scenario`] this world denotes, exactly as
-    /// [`crate::campaign::build_scenario`] would for a registry cell:
-    /// curated variants call the library constructor with the cell seed,
-    /// custom variants build declaratively.
+    /// Builds the [`Scenario`] this world denotes (what
+    /// [`crate::campaign::build_scenario`] returns for its id): curated
+    /// variants call the library constructor with the cell seed, custom
+    /// variants build declaratively.
     pub fn build(&self, seed: u64) -> Result<Scenario, ScenarioError> {
         Ok(match self {
             WorldSpec::StaticWalker => scenario::static_walker(),
@@ -573,6 +572,20 @@ impl WorldSpec {
             WorldSpec::Custom(w) => w.build()?,
         })
     }
+}
+
+/// Whether `name` is a bare registry name: one of the nine curated
+/// worlds whose parameters the registry names ([`registry_names`]).
+pub fn is_registry_name(name: &str) -> bool {
+    WorldSpec::parse(name).ok().and_then(|w| w.registry_name()) == Some(name)
+}
+
+/// The registry names, in curated order.
+pub fn registry_names() -> Vec<&'static str> {
+    curated_worlds()
+        .iter()
+        .filter_map(WorldSpec::registry_name)
+        .collect()
 }
 
 /// The eleven curated worlds: every scenario-library constructor (the nine
@@ -898,32 +911,9 @@ impl ScenarioSpec {
     }
 }
 
-/// Compares a journal entry's scenario field against this binary's spec
-/// vocabulary and returns a human-readable caution when the entry uses a
-/// spec form this binary cannot parse (a future `spec:v2:` grammar, a torn
-/// field) — the spec counterpart of [`crate::campaign::impairment_note`]
-/// and [`crate::fleet::fleet_note`]. Replay tooling warns with this note
-/// and skips the line; it never hard-errors on spec forms it predates.
-/// `None` means a non-spec scenario or a fully-understood spec form.
-pub fn spec_note(entry: &JournalEntry) -> Option<String> {
-    if !entry.scenario.starts_with("spec:") {
-        return None;
-    }
-    match WorldSpec::parse(&entry.scenario) {
-        Ok(_) => None,
-        Err(e) => Some(format!(
-            "journal entry scenario {:?} uses a spec form this binary cannot parse ({}); \
-             replay cannot reconstruct the cell",
-            entry.scenario,
-            e.reason()
-        )),
-    }
-}
-
-/// The coarse family of a spec-form scenario id, for once-per-file warning
+/// The coarse family of a spec-form scenario id, for once-per-file note
 /// dedup: the id up to the first field separator (`spec:v2:custom` for
-/// `spec:v2:custom;room=…`). Non-spec scenarios dedup under their full
-/// name (they warn through other notes, if at all).
+/// `spec:v2:custom;room=…`). Other scenarios dedup under their full name.
 pub fn spec_form_family(scenario: &str) -> &str {
     match scenario.find([';', '@']) {
         Some(i) => &scenario[..i],
@@ -934,15 +924,22 @@ pub fn spec_form_family(scenario: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::SCENARIO_NAMES;
 
     #[test]
     fn registry_worlds_serialize_to_bare_names() {
-        for name in SCENARIO_NAMES {
+        let names = registry_names();
+        assert_eq!(names.len(), 9);
+        for name in names {
             let w = WorldSpec::parse(name).expect("registry name parses");
-            assert_eq!(w.id(), *name, "registry world must round-trip to its name");
-            assert!(w.registry_name() == Some(*name));
+            assert_eq!(w.id(), name, "registry world must round-trip to its name");
+            assert!(w.registry_name() == Some(name));
+            assert!(is_registry_name(name));
         }
+        // Spec forms that canonicalize to a registry world are not
+        // themselves registry names.
+        assert!(!is_registry_name("spec:v1:gnb-rotation@24"));
+        assert!(!is_registry_name("spec:v1:mixed-mobility"));
+        assert!(!is_registry_name("no-such-scene"));
     }
 
     #[test]
@@ -1143,25 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_note_warns_once_vocabulary() {
-        let mk = |scenario: &str| JournalEntry {
-            scenario: scenario.to_string(),
-            strategy: "mmreliable".to_string(),
-            seed: 1,
-            fault: "none".to_string(),
-            status: "ok".to_string(),
-            attempts: 1,
-            digest: 0,
-            tick_budget: None,
-            reliability: 1.0,
-            message: String::new(),
-            features: String::new(),
-            impairment: "none".to_string(),
-        };
-        assert!(spec_note(&mk("static-walker")).is_none());
-        assert!(spec_note(&mk("spec:v1:mixed-mobility")).is_none());
-        assert!(spec_note(&mk("spec:v2:custom;room=tardis")).is_some());
-        assert!(spec_note(&mk("spec:v1:garbage")).is_some());
+    fn spec_form_family_groups_by_form() {
         assert_eq!(
             spec_form_family("spec:v2:custom;room=tardis"),
             "spec:v2:custom"

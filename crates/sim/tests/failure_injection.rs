@@ -10,6 +10,7 @@ use mmwave_channel::blockage::{BlockageEvent, BlockageProcess};
 use mmwave_sim::faults::{FaultInjector, FaultKind, FaultSchedule, ProbeLossWindow};
 use mmwave_sim::metrics::RunResult;
 use mmwave_sim::scenario::{self, Scenario};
+use mmwave_sim::SimFrontEnd;
 
 fn mmreliable() -> Box<dyn BeamStrategy> {
     Box::new(MmReliableStrategy::new(MmReliableController::new(

@@ -5,7 +5,7 @@
 use mmwave_sim::campaign::{build_strategy, replay_cell};
 use mmwave_sim::scenario::{self, Scenario};
 use mmwave_sim::spec::{curated_worlds, FleetMixSpec, MixGroup};
-use mmwave_sim::{FaultSchedule, ImpairmentConfig, ScenarioSpec, WorldSpec};
+use mmwave_sim::{FaultSchedule, ImpairmentConfig, ScenarioSpec, SimFrontEnd, WorldSpec};
 use proptest::test_runner::TestRng;
 
 const SEED: u64 = 7;

@@ -138,7 +138,6 @@ pub struct StopWatch(Instant);
 
 impl StopWatch {
     /// Starts (or restarts — just overwrite) the stopwatch.
-    // xtask-allow(determinism-taint): the stopwatch feeds latency histograms and timing fields only; journal digests and fingerprints are computed over simulation outputs, never over these wall-clock readings
     pub fn start() -> Self {
         Self(Instant::now())
     }

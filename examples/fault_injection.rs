@@ -16,7 +16,7 @@ use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmwave_baselines::strategy::MmReliableStrategy;
 use mmwave_sim::scenario;
-use mmwave_sim::{FaultInjector, FaultSchedule, ProbeLossWindow};
+use mmwave_sim::{FaultInjector, FaultSchedule, ProbeLossWindow, SimFrontEnd};
 
 fn main() {
     let loss_prob: f64 = std::env::args()

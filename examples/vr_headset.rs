@@ -16,6 +16,7 @@ use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
 use mmwave_phy::mcs::McsTable;
 use mmwave_sim::scenario;
+use mmwave_sim::SimFrontEnd;
 
 fn main() {
     let mcs = McsTable::nr_table();

@@ -11,6 +11,7 @@ use mmwave_channel::channel::UeReceiver;
 use mmwave_phy::mcs::McsTable;
 use mmwave_sim::metrics::RunResult;
 use mmwave_sim::scenario::{self, Scenario};
+use mmwave_sim::SimFrontEnd;
 
 fn run(sc: &Scenario, seed: u64, mut strategy: Box<dyn BeamStrategy>) -> RunResult {
     let mut sim = sc.simulator(seed);

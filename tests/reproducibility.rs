@@ -10,6 +10,7 @@ use mmwave_channel::sampling::sample_indoor;
 use mmwave_dsp::rng::Rng64;
 use mmwave_sim::runner::run_many;
 use mmwave_sim::scenario;
+use mmwave_sim::SimFrontEnd;
 
 #[test]
 fn identical_seeds_identical_runs() {
