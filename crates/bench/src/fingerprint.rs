@@ -2,7 +2,11 @@
 //!
 //! One seeded `static_walker` run per strategy is hashed (FNV-1a) over
 //! every sample's `(t_s, dur_s, snr_db)` bit pattern and probing flag plus
-//! the probe counters. Two builds with the same fingerprints produce
+//! the probe counters. A third run, [`stack_fingerprint`], takes the
+//! single-beam reactive link through the full front-end stack (the
+//! [`aging_schedule`] of element failures and gain drift over
+//! `ImpairmentConfig::mild`), so the drift and PA kernels are under the
+//! same contract. Two builds with the same fingerprints produce
 //! bit-identical `RunResult`s. The `fingerprint` bin prints them and
 //! `tests/fingerprint.rs` pins them; DESIGN.md §8 records why a pinned
 //! value last moved.
@@ -12,16 +16,20 @@ use mmreliable::controller::MmReliableController;
 use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
-use mmwave_sim::scenario;
-use mmwave_sim::SimFrontEnd;
+use mmwave_sim::{
+    scenario, FaultSchedule, FrontEndStack, ImpairmentConfig, RunResult, SimFrontEnd,
+};
 
 /// Strategies covered, in print order.
 pub const STRATEGIES: [&str; 2] = ["single-beam reactive", "mmReliable"];
 
-/// One strategy's fingerprinted run.
+/// Label of the [`stack_fingerprint`] run.
+pub const STACK_RUN: &str = "single-beam reactive, aging over mild";
+
+/// One fingerprinted run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fingerprint {
-    /// Strategy name, one of [`STRATEGIES`].
+    /// Run label: one of [`STRATEGIES`], or [`STACK_RUN`].
     pub strategy: &'static str,
     /// Samples in the run.
     pub samples: usize,
@@ -36,24 +44,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Runs `strategy` (one of [`STRATEGIES`]) on `static_walker` with seed 42
-/// and hashes the result.
-pub fn fingerprint(strategy: &'static str) -> Fingerprint {
-    let mut s: Box<dyn BeamStrategy> = match strategy {
-        "single-beam reactive" => Box::new(SingleBeamReactive::new(ReactiveConfig::default())),
-        _ => Box::new(MmReliableStrategy::new(MmReliableController::new(
-            MmReliableConfig::paper_default(),
-        ))),
-    };
-    let sc = scenario::static_walker();
-    let mut sim = sc.simulator(42);
-    let r = sim.run_with_warmup(
-        s.as_mut(),
-        sc.duration_s,
-        sc.tick_period_s,
-        sc.name,
-        sc.warmup_s,
-    );
+fn digest(strategy: &'static str, r: &RunResult) -> Fingerprint {
     let mut h = 0xcbf29ce484222325u64;
     for smp in &r.samples {
         fnv1a(&mut h, &smp.t_s.to_bits().to_le_bytes());
@@ -68,4 +59,52 @@ pub fn fingerprint(strategy: &'static str) -> Fingerprint {
         samples: r.samples.len(),
         hash: h,
     }
+}
+
+fn run_static_walker<H: SimFrontEnd>(fe: &mut H, strategy: &mut dyn BeamStrategy) -> RunResult {
+    let sc = scenario::static_walker();
+    fe.run_with_warmup(
+        strategy,
+        sc.duration_s,
+        sc.tick_period_s,
+        sc.name,
+        sc.warmup_s,
+    )
+}
+
+/// Runs `strategy` (one of [`STRATEGIES`]) on `static_walker` with seed 42
+/// and hashes the result.
+pub fn fingerprint(strategy: &'static str) -> Fingerprint {
+    let mut s: Box<dyn BeamStrategy> = match strategy {
+        "single-beam reactive" => Box::new(SingleBeamReactive::new(ReactiveConfig::default())),
+        _ => Box::new(MmReliableStrategy::new(MmReliableController::new(
+            MmReliableConfig::paper_default(),
+        ))),
+    };
+    let mut sim = scenario::static_walker().simulator(42);
+    digest(strategy, &run_static_walker(&mut sim, s.as_mut()))
+}
+
+/// An aging array: elements 3, 17 and 42 dead, every element's gain
+/// drifting ±1.5 dB with a 0.5 s period (fault seed 17). The drift hands
+/// the impairment layer new weights every slot.
+pub fn aging_schedule() -> FaultSchedule {
+    FaultSchedule {
+        seed: 17,
+        failed_elements: vec![3, 17, 42],
+        gain_drift_db: 1.5,
+        gain_drift_period_s: 0.5,
+        ..FaultSchedule::none()
+    }
+}
+
+/// Runs single-beam reactive on `static_walker` with seed 42 through
+/// `FrontEndStack::new(sim, aging_schedule(), ImpairmentConfig::mild(4))`
+/// and hashes the result.
+pub fn stack_fingerprint() -> Fingerprint {
+    let sim = scenario::static_walker().simulator(42);
+    let mut fe = FrontEndStack::new(sim, aging_schedule(), ImpairmentConfig::mild(4))
+        .expect("aging over mild is a valid stack");
+    let mut s = SingleBeamReactive::new(ReactiveConfig::default());
+    digest(STACK_RUN, &run_static_walker(&mut fe, &mut s))
 }

@@ -1,10 +1,11 @@
 //! Pins the fixed-seed run fingerprints (the behaviour contract).
 //!
-//! Any numeric drift in either strategy fails here. An intentional change
-//! re-pins the value in the same commit, with a note in DESIGN.md §8
-//! saying why it moved and which EXPERIMENTS.md rows were re-checked.
+//! Any numeric drift in either strategy, or in the front-end stack,
+//! fails here. An intentional change re-pins the value in the same
+//! commit, with a note in DESIGN.md §8 saying why it moved and which
+//! EXPERIMENTS.md rows were re-checked.
 
-use mmwave_bench::fingerprint::fingerprint;
+use mmwave_bench::fingerprint::{fingerprint, stack_fingerprint};
 
 #[test]
 fn reactive_fingerprint_is_pinned() {
@@ -23,6 +24,20 @@ fn mmreliable_fingerprint_is_pinned() {
     assert_eq!(
         format!("{:016x}", f.hash),
         "7efd71d3fa16c065",
+        "{} samples",
+        f.samples
+    );
+}
+
+#[test]
+fn front_end_stack_fingerprint_is_pinned() {
+    // Reactive through gain drift and element failures over mild
+    // impairments: the drift and PA kernels run on every slot here, and
+    // neither strategy digest above reaches them.
+    let f = stack_fingerprint();
+    assert_eq!(
+        format!("{:016x}", f.hash),
+        "7985fa85194def8e",
         "{} samples",
         f.samples
     );
