@@ -14,7 +14,8 @@
 //! where `c0` is the nearest-neighbour coupling magnitude (e.g. `-20 dB`)
 //! and `d_min` the nearest-neighbour spacing. Entries beyond `radius`
 //! wavelengths are negligible and dropped, leaving a sparse matrix that is
-//! precomputed once at construction and applied allocation-free per slot.
+//! precomputed once at construction, stored row by row, and applied
+//! allocation-free per slot with one accumulator per output element.
 
 use crate::geometry::ArrayGeometry;
 use mmwave_dsp::complex::Complex64;
@@ -25,12 +26,16 @@ use mmwave_hotpath::hot_path;
 /// array is 64 elements; the stack scratch in the impairment layer matches).
 pub const MAX_COUPLED_ELEMENTS: usize = 256;
 
-/// Sparse precomputed mutual-coupling matrix `C = I + off-diagonal terms`.
+/// Sparse precomputed mutual-coupling matrix `C = I + off-diagonal terms`,
+/// stored row by row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MutualCoupling {
     n: usize,
-    /// Off-diagonal entries `(i, j, C[i][j])`, `i ≠ j`.
-    entries: Vec<(u32, u32, Complex64)>,
+    /// Off-diagonal entries `(j, C[i][j])`, `i ≠ j`, grouped by row `i`
+    /// ascending and `j` ascending within a row.
+    entries: Vec<(u32, Complex64)>,
+    /// `row_end[i]`: one past row `i`'s last entry in `entries`.
+    row_end: Vec<u32>,
 }
 
 impl MutualCoupling {
@@ -46,6 +51,7 @@ impl MutualCoupling {
         let c0 = amp_from_db(coupling_db);
         let d_min = geom.spacing_wl().max(1e-9);
         let mut entries = Vec::new();
+        let mut row_end = Vec::with_capacity(n);
         for i in 0..n {
             for j in 0..n {
                 if i == j {
@@ -59,10 +65,15 @@ impl MutualCoupling {
                 }
                 let mag = c0 * d_min / d;
                 let phase = -std::f64::consts::TAU * d;
-                entries.push((i as u32, j as u32, Complex64::from_polar(mag, phase)));
+                entries.push((j as u32, Complex64::from_polar(mag, phase)));
             }
+            row_end.push(entries.len() as u32);
         }
-        Self { n, entries }
+        Self {
+            n,
+            entries,
+            row_end,
+        }
     }
 
     /// Number of array elements the matrix was built for.
@@ -78,13 +89,25 @@ impl MutualCoupling {
     /// Applies `w ← C·w` in place using the caller-provided scratch buffer
     /// (`scratch.len() ≥ w.len()`). Allocation-free: the entry list is
     /// precomputed and the scratch is reused across slots.
+    ///
+    /// Each output element is one row's accumulator: it starts from
+    /// `w[i]` and adds the row's entries in ascending `j`, the same sums
+    /// in the same order as scattering `w[i] += C[i][j]·w[j]` entry by
+    /// entry, so the result is bit-identical to that form.
     #[hot_path]
     pub fn apply_in_place(&self, w: &mut [Complex64], scratch: &mut [Complex64]) {
         debug_assert_eq!(w.len(), self.n);
         let scratch = &mut scratch[..w.len()];
         scratch.copy_from_slice(w);
-        for &(i, j, c) in &self.entries {
-            w[i as usize] += c * scratch[j as usize];
+        let mut start = 0;
+        for (i, &end) in self.row_end.iter().enumerate() {
+            let end = end as usize;
+            let mut acc = scratch[i];
+            for &(j, c) in &self.entries[start..end] {
+                acc += c * scratch[j as usize];
+            }
+            w[i] = acc;
+            start = end;
         }
     }
 }
@@ -116,11 +139,8 @@ mod tests {
         // Element 9 = (1,1) interior: 4 edge + 4 diagonal neighbours within
         // 1 λ at 0.5 λ spacing (plus the straight ±2 neighbours at exactly
         // 1.0 λ). The entry list must contain its 4 nearest neighbours.
-        let nearest: Vec<_> = cpl
-            .entries
-            .iter()
-            .filter(|(i, _, c)| *i == 9 && c.abs() > 0.09)
-            .collect();
+        let row9 = &cpl.entries[cpl.row_end[8] as usize..cpl.row_end[9] as usize];
+        let nearest: Vec<_> = row9.iter().filter(|(_, c)| c.abs() > 0.09).collect();
         assert_eq!(nearest.len(), 4, "4 nearest neighbours at full strength");
         // Perturbation magnitude of a uniform excitation is small but nonzero.
         let mut w = vec![c64(0.125, 0.0); 64];
@@ -131,6 +151,35 @@ mod tests {
             delta > 1e-4 && delta < 0.125,
             "gentle perturbation, got {delta}"
         );
+    }
+
+    #[test]
+    fn row_sums_are_bitwise_the_scattered_updates() {
+        // The row-gathered kernel against `w[i] += C[i][j]·w[j]` applied
+        // entry by entry in (i-major, j-ascending) order.
+        let geom = ArrayGeometry::paper_8x8();
+        let cpl = MutualCoupling::from_geometry(&geom, -30.0, 1.0);
+        let base: Vec<Complex64> = (0..64)
+            .map(|i| c64((i as f64 * 0.7).cos() / 8.0, (i as f64 * 1.3).sin() / 8.0))
+            .collect();
+        let mut want = base.clone();
+        let mut start = 0;
+        for (i, &end) in cpl.row_end.iter().enumerate() {
+            for &(j, c) in &cpl.entries[start..end as usize] {
+                want[i] += c * base[j as usize];
+            }
+            start = end as usize;
+        }
+        let mut got = base.clone();
+        let mut scratch = vec![Complex64::ZERO; 64];
+        cpl.apply_in_place(&mut got, &mut scratch);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (w.re.to_bits(), w.im.to_bits())
+            );
+        }
+        assert_eq!(cpl.num_entries(), 612);
     }
 
     #[test]

@@ -262,8 +262,6 @@ pub fn fig18a(runs: usize) {
         ("reactive", reactive_factory()),
     ];
     let mut csv = String::from("strategy,mean_tput_mbps,rel_mean,tput_drop_pct_vs_unblocked\n");
-    // Unblocked reference: the same static scenario without the walker.
-    let mut reference = f64::NAN;
     for (name, factory) in &entries {
         let blocked = supervised_run_many(
             runs,
@@ -275,6 +273,7 @@ pub fn fig18a(runs: usize) {
             Arc::clone(factory),
         );
         let agg = Aggregate::from_runs(&blocked, &mcs).expect("non-empty batch");
+        // Unblocked reference: the same static scenario without the walker.
         let unblocked = supervised_run_many(
             4,
             1801,
@@ -291,9 +290,6 @@ pub fn fig18a(runs: usize) {
         let unblocked_tput = Aggregate::from_runs(&unblocked, &mcs)
             .expect("non-empty batch")
             .mean_throughput_bps();
-        if name == &"mmReliable" {
-            reference = unblocked_tput;
-        }
         let drop_pct = 100.0 * (1.0 - agg.mean_throughput_bps() / unblocked_tput);
         csv.push_str(&format!(
             "{name},{:.1},{:.4},{:.1}\n",
@@ -307,7 +303,6 @@ pub fn fig18a(runs: usize) {
             drop_pct
         );
     }
-    let _ = reference;
     write_csv("fig18a.csv", &csv).unwrap();
 }
 

@@ -37,7 +37,7 @@ fn front_end_stack_fingerprint_is_pinned() {
     let f = stack_fingerprint();
     assert_eq!(
         format!("{:016x}", f.hash),
-        "7985fa85194def8e",
+        "3c615ef923cd15e8",
         "{} samples",
         f.samples
     );

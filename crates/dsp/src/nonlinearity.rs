@@ -17,7 +17,11 @@
 //! - AM/PM: `φ(a) = φ_max · (a/a_sat)² / (1 + (a/a_sat)²)` — amplitude-
 //!   dependent phase rotation toward `φ_max` at deep saturation.
 //!
-//! Deterministic, allocation-free, applied in place.
+//! [`RappPa::apply`] evaluates both on `r² = (a/a_sat)²`, straight from
+//! `|x|²`: the AM/AM gain `g(a)/a = (1 + (r²)^p)^{-1/(2p)}` needs no
+//! amplitude, and the worst compression of a weight vector is one
+//! `log10` of the smallest gain. Deterministic, allocation-free, applied
+//! in place.
 
 use crate::complex::Complex64;
 use mmwave_hotpath::hot_path;
@@ -80,23 +84,34 @@ impl RappPa {
     /// Applies the PA element-wise in place and returns the worst
     /// per-element compression observed, dB. Allocation-free: the per-slot
     /// weight path runs this on the reused radiated-weight scratch.
+    ///
+    /// Works on `r² = |x|²/a_sat²` so no element needs a square root:
+    /// the AM/AM gain is `f = g(a)/a = (1 + (r²)^p)^{-1/(2p)}`, the AM/PM
+    /// rotation `φ_max·r²/(1 + r²)`, and `x ← x·cis(φ)·f`. The worst
+    /// compression, `-20·log10(min f)`, takes one `log10` per call.
+    /// Matches [`RappPa::am_am`], [`RappPa::am_pm`] and
+    /// [`RappPa::compression_db`] to rounding.
     #[hot_path]
     pub fn apply(&self, w: &mut [Complex64]) -> f64 {
-        let mut worst_db = 0.0f64;
+        let inv_sat2 = 1.0 / (self.a_sat * self.a_sat);
+        let p = self.smoothness;
+        let gain_exp = -1.0 / (2.0 * p);
+        let mut min_gain = 1.0f64;
         for x in w.iter_mut() {
-            let a = x.abs();
-            if a <= 0.0 {
+            let r2 = x.norm_sqr() * inv_sat2;
+            if r2 <= 0.0 {
                 continue;
             }
-            let g = self.am_am(a);
-            let dphi = self.am_pm(a);
-            *x *= Complex64::cis(dphi).scale(g / a);
-            let c_db = crate::units::db_from_pow((a / g) * (a / g));
-            if c_db > worst_db {
-                worst_db = c_db;
-            }
+            let f = (1.0 + r2.powf(p)).powf(gain_exp);
+            let dphi = self.am_pm_max_rad * r2 / (1.0 + r2);
+            *x *= Complex64::cis(dphi).scale(f);
+            min_gain = min_gain.min(f);
         }
-        worst_db
+        if min_gain < 1.0 {
+            -20.0 * min_gain.log10()
+        } else {
+            0.0
+        }
     }
 }
 
@@ -150,6 +165,53 @@ mod tests {
         assert!(w[1].abs() < 0.5 * 0.75);
         // Phase rotated on the hot element.
         assert!(w[1].arg().abs() > 1e-3);
+    }
+
+    #[test]
+    fn apply_matches_the_reference_formulas() {
+        // |x| log-swept over [1e-6, 10]·a_sat with random phases, for three
+        // knee sharpnesses: apply's |x|² form against am_am/am_pm, and its
+        // one-log10 worst compression against the max of compression_db.
+        let mut rng = crate::rng::Rng64::seed(21);
+        for p in [2.0, 3.0, 4.5] {
+            let pa = RappPa::with_backoff(0.125, 3.0, p, 5.0);
+            let mut w: Vec<Complex64> = (0..=700)
+                .map(|i| {
+                    let a = pa.a_sat * 10f64.powf(-6.0 + i as f64 / 100.0);
+                    rng.random_phasor().scale(a)
+                })
+                .collect();
+            let input = w.clone();
+            let worst = pa.apply(&mut w);
+            let mut worst_ref = 0.0f64;
+            for (x, y) in input.iter().zip(&w) {
+                let a = x.abs();
+                let want = x.scale(pa.am_am(a) / a) * Complex64::cis(pa.am_pm(a));
+                let err = (*y - want).abs() / want.abs();
+                assert!(err <= 1e-13, "p {p}, |x|/a_sat {}: {err:e}", a / pa.a_sat);
+                worst_ref = worst_ref.max(pa.compression_db(a));
+            }
+            assert!(
+                (worst - worst_ref).abs() <= 1e-12,
+                "p {p}: worst {worst} vs {worst_ref}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_leaves_zero_elements_exactly_zero() {
+        let pa = pa();
+        let mut w = [Complex64::ZERO, c64(-0.0, -0.0), c64(0.0, -0.0)];
+        assert_eq!(pa.apply(&mut w).to_bits(), 0.0f64.to_bits());
+        for (y, x) in w
+            .iter()
+            .zip([Complex64::ZERO, c64(-0.0, -0.0), c64(0.0, -0.0)])
+        {
+            assert_eq!(
+                (y.re.to_bits(), y.im.to_bits()),
+                (x.re.to_bits(), x.im.to_bits())
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! Every injected fault is recorded as a typed [`FaultEvent`]; the run
 //! loop drains them into the per-run [`crate::metrics::RunResult`] event
 //! log next to the controller's lifecycle transitions.
+//!
+//! Gain drift scales element `i` by `10^{G·sin(ωt + φᵢ)/20}` on every
+//! radiated beam, data slots included, so it is on the per-slot path.
+//! It is evaluated by angle addition: construction stores each element's
+//! `(κ·cos φᵢ, κ·sin φᵢ)` with `κ = G·ln10/20`, and a call takes one
+//! `(ωt).sin_cos()` and one `exp` per element.
 
 use crate::scenario::ScenarioError;
 use crate::simulator::{LinkSimulator, SimFrontEnd};
@@ -313,7 +319,9 @@ pub struct FaultInjector<F> {
     schedule: FaultSchedule,
     rng: Rng64,
     last_obs: Option<ProbeObservation>,
-    drift_phase: Vec<f64>,
+    /// Per-element drift lane `(κ·cos φᵢ, κ·sin φᵢ)`, `κ = G·ln10/20`
+    /// (empty when drift is disabled).
+    drift_lanes: Vec<(f64, f64)>,
     events: Vec<FaultEvent>,
     static_faults_logged: bool,
 }
@@ -328,9 +336,13 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         schedule.validate().map_err(ScenarioError::fault)?;
         let mut rng = Rng64::seed(schedule.seed ^ 0xFA17_FA17_FA17_FA17);
         let n = inner.geometry().num_elements();
-        let drift_phase = if schedule.gain_drift_db > 0.0 {
+        let drift_lanes = if schedule.gain_drift_db > 0.0 {
+            let kappa = schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
             (0..n)
-                .map(|_| rng.uniform_in(0.0, std::f64::consts::TAU))
+                .map(|_| {
+                    let (s, c) = rng.uniform_in(0.0, std::f64::consts::TAU).sin_cos();
+                    (kappa * c, kappa * s)
+                })
                 .collect()
         } else {
             Vec::new()
@@ -340,7 +352,7 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
             schedule,
             rng,
             last_obs: None,
-            drift_phase,
+            drift_lanes,
             events: Vec::new(),
             static_faults_logged: false,
         })
@@ -391,12 +403,15 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         }
         let v = w.as_mut_slice();
         if self.schedule.gain_drift_db > 0.0 {
+            // Amplitude 10^(G·sin(ωt + φᵢ)/20) by angle addition: one
+            // `sin_cos` per call, one `exp` per element.
             let t = self.inner.now_s();
             let omega = std::f64::consts::TAU / self.schedule.gain_drift_period_s;
+            let (sin_wt, cos_wt) = (omega * t).sin_cos();
+            let kappa = self.schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
             for (i, x) in v.iter_mut().enumerate() {
-                let phase = self.drift_phase.get(i).copied().unwrap_or(0.0);
-                let g_db = self.schedule.gain_drift_db * (omega * t + phase).sin();
-                *x = x.scale(pow_from_db(g_db).sqrt());
+                let (kc, ks) = self.drift_lanes.get(i).copied().unwrap_or((kappa, 0.0));
+                *x = x.scale((sin_wt * kc + cos_wt * ks).exp());
             }
         }
         for &i in &self.schedule.failed_elements {
@@ -689,6 +704,46 @@ mod tests {
         fe.inner_mut().wait(0.1);
         let fw2 = fe.faulted_weights(&w);
         assert_ne!(fw.as_slice()[0], fw2.as_slice()[0]);
+    }
+
+    #[test]
+    fn drift_lanes_match_the_sin_powf_sqrt_form() {
+        // The angle-addition scale exp(sin ωt·κcos φ + cos ωt·κsin φ)
+        // against the direct sqrt(pow_from_db(G·sin(ωt + φ))), with the
+        // per-element phases redrawn in the injector's RNG order.
+        let mut clock = Rng64::seed(2026);
+        let mut worst = 0.0f64;
+        for (k, g_db) in [0.5, 1.5, 3.0].into_iter().enumerate() {
+            for (m, period_s) in [0.2, 0.5, 1.0].into_iter().enumerate() {
+                let seed = 100 + (3 * k + m) as u64;
+                let sched = FaultSchedule {
+                    seed,
+                    gain_drift_db: g_db,
+                    gain_drift_period_s: period_s,
+                    ..FaultSchedule::none()
+                };
+                let mut fe = FaultInjector::new(frozen_fe(6), sched).unwrap();
+                let n = fe.geometry().num_elements();
+                assert_eq!(n, 64);
+                let mut draws = Rng64::seed(seed ^ 0xFA17_FA17_FA17_FA17);
+                let phases: Vec<f64> = (0..n)
+                    .map(|_| draws.uniform_in(0.0, std::f64::consts::TAU))
+                    .collect();
+                let ones = BeamWeights::from_vec(vec![Complex64::ONE; n]);
+                let omega = std::f64::consts::TAU / period_s;
+                while fe.now_s() <= 10.0 {
+                    let t = fe.now_s();
+                    let got = fe.faulted_weights(&ones);
+                    for (x, &phase) in got.as_slice().iter().zip(&phases) {
+                        let want = pow_from_db(g_db * (omega * t + phase).sin()).sqrt();
+                        assert_eq!(x.im, 0.0);
+                        worst = worst.max((x.re - want).abs() / want);
+                    }
+                    fe.inner_mut().wait(clock.uniform_in(0.0, 0.05));
+                }
+            }
+        }
+        assert!(worst <= 1e-13, "worst relative error {worst:e}");
     }
 
     #[test]

@@ -554,6 +554,16 @@ impl WorldSpec {
         Err(ScenarioError::spec(format!("unknown spec world {body:?}")))
     }
 
+    /// Checks that [`WorldSpec::build`] will succeed, without building:
+    /// only a custom world can be invalid (the curated constructors
+    /// cannot fail).
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        match self {
+            WorldSpec::Custom(w) => w.validate(),
+            _ => Ok(()),
+        }
+    }
+
     /// Builds the [`Scenario`] this world denotes (what
     /// [`crate::campaign::build_scenario`] returns for its id): curated
     /// variants call the library constructor with the cell seed, custom
@@ -737,12 +747,12 @@ impl ScenarioSpec {
         }
     }
 
-    /// Validates the spec end to end: the world builds, the strategy is
-    /// known, schedules validate, and fleet specs use a registry base
+    /// Validates the spec end to end without building its world: the
+    /// world is valid ([`WorldSpec::validate`]), the strategy is known, schedules validate, and fleet specs use a registry base
     /// world (the `fleet:{base}:{n}` journal form cannot carry a world id
     /// that itself contains `:`).
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.world.build(self.seed)?;
+        self.world.validate()?;
         if !STRATEGY_NAMES.contains(&self.strategy.as_str()) {
             return Err(ScenarioError::spec(format!(
                 "unknown strategy {:?} (known: {STRATEGY_NAMES:?})",
@@ -1110,6 +1120,25 @@ mod tests {
             // Every curated id parses back to the same world.
             assert_eq!(&WorldSpec::parse(&w.id()).unwrap(), w);
         }
+    }
+
+    #[test]
+    fn world_validation_agrees_with_build() {
+        for w in curated_worlds() {
+            assert!(w.validate().is_ok() && w.build(3).is_ok(), "{}", w.id());
+        }
+        let bad = WorldSpec::Custom(CustomWorld {
+            room: RoomKind::Conference,
+            max_bounces: 1,
+            duration_s: 20.0,
+            traj: TrajSpec::Rotation { rate_deg_s: 5.0 },
+            blockers: Vec::new(),
+        });
+        assert!(bad.build(3).is_err());
+        let err = bad.validate().expect_err("20 s custom world is invalid");
+        assert!(err.to_string().contains("duration"), "{err}");
+        let spec = ScenarioSpec::single(bad, "single-beam-reactive", 3);
+        assert!(spec.validate().is_err(), "a spec rejects its invalid world");
     }
 
     #[test]

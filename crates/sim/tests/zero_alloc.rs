@@ -341,6 +341,64 @@ fn impaired_memo_hits_and_misses_do_not_allocate() {
     }
 }
 
+/// The drift lane: gain drift over mild impairments through
+/// [`FrontEndStack::Both`]. Drift hands the impairment layer new weights on
+/// every slot, so every slot misses the memo and runs the drift, PA,
+/// mismatch and coupling kernels in full, still without allocating.
+#[test]
+fn drift_lane_stack_slots_do_not_allocate() {
+    use mmwave_sim::{FaultSchedule, FrontEndStack, ImpairmentConfig};
+
+    // Elements 3/17/42 dead, ±1.5 dB drift with a 0.5 s period.
+    let aging = FaultSchedule {
+        seed: 17,
+        failed_elements: vec![3, 17, 42],
+        gain_drift_db: 1.5,
+        gain_drift_period_s: 0.5,
+        ..FaultSchedule::none()
+    };
+    let mut fe =
+        FrontEndStack::new(static_sim(11), aging, ImpairmentConfig::mild(4)).expect("valid stack");
+    assert!(matches!(fe, FrontEndStack::Both(_)));
+    let mut strategy = SingleBeamReactive::new(Default::default());
+    let _ = fe.run(&mut strategy, 0.05, 20e-3, "warmup");
+
+    let n = fe.sim().geom.num_elements();
+    let mut w_data = BeamWeights::muted(n);
+    let mut w_rad = BeamWeights::muted(n);
+    let mut previous = BeamWeights::muted(n);
+    let slot_s = fe.sim().slot_s;
+    for _ in 0..8 {
+        strategy.observe_truth(fe.sim_mut().channel_now());
+        strategy.weights_into(&mut w_data);
+        fe.radiated_weights_into(&w_data, &mut previous);
+        fe.sim_mut().wait(slot_s);
+    }
+
+    let before = allocation_count();
+    let mut acc = 0.0f64;
+    let mut changed = 0usize;
+    for _ in 0..1000 {
+        strategy.observe_truth(fe.sim_mut().channel_now());
+        strategy.weights_into(&mut w_data);
+        fe.radiated_weights_into(&w_data, &mut w_rad);
+        changed += usize::from(w_rad != previous);
+        previous.copy_from(&w_rad);
+        acc += fe.sim_mut().true_snr_db(&w_rad);
+        fe.sim_mut().wait(slot_s);
+    }
+    let delta = allocation_count() - before;
+    assert_eq!(
+        delta, 0,
+        "drift-lane slots allocated {delta} times over 1000 slots"
+    );
+    assert_eq!(
+        changed, 1000,
+        "drift must change the radiated weights every slot"
+    );
+    assert!(acc / 1000.0 > 10.0, "mean snr {}", acc / 1000.0);
+}
+
 /// mmReliable's data plane: between maintenance ticks a slot reads the
 /// controller's cached multi-beam weights and runs the same snapshot
 /// readers as the baseline, allocation-free.

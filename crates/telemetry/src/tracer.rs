@@ -214,7 +214,7 @@ impl Tracer {
     }
 
     /// Emit a non-slot event (round, probe, lifecycle, decision).
-    /// Callers building heap payloads should gate on [`wants_events`]
+    /// Callers building heap payloads should gate on [`Self::wants_events`]
     /// first; this method re-checks and drops otherwise.
     pub fn event(&self, ev: TraceEvent) {
         let Some(shared) = self.inner.as_ref() else {

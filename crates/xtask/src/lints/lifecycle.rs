@@ -4,7 +4,7 @@
 //! PR 1's state machine routes every link-state change through one
 //! decision point so the transition log is a complete, ordered record of
 //! the link's history. That collapses the moment any other module builds
-//! a [`Transition`] value by hand — the log would contain entries the
+//! a `Transition` value by hand — the log would contain entries the
 //! state machine never decided. This pass forbids `Transition { … }`
 //! struct literals everywhere except:
 //!
@@ -20,7 +20,7 @@
 //! `StateHandler::pass` (crates/core/src/statehandler.rs), which is the
 //! sole site that converts queued intents into `LinkSignal`s. Any other
 //! module spelling `LinkSignal` outside `crates/core/src/` is driving a
-//! lifecycle machine directly instead of queueing an [`Intent`] — the
+//! lifecycle machine directly instead of queueing an `Intent` — the
 //! exact back door the StateHandler/IO split closes. Core itself (the
 //! state machine, the single-link controller, the handler) is the
 //! allowed writer set; tests are exempt as above.
