@@ -3,10 +3,9 @@
 //! One seeded `static_walker` run per strategy is hashed (FNV-1a) over
 //! every sample's `(t_s, dur_s, snr_db)` bit pattern and probing flag plus
 //! the probe counters. A third run, [`stack_fingerprint`], takes the
-//! single-beam reactive link through the full front-end stack (the
-//! [`aging_schedule`] of element failures and gain drift over
-//! `ImpairmentConfig::mild`), so the drift and PA kernels are under the
-//! same contract. Two builds with the same fingerprints produce
+//! single-beam reactive link through the full front-end stack (element
+//! failures and gain drift over `ImpairmentConfig::mild`), so the drift
+//! and PA kernels are under the same contract. Two builds with the same fingerprints produce
 //! bit-identical `RunResult`s. The `fingerprint` bin prints them and
 //! `tests/fingerprint.rs` pins them; DESIGN.md §8 records why a pinned
 //! value last moved.
@@ -88,7 +87,7 @@ pub fn fingerprint(strategy: &'static str) -> Fingerprint {
 /// An aging array: elements 3, 17 and 42 dead, every element's gain
 /// drifting ±1.5 dB with a 0.5 s period (fault seed 17). The drift hands
 /// the impairment layer new weights every slot.
-pub fn aging_schedule() -> FaultSchedule {
+fn aging_schedule() -> FaultSchedule {
     FaultSchedule {
         seed: 17,
         failed_elements: vec![3, 17, 42],
@@ -99,8 +98,9 @@ pub fn aging_schedule() -> FaultSchedule {
 }
 
 /// Runs single-beam reactive on `static_walker` with seed 42 through
-/// `FrontEndStack::new(sim, aging_schedule(), ImpairmentConfig::mild(4))`
-/// and hashes the result.
+/// `FrontEndStack::new(sim, aging, ImpairmentConfig::mild(4))`, `aging`
+/// failing elements 3/17/42 and drifting every gain ±1.5 dB with a 0.5 s
+/// period (fault seed 17), and hashes the result.
 pub fn stack_fingerprint() -> Fingerprint {
     let sim = scenario::static_walker().simulator(42);
     let mut fe = FrontEndStack::new(sim, aging_schedule(), ImpairmentConfig::mild(4))

@@ -403,8 +403,7 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         }
         let v = w.as_mut_slice();
         if self.schedule.gain_drift_db > 0.0 {
-            // Amplitude 10^(G·sin(ωt + φᵢ)/20) by angle addition: one
-            // `sin_cos` per call, one `exp` per element.
+            // 10^(G·sin(ωt + φᵢ)/20) by angle addition (module docs).
             let t = self.inner.now_s();
             let omega = std::f64::consts::TAU / self.schedule.gain_drift_period_s;
             let (sin_wt, cos_wt) = (omega * t).sin_cos();
