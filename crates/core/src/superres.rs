@@ -30,6 +30,30 @@
 //! the fixed phasor `e^{j2πfᵢδ}`, so the sweep evaluates no trig at all.
 //! α is a K×K triangular solve and the residual is closed-form,
 //! `‖y − Sα‖² = ‖y‖² − 2Re(αᴴb) + αᴴGα`.
+//!
+//! The K anchors share one walk. Anchor `a` sweeps `τ₀ = τ̂ − Δτ_a + t`
+//! around the coarse peak `τ̂`, so its `b_k = Σᵢ yᵢ·e^{j2πfᵢ(Δτ_k − Δτ_a)}·qᵢ`
+//! with the anchor-free phasors `qᵢ = e^{j2πfᵢ(τ̂ + t)}`. The K diagonal
+//! terms (k = a) are the same series `Σᵢ yᵢ·qᵢ`, so a step costs one `q`
+//! advance and K²−K+1 correlations (rows `d_ka = c_k ∘ conj(e_a)` built
+//! once per fit) instead of K advances and K². The sweep's winner is
+//! re-scored with exact phasors, so the outputs depend on the sweep only
+//! through the position of its first minimum in anchor-major order.
+//!
+//! **Screened jitter trials.** A relative-delay trial `Δτ_k + j` needs M
+//! `cis` for its row. The jitter pass first scores the row
+//! `e_k ∘ J_j`, with `J_j = e^{j2πfᵢj}` cached per comb, and builds the
+//! exact row only when that screened residual is below
+//! `best + SCREEN_TOL·‖y‖²`; the trial then commits on its exact residual.
+//! The two rows differ by a few ulps of the phase, at most about `A·ε` per
+//! entry with `A = 1 + max|2πfᵢ|·(max|Δτ| + max|j|)` (rad). Carried
+//! through `G + λM·I`, whose eigenvalues lie in `[λM, (K+λ)M]` so that
+//! κ ≤ (K+λ)/λ, this moves the residual by about `M·A·ε·κ·‖y‖²`:
+//! 264 · 2.2·10⁻¹⁶ · (4 + 10⁻³)/10⁻³ ≈ 2.3·10⁻¹⁰·A·‖y‖² at K = 4 and the
+//! default λ = 10⁻³. Every trial whose exact residual beats the best is
+//! therefore confirmed, and the pass decides exactly as the unscreened one.
+//! The screen runs only while this estimate stays `SCREEN_HEADROOM` times
+//! below the tolerance (never at λ = 0, where κ is unbounded).
 
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::FftScratch;
@@ -136,11 +160,24 @@ impl Lanes {
         }
     }
 
-    /// Appends `yᵢ·xᵢ` for the row `x`.
-    fn extend_product(&mut self, y: &[Complex64], (xr, xi): (&[f64], &[f64])) {
-        self.reserve(y.len());
-        for ((&yi, &r), &i) in y.iter().zip(xr).zip(xi) {
-            self.push(yi * Complex64::new(r, i));
+    /// Appends the row `x`.
+    fn extend_row(&mut self, (xr, xi): (&[f64], &[f64])) {
+        self.reserve(xr.len());
+        self.re.extend_from_slice(xr);
+        self.im.extend_from_slice(xi);
+    }
+
+    /// Appends `xᵢ·zᵢ` (or `xᵢ·zᵢ*` when `CONJ_Z`) for the rows `x`, `z`,
+    /// rounded as [`Complex64`]'s product.
+    fn extend_product<const CONJ_Z: bool>(
+        &mut self,
+        (xr, xi): (&[f64], &[f64]),
+        (zr, zi): (&[f64], &[f64]),
+    ) {
+        self.reserve(xr.len());
+        for ((&a, &b), (&r, &i)) in xr.iter().zip(xi).zip(zr.iter().zip(zi)) {
+            let z = Complex64::new(r, i);
+            self.push(Complex64::new(a, b) * if CONJ_Z { z.conj() } else { z });
         }
     }
 
@@ -263,6 +300,74 @@ impl NormalEquations {
     }
 }
 
+/// Screened jitter trials are confirmed exactly while their residual is
+/// below `best + SCREEN_TOL·‖y‖²` (module docs).
+const SCREEN_TOL: f64 = 1e-6;
+
+/// How far the screen's error estimate must stay below [`SCREEN_TOL`] for
+/// the screen to run.
+const SCREEN_HEADROOM: f64 = 16.0;
+
+/// Whether the screen's error estimate `M·A·ε·κ` (module docs) for the
+/// comb `w`, the delays `rel` and the jitter offsets stays
+/// [`SCREEN_HEADROOM`] times below [`SCREEN_TOL`]. False at λ = 0, where
+/// κ is unbounded, and for an infinite phase scale.
+fn screen_is_sound(w: &[f64], rel: &[f64], jitter_ns: &[f64], lambda: f64) -> bool {
+    let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let phase = 1.0 + max_abs(w) * (max_abs(rel) + max_abs(jitter_ns));
+    let kappa = (rel.len() as f64 + lambda) / lambda;
+    w.len() as f64 * phase * f64::EPSILON * kappa * SCREEN_HEADROOM <= SCREEN_TOL
+}
+
+/// Whether the bulk-delay walk's candidate `(residual, anchor)` replaces
+/// the best so far. The walk visits the candidates step by step, all
+/// anchors per step, so a tie goes to the lower anchor: the winner is then
+/// the first minimum of an anchor-by-anchor scan with a strict `<`.
+fn replaces((best, best_anchor): (f64, usize), (residual, anchor): (f64, usize)) -> bool {
+    residual < best || (residual == best && anchor < best_anchor)
+}
+
+/// Phasor rows that depend only on the sounded comb and the configuration,
+/// so every fit of a run needs the same ones. They are rebuilt only when
+/// their key (`w`, the step and the jitter offsets, compared bit for bit)
+/// changes.
+#[derive(Clone, Debug, Default)]
+struct CombRows {
+    w: Vec<f64>,
+    step_ns: f64,
+    jitter_ns: Vec<f64>,
+    /// Per-step advance `e^{j2πfᵢδ}` of the bulk-delay walk.
+    u: Lanes,
+    /// `J_j = e^{j2πfᵢj}`, one row per jitter offset.
+    jitter: Lanes,
+}
+
+impl CombRows {
+    fn refresh(&mut self, w: &[f64], step_ns: f64, jitter_ns: &[f64]) {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        if same(&self.w, w)
+            && self.step_ns.to_bits() == step_ns.to_bits()
+            && same(&self.jitter_ns, jitter_ns)
+        {
+            return;
+        }
+        self.w.clear();
+        self.w.extend_from_slice(w);
+        self.step_ns = step_ns;
+        self.jitter_ns.clear();
+        self.jitter_ns.extend_from_slice(jitter_ns);
+        self.u.clear();
+        self.u.extend_phasors(w, step_ns);
+        self.jitter.clear();
+        self.jitter.reserve(jitter_ns.len() * w.len());
+        for &j in jitter_ns {
+            self.jitter.extend_phasors(w, j);
+        }
+    }
+}
+
 /// Reusable state of [`estimate_per_beam_with`]: every buffer the fit
 /// needs, sized on first use and reused thereafter, so a warmed scratch
 /// makes the fit allocation-free apart from its owned outputs.
@@ -273,19 +378,28 @@ pub struct SuperResScratch {
     fft: FftScratch,
     /// `2π·fᵢ` in rad/ns per sounded subcarrier.
     w: Vec<f64>,
+    /// The probe's CSI `y`.
+    y: Lanes,
     /// Rows `e_k = e^{j2πfᵢΔτ_k}` of the current delay set.
     e: Lanes,
     /// Rows `c_k = yᵢ·e^{j2πfᵢΔτ_k}`.
     c: Lanes,
     normal: NormalEquations,
+    /// Rows `d_ka = c_k ∘ conj(e_a)` of the shared walk, anchor-major and
+    /// beam-minor, skipping `k = a`.
+    d: Lanes,
+    /// Row `e_k` of the beam whose jitter trials are being screened, as it
+    /// was before any of them committed.
+    nominal: Lanes,
     /// One jitter trial's replacement `e`/`c` rows and the normal
     /// equations of the trial delay set.
     trial_e: Lanes,
     trial_c: Lanes,
     trial: NormalEquations,
-    /// Bulk-delay phasors `e^{j2πfᵢτ₀}` and the per-step advance.
+    /// Bulk-delay phasors: the shared walk `e^{j2πfᵢ(τ̂+t)}` during the
+    /// sweep, then the exact `e^{j2πfᵢτ₀}` of its winner.
     p: Lanes,
-    u: Lanes,
+    comb: CombRows,
     /// Correlation `b = Sᴴy` of the current candidate, and of the current
     /// delay set at the chosen τ₀.
     b: Vec<Complex64>,
@@ -297,6 +411,20 @@ pub struct SuperResScratch {
 }
 
 impl SuperResScratch {
+    /// Loads the probe's comb and CSI and the given relative delays.
+    fn load_probe(&mut self, obs: &ProbeObservation, rel_delays_ns: &[f64]) {
+        self.w.clear();
+        self.w
+            .extend(obs.freqs_hz.iter().map(|&f| 2.0 * PI * f * 1e-9));
+        self.y.clear();
+        self.y.reserve(obs.csi.len());
+        for &v in &obs.csi {
+            self.y.push(v);
+        }
+        self.rel.clear();
+        self.rel.extend_from_slice(rel_delays_ns);
+    }
+
     /// Sets `p` to the exact phasors of bulk delay `tau0_ns`.
     fn seed_phasors(&mut self, tau0_ns: f64) {
         self.p.clear();
@@ -314,14 +442,15 @@ impl SuperResScratch {
 
     /// Loads the delay set `self.rel`: phasor rows, correlations with `y`,
     /// the Gram and its factor.
-    fn load_delay_set(&mut self, y: &[Complex64], ridge: f64) {
-        let m = y.len();
+    fn load_delay_set(&mut self, ridge: f64) {
+        let m = self.w.len();
         let n = self.rel.len();
         self.e.clear();
         self.c.clear();
         for (k, &d) in self.rel.iter().enumerate() {
             self.e.extend_phasors(&self.w, d);
-            self.c.extend_product(y, self.e.row(k, m));
+            self.c
+                .extend_product::<false>(self.y.all(), self.e.row(k, m));
         }
         let g = &mut self.normal.gram;
         g.reset(n, n);
@@ -339,13 +468,30 @@ impl SuperResScratch {
     /// Builds the trial delay set with beam `k` moved to `delay_ns` (its
     /// rows in `trial_e`/`trial_c`, its normal equations in `trial`) and
     /// the trial correlation in `b`.
-    fn load_trial(&mut self, y: &[Complex64], k: usize, delay_ns: f64, ridge: f64) {
-        let m = y.len();
-        let n = self.rel.len();
+    fn load_trial(&mut self, k: usize, delay_ns: f64, ridge: f64) {
         self.trial_e.clear();
         self.trial_e.extend_phasors(&self.w, delay_ns);
+        self.finish_trial(k, ridge);
+    }
+
+    /// [`Self::load_trial`] for the delay `nominal + j` of the `jitter`-th
+    /// offset, with the row screened as `nominal ∘ J_j` instead of
+    /// evaluated.
+    fn load_screened_trial(&mut self, k: usize, jitter: usize, ridge: f64) {
+        let m = self.w.len();
+        self.trial_e.clear();
+        self.trial_e
+            .extend_product::<false>(self.nominal.all(), self.comb.jitter.row(jitter, m));
+        self.finish_trial(k, ridge);
+    }
+
+    /// Completes a trial whose row `e_k` is in `trial_e`.
+    fn finish_trial(&mut self, k: usize, ridge: f64) {
+        let m = self.w.len();
+        let n = self.rel.len();
         self.trial_c.clear();
-        self.trial_c.extend_product(y, self.trial_e.all());
+        self.trial_c
+            .extend_product::<false>(self.y.all(), self.trial_e.all());
         let g = &mut self.trial.gram;
         g.reset(n, n);
         debug_assert!(k < n && self.b_best.len() == n);
@@ -389,6 +535,117 @@ impl SuperResScratch {
         self.alpha_best.clear();
         self.alpha_best.extend_from_slice(&self.alpha);
     }
+
+    /// Sweeps τ₀ = `peak_ns − Δτ_a + t·tap_ns` for every anchor `a` and
+    /// `t` stepping over ± `tau0_search_taps`, all anchors on one walk
+    /// (module docs), and returns the τ₀ of the first minimum residual in
+    /// anchor-major order (`peak_ns` when the span is empty).
+    fn sweep_bulk_delay(
+        &mut self,
+        peak_ns: f64,
+        tap_ns: f64,
+        cfg: &SuperResConfig,
+        y_energy: f64,
+    ) -> f64 {
+        let m = self.w.len();
+        let n = self.rel.len();
+        debug_assert!(self.e.re.len() == n * m && self.c.re.len() == n * m);
+        self.d.clear();
+        self.d.reserve(n * (n - 1) * m);
+        for a in 0..n {
+            for k in (0..n).filter(|&k| k != a) {
+                self.d
+                    .extend_product::<true>(self.c.row(k, m), self.e.row(a, m));
+            }
+        }
+        let mut best: Option<(f64, usize, f64)> = None;
+        let mut t = -cfg.tau0_search_taps;
+        self.seed_phasors(peak_ns + t * tap_ns);
+        while t <= cfg.tau0_search_taps {
+            let diagonal = dot::<false>(self.y.all(), self.p.all());
+            let mut row = 0;
+            for a in 0..n {
+                self.b.clear();
+                for k in 0..n {
+                    if k == a {
+                        self.b.push(diagonal);
+                    } else {
+                        self.b.push(dot::<false>(self.d.row(row, m), self.p.all()));
+                        row += 1;
+                    }
+                }
+                let residual = self
+                    .normal
+                    .solve_and_score(&self.b, y_energy, &mut self.alpha);
+                if best.is_none_or(|(r, anchor, _)| replaces((r, anchor), (residual, a))) {
+                    best = Some((residual, a, t));
+                }
+            }
+            self.p.advance(&self.comb.u);
+            t += cfg.tau0_step_taps;
+        }
+        best.map_or(peak_ns, |(_, a, t)| {
+            let coarse_ns = peak_ns - self.rel[a];
+            coarse_ns + t * tap_ns
+        })
+    }
+
+    /// Greedy per-beam relative-ToF refinement from the re-scored sweep
+    /// winner (residual `best_residual`, loaded by [`Self::keep_best`]):
+    /// tries each jitter offset on each non-reference beam's delay, keeps
+    /// strict improvements and returns the final residual. Where
+    /// [`screen_is_sound`], a trial is first scored on its screened row
+    /// (module docs).
+    fn refine_jitter(
+        &mut self,
+        mut best_residual: f64,
+        y_energy: f64,
+        cfg: &SuperResConfig,
+    ) -> f64 {
+        let m = self.w.len();
+        let jitter_ns = &cfg.jitter_ns;
+        debug_assert!(
+            self.e.re.len() == self.rel.len() * m
+                && self.comb.jitter.re.len() == jitter_ns.len() * m
+        );
+        let ridge = cfg.lambda * m as f64;
+        let screen = screen_is_sound(&self.w, &self.rel, jitter_ns, cfg.lambda);
+        let tol = SCREEN_TOL * y_energy;
+        for k in 1..self.rel.len() {
+            let nominal = self.rel[k];
+            if screen {
+                self.nominal.clear();
+                self.nominal.extend_row(self.e.row(k, m));
+            }
+            for (i, &j) in jitter_ns.iter().enumerate() {
+                let delay_ns = nominal + j;
+                // The delay in use rebuilds the current normal equations
+                // and correlation bit for bit (see `finish_trial`), so its
+                // residual equals `best_residual` and cannot beat it.
+                if delay_ns.to_bits() == self.rel[k].to_bits() {
+                    continue;
+                }
+                if screen {
+                    self.load_screened_trial(k, i, ridge);
+                    let screened = self
+                        .trial
+                        .solve_and_score(&self.b, y_energy, &mut self.alpha);
+                    if screened >= best_residual + tol {
+                        continue;
+                    }
+                }
+                self.load_trial(k, delay_ns, ridge);
+                let residual = self
+                    .trial
+                    .solve_and_score(&self.b, y_energy, &mut self.alpha);
+                if residual < best_residual {
+                    best_residual = residual;
+                    self.commit_trial(k, delay_ns);
+                }
+            }
+        }
+        best_residual
+    }
 }
 
 /// Decomposes one multi-beam probe into per-beam complex amplitudes, given
@@ -408,9 +665,16 @@ pub fn estimate_per_beam(
 ///
 /// Search: the coarse CIR peak is anchored to each beam in turn and the
 /// bulk delay τ₀ is swept ± `tau0_search_taps` around it (one Gram factor
-/// serves all anchors); the winner is re-scored with exact phasors, and a
-/// greedy pass then tries each jitter offset on each non-reference beam's
-/// relative delay, keeping strict improvements.
+/// and one phasor walk serve all anchors); the winner is re-scored with
+/// exact phasors, and a greedy pass then tries each jitter offset on each
+/// non-reference beam's relative delay, keeping strict improvements.
+///
+/// # Panics
+///
+/// Without delays, with fewer subcarriers than beams, with a negative λ,
+/// or with a bulk-delay step that is not finite and positive, or is below
+/// one ulp of the search span, or a search span that is not finite (each
+/// would never end the sweep).
 // xtask-allow(hot-path-closure): the per-beam decomposition owns its outputs (amplitudes, powers, delays) by contract; it runs per probe on the maintenance cadence
 pub fn estimate_per_beam_with(
     scratch: &mut SuperResScratch,
@@ -424,66 +688,51 @@ pub fn estimate_per_beam_with(
         "underdetermined: fewer subcarriers than beams"
     );
     assert!(cfg.lambda >= 0.0, "ridge parameter must be non-negative");
+    assert!(
+        cfg.tau0_step_taps.is_finite() && cfg.tau0_step_taps > 0.0,
+        "bulk-delay step must be finite and positive"
+    );
+    assert!(
+        cfg.tau0_search_taps.is_finite(),
+        "bulk-delay search span must be finite"
+    );
+    // A step below one ulp of the span would leave `t += step` stuck
+    // inside it; from one ulp up, every `t` in the span advances.
+    let span = cfg.tau0_search_taps.abs();
+    assert!(
+        span + cfg.tau0_step_taps / 2.0 > span,
+        "bulk-delay step must not vanish against the search span"
+    );
     debug_assert_eq!(obs.freqs_hz.len(), obs.csi.len());
     let y = &obs.csi;
     // Scale λ with the dictionary's column energy (M subcarriers).
     let ridge = cfg.lambda * y.len() as f64;
     let y_energy: f64 = y.iter().map(|v| v.norm_sqr()).sum();
     let s = scratch;
-    s.w.clear();
-    s.w.extend(obs.freqs_hz.iter().map(|&f| 2.0 * PI * f * 1e-9));
-    s.rel.clear();
-    s.rel.extend_from_slice(rel_delays_ns);
-    s.load_delay_set(y, ridge);
+    s.load_probe(obs, rel_delays_ns);
+    s.load_delay_set(ridge);
 
     let tap_ns = 1.0 / (obs.comb_spacing_hz().max(1.0) * y.len() as f64) * 1e9;
-    s.u.clear();
-    s.u.extend_phasors(&s.w, cfg.tau0_step_taps * tap_ns);
+    s.comb
+        .refresh(&s.w, cfg.tau0_step_taps * tap_ns, &cfg.jitter_ns);
     // The CIR magnitude peak belongs to whichever beam currently dominates —
     // not necessarily the reference (e.g. when the LOS beam is blocked the
     // peak jumps to a reflection). Try anchoring it to each beam's relative
     // delay and grid-search the bulk delay around every candidate.
     let peak_ns = crate::training::estimate_delay_ns_with(obs, &mut s.cir, &mut s.fft);
-    let mut best: Option<f64> = None;
-    let mut best_tau0 = peak_ns;
-    for &anchor in rel_delays_ns {
-        let coarse_ns = peak_ns - anchor;
-        let mut t = -cfg.tau0_search_taps;
-        s.seed_phasors(coarse_ns + t * tap_ns);
-        while t <= cfg.tau0_search_taps {
-            s.correlate();
-            let residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
-            if best.is_none_or(|b| residual < b) {
-                best = Some(residual);
-                best_tau0 = coarse_ns + t * tap_ns;
-            }
-            s.p.advance(&s.u);
-            t += cfg.tau0_step_taps;
-        }
-    }
+    let best_tau0 = s.sweep_bulk_delay(peak_ns, tap_ns, cfg, y_energy);
     // Re-score the winner with exact phasors: the jitter trials below use
     // the same ones, so an unchanged delay set reproduces it bit for bit.
     s.seed_phasors(best_tau0);
     s.correlate();
-    let mut best_residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
+    let residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
     s.keep_best();
-    // Pass 2: greedy per-beam relative-ToF jitter refinement.
-    for k in 1..s.rel.len() {
-        let nominal = s.rel[k];
-        for &j in &cfg.jitter_ns {
-            s.load_trial(y, k, nominal + j, ridge);
-            let residual = s.trial.solve_and_score(&s.b, y_energy, &mut s.alpha);
-            if residual < best_residual {
-                best_residual = residual;
-                s.commit_trial(k, nominal + j);
-            }
-        }
-    }
+    let residual = s.refine_jitter(residual, y_energy, cfg);
     let alphas = s.alpha_best.clone();
     PerBeamEstimate {
         powers_mw: alphas.iter().map(|a| a.norm_sqr()).collect(),
         alphas,
-        residual: best_residual,
+        residual,
         tau0_ns: best_tau0,
         rel_delays_ns: s.rel.clone(),
     }
@@ -575,6 +824,76 @@ mod direct {
             .map(|(&fit, &y)| (y - fit).norm_sqr())
             .sum();
         (alphas, residual)
+    }
+}
+
+#[cfg(test)]
+mod per_anchor {
+    //! The fit before its anchors shared one walk, kept as the bit-exact
+    //! test oracle: every anchor seeds and advances its own phasors and
+    //! correlates all K beam rows (K² series per step), and every jitter
+    //! trial evaluates its row exactly.
+
+    use super::{Lanes, PerBeamEstimate, SuperResConfig, SuperResScratch};
+    use mmwave_phy::chanest::ProbeObservation;
+
+    /// [`super::estimate_per_beam`] as it was: same assertions on the
+    /// delays, Gram path and exact re-score.
+    pub fn estimate_per_beam(
+        obs: &ProbeObservation,
+        rel_delays_ns: &[f64],
+        cfg: &SuperResConfig,
+    ) -> PerBeamEstimate {
+        let s = &mut SuperResScratch::default();
+        let y = &obs.csi;
+        let ridge = cfg.lambda * y.len() as f64;
+        let y_energy: f64 = y.iter().map(|v| v.norm_sqr()).sum();
+        s.load_probe(obs, rel_delays_ns);
+        s.load_delay_set(ridge);
+        let tap_ns = 1.0 / (obs.comb_spacing_hz().max(1.0) * y.len() as f64) * 1e9;
+        let mut u = Lanes::default();
+        u.extend_phasors(&s.w, cfg.tau0_step_taps * tap_ns);
+        let peak_ns = crate::training::estimate_delay_ns_with(obs, &mut s.cir, &mut s.fft);
+        let mut best: Option<f64> = None;
+        let mut best_tau0 = peak_ns;
+        for &anchor in rel_delays_ns {
+            let coarse_ns = peak_ns - anchor;
+            let mut t = -cfg.tau0_search_taps;
+            s.seed_phasors(coarse_ns + t * tap_ns);
+            while t <= cfg.tau0_search_taps {
+                s.correlate();
+                let residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
+                if best.is_none_or(|b| residual < b) {
+                    best = Some(residual);
+                    best_tau0 = coarse_ns + t * tap_ns;
+                }
+                s.p.advance(&u);
+                t += cfg.tau0_step_taps;
+            }
+        }
+        s.seed_phasors(best_tau0);
+        s.correlate();
+        let mut best_residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
+        s.keep_best();
+        for k in 1..s.rel.len() {
+            let nominal = s.rel[k];
+            for &j in &cfg.jitter_ns {
+                s.load_trial(k, nominal + j, ridge);
+                let residual = s.trial.solve_and_score(&s.b, y_energy, &mut s.alpha);
+                if residual < best_residual {
+                    best_residual = residual;
+                    s.commit_trial(k, nominal + j);
+                }
+            }
+        }
+        let alphas = s.alpha_best.clone();
+        PerBeamEstimate {
+            powers_mw: alphas.iter().map(|a| a.norm_sqr()).collect(),
+            alphas,
+            residual: best_residual,
+            tau0_ns: best_tau0,
+            rel_delays_ns: s.rel.clone(),
+        }
     }
 }
 
@@ -921,5 +1240,230 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts `fast` and `oracle` agree in every output bit.
+    fn assert_bitwise(fast: &PerBeamEstimate, oracle: &PerBeamEstimate, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let complex_bits = |v: &[Complex64]| {
+            v.iter()
+                .flat_map(|a| [a.re.to_bits(), a.im.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            complex_bits(&fast.alphas),
+            complex_bits(&oracle.alphas),
+            "{what}: α {:?} vs oracle {:?}",
+            fast.alphas,
+            oracle.alphas
+        );
+        assert_eq!(
+            bits(&fast.powers_mw),
+            bits(&oracle.powers_mw),
+            "{what}: powers"
+        );
+        assert_eq!(
+            fast.residual.to_bits(),
+            oracle.residual.to_bits(),
+            "{what}: residual {} vs oracle {}",
+            fast.residual,
+            oracle.residual
+        );
+        assert_eq!(
+            fast.tau0_ns.to_bits(),
+            oracle.tau0_ns.to_bits(),
+            "{what}: τ0 {} vs oracle {}",
+            fast.tau0_ns,
+            oracle.tau0_ns
+        );
+        assert_eq!(
+            bits(&fast.rel_delays_ns),
+            bits(&oracle.rel_delays_ns),
+            "{what}: delays {:?} vs oracle {:?}",
+            fast.rel_delays_ns,
+            oracle.rel_delays_ns
+        );
+    }
+
+    /// Seeded probes over K = 1–4, three noise levels and three beam
+    /// separations, on a centred or a one-sided comb with a random CFO,
+    /// each paired with given delays that miss the true ones by an offset
+    /// (so jitter trials commit): `(probe, given delays, label)`.
+    fn seeded_probes() -> Vec<(ProbeObservation, Vec<f64>, String)> {
+        let mut rng = Rng64::seed(0x22);
+        let spacing = 12.0 * 120e3;
+        let mut probes = Vec::new();
+        for k in 1..=4 {
+            for noise in [1e-8, 1e-4, 1.0] {
+                for sep in [0.5, 3.0, 12.0] {
+                    for (case, offset) in [-0.1, 0.1, 0.3].into_iter().enumerate() {
+                        let truth: Vec<f64> = (0..k).map(|i| sep * i as f64).collect();
+                        let given: Vec<f64> = truth
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &d)| if i == 0 { d } else { d + offset })
+                            .collect();
+                        let amps: Vec<(f64, f64)> = (0..k)
+                            .map(|_| (rng.uniform_in(0.2, 1.0), rng.uniform_in(-PI, PI)))
+                            .collect();
+                        let tau0 = rng.uniform_in(15.0, 40.0);
+                        let centre = if case == 1 { 0.0 } else { 131.5 };
+                        let freqs = (0..264).map(|i| (i as f64 - centre) * spacing).collect();
+                        let obs = synth_probe_on(freqs, &amps, &truth, tau0, noise, &mut rng);
+                        let what =
+                            format!("K = {k}, noise {noise:e}, Δτ {sep} ns, offset {offset}");
+                        probes.push((obs, given, what));
+                    }
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn shared_walk_and_screened_jitter_match_the_per_anchor_fit_bit_for_bit() {
+        let screened = SuperResConfig::default();
+        // λ = 0 leaves κ unbounded, so every trial is confirmed exactly.
+        let unscreened = SuperResConfig {
+            lambda: 0.0,
+            ..SuperResConfig::default()
+        };
+        let mut scratch = SuperResScratch::default();
+        let mut commits = 0;
+        for (obs, given, what) in &seeded_probes() {
+            for cfg in [&screened, &unscreened] {
+                let fast = estimate_per_beam_with(&mut scratch, obs, given, cfg);
+                let oracle = per_anchor::estimate_per_beam(obs, given, cfg);
+                assert_bitwise(&fast, &oracle, &format!("{what}, λ = {}", cfg.lambda));
+                commits += usize::from(fast.rel_delays_ns != *given);
+            }
+        }
+        assert!(commits > 50, "only {commits} fits committed a jitter trial");
+        // An all-zero probe scores every candidate 0: the tie goes to the
+        // first candidate of the first anchor, as in the per-anchor scan.
+        let (mut zero, given, _) = seeded_probes().swap_remove(100);
+        zero.csi.fill(Complex64::ZERO);
+        let cfg = SuperResConfig::default();
+        let fast = estimate_per_beam_with(&mut scratch, &zero, &given, &cfg);
+        assert_bitwise(
+            &fast,
+            &per_anchor::estimate_per_beam(&zero, &given, &cfg),
+            "zero CSI",
+        );
+        let tap_ns = 1.0 / (zero.comb_spacing_hz() * zero.csi.len() as f64) * 1e9;
+        let first =
+            crate::training::estimate_delay_ns(&zero) - given[0] + -cfg.tau0_search_taps * tap_ns;
+        assert_eq!(fast.tau0_ns.to_bits(), first.to_bits(), "zero CSI τ0");
+    }
+
+    #[test]
+    fn screened_residuals_stay_far_inside_the_tolerance() {
+        // Every (beam, offset) trial around each fit's final delay set,
+        // scored both ways: the worst gap must leave the tolerance ample
+        // room, as the module docs' estimate says.
+        let cfg = SuperResConfig::default();
+        let mut s = SuperResScratch::default();
+        let mut worst: f64 = 0.0;
+        for (obs, given, _) in &seeded_probes() {
+            estimate_per_beam_with(&mut s, obs, given, &cfg);
+            let y_energy: f64 = obs.csi.iter().map(|v| v.norm_sqr()).sum();
+            let ridge = cfg.lambda * obs.csi.len() as f64;
+            let m = obs.csi.len();
+            for k in 1..given.len() {
+                s.nominal.clear();
+                s.nominal.extend_row(s.e.row(k, m));
+                for (i, &j) in cfg.jitter_ns.iter().enumerate() {
+                    s.load_screened_trial(k, i, ridge);
+                    let screened = s.trial.solve_and_score(&s.b, y_energy, &mut s.alpha);
+                    s.load_trial(k, s.rel[k] + j, ridge);
+                    let exact = s.trial.solve_and_score(&s.b, y_energy, &mut s.alpha);
+                    worst = worst.max((screened - exact).abs() / y_energy);
+                }
+            }
+        }
+        assert!(
+            worst * SCREEN_HEADROOM <= SCREEN_TOL,
+            "screened residuals miss the exact ones by up to {worst:e}·‖y‖²"
+        );
+    }
+
+    #[test]
+    fn step_major_walk_picks_the_first_minimum_in_anchor_order() {
+        // Residual tables full of ties (and a few NaNs), scanned anchor by
+        // anchor with a strict `<` as the per-anchor fit does, and step by
+        // step through `replaces` as the shared walk does.
+        let mut rng = Rng64::seed(0x7ab);
+        for _ in 0..2000 {
+            let (anchors, steps) = (1 + rng.index(4), 1 + rng.index(6));
+            let table: Vec<f64> = (0..anchors * steps)
+                .map(|_| match rng.index(8) {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    v => (v / 3) as f64,
+                })
+                .collect();
+            let mut by_anchor: Option<(f64, usize, usize)> = None;
+            for a in 0..anchors {
+                for i in 0..steps {
+                    let r = table[a * steps + i];
+                    if by_anchor.is_none_or(|(b, _, _)| r < b) {
+                        by_anchor = Some((r, a, i));
+                    }
+                }
+            }
+            let mut by_step: Option<(f64, usize, usize)> = None;
+            for i in 0..steps {
+                for a in 0..anchors {
+                    let r = table[a * steps + i];
+                    if by_step.is_none_or(|(b, anchor, _)| replaces((b, anchor), (r, a))) {
+                        by_step = Some((r, a, i));
+                    }
+                }
+            }
+            let position = |best: Option<(f64, usize, usize)>| best.map(|(_, a, i)| (a, i));
+            assert_eq!(position(by_step), position(by_anchor), "{table:?}");
+        }
+    }
+
+    fn fit_with(cfg: &SuperResConfig) -> PerBeamEstimate {
+        let mut rng = Rng64::seed(8);
+        let obs = synth_probe(&[(1.0, 0.0), (0.5, 1.0)], &[0.0, 4.0], 20.0, 1e-6, &mut rng);
+        estimate_per_beam(&obs, &[0.0, 4.0], cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk-delay step must be finite and positive")]
+    fn zero_bulk_delay_step_is_rejected() {
+        fit_with(&SuperResConfig {
+            tau0_step_taps: 0.0,
+            ..SuperResConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk-delay step must be finite and positive")]
+    fn negative_bulk_delay_step_is_rejected() {
+        fit_with(&SuperResConfig {
+            tau0_step_taps: -0.05,
+            ..SuperResConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk-delay step must not vanish")]
+    fn sub_ulp_bulk_delay_step_is_rejected() {
+        fit_with(&SuperResConfig {
+            tau0_step_taps: 1e-17,
+            ..SuperResConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk-delay search span must be finite")]
+    fn infinite_bulk_delay_search_is_rejected() {
+        fit_with(&SuperResConfig {
+            tau0_search_taps: f64::INFINITY,
+            ..SuperResConfig::default()
+        });
     }
 }

@@ -4,8 +4,9 @@
 //! checks that a warmed [`estimate_per_beam_with`] allocates exactly the
 //! three vectors its [`PerBeamEstimate`](mmreliable::superres::PerBeamEstimate)
 //! owns (amplitudes, powers, refined delays) and nothing else: the grid
-//! search, the Gram factorisations, the jitter trials and the coarse CIR
-//! peak estimate all run out of the caller's [`SuperResScratch`].
+//! search, the Gram factorisations, the screened and confirmed jitter
+//! trials and the coarse CIR peak estimate all run out of the caller's
+//! [`SuperResScratch`].
 //!
 //! The counter is per thread, which the second test pins: allocations on
 //! another thread never reach this thread's count.
@@ -54,11 +55,17 @@ fn probe(rel_delays_ns: &[f64], tau0_ns: f64, seed: u64) -> ProbeObservation {
 #[test]
 fn warmed_fit_allocates_only_its_outputs() {
     let cfg = SuperResConfig::default();
+    let four = [0.0, 3.0, 7.5, 12.0];
     let three = [0.0, 4.5, 11.0];
     let two = [0.0, 2.2];
+    // Given delays 0.2 ns off the probe's: screened trials confirm and
+    // commit.
+    let drifted = [0.0, 4.7, 10.8];
     let probes: Vec<(ProbeObservation, &[f64])> = vec![
+        (probe(&four, 26.0, 5), &four),
         (probe(&three, 24.0, 1), &three),
         (probe(&three, 31.0, 2), &three),
+        (probe(&three, 29.0, 6), &drifted),
         (probe(&two, 27.5, 3), &two),
         (probe(&[0.0], 22.0, 4), &[0.0]),
     ];
@@ -83,6 +90,9 @@ fn warmed_fit_allocates_only_its_outputs() {
             "{:?}",
             est.powers_mw
         );
+        if *rel == drifted {
+            assert_ne!(est.rel_delays_ns, drifted, "no jitter trial committed");
+        }
     }
 }
 
