@@ -1,6 +1,7 @@
 //! Criterion benches for mmReliable's core algorithms: the super-resolution
 //! per-beam decomposition (paper: solved "in 100 µs"), the two-probe
-//! relative-channel math, and one full controller maintenance round.
+//! relative-channel math, one full controller maintenance round, and one
+//! warm link (re)establishment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmreliable::config::MmReliableConfig;
@@ -76,16 +77,21 @@ fn bench_two_probe_math(c: &mut Criterion) {
     });
 }
 
-fn bench_maintenance_round(c: &mut Criterion) {
+/// The conference room with the UE at (0.9, 7) m, frozen.
+fn room_frontend(seed: u64) -> SnapshotFrontEnd {
     let scene = Scene::conference_room(FC_28GHZ);
     let paths = scene.paths_to(v2(0.9, 7.0), 180.0);
-    let mut fe = SnapshotFrontEnd::new(
+    SnapshotFrontEnd::new(
         GeometricChannel::new(paths, FC_28GHZ),
         ChannelSounder::paper_indoor(),
         ArrayGeometry::paper_8x8(),
         UeReceiver::Omni,
-        Rng64::seed(8),
-    );
+        Rng64::seed(seed),
+    )
+}
+
+fn bench_maintenance_round(c: &mut Criterion) {
+    let mut fe = room_frontend(8);
     let mut ctl = MmReliableController::new(MmReliableConfig::paper_default());
     ctl.establish(&mut fe);
     c.bench_function("maintenance_round_quiet", |b| {
@@ -93,10 +99,23 @@ fn bench_maintenance_round(c: &mut Criterion) {
     });
 }
 
+/// A re-acquisition: the 64-beam SSB scan, the two-probe relative
+/// channels, the baseline probe and its fit, on a controller whose
+/// buffers an earlier establish has already warmed.
+fn bench_establish(c: &mut Criterion) {
+    let mut fe = room_frontend(9);
+    let mut ctl = MmReliableController::new(MmReliableConfig::paper_default());
+    ctl.establish(&mut fe);
+    c.bench_function("establish_warm_64_beams", |b| {
+        b.iter(|| ctl.establish(&mut fe))
+    });
+}
+
 criterion_group!(
     benches,
     bench_superres,
     bench_two_probe_math,
-    bench_maintenance_round
+    bench_maintenance_round,
+    bench_establish
 );
 criterion_main!(benches);

@@ -112,7 +112,8 @@ pub struct RoundReport {
 pub struct MmReliableController {
     cfg: MmReliableConfig,
     superres_cfg: SuperResConfig,
-    /// Buffers of the per-beam fit, reused across maintenance rounds.
+    /// Buffers of the per-beam fit and the training scan, reused across
+    /// maintenance rounds and (re)acquisitions.
     superres_scratch: SuperResScratch,
     mb: Option<MultiBeam>,
     rel_delays_ns: Vec<f64>,
@@ -280,6 +281,7 @@ impl MmReliableController {
             self.cfg.max_beams,
             self.cfg.viable_window_db,
             min_sep,
+            &mut self.superres_scratch,
         );
         if training.viable.is_empty() {
             self.last_training = Some(training);

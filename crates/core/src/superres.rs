@@ -368,14 +368,19 @@ impl CombRows {
     }
 }
 
-/// Reusable state of [`estimate_per_beam_with`]: every buffer the fit
-/// needs, sized on first use and reused thereafter, so a warmed scratch
-/// makes the fit allocation-free apart from its owned outputs.
+/// Reusable state of [`estimate_per_beam_with`] and of the training scan
+/// ([`crate::training::beam_training`]): every buffer either needs, sized
+/// on first use and reused thereafter, so a warmed scratch makes both
+/// allocation-free apart from their owned outputs.
 #[derive(Clone, Debug, Default)]
 pub struct SuperResScratch {
-    /// CIR and transform buffers of the coarse peak-delay estimate.
-    cir: Vec<Complex64>,
-    fft: FftScratch,
+    /// CIR and transform buffers of the coarse peak-delay estimate, shared
+    /// by the fit and the scan (both sound the same comb, so the transform
+    /// stays keyed to one length).
+    pub(crate) cir: Vec<Complex64>,
+    pub(crate) fft: FftScratch,
+    /// The scan's held and incoming probe observations.
+    pub(crate) scan: [ProbeObservation; 2],
     /// `2π·fᵢ` in rad/ns per sounded subcarrier.
     w: Vec<f64>,
     /// The probe's CSI `y`.
@@ -746,6 +751,7 @@ mod direct {
 
     use super::{PerBeamEstimate, SuperResConfig};
     use mmwave_dsp::complex::Complex64;
+    use mmwave_dsp::fft::FftScratch;
     use mmwave_dsp::linalg::{ridge_least_squares, CMatrix};
     use mmwave_phy::chanest::ProbeObservation;
     use std::f64::consts::PI;
@@ -759,7 +765,11 @@ mod direct {
     ) -> PerBeamEstimate {
         let cf: Vec<f64> = obs.freqs_hz.iter().map(|&f| -2.0 * PI * f).collect();
         let tap_ns = 1.0 / (obs.comb_spacing_hz().max(1.0) * obs.csi.len() as f64) * 1e9;
-        let peak_ns = crate::training::estimate_delay_ns(obs);
+        let peak_ns = crate::training::estimate_delay_ns_with(
+            obs,
+            &mut Vec::new(),
+            &mut FftScratch::default(),
+        );
         let mut best: Option<(Vec<Complex64>, f64)> = None;
         let mut best_tau0 = peak_ns;
         for &anchor in rel_delays_ns {
@@ -1351,8 +1361,9 @@ mod tests {
             "zero CSI",
         );
         let tap_ns = 1.0 / (zero.comb_spacing_hz() * zero.csi.len() as f64) * 1e9;
-        let first =
-            crate::training::estimate_delay_ns(&zero) - given[0] + -cfg.tau0_search_taps * tap_ns;
+        let peak_ns =
+            crate::training::estimate_delay_ns_with(&zero, &mut scratch.cir, &mut scratch.fft);
+        let first = peak_ns - given[0] + -cfg.tau0_search_taps * tap_ns;
         assert_eq!(fast.tau0_ns.to_bits(), first.to_bits(), "zero CSI τ0");
     }
 

@@ -5,12 +5,33 @@
 //! we implement the exhaustive scan the paper's testbed uses, plus the
 //! peak-finding that turns the angular power profile into the 2–3 viable
 //! paths typical mmWave environments offer (§3.3).
+//!
+//! **Which delays are computed.** Every codebook beam is probed, in order,
+//! but the peak-finding reads a beam's coarse CIR delay only when it picks
+//! that beam, so the scan transforms only the probes it could still pick.
+//! It holds one observation back: once probe `i+1` is in, beam `i` is
+//! transformed only if it passes the peak-finding's own candidate test
+//! (`profile[i−1] <= pᵢ` and `profile[i+1] <= pᵢ`, each true at an edge,
+//! and `!(pᵢ < floor)`) against the bound `running_peak · pow_from_db(−w)`
+//! in place of the final `floor = max(peak · pow_from_db(−w), noise)`. The
+//! last beam is decided after the loop, with no right neighbour.
+//!
+//! The set is exact. The running peak never exceeds the final peak, and
+//! scaling both by the same positive factor keeps that order in floating
+//! point, so the bound never exceeds the floor and every picked beam has
+//! been transformed. Both tests are one predicate, so ties and odd powers
+//! fall the same way. Skipped beams carry a NaN delay that nothing reads.
+//! The transforms run on the caller's [`SuperResScratch`], whose warm
+//! buffers give the same bits as fresh ones, so the result is the eager
+//! scan's bit for bit; a room scan transforms a handful of its 64 probes.
 
-use crate::frontend::LinkFrontEnd;
+use crate::frontend::{LinkFrontEnd, ProbeKind};
+use crate::superres::SuperResScratch;
 use mmwave_array::codebook::Codebook;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::{ifft_into, FftScratch};
-use mmwave_dsp::units::db_from_pow;
+use mmwave_dsp::units::{db_from_pow, pow_from_db};
+use mmwave_phy::chanest::ProbeObservation;
 
 /// One viable path found by training.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -55,6 +76,8 @@ impl TrainingResult {
 ///
 /// `min_separation_deg` suppresses duplicate detections of one physical
 /// path across adjacent codebook beams (set it near the array's beamwidth).
+/// Probes and coarse delays run out of `scratch`; once it is warm, the scan
+/// allocates only its profile, its delays and the peak-finding's lists.
 // xtask-allow(hot-path-closure): the exhaustive scan runs once per (re)acquisition event; its profile buffers are sized by the codebook, not reused per slot (ROADMAP item 1)
 pub fn beam_training(
     fe: &mut dyn LinkFrontEnd,
@@ -62,23 +85,19 @@ pub fn beam_training(
     max_paths: usize,
     viable_window_db: f64,
     min_separation_deg: f64,
+    scratch: &mut SuperResScratch,
 ) -> TrainingResult {
     let before = fe.probes_used();
     let mut profile = Vec::with_capacity(codebook.len());
     let mut delays = Vec::with_capacity(codebook.len());
-    let mut noise_floor_mw = 0.0f64;
-    for (angle, weights) in codebook.iter() {
-        // A full scan is the longest uninterruptible stretch of controller
-        // work (64 SSB probes); honor cooperative cancellation per probe so
-        // a supervised run never overstays its deadline by a whole scan.
-        if fe.cancel_requested() {
-            crate::cancel::bail();
-        }
-        let obs = fe.probe_kind(weights, crate::frontend::ProbeKind::Ssb);
-        noise_floor_mw = obs.noise_power_mw;
-        profile.push((angle, obs.mean_power_mw()));
-        delays.push(estimate_delay_ns(&obs));
-    }
+    let noise_floor_mw = scan(
+        fe,
+        codebook,
+        viable_window_db,
+        scratch,
+        &mut profile,
+        &mut delays,
+    );
     // Absolute viability floor: a real path must clear the per-subcarrier
     // noise level; residual debiasing jitter on pure noise sits far below it.
     let viable = find_viable(
@@ -96,19 +115,62 @@ pub fn beam_training(
     }
 }
 
-/// Coarse path-delay estimate from one probe: magnitude peak of the
-/// band-limited CIR with parabolic sub-tap interpolation. Magnitude-based,
-/// hence immune to the CFO common phase.
-// xtask-allow(hot-path-closure): one-shot convenience that builds its own transform buffers; maintenance fits call estimate_delay_ns_with through SuperResScratch
-pub fn estimate_delay_ns(obs: &mmwave_phy::chanest::ProbeObservation) -> f64 {
-    estimate_delay_ns_with(obs, &mut Vec::new(), &mut FftScratch::default())
+/// Probes every beam of `codebook` in order, pushing its `(angle, power)`
+/// onto `profile` and its coarse delay onto `delays` (NaN for a beam
+/// [`find_viable`] cannot pick, see the module docs). Returns the last
+/// probe's noise power.
+fn scan(
+    fe: &mut dyn LinkFrontEnd,
+    codebook: &Codebook,
+    viable_window_db: f64,
+    scratch: &mut SuperResScratch,
+    profile: &mut Vec<(f64, f64)>,
+    delays: &mut Vec<f64>,
+) -> f64 {
+    let window = pow_from_db(-viable_window_db);
+    let (cir, fft) = (&mut scratch.cir, &mut scratch.fft);
+    let [held, next] = &mut scratch.scan;
+    let mut delay_if_candidate = |profile: &[(f64, f64)], peak: f64, obs: &ProbeObservation| {
+        if is_candidate(profile, delays.len(), peak * window) {
+            delays.push(estimate_delay_ns_with(obs, cir, fft));
+        } else {
+            delays.push(f64::NAN);
+        }
+    };
+    let mut running_peak = 0.0f64;
+    let mut noise_floor_mw = 0.0f64;
+    for (angle, weights) in codebook.iter() {
+        // A full scan is the longest uninterruptible stretch of controller
+        // work (64 SSB probes); honor cooperative cancellation per probe so
+        // a supervised run never overstays its deadline by a whole scan.
+        if fe.cancel_requested() {
+            crate::cancel::bail();
+        }
+        fe.probe_kind_into(weights, ProbeKind::Ssb, next);
+        noise_floor_mw = next.noise_power_mw;
+        let p = next.mean_power_mw();
+        profile.push((angle, p));
+        running_peak = running_peak.max(p);
+        // The held beam now has both neighbours.
+        if profile.len() > 1 {
+            delay_if_candidate(profile, running_peak, held);
+        }
+        std::mem::swap(held, next);
+    }
+    if !profile.is_empty() {
+        delay_if_candidate(profile, running_peak, held);
+    }
+    noise_floor_mw
 }
 
-/// [`estimate_delay_ns`] through caller-owned CIR and transform buffers:
-/// bit-identical, and allocation-free once the buffers are warm.
+/// Coarse path-delay estimate from one probe: magnitude peak of the
+/// band-limited CIR with parabolic sub-tap interpolation. Magnitude-based,
+/// hence immune to the CFO common phase. Runs through caller-owned CIR and
+/// transform buffers: allocation-free once they are warm, and the same bits
+/// whether they are warm or fresh.
 // xtask-allow(hot-path-panic): the parabolic neighbors are taken only when 0 < peak < len − 1, and peak is an index of the CIR
 pub fn estimate_delay_ns_with(
-    obs: &mmwave_phy::chanest::ProbeObservation,
+    obs: &ProbeObservation,
     cir: &mut Vec<Complex64>,
     fft: &mut FftScratch,
 ) -> f64 {
@@ -140,6 +202,19 @@ pub fn estimate_delay_ns_with(
     (peak as f64 + frac) * tap_s * 1e9
 }
 
+/// The peak-finding's candidate test on beam `i`: at or above `floor`, and
+/// no lower than either neighbour present in `profile`. During the scan the
+/// profile stops at beam `i + 1` and `floor` is a lower bound of the final
+/// one, so a beam that fails here is never picked.
+fn is_candidate(profile: &[(f64, f64)], i: usize, floor: f64) -> bool {
+    debug_assert!(i < profile.len());
+    let p = profile[i].1;
+    if p < floor {
+        return false;
+    }
+    (i == 0 || profile[i - 1].1 <= p) && (i + 1 == profile.len() || profile[i + 1].1 <= p)
+}
+
 /// Local-maxima extraction with a minimum angular separation.
 // xtask-allow(hot-path-closure): candidate/selected lists are per-scan outputs of acquisition, not per-slot state
 // xtask-allow(hot-path-panic): all indices are bounded by profile.len() (delays has the same length by construction in beam_training)
@@ -158,19 +233,10 @@ fn find_viable(
     if peak_power <= noise_floor_mw {
         return Vec::new();
     }
-    let floor =
-        (peak_power * mmwave_dsp::units::pow_from_db(-viable_window_db)).max(noise_floor_mw);
-    // Candidate local maxima (strictly above both neighbors, or edge max).
+    let floor = (peak_power * pow_from_db(-viable_window_db)).max(noise_floor_mw);
+    // Candidate local maxima (no lower than either neighbour, edges included).
     let mut candidates: Vec<usize> = (0..profile.len())
-        .filter(|&i| {
-            let p = profile[i].1;
-            if p < floor {
-                return false;
-            }
-            let left_ok = i == 0 || profile[i - 1].1 <= p;
-            let right_ok = i + 1 == profile.len() || profile[i + 1].1 <= p;
-            left_ok && right_ok
-        })
+        .filter(|&i| is_candidate(profile, i, floor))
         .collect();
     candidates.sort_by(|&a, &b| profile[b].1.total_cmp(&profile[a].1));
     // Greedy selection with angular separation.
@@ -197,20 +263,92 @@ fn find_viable(
 }
 
 #[cfg(test)]
+mod eager {
+    //! The scan before its delays were computed lazily, kept as the
+    //! bit-exact test oracle: every probe is transformed, each through
+    //! fresh buffers.
+
+    use super::{estimate_delay_ns_with, find_viable, TrainingResult};
+    use crate::frontend::{LinkFrontEnd, ProbeKind};
+    use mmwave_array::codebook::Codebook;
+    use mmwave_dsp::fft::FftScratch;
+
+    /// Probes every beam and transforms every probe: the profile, the
+    /// delay of every beam, and the last probe's noise power.
+    pub fn scan(
+        fe: &mut dyn LinkFrontEnd,
+        codebook: &Codebook,
+    ) -> (Vec<(f64, f64)>, Vec<f64>, f64) {
+        let mut profile = Vec::with_capacity(codebook.len());
+        let mut delays = Vec::with_capacity(codebook.len());
+        let mut noise_floor_mw = 0.0f64;
+        for (angle, weights) in codebook.iter() {
+            if fe.cancel_requested() {
+                crate::cancel::bail();
+            }
+            let obs = fe.probe_kind(weights, ProbeKind::Ssb);
+            noise_floor_mw = obs.noise_power_mw;
+            profile.push((angle, obs.mean_power_mw()));
+            delays.push(estimate_delay_ns_with(
+                &obs,
+                &mut Vec::new(),
+                &mut FftScratch::default(),
+            ));
+        }
+        (profile, delays, noise_floor_mw)
+    }
+
+    /// [`super::beam_training`] over [`scan`].
+    pub fn beam_training(
+        fe: &mut dyn LinkFrontEnd,
+        codebook: &Codebook,
+        max_paths: usize,
+        viable_window_db: f64,
+        min_separation_deg: f64,
+    ) -> TrainingResult {
+        let before = fe.probes_used();
+        let (profile, delays, noise_floor_mw) = scan(fe, codebook);
+        let viable = find_viable(
+            &profile,
+            &delays,
+            max_paths,
+            viable_window_db,
+            min_separation_deg,
+            noise_floor_mw,
+        );
+        TrainingResult {
+            profile,
+            viable,
+            probes_used: fe.probes_used() - before,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::frontend::SnapshotFrontEnd;
     use mmwave_array::geometry::ArrayGeometry;
     use mmwave_channel::channel::{GeometricChannel, UeReceiver};
     use mmwave_channel::environment::Scene;
-    use mmwave_channel::geom2d::v2;
+    use mmwave_channel::geom2d::{v2, Vec2};
+    use mmwave_channel::path::{Path, PathKind};
+    use mmwave_dsp::complex::c64;
     use mmwave_dsp::rng::Rng64;
     use mmwave_dsp::units::FC_28GHZ;
     use mmwave_phy::chanest::ChannelSounder;
 
     fn room_frontend(seed: u64) -> SnapshotFrontEnd {
+        room_frontend_at(v2(0.0, 7.0), seed)
+    }
+
+    fn room_frontend_at(ue: Vec2, seed: u64) -> SnapshotFrontEnd {
         let scene = Scene::conference_room(FC_28GHZ);
-        let paths = scene.paths_to(v2(0.0, 7.0), 180.0);
+        let paths = scene.paths_to(ue, 180.0);
+        frontend(paths, seed)
+    }
+
+    fn frontend(paths: Vec<Path>, seed: u64) -> SnapshotFrontEnd {
         SnapshotFrontEnd::new(
             GeometricChannel::new(paths, FC_28GHZ),
             ChannelSounder::paper_indoor(),
@@ -224,7 +362,7 @@ mod tests {
     fn training_finds_los_as_strongest() {
         let mut fe = room_frontend(1);
         let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
         assert_eq!(r.probes_used, 64);
         let best = r.strongest().expect("a path");
         // LOS is at 0° (UE straight ahead); codebook granularity ≈ 1.9°.
@@ -239,7 +377,7 @@ mod tests {
     fn training_finds_reflections_too() {
         let mut fe = room_frontend(2);
         let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
         assert!(
             r.viable.len() >= 2,
             "expected LOS + at least one reflector, got {:?}",
@@ -258,7 +396,7 @@ mod tests {
     fn viable_paths_sorted_and_separated() {
         let mut fe = room_frontend(3);
         let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 18.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 18.0, 8.0, &mut SuperResScratch::default());
         for w in r.viable.windows(2) {
             assert!(w[0].power_mw >= w[1].power_mw, "sorted by power");
             assert!((w[0].angle_deg - w[1].angle_deg).abs() >= 8.0, "separated");
@@ -269,7 +407,7 @@ mod tests {
     fn delays_increase_for_reflections() {
         let mut fe = room_frontend(4);
         let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
         let los = r.strongest().unwrap();
         for v in r.viable.iter().skip(1) {
             assert!(
@@ -286,7 +424,7 @@ mod tests {
         let mut fe = room_frontend(5);
         let cb = Codebook::paper_scan(fe.geometry());
         // 1 dB window: only the LOS survives.
-        let r = beam_training(&mut fe, &cb, 3, 1.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 1.0, 8.0, &mut SuperResScratch::default());
         assert_eq!(r.viable.len(), 1);
     }
 
@@ -298,16 +436,9 @@ mod tests {
 
     #[test]
     fn noise_only_scan_yields_no_paths() {
-        let fe_ch = GeometricChannel::new(Vec::new(), FC_28GHZ);
-        let mut fe = SnapshotFrontEnd::new(
-            fe_ch,
-            ChannelSounder::paper_indoor(),
-            ArrayGeometry::paper_8x8(),
-            UeReceiver::Omni,
-            Rng64::seed(99),
-        );
+        let mut fe = frontend(Vec::new(), 99);
         let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0);
+        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
         assert!(r.viable.is_empty(), "noise produced {:?}", r.viable);
     }
 
@@ -321,5 +452,242 @@ mod tests {
         let db = r.profile_db();
         assert!((db[0].1 - 0.0).abs() < 1e-9);
         assert!((db[1].1 + 10.0).abs() < 1e-9);
+    }
+
+    /// A front end that returns scripted probe powers, beam by beam. Beam
+    /// `b`'s CSI is `√(p_b + noise)·jᵏᵇ` on subcarrier `k`: quarter turns
+    /// are exact, so equal powers tie bit for bit while the CIR peak (tap
+    /// 66·b mod 264 of the 264-point comb) tells neighbouring beams apart.
+    struct Scripted {
+        geom: ArrayGeometry,
+        powers_mw: Vec<f64>,
+        probes: usize,
+    }
+
+    const SCRIPTED_NOISE_MW: f64 = 0.01;
+
+    impl Scripted {
+        fn new(powers_mw: &[f64]) -> Self {
+            Self {
+                geom: ArrayGeometry::paper_8x8(),
+                powers_mw: powers_mw.to_vec(),
+                probes: 0,
+            }
+        }
+    }
+
+    impl LinkFrontEnd for Scripted {
+        fn geometry(&self) -> &ArrayGeometry {
+            &self.geom
+        }
+
+        fn probe_kind(
+            &mut self,
+            _weights: &mmwave_array::weights::BeamWeights,
+            _kind: crate::frontend::ProbeKind,
+        ) -> ProbeObservation {
+            let b = self.probes % self.powers_mw.len();
+            self.probes += 1;
+            let a = (self.powers_mw[b] + SCRIPTED_NOISE_MW).sqrt();
+            let turns = [c64(a, 0.0), c64(0.0, a), c64(-a, 0.0), c64(0.0, -a)];
+            ProbeObservation {
+                csi: (0..264).map(|k| turns[(k * b) % 4]).collect(),
+                freqs_hz: (0..264).map(|k| k as f64 * 12.0 * 120e3).collect(),
+                noise_power_mw: SCRIPTED_NOISE_MW,
+            }
+        }
+
+        fn now_s(&self) -> f64 {
+            0.0
+        }
+
+        fn probes_used(&self) -> usize {
+            self.probes
+        }
+    }
+
+    fn assert_bitwise(lazy: &TrainingResult, eager: &TrainingResult, what: &str) {
+        let bits = |r: &TrainingResult| {
+            let profile: Vec<(u64, u64)> = r
+                .profile
+                .iter()
+                .map(|&(a, p)| (a.to_bits(), p.to_bits()))
+                .collect();
+            let viable: Vec<(u64, u64, u64)> = r
+                .viable
+                .iter()
+                .map(|v| {
+                    (
+                        v.angle_deg.to_bits(),
+                        v.power_mw.to_bits(),
+                        v.delay_ns.to_bits(),
+                    )
+                })
+                .collect();
+            (profile, viable, r.probes_used)
+        };
+        assert_eq!(bits(lazy), bits(eager), "{what}");
+    }
+
+    /// Every (max_paths, window) pair of the oracle checks.
+    const SETTINGS: [(usize, f64); 9] = [
+        (1, 1.0),
+        (1, 11.0),
+        (1, 40.0),
+        (3, 1.0),
+        (3, 11.0),
+        (3, 40.0),
+        (64, 1.0),
+        (64, 11.0),
+        (64, 40.0),
+    ];
+
+    #[test]
+    fn lazy_scan_matches_the_eager_scan_bit_for_bit() {
+        let scene = Scene::conference_room(FC_28GHZ);
+        let mut rooms: Vec<(String, Vec<Path>)> = [v2(0.0, 7.0), v2(0.9, 7.0), v2(-2.0, 4.0)]
+            .into_iter()
+            .map(|ue| (format!("UE at {ue:?}"), scene.paths_to(ue, 180.0)))
+            .collect();
+        // A blocked LOS leaves a glass-wall reflection strongest.
+        let mut blocked = scene.paths_to(v2(0.0, 7.0), 180.0);
+        for p in blocked.iter_mut().filter(|p| p.kind == PathKind::Los) {
+            p.blockage_db = 30.0;
+        }
+        rooms.push(("blocked LOS".to_string(), blocked));
+        rooms.push(("noise only".to_string(), Vec::new()));
+        // One scratch for every lazy scan: warm from the second on.
+        let mut scratch = SuperResScratch::default();
+        let cb = Codebook::paper_scan(&ArrayGeometry::paper_8x8());
+        let mut found = 0;
+        for (seed, (what, paths)) in rooms.iter().enumerate() {
+            for &(max_paths, window) in &SETTINGS {
+                let seed = 40 + seed as u64;
+                let lazy = beam_training(
+                    &mut frontend(paths.clone(), seed),
+                    &cb,
+                    max_paths,
+                    window,
+                    8.0,
+                    &mut scratch,
+                );
+                let eager = eager::beam_training(
+                    &mut frontend(paths.clone(), seed),
+                    &cb,
+                    max_paths,
+                    window,
+                    8.0,
+                );
+                assert_bitwise(
+                    &lazy,
+                    &eager,
+                    &format!("{what}, {max_paths} paths, {window} dB"),
+                );
+                found += lazy.viable.len();
+                if paths.is_empty() {
+                    assert!(lazy.viable.is_empty(), "noise produced {:?}", lazy.viable);
+                }
+            }
+        }
+        assert!(found > 40, "only {found} viable paths across the rooms");
+    }
+
+    #[test]
+    fn lazy_scan_matches_the_eager_scan_on_scripted_profiles() {
+        let cases: [(&str, &[f64]); 6] = [
+            (
+                "peaks on the first and last beam",
+                &[9.0, 4.0, 1.0, 1.0, 2.0, 1.0, 4.0, 9.5],
+            ),
+            (
+                "equal-power plateau",
+                &[1.0, 1.0, 6.0, 6.0, 6.0, 6.0, 1.0, 2.0, 1.0, 1.0],
+            ),
+            ("edge plateaus", &[3.0, 3.0, 1.0, 1.0, 3.0, 3.0]),
+            // Beam 1 leads the running peak when it is decided, so it is
+            // transformed; the late beam lifts the floor above it.
+            (
+                "late strong beam",
+                &[1.0, 5.0, 1.0, 0.5, 0.7, 0.9, 1.2, 1.5, 400.0, 1.0],
+            ),
+            ("one beam", &[2.0]),
+            ("below the noise", &[0.0, 0.001, 0.0, 0.0]),
+        ];
+        let mut scratch = SuperResScratch::default();
+        let geom = ArrayGeometry::paper_8x8();
+        for (what, powers) in cases {
+            let cb = Codebook::uniform(&geom, powers.len(), 120.0);
+            for &(max_paths, window) in &SETTINGS {
+                let what = format!("{what}, {max_paths} paths, {window} dB");
+                let lazy = beam_training(
+                    &mut Scripted::new(powers),
+                    &cb,
+                    max_paths,
+                    window,
+                    8.0,
+                    &mut scratch,
+                );
+                let eager =
+                    eager::beam_training(&mut Scripted::new(powers), &cb, max_paths, window, 8.0);
+                assert_bitwise(&lazy, &eager, &what);
+            }
+        }
+        // The late strong beam hides the earlier local maximum at 11 dB but
+        // not at 40 dB.
+        let late = [1.0, 5.0, 1.0, 0.5, 0.7, 0.9, 1.2, 1.5, 400.0, 1.0];
+        let cb = Codebook::uniform(&geom, late.len(), 120.0);
+        let mut picked = |window| {
+            beam_training(
+                &mut Scripted::new(&late),
+                &cb,
+                64,
+                window,
+                8.0,
+                &mut scratch,
+            )
+            .viable
+            .len()
+        };
+        assert_eq!((picked(11.0), picked(40.0)), (1, 2));
+    }
+
+    #[test]
+    fn scan_transforms_only_beams_it_could_pick() {
+        let geom = ArrayGeometry::paper_8x8();
+        let cb = Codebook::paper_scan(&geom);
+        let mut scratch = SuperResScratch::default();
+        for (ue, seed) in [(v2(0.0, 7.0), 7), (v2(0.9, 7.0), 8), (v2(-2.0, 4.0), 9)] {
+            let (mut profile, mut delays) = (Vec::new(), Vec::new());
+            let noise = scan(
+                &mut room_frontend_at(ue, seed),
+                &cb,
+                15.0,
+                &mut scratch,
+                &mut profile,
+                &mut delays,
+            );
+            let (eager_profile, eager_delays, eager_noise) =
+                eager::scan(&mut room_frontend_at(ue, seed), &cb);
+            assert_eq!(profile, eager_profile);
+            assert_eq!(noise.to_bits(), eager_noise.to_bits());
+            let transformed: Vec<usize> =
+                (0..delays.len()).filter(|&i| !delays[i].is_nan()).collect();
+            for &i in &transformed {
+                assert_eq!(delays[i].to_bits(), eager_delays[i].to_bits(), "beam {i}");
+            }
+            // Every candidate at the final floor was transformed, and few
+            // others were.
+            let peak = profile.iter().map(|&(_, p)| p).fold(0.0f64, f64::max);
+            let floor = (peak * pow_from_db(-15.0)).max(noise);
+            for i in (0..profile.len()).filter(|&i| is_candidate(&profile, i, floor)) {
+                assert!(transformed.contains(&i), "candidate {i} skipped");
+            }
+            assert!(
+                !transformed.is_empty() && transformed.len() <= 12,
+                "{} of {} probes transformed",
+                transformed.len(),
+                profile.len()
+            );
+        }
     }
 }

@@ -25,7 +25,7 @@ use mmwave_dsp::units::{db_from_pow, mw_from_dbm, SPEED_OF_LIGHT};
 use mmwave_hotpath::hot_path;
 
 /// One probe's worth of estimated CSI.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ProbeObservation {
     /// Estimated CSI per sounded subcarrier, in √mW units (so
     /// `|csi|²/noise_power_mw` is the per-subcarrier SNR).
