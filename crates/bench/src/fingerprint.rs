@@ -16,7 +16,7 @@ use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
 use mmwave_sim::{
-    scenario, FaultSchedule, FrontEndStack, ImpairmentConfig, RunResult, SimFrontEnd,
+    front_end_stack, scenario, FaultSchedule, ImpairmentConfig, RunResult, SimFrontEnd,
 };
 
 /// Strategies covered, in print order.
@@ -98,12 +98,12 @@ fn aging_schedule() -> FaultSchedule {
 }
 
 /// Runs single-beam reactive on `static_walker` with seed 42 through
-/// `FrontEndStack::new(sim, aging, ImpairmentConfig::mild(4))`, `aging`
+/// `front_end_stack(sim, aging, ImpairmentConfig::mild(4))`, `aging`
 /// failing elements 3/17/42 and drifting every gain ±1.5 dB with a 0.5 s
 /// period (fault seed 17), and hashes the result.
 pub fn stack_fingerprint() -> Fingerprint {
     let sim = scenario::static_walker().simulator(42);
-    let mut fe = FrontEndStack::new(sim, aging_schedule(), ImpairmentConfig::mild(4))
+    let mut fe = front_end_stack(sim, aging_schedule(), ImpairmentConfig::mild(4))
         .expect("aging over mild is a valid stack");
     let mut s = SingleBeamReactive::new(ReactiveConfig::default());
     digest(STACK_RUN, &run_static_walker(&mut fe, &mut s))

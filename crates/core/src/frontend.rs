@@ -3,8 +3,11 @@
 //! The controller never touches the channel directly — it requests probes
 //! (reference-signal transmissions under a chosen beam) and receives noisy
 //! [`ProbeObservation`]s, exactly as the real system only sees CSI-RS/SSB
-//! channel estimates (§5.2). The simulator implements this trait; tests use
-//! [`SnapshotFrontEnd`], a frozen-channel implementation.
+//! channel estimates (§5.2). A front end implements one probe,
+//! [`LinkFrontEnd::probe_kind_into`], which fills caller-owned scratch; the
+//! returning and CSI-RS forms are provided on top of it. The simulator
+//! implements this trait; tests use [`SnapshotFrontEnd`], a frozen-channel
+//! implementation.
 //!
 //! Probes are classed by the NR reference signal that carries them: an SSB
 //! probe occupies 4 slots (0.5 ms), a CSI-RS probe 1 slot (0.125 ms) — the
@@ -14,7 +17,7 @@
 
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
-use mmwave_channel::channel::{GeometricChannel, UeReceiver};
+use mmwave_channel::channel::{ChannelScratch, GeometricChannel, UeReceiver};
 use mmwave_dsp::rng::Rng64;
 use mmwave_phy::chanest::{ChannelSounder, ProbeObservation};
 
@@ -43,28 +46,27 @@ pub trait LinkFrontEnd {
     fn geometry(&self) -> &ArrayGeometry;
 
     /// Transmits one reference signal of the given kind under `weights` and
-    /// returns the UE's channel estimate. Each call consumes the kind's
-    /// probe airtime — implementations account for it (and may advance
-    /// simulated time).
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation;
-
-    /// Convenience: a CSI-RS-class probe.
-    fn probe(&mut self, weights: &BeamWeights) -> ProbeObservation {
-        self.probe_kind(weights, ProbeKind::CsiRs)
-    }
-
-    /// Like [`Self::probe_kind`], but writes the estimate into
-    /// caller-owned scratch so steady-state maintenance probes can run
-    /// allocation-free. The default delegates to the allocating path;
-    /// front ends on the zero-alloc contract (the simulator) override it
-    /// to fill `out`'s buffers in place.
+    /// writes the UE's channel estimate into `out`, reusing its buffers —
+    /// the one probe every front end implements, so steady-state probing
+    /// runs allocation-free. Each call consumes the kind's probe airtime —
+    /// implementations account for it (and may advance simulated time).
     fn probe_kind_into(
         &mut self,
         weights: &BeamWeights,
         kind: ProbeKind,
         out: &mut ProbeObservation,
-    ) {
-        *out = self.probe_kind(weights, kind);
+    );
+
+    /// Like [`Self::probe_kind_into`], but returns a fresh observation.
+    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+        let mut obs = ProbeObservation::empty();
+        self.probe_kind_into(weights, kind, &mut obs);
+        obs
+    }
+
+    /// Convenience: a CSI-RS-class probe.
+    fn probe(&mut self, weights: &BeamWeights) -> ProbeObservation {
+        self.probe_kind(weights, ProbeKind::CsiRs)
     }
 
     /// Convenience: a CSI-RS-class probe into caller-owned scratch.
@@ -110,6 +112,7 @@ pub struct SnapshotFrontEnd {
     pub rx: UeReceiver,
     /// Noise source.
     pub rng: Rng64,
+    scratch: ChannelScratch,
     probes: usize,
     airtime_s: f64,
 }
@@ -129,6 +132,7 @@ impl SnapshotFrontEnd {
             geom,
             rx,
             rng,
+            scratch: ChannelScratch::default(),
             probes: 0,
             airtime_s: 0.0,
         }
@@ -145,11 +149,23 @@ impl LinkFrontEnd for SnapshotFrontEnd {
         &self.geom
     }
 
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
         self.probes += 1;
         self.airtime_s += kind.airtime_s();
-        self.sounder
-            .probe(&self.channel, &self.geom, weights, &self.rx, &mut self.rng)
+        self.sounder.probe_into(
+            &self.channel,
+            &self.geom,
+            weights,
+            &self.rx,
+            &mut self.rng,
+            &mut self.scratch,
+            out,
+        );
     }
 
     fn wait(&mut self, dur_s: f64) {

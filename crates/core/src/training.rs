@@ -481,20 +481,21 @@ mod tests {
             &self.geom
         }
 
-        fn probe_kind(
+        fn probe_kind_into(
             &mut self,
             _weights: &mmwave_array::weights::BeamWeights,
             _kind: crate::frontend::ProbeKind,
-        ) -> ProbeObservation {
+            out: &mut ProbeObservation,
+        ) {
             let b = self.probes % self.powers_mw.len();
             self.probes += 1;
             let a = (self.powers_mw[b] + SCRIPTED_NOISE_MW).sqrt();
             let turns = [c64(a, 0.0), c64(0.0, a), c64(-a, 0.0), c64(0.0, -a)];
-            ProbeObservation {
+            *out = ProbeObservation {
                 csi: (0..264).map(|k| turns[(k * b) % 4]).collect(),
                 freqs_hz: (0..264).map(|k| k as f64 * 12.0 * 120e3).collect(),
                 noise_power_mw: SCRIPTED_NOISE_MW,
-            }
+            };
         }
 
         fn now_s(&self) -> f64 {

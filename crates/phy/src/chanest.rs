@@ -40,12 +40,22 @@ impl ProbeObservation {
     /// An empty observation, suitable as reusable scratch for
     /// [`ChannelSounder::probe_snapshot_into`]-style fillers: the `Vec`
     /// buffers grow to the comb size on first use and are reused after.
+    // xtask-allow(hot-path-closure): an empty Vec::new allocates nothing; one-shot probes fill it once
     pub fn empty() -> Self {
         Self {
             csi: Vec::new(),
             freqs_hz: Vec::new(),
             noise_power_mw: 0.0,
         }
+    }
+
+    /// Overwrites this observation with `other`, reusing its buffers.
+    pub fn copy_from(&mut self, other: &ProbeObservation) {
+        self.csi.clear();
+        self.csi.extend_from_slice(&other.csi);
+        self.freqs_hz.clear();
+        self.freqs_hz.extend_from_slice(&other.freqs_hz);
+        self.noise_power_mw = other.noise_power_mw;
     }
 
     /// Mean received power across the comb, mW, de-biased by the noise

@@ -988,8 +988,8 @@ fn execute_cell(
 }
 
 /// Builds the cell's front-end stack ([`Scenario::front_end`]) and plays
-/// it. A clean cell runs the bare simulator, preserving bit-identity with
-/// [`crate::runner::run_many`].
+/// it. A clean cell's layers are inert, so it stays bit-identical to the
+/// bare simulator of [`crate::runner::run_many`].
 fn run_setup(
     setup: JobSetup,
     key: &CellKey,

@@ -21,7 +21,9 @@
 //!
 //! Every injected fault is recorded as a typed [`FaultEvent`]; the run
 //! loop drains them into the per-run [`crate::metrics::RunResult`] event
-//! log next to the controller's lifecycle transitions.
+//! log next to the controller's lifecycle transitions. Probes are
+//! corrupted in place in the caller's observation; the last observation is
+//! kept for replay only when stale CSI is on.
 //!
 //! Gain drift scales element `i` by `10^{G·sin(ωt + φᵢ)/20}` on every
 //! radiated beam, data slots included, so it is on the per-slot path.
@@ -29,6 +31,7 @@
 //! `(κ·cos φᵢ, κ·sin φᵢ)` with `κ = G·ln10/20`, and a call takes one
 //! `(ωt).sin_cos()` and one `exp` per element.
 
+use crate::metrics::RunEvent;
 use crate::scenario::ScenarioError;
 use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
@@ -318,10 +321,14 @@ pub struct FaultInjector<F> {
     inner: F,
     schedule: FaultSchedule,
     rng: Rng64,
+    /// The last delivered observation, kept only when stale CSI is on
+    /// (only a stale draw reads it).
     last_obs: Option<ProbeObservation>,
     /// Per-element drift lane `(κ·cos φᵢ, κ·sin φᵢ)`, `κ = G·ln10/20`
     /// (empty when drift is disabled).
     drift_lanes: Vec<(f64, f64)>,
+    /// Probe weights under the element faults, sized at construction.
+    radiated: BeamWeights,
     events: Vec<FaultEvent>,
     static_faults_logged: bool,
 }
@@ -353,6 +360,7 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
             rng,
             last_obs: None,
             drift_lanes,
+            radiated: BeamWeights::muted(n),
             events: Vec::new(),
             static_faults_logged: false,
         })
@@ -373,15 +381,10 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         &self.schedule
     }
 
-    /// Faults injected so far (drained by the run loop; also drainable
-    /// directly in unit tests).
+    /// Faults injected since the last drain (the run loop drains them;
+    /// unit tests inspect them directly).
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// Takes and clears the recorded fault events.
-    pub fn take_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// The weights actually radiated under the element faults: failed
@@ -390,35 +393,13 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
     /// Applies to probing *and* data-plane transmissions.
     pub fn faulted_weights(&self, w: &BeamWeights) -> BeamWeights {
         let mut out = w.clone();
-        self.fault_weights_in_place(&mut out);
+        element_faults(
+            &self.schedule,
+            &self.drift_lanes,
+            self.inner.now_s(),
+            out.as_mut_slice(),
+        );
         out
-    }
-
-    /// In-place core of [`FaultInjector::faulted_weights`]: applies gain
-    /// drift and element failures directly to `w`, allocating nothing.
-    /// With no element faults configured this is a no-op.
-    pub fn fault_weights_in_place(&self, w: &mut BeamWeights) {
-        if self.schedule.failed_elements.is_empty() && self.schedule.gain_drift_db == 0.0 {
-            return;
-        }
-        let v = w.as_mut_slice();
-        if self.schedule.gain_drift_db > 0.0 {
-            // 10^(G·sin(ωt + φᵢ)/20) by angle addition (module docs).
-            let t = self.inner.now_s();
-            let omega = std::f64::consts::TAU / self.schedule.gain_drift_period_s;
-            let (sin_wt, cos_wt) = (omega * t).sin_cos();
-            let kappa = self.schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
-            for (i, x) in v.iter_mut().enumerate() {
-                let (kc, ks) = self.drift_lanes.get(i).copied().unwrap_or((kappa, 0.0));
-                *x = x.scale((sin_wt * kc + cos_wt * ks).exp());
-            }
-        }
-        for &i in &self.schedule.failed_elements {
-            if i < v.len() {
-                // xtask-allow(hot-path-panic): guarded by the bounds check on the line above
-                v[i] = Complex64::ZERO;
-            }
-        }
     }
 
     fn log_static_faults(&mut self, t_s: f64) {
@@ -441,32 +422,22 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
             .any(|&(a, b)| t_s >= a && t_s < b)
     }
 
-    /// Erasure: the controller sees only the noise floor, on the same comb.
-    fn erase(obs: &ProbeObservation) -> ProbeObservation {
-        ProbeObservation {
-            csi: vec![Complex64::ZERO; obs.csi.len()],
-            freqs_hz: obs.freqs_hz.clone(),
-            noise_power_mw: obs.noise_power_mw,
-        }
-    }
-
-    fn corrupt(&mut self, mut obs: ProbeObservation, t_s: f64) -> ProbeObservation {
-        if self.unavailable_at(t_s) {
-            self.events.push(FaultEvent {
-                t_s,
-                kind: FaultKind::FrontEndUnavailable,
-            });
-            return Self::erase(&obs);
-        }
-        if let Some(w) = self.schedule.probe_loss.iter().find(|w| w.contains(t_s)) {
-            let p = w.loss_prob;
-            if self.rng.chance(p) {
-                self.events.push(FaultEvent {
-                    t_s,
-                    kind: FaultKind::ProbeLost,
-                });
-                return Self::erase(&obs);
+    /// The observation-domain faults, applied to `obs` in place. An
+    /// erasure leaves only the noise floor on the same comb; a stale draw
+    /// replays the last delivered observation.
+    fn corrupt(&mut self, obs: &mut ProbeObservation, t_s: f64) {
+        let erased = if self.unavailable_at(t_s) {
+            Some(FaultKind::FrontEndUnavailable)
+        } else {
+            match self.schedule.probe_loss.iter().find(|w| w.contains(t_s)) {
+                Some(w) if self.rng.chance(w.loss_prob) => Some(FaultKind::ProbeLost),
+                _ => None,
             }
+        };
+        if let Some(kind) = erased {
+            self.events.push(FaultEvent { t_s, kind });
+            obs.csi.fill(Complex64::ZERO);
+            return;
         }
         if self.schedule.stale_prob > 0.0 && self.rng.chance(self.schedule.stale_prob) {
             if let Some(prev) = &self.last_obs {
@@ -474,7 +445,8 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
                     t_s,
                     kind: FaultKind::StaleObservation,
                 });
-                return prev.clone();
+                obs.copy_from(prev);
+                return;
             }
         }
         if let Some(g) = self.schedule.snr_glitch {
@@ -490,8 +462,39 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
                 });
             }
         }
-        self.last_obs = Some(obs.clone());
-        obs
+        if self.schedule.stale_prob > 0.0 {
+            self.last_obs
+                .get_or_insert_with(ProbeObservation::empty)
+                .copy_from(obs);
+        }
+    }
+}
+
+/// Applies the schedule's gain drift at time `t_s` and its element
+/// failures to `v` in place, allocating nothing; a no-op when the schedule
+/// has no element faults. Takes the stage fields rather than the injector
+/// so the probe path can transform the injector's own scratch.
+fn element_faults(
+    schedule: &FaultSchedule,
+    drift_lanes: &[(f64, f64)],
+    t_s: f64,
+    v: &mut [Complex64],
+) {
+    if schedule.gain_drift_db > 0.0 {
+        // 10^(G·sin(ωt + φᵢ)/20) by angle addition (module docs).
+        let omega = std::f64::consts::TAU / schedule.gain_drift_period_s;
+        let (sin_wt, cos_wt) = (omega * t_s).sin_cos();
+        let kappa = schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
+        for (i, x) in v.iter_mut().enumerate() {
+            let (kc, ks) = drift_lanes.get(i).copied().unwrap_or((kappa, 0.0));
+            *x = x.scale((sin_wt * kc + cos_wt * ks).exp());
+        }
+    }
+    for &i in &schedule.failed_elements {
+        if i < v.len() {
+            // xtask-allow(hot-path-panic): guarded by the bounds check on the line above
+            v[i] = Complex64::ZERO;
+        }
     }
 }
 
@@ -500,12 +503,27 @@ impl<F: LinkFrontEnd> LinkFrontEnd for FaultInjector<F> {
         self.inner.geometry()
     }
 
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
         let t_s = self.inner.now_s();
         self.log_static_faults(t_s);
-        let radiated = self.faulted_weights(weights);
-        let obs = self.inner.probe_kind(&radiated, kind);
-        self.corrupt(obs, t_s)
+        if self.schedule.failed_elements.is_empty() && self.schedule.gain_drift_db == 0.0 {
+            self.inner.probe_kind_into(weights, kind, out);
+        } else {
+            self.radiated.copy_from(weights);
+            element_faults(
+                &self.schedule,
+                &self.drift_lanes,
+                t_s,
+                self.radiated.as_mut_slice(),
+            );
+            self.inner.probe_kind_into(&self.radiated, kind, out);
+        }
+        self.corrupt(out, t_s);
     }
 
     fn wait(&mut self, dur_s: f64) {
@@ -534,24 +552,17 @@ impl<F: SimFrontEnd> SimFrontEnd for FaultInjector<F> {
         self.inner.sim_mut()
     }
 
-    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
+    fn apply_radiated_faults(&mut self, w: &mut BeamWeights) {
         // Element faults hit the data plane too; compose with any faults
         // the inner stack applies.
-        self.fault_weights_in_place(w);
+        let t_s = self.inner.now_s();
+        element_faults(&self.schedule, &self.drift_lanes, t_s, w.as_mut_slice());
         self.inner.apply_radiated_faults(w);
     }
 
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        let mut evs = self.inner.drain_fault_events();
-        evs.extend(self.take_events());
-        evs
-    }
-
-    fn drain_impairment_events(&mut self) -> Vec<crate::impairments::ImpairmentEvent> {
-        // The fault layer produces no impairment annotations of its own but
-        // must not swallow an impaired stack's (the usual composition is
-        // `FaultInjector<ImpairedFrontEnd<LinkSimulator>>`).
-        self.inner.drain_impairment_events()
+    fn drain_events_into(&mut self, out: &mut Vec<RunEvent>) {
+        out.extend(self.events.drain(..).map(RunEvent::Fault));
+        self.inner.drain_events_into(out);
     }
 }
 

@@ -46,7 +46,7 @@ use crate::campaign::{
 use crate::faults::FaultSchedule;
 use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
-use crate::simulator::{FrontEndStack, SlotLoop};
+use crate::simulator::{front_end_stack, FrontEndStack, SlotLoop};
 use crate::spec::{is_registry_name, mix_fields, registry_names, MixGroup};
 use mmreliable::linkstate::LifecycleConfig;
 use mmreliable::{Intent, IntentKind, IntentQueue, Io, StateHandler, UeId};
@@ -351,7 +351,7 @@ impl FleetShard {
             }
             let (fault, impairment) = ue_mix(&cfg.mix, ue)
                 .unwrap_or_else(|| (FaultSchedule::none(), ImpairmentConfig::none()));
-            let mut sim = FrontEndStack::new(raw, fault, impairment).map_err(|e| e.to_string())?;
+            let mut sim = front_end_stack(raw, fault, impairment).map_err(|e| e.to_string())?;
             let sl = SlotLoop::new(
                 &mut sim,
                 strategy.as_mut(),

@@ -34,11 +34,12 @@
 //!
 //! Per-slot stages are `#[hot_path]` and allocation-free: the mismatch
 //! multipliers and coupling matrix are precomputed at construction, the
-//! coupling kernel runs on a fixed stack scratch, and the data-plane
-//! weight transform is memoised on its bitwise input in buffers sized at
-//! construction (weights change only at ticks).
+//! coupling kernel runs on a fixed stack scratch, probes transform their
+//! weights into a buffer sized at construction and corrupt the caller's
+//! observation in place, and the data-plane weight transform is memoised
+//! on its bitwise input (weights change only at ticks).
 
-use crate::faults::FaultEvent;
+use crate::metrics::RunEvent;
 use crate::scenario::ScenarioError;
 use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
@@ -53,7 +54,6 @@ use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::amp_from_db;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
-use std::cell::RefCell;
 
 /// Nominal OFDM symbol duration the intra-symbol phase-jitter (ICI)
 /// penalty integrates over: 1/Δf at the paper's 120 kHz subcarrier
@@ -519,13 +519,12 @@ pub struct ImpairedFrontEnd<F> {
     rng: Rng64,
     phase: Option<WienerPhase>,
     last_probe_t_s: f64,
-    pa: Option<RappPa>,
-    /// Static per-element multipliers (empty when mismatch is disabled).
-    mismatch: Vec<Complex64>,
-    coupling: Option<MutualCoupling>,
+    chain: TransmitChain,
     /// Last data-plane weight transform, keyed by its bitwise input (see
     /// [`WeightMemo`]).
-    memo: RefCell<WeightMemo>,
+    memo: WeightMemo,
+    /// Probe weights through the transmit chain, sized at construction.
+    radiated: BeamWeights,
     lo_phasor: Complex64,
     events: Vec<ImpairmentEvent>,
     stages_logged: bool,
@@ -533,18 +532,58 @@ pub struct ImpairedFrontEnd<F> {
     adc_event_logged: bool,
 }
 
+/// The transmit-weight stages, precomputed at construction: PA
+/// compression → per-element mismatch → mutual coupling.
+struct TransmitChain {
+    pa: Option<RappPa>,
+    /// Static per-element multipliers (empty when mismatch is disabled).
+    mismatch: Vec<Complex64>,
+    coupling: Option<MutualCoupling>,
+}
+
+impl TransmitChain {
+    /// True when any transmit-weight stage is enabled.
+    fn is_on(&self) -> bool {
+        self.pa.is_some() || !self.mismatch.is_empty() || self.coupling.is_some()
+    }
+
+    /// Runs the chain on `v` in place and returns the worst per-element PA
+    /// compression observed, dB. Allocation-free: the coupling scratch
+    /// lives on the stack (sized by [`MAX_COUPLED_ELEMENTS`]).
+    #[hot_path]
+    fn apply(&self, v: &mut [Complex64]) -> f64 {
+        let mut worst_db = 0.0;
+        if let Some(pa) = &self.pa {
+            worst_db = pa.apply(v);
+        }
+        if !self.mismatch.is_empty() {
+            for (x, m) in v.iter_mut().zip(&self.mismatch) {
+                *x *= *m;
+            }
+        }
+        if let Some(cpl) = &self.coupling {
+            let mut scratch = [Complex64::ZERO; MAX_COUPLED_ELEMENTS];
+            cpl.apply_in_place(v, &mut scratch);
+        }
+        worst_db
+    }
+}
+
 impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// Wraps `inner` under `config`, failing fast on invalid parameters —
     /// a mis-specified campaign cell surfaces as a `Validation` failure
     /// before any sweep time is spent. The typed [`ScenarioError`] lets
     /// the scenario fuzzer tell this reject apart from a real run failure.
+    /// Only the coupling stage caps the array size (its kernel runs on a
+    /// [`MAX_COUPLED_ELEMENTS`] stack scratch); every other configuration,
+    /// the inert one included, accepts any array.
     pub fn new(inner: F, config: ImpairmentConfig) -> Result<Self, ScenarioError> {
         config.validate().map_err(ScenarioError::impairment)?;
         let geom = inner.geometry();
         let n = geom.num_elements();
-        if n > MAX_COUPLED_ELEMENTS {
+        if config.coupling.is_some() && n > MAX_COUPLED_ELEMENTS {
             return Err(ScenarioError::impairment(format!(
-                "impairment layer supports at most {MAX_COUPLED_ELEMENTS} elements, got {n}"
+                "mutual coupling supports at most {MAX_COUPLED_ELEMENTS} elements, got {n}"
             )));
         }
         let phase = config
@@ -587,10 +626,13 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
             config,
             phase,
             last_probe_t_s: 0.0,
-            pa,
-            mismatch,
-            coupling,
-            memo: RefCell::new(WeightMemo::with_capacity(n)),
+            chain: TransmitChain {
+                pa,
+                mismatch,
+                coupling,
+            },
+            memo: WeightMemo::with_capacity(n),
+            radiated: BeamWeights::muted(n),
             lo_phasor,
             events: Vec::new(),
             stages_logged: false,
@@ -614,42 +656,10 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
         &self.config
     }
 
-    /// Annotations recorded so far (drained by the run loop; also
-    /// inspectable directly in unit tests).
+    /// Annotations recorded since the last drain (the run loop drains
+    /// them; unit tests inspect them directly).
     pub fn events(&self) -> &[ImpairmentEvent] {
         &self.events
-    }
-
-    /// Takes and clears the recorded annotations.
-    pub fn take_events(&mut self) -> Vec<ImpairmentEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// True when any transmit-weight stage is enabled.
-    fn has_weight_stages(&self) -> bool {
-        self.pa.is_some() || !self.mismatch.is_empty() || self.coupling.is_some()
-    }
-
-    /// The transmit-chain pipeline: PA compression → per-element mismatch
-    /// → mutual coupling, in place. Returns the worst per-element PA
-    /// compression observed, dB. Allocation-free: the coupling scratch
-    /// lives on the stack (sized by [`MAX_COUPLED_ELEMENTS`]).
-    #[hot_path]
-    fn impair_weights_core(&self, v: &mut [Complex64]) -> f64 {
-        let mut worst_db = 0.0;
-        if let Some(pa) = &self.pa {
-            worst_db = pa.apply(v);
-        }
-        if !self.mismatch.is_empty() {
-            for (x, m) in v.iter_mut().zip(&self.mismatch) {
-                *x *= *m;
-            }
-        }
-        if let Some(cpl) = &self.coupling {
-            let mut scratch = [Complex64::ZERO; MAX_COUPLED_ELEMENTS];
-            cpl.apply_in_place(v, &mut scratch);
-        }
-        worst_db
     }
 
     /// The impaired weights actually radiated for `w` — clone-and-transform
@@ -657,7 +667,7 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// [`SimFrontEnd::radiated_weights_into`] instead.
     pub fn impaired_weights(&self, w: &BeamWeights) -> BeamWeights {
         let mut out = w.clone();
-        self.impair_weights_core(out.as_mut_slice());
+        self.chain.apply(out.as_mut_slice());
         out
     }
 
@@ -700,7 +710,7 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// The receive-chain pipeline on one probe observation: phase noise
     /// (common rotation + ICI) → LO leakage at the DC subcarrier → ADC
     /// quantization and clipping.
-    fn corrupt_observation(&mut self, mut obs: ProbeObservation, t_s: f64) -> ProbeObservation {
+    fn corrupt_observation(&mut self, obs: &mut ProbeObservation, t_s: f64) {
         if let Some(pn) = self.phase.as_mut() {
             let dt = (t_s - self.last_probe_t_s).max(0.0);
             let phi = pn.advance(dt, &mut self.rng);
@@ -752,7 +762,6 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
                 }
             }
         }
-        obs
     }
 }
 
@@ -805,22 +814,27 @@ impl<F: LinkFrontEnd> LinkFrontEnd for ImpairedFrontEnd<F> {
         self.inner.geometry()
     }
 
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
         // All-off transparency: forward untouched, consult no RNG.
         if self.config.is_inert() {
-            return self.inner.probe_kind(weights, kind);
+            return self.inner.probe_kind_into(weights, kind, out);
         }
         let t_s = self.inner.now_s();
         self.log_enabled_stages(t_s);
-        let obs = if self.has_weight_stages() {
-            let mut w = weights.clone();
-            let worst_db = self.impair_weights_core(w.as_mut_slice());
+        if self.chain.is_on() {
+            self.radiated.copy_from(weights);
+            let worst_db = self.chain.apply(self.radiated.as_mut_slice());
             self.note_pa_compression(t_s, worst_db);
-            self.inner.probe_kind(&w, kind)
+            self.inner.probe_kind_into(&self.radiated, kind, out);
         } else {
-            self.inner.probe_kind(weights, kind)
-        };
-        self.corrupt_observation(obs, t_s)
+            self.inner.probe_kind_into(weights, kind, out);
+        }
+        self.corrupt_observation(out, t_s);
     }
 
     fn wait(&mut self, dur_s: f64) {
@@ -850,27 +864,22 @@ impl<F: SimFrontEnd> SimFrontEnd for ImpairedFrontEnd<F> {
     }
 
     #[hot_path]
-    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
+    fn apply_radiated_faults(&mut self, w: &mut BeamWeights) {
         // The data plane radiates through the same compressed, mismatched,
         // coupled hardware the probes see; compose with the inner stack.
-        if self.has_weight_stages() {
+        if self.chain.is_on() {
             // The data plane has no use for the worst-compression figure
             // (only probes report it), so the memo keeps just the weights.
-            self.memo.borrow_mut().apply(w.as_mut_slice(), |v| {
-                self.impair_weights_core(v);
+            self.memo.apply(w.as_mut_slice(), |v| {
+                self.chain.apply(v);
             });
         }
         self.inner.apply_radiated_faults(w);
     }
 
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.inner.drain_fault_events()
-    }
-
-    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
-        let mut evs = self.inner.drain_impairment_events();
-        evs.extend(self.take_events());
-        evs
+    fn drain_events_into(&mut self, out: &mut Vec<RunEvent>) {
+        out.extend(self.events.drain(..).map(RunEvent::Impairment));
+        self.inner.drain_events_into(out);
     }
 }
 
@@ -1115,6 +1124,26 @@ mod tests {
         });
         assert!(cfg.validate().is_err());
         assert!(ImpairmentConfig::none().validate().is_ok());
+    }
+
+    #[test]
+    fn only_coupling_caps_the_array_size() {
+        // 272 elements: past the coupling kernel's stack scratch.
+        let big = || {
+            let mut fe = frozen_fe(1);
+            fe.geom = ArrayGeometry::upa(16, 17);
+            fe
+        };
+        assert!(big().geometry().num_elements() > MAX_COUPLED_ELEMENTS);
+        assert!(ImpairedFrontEnd::new(big(), ImpairmentConfig::none()).is_ok());
+        let uncoupled = ImpairmentConfig {
+            coupling: None,
+            ..ImpairmentConfig::mild(1)
+        };
+        assert!(ImpairedFrontEnd::new(big(), uncoupled).is_ok());
+        let mut coupled = ImpairmentConfig::none();
+        coupled.coupling = Some(CouplingCfg { coupling_db: -25.0 });
+        assert!(ImpairedFrontEnd::new(big(), coupled).is_err());
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub use metrics::{csv_field, csv_parse_row, RunCounters, RunEvent, RunResult, Sa
 pub use runner::{run_many, try_run_many, Aggregate, FailedRun};
 pub use scenario::{Scenario, ScenarioError, ValidationMessage};
 pub use simulator::{
-    run_front_end, FrontEndStack, LinkSimulator, SimFrontEnd, SlotLoop, SlotWorkspace,
+    front_end_stack, run_front_end, FrontEndStack, LinkSimulator, SimFrontEnd, SlotLoop,
+    SlotWorkspace,
 };
 pub use spec::{CustomWorld, FleetMixSpec, MixGroup, ScenarioSpec, WorldSpec};

@@ -6,7 +6,7 @@
 
 use crate::faults::FaultSchedule;
 use crate::impairments::ImpairmentConfig;
-use crate::simulator::{FrontEndStack, LinkSimulator};
+use crate::simulator::{front_end_stack, FrontEndStack, LinkSimulator};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_channel::blockage::{BlockageEvent, BlockageProcess};
 use mmwave_channel::channel::UeReceiver;
@@ -165,9 +165,9 @@ impl Scenario {
     }
 
     /// Instantiates the seeded simulator wrapped in this scenario's
-    /// fault and impairment layers ([`FrontEndStack::new`]).
+    /// fault and impairment layers ([`front_end_stack`]).
     pub fn front_end(&self, seed: u64) -> Result<FrontEndStack, ScenarioError> {
-        FrontEndStack::new(
+        front_end_stack(
             self.simulator(seed),
             self.fault.clone(),
             self.impairment.clone(),

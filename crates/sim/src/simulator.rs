@@ -8,8 +8,8 @@
 //! moving and no data flows. Reliability and throughput then fall out of a
 //! single per-slot record with no separate bookkeeping.
 
-use crate::faults::{FaultEvent, FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent};
+use crate::faults::{FaultInjector, FaultSchedule};
+use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig};
 use crate::metrics::{RunCounters, RunEvent, RunResult, Sample};
 use crate::scenario::ScenarioError;
 use mmreliable::cancel::CancelToken;
@@ -255,7 +255,7 @@ impl LinkSimulator {
 /// A front-end stack the run loop can drive: the bare simulator, or any
 /// chain of decorators (e.g. [`crate::faults::FaultInjector`]) bottoming
 /// out in one. Decorators forward [`SimFrontEnd::sim`] and may transform
-/// the data-plane weights and contribute fault events.
+/// the data-plane weights and contribute events.
 pub trait SimFrontEnd: LinkFrontEnd {
     /// Plays `strategy` for `duration_s`, giving it a maintenance tick
     /// every `tick_period_s` (the CSI-RS cadence). Returns the full run
@@ -311,41 +311,27 @@ pub trait SimFrontEnd: LinkFrontEnd {
     /// The simulator at the bottom of the stack, mutably.
     fn sim_mut(&mut self) -> &mut LinkSimulator;
 
-    /// The weights the array actually radiates in *data* slots — fault
-    /// layers apply element failures / gain drift here so hardware faults
-    /// hit the data plane exactly as they hit probing.
-    fn radiated_weights(&self, w: &BeamWeights) -> BeamWeights {
-        let mut out = w.clone();
-        self.apply_radiated_faults(&mut out);
-        out
-    }
-
-    /// Write-into variant of [`SimFrontEnd::radiated_weights`]: overwrites
-    /// `out` with the radiated weights, reusing its allocation. The run
-    /// loop's per-slot entry point.
-    fn radiated_weights_into(&self, w: &BeamWeights, out: &mut BeamWeights) {
+    /// Overwrites `out` with the weights the array actually radiates for
+    /// `w` in *data* slots, reusing its allocation — the run loop's
+    /// per-slot entry point. Hardware faults and impairments hit the data
+    /// plane exactly as they hit probing.
+    fn radiated_weights_into(&mut self, w: &BeamWeights, out: &mut BeamWeights) {
         out.copy_from(w);
         self.apply_radiated_faults(out);
     }
 
-    /// In-place hardware-fault transform both weight getters share.
-    /// Decorators apply their own element failures / gain drift to `w`,
-    /// then forward down the stack; the bare simulator radiates weights
-    /// unchanged (the default no-op).
-    fn apply_radiated_faults(&self, _w: &mut BeamWeights) {}
+    /// In-place hardware transform behind
+    /// [`SimFrontEnd::radiated_weights_into`]. Decorators apply their own
+    /// element faults or transmit-chain impairments to `w`, then forward
+    /// down the stack; the bare simulator radiates weights unchanged (the
+    /// default no-op).
+    fn apply_radiated_faults(&mut self, _w: &mut BeamWeights) {}
 
-    /// Takes the fault events accumulated since the last drain.
-    // xtask-allow(hot-path-closure): default for fault-free front ends; an empty Vec::new allocates nothing
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        Vec::new()
-    }
-
-    /// Takes the hardware-impairment annotations accumulated since the
-    /// last drain.
-    // xtask-allow(hot-path-closure): default for impairment-free front ends; an empty Vec::new allocates nothing
-    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
-        Vec::new()
-    }
+    /// Appends the events this stack recorded since the last drain to
+    /// `out`. Each decorator appends its own events, then drains its inner
+    /// layer, so an outer layer's events come first; the bare simulator
+    /// records none (the default no-op).
+    fn drain_events_into(&mut self, _out: &mut Vec<RunEvent>) {}
 }
 
 impl SimFrontEnd for LinkSimulator {
@@ -358,133 +344,35 @@ impl SimFrontEnd for LinkSimulator {
     }
 }
 
-/// The one front-end stack every link runs through: the bare simulator, or
-/// the decorator chain its fault schedule and impairment configuration
-/// call for. This is the only code that knows the nesting order —
-/// impairments sit nearest the hardware, faults wrap them so a probe-loss
-/// window suppresses the impaired observation wholesale.
-///
-/// An enum rather than a trait object so [`SlotLoop`]'s generic stepping
-/// stays statically dispatched: the match is control flow only, so a run
-/// through the stack is bit-identical to a run through the concrete
-/// decorator chain, and inert layers are never built.
-// One value per link for the whole run, so the variant size spread costs
-// nothing; boxing the decorated variants would add a pointer chase to
-// every per-slot probe instead.
-#[allow(clippy::large_enum_variant)]
-pub enum FrontEndStack {
-    /// No fault and no impairment: the simulator itself.
-    Bare(LinkSimulator),
-    /// Faults only.
-    Faulted(FaultInjector<LinkSimulator>),
-    /// Impairments only.
-    Impaired(ImpairedFrontEnd<LinkSimulator>),
-    /// Faults over impairments.
-    Both(FaultInjector<ImpairedFrontEnd<LinkSimulator>>),
-}
+/// The one front-end stack every link runs through: faults over
+/// impairments over the simulator. An inert fault schedule or impairment
+/// configuration leaves its layer transparent — bit-identical to the bare
+/// simulator, with no RNG drawn — so a clean link needs no other type.
+pub type FrontEndStack = FaultInjector<ImpairedFrontEnd<LinkSimulator>>;
 
-macro_rules! stack_delegate {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            FrontEndStack::Bare($inner) => $e,
-            FrontEndStack::Faulted($inner) => $e,
-            FrontEndStack::Impaired($inner) => $e,
-            FrontEndStack::Both($inner) => $e,
-        }
-    };
+/// Wraps `sim` in the stack's two layers, failing fast on an invalid
+/// schedule or configuration. This is the only code that knows the nesting
+/// order: impairments sit nearest the hardware, faults wrap them so a
+/// probe-loss window suppresses the impaired observation wholesale.
+pub fn front_end_stack(
+    sim: LinkSimulator,
+    fault: FaultSchedule,
+    impairment: ImpairmentConfig,
+) -> Result<FrontEndStack, ScenarioError> {
+    FaultInjector::new(ImpairedFrontEnd::new(sim, impairment)?, fault)
 }
 
 impl FrontEndStack {
-    /// Wraps `sim` in the layers `fault` and `impairment` call for; an
-    /// inert schedule or configuration adds no layer. Fails fast on an
-    /// invalid one.
-    pub fn new(
-        sim: LinkSimulator,
-        fault: FaultSchedule,
-        impairment: ImpairmentConfig,
-    ) -> Result<Self, ScenarioError> {
-        Ok(match (fault.is_inert(), impairment.is_inert()) {
-            (true, true) => FrontEndStack::Bare(sim),
-            (false, true) => FrontEndStack::Faulted(FaultInjector::new(sim, fault)?),
-            (true, false) => FrontEndStack::Impaired(ImpairedFrontEnd::new(sim, impairment)?),
-            (false, false) => FrontEndStack::Both(FaultInjector::new(
-                ImpairedFrontEnd::new(sim, impairment)?,
-                fault,
-            )?),
-        })
-    }
-
-    /// Stable annotation for the layers wrapping the simulator (empty for
-    /// a clean front end). Fleet lanes put it on their state-history lines
-    /// so a transition tape says which environment produced it.
+    /// Stable annotation for the active layers (empty for a clean front
+    /// end). Fleet lanes put it on their state-history lines so a
+    /// transition tape says which environment produced it.
     pub fn note(&self) -> &'static str {
-        match self {
-            FrontEndStack::Bare(_) => "",
-            FrontEndStack::Faulted(_) => "faulted",
-            FrontEndStack::Impaired(_) => "impaired",
-            FrontEndStack::Both(_) => "faulted+impaired",
+        match (self.schedule().is_inert(), self.inner().config().is_inert()) {
+            (true, true) => "",
+            (false, true) => "faulted",
+            (true, false) => "impaired",
+            (false, false) => "faulted+impaired",
         }
-    }
-}
-
-impl LinkFrontEnd for FrontEndStack {
-    fn geometry(&self) -> &ArrayGeometry {
-        stack_delegate!(self, f => f.geometry())
-    }
-
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
-        stack_delegate!(self, f => f.probe_kind(weights, kind))
-    }
-
-    fn probe_kind_into(
-        &mut self,
-        weights: &BeamWeights,
-        kind: ProbeKind,
-        out: &mut ProbeObservation,
-    ) {
-        stack_delegate!(self, f => f.probe_kind_into(weights, kind, out))
-    }
-
-    fn wait(&mut self, dur_s: f64) {
-        stack_delegate!(self, f => f.wait(dur_s))
-    }
-
-    fn now_s(&self) -> f64 {
-        stack_delegate!(self, f => f.now_s())
-    }
-
-    fn cancel_requested(&self) -> bool {
-        stack_delegate!(self, f => f.cancel_requested())
-    }
-
-    fn probes_used(&self) -> usize {
-        stack_delegate!(self, f => f.probes_used())
-    }
-}
-
-impl SimFrontEnd for FrontEndStack {
-    fn sim(&self) -> &LinkSimulator {
-        stack_delegate!(self, f => f.sim())
-    }
-
-    fn sim_mut(&mut self) -> &mut LinkSimulator {
-        stack_delegate!(self, f => f.sim_mut())
-    }
-
-    fn radiated_weights_into(&self, w: &BeamWeights, out: &mut BeamWeights) {
-        stack_delegate!(self, f => f.radiated_weights_into(w, out))
-    }
-
-    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
-        stack_delegate!(self, f => f.apply_radiated_faults(w))
-    }
-
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        stack_delegate!(self, f => f.drain_fault_events())
-    }
-
-    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
-        stack_delegate!(self, f => f.drain_impairment_events())
     }
 }
 
@@ -631,13 +519,7 @@ impl SlotLoop {
                         .into_iter()
                         .map(RunEvent::Transition),
                 );
-                self.events
-                    .extend(h.drain_fault_events().into_iter().map(RunEvent::Fault));
-                self.events.extend(
-                    h.drain_impairment_events()
-                        .into_iter()
-                        .map(RunEvent::Impairment),
-                );
+                h.drain_events_into(&mut self.events);
                 if h.sim().t_s > t0 {
                     self.samples.push(Sample {
                         t_s: t0,
@@ -730,13 +612,7 @@ impl SlotLoop {
                 .into_iter()
                 .map(RunEvent::Transition),
         );
-        self.events
-            .extend(h.drain_fault_events().into_iter().map(RunEvent::Fault));
-        self.events.extend(
-            h.drain_impairment_events()
-                .into_iter()
-                .map(RunEvent::Impairment),
-        );
+        h.drain_events_into(&mut self.events);
         let sim = h.sim();
         RunResult {
             strategy: strategy.name().to_string(),
@@ -784,12 +660,6 @@ pub fn run_front_end<H: SimFrontEnd>(
 impl LinkFrontEnd for LinkSimulator {
     fn geometry(&self) -> &ArrayGeometry {
         &self.geom
-    }
-
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
-        let mut obs = ProbeObservation::empty();
-        self.probe_kind_into(weights, kind, &mut obs);
-        obs
     }
 
     fn probe_kind_into(

@@ -342,12 +342,12 @@ fn impaired_memo_hits_and_misses_do_not_allocate() {
 }
 
 /// The drift lane: gain drift over mild impairments through
-/// [`FrontEndStack::Both`]. Drift hands the impairment layer new weights on
+/// the front-end stack. Drift hands the impairment layer new weights on
 /// every slot, so every slot misses the memo and runs the drift, PA,
 /// mismatch and coupling kernels in full, still without allocating.
 #[test]
 fn drift_lane_stack_slots_do_not_allocate() {
-    use mmwave_sim::{FaultSchedule, FrontEndStack, ImpairmentConfig};
+    use mmwave_sim::{front_end_stack, FaultSchedule, ImpairmentConfig};
 
     // Elements 3/17/42 dead, ±1.5 dB drift with a 0.5 s period.
     let aging = FaultSchedule {
@@ -358,8 +358,7 @@ fn drift_lane_stack_slots_do_not_allocate() {
         ..FaultSchedule::none()
     };
     let mut fe =
-        FrontEndStack::new(static_sim(11), aging, ImpairmentConfig::mild(4)).expect("valid stack");
-    assert!(matches!(fe, FrontEndStack::Both(_)));
+        front_end_stack(static_sim(11), aging, ImpairmentConfig::mild(4)).expect("valid stack");
     let mut strategy = SingleBeamReactive::new(Default::default());
     let _ = fe.run(&mut strategy, 0.05, 20e-3, "warmup");
 
