@@ -24,15 +24,23 @@ impl Codebook {
     pub fn uniform(geom: &ArrayGeometry, n_beams: usize, span_deg: f64) -> Self {
         assert!(n_beams > 0, "codebook needs at least one beam");
         assert!(span_deg > 0.0, "span must be positive");
-        let angles_deg: Vec<f64> = if n_beams == 1 {
-            vec![0.0]
-        } else {
-            (0..n_beams)
-                .map(|i| -span_deg / 2.0 + span_deg * i as f64 / (n_beams - 1) as f64)
-                .collect()
-        };
+        let angles_deg: Vec<f64> = (0..n_beams)
+            .map(|i| Self::uniform_angle_deg(n_beams, span_deg, i))
+            .collect();
         let beams = angles_deg.iter().map(|&a| single_beam(geom, a)).collect();
         Self { angles_deg, beams }
+    }
+
+    /// Steering angle (degrees) of beam `i` of [`Codebook::uniform`]`(_,
+    /// n_beams, span_deg)`, without building the codebook: scans that
+    /// probe a few of its beams steer each one into a reused buffer.
+    pub fn uniform_angle_deg(n_beams: usize, span_deg: f64, i: usize) -> f64 {
+        debug_assert!(i < n_beams);
+        if n_beams == 1 {
+            0.0
+        } else {
+            -span_deg / 2.0 + span_deg * i as f64 / (n_beams - 1) as f64
+        }
     }
 
     /// The paper's default training scan: 64 beams over 120°.
@@ -130,6 +138,22 @@ mod tests {
         assert_eq!(cb.nearest(13.0), 2);
         assert_eq!(cb.nearest(16.0), 3);
         assert_eq!(cb.nearest(100.0), 4);
+    }
+
+    #[test]
+    fn uniform_angles_without_the_codebook_are_bitwise_its_angles() {
+        let g = ArrayGeometry::paper_8x8();
+        for (n, span) in [(1, 120.0), (5, 120.0), (16, 120.0), (64, 120.0), (64, 90.0)] {
+            let cb = Codebook::uniform(&g, n, span);
+            for i in 0..n {
+                let a = Codebook::uniform_angle_deg(n, span, i);
+                assert_eq!(
+                    a.to_bits(),
+                    cb.angle_deg(i).to_bits(),
+                    "{n} beams, beam {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -181,30 +181,34 @@ pub fn single_beam_az_el(geom: &ArrayGeometry, az_deg: f64, el_deg: f64) -> Beam
 /// A "wide" beam: only the central `active` azimuth elements are driven
 /// (rest muted), which broadens the main lobe at the cost of array gain.
 /// Used by the wide-beam baseline. Power is renormalized to unit TRP.
-// xtask-allow(hot-path-closure): wide beams are built once per scan stage during acquisition, not per slot
 pub fn wide_beam(geom: &ArrayGeometry, aod_deg: f64, active: usize) -> BeamWeights {
+    let mut w = BeamWeights::muted(geom.num_elements());
+    wide_beam_into(geom, aod_deg, active, &mut w);
+    w
+}
+
+/// Write-into variant of [`wide_beam`]: overwrites `out` without
+/// allocating (when its capacity suffices).
+#[hot_path]
+pub fn wide_beam_into(geom: &ArrayGeometry, aod_deg: f64, active: usize, out: &mut BeamWeights) {
     let n_az = geom.azimuth_elements();
     let active = active.clamp(1, n_az);
-    let full = steering_vector(geom, aod_deg);
     let start = (n_az - active) / 2;
     let end = start + active;
-    let mut w: Vec<Complex64> = full
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let col = match geom {
-                ArrayGeometry::Ula { .. } => i,
-                ArrayGeometry::Upa { nx, .. } => i % nx,
-            };
-            if col >= start && col < end {
-                v.conj()
-            } else {
-                Complex64::ZERO
-            }
-        })
-        .collect();
-    mmwave_dsp::complex::normalize_in_place(&mut w);
-    BeamWeights::from_vec(w)
+    let w = out.vec_mut();
+    steering_vector_into(geom, aod_deg, w);
+    for (i, v) in w.iter_mut().enumerate() {
+        let col = match geom {
+            ArrayGeometry::Ula { .. } => i,
+            ArrayGeometry::Upa { nx, .. } => i % nx,
+        };
+        *v = if col >= start && col < end {
+            v.conj()
+        } else {
+            Complex64::ZERO
+        };
+    }
+    mmwave_dsp::complex::normalize_in_place(w);
 }
 
 #[cfg(test)]
@@ -324,6 +328,27 @@ mod tests {
             .map(|(x, y)| *x * *y)
             .sum();
         assert!(off_w.abs() > off_n.abs());
+    }
+
+    #[test]
+    fn wide_beam_into_a_reused_buffer_is_bitwise_wide_beam() {
+        // The buffer last held a beam of another array and width.
+        let mut w = wide_beam(&ArrayGeometry::ula(4), 20.0, 2);
+        for (g, aod, active) in [
+            (ArrayGeometry::paper_8x8(), -37.5, 4),
+            (ArrayGeometry::ula(8), 12.0, 3),
+            (ArrayGeometry::paper_8x8(), 60.0, 8),
+        ] {
+            wide_beam_into(&g, aod, active, &mut w);
+            let want = wide_beam(&g, aod, active);
+            assert_eq!(w.len(), want.len());
+            for (a, b) in w.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

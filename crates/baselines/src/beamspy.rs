@@ -6,12 +6,14 @@
 //! scheme, acts only after quality degrades, and its stored profile goes
 //! stale under mobility; both limitations show up in the paper's Fig. 18.
 
+use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::single_beam;
+use mmwave_array::steering::single_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
+use mmwave_phy::chanest::ProbeObservation;
 
 /// Configuration of the BeamSpy-like baseline.
 #[derive(Clone, Debug)]
@@ -50,6 +52,10 @@ pub struct BeamSpy {
     cfg: BeamSpyConfig,
     /// Stored spatial profile: (angle, power) from the last full scan.
     profile: Vec<(f64, f64)>,
+    /// Scratch every probe fills, maintenance and scan.
+    obs: ProbeObservation,
+    /// The scan's probe weights, steered in place beam by beam.
+    beam: BeamWeights,
     current_idx: Option<usize>,
     weights: Option<BeamWeights>,
     consecutive_fails: usize,
@@ -65,6 +71,8 @@ impl BeamSpy {
         Self {
             cfg,
             profile: Vec::new(),
+            obs: ProbeObservation::empty(),
+            beam: BeamWeights::muted(1),
             current_idx: None,
             weights: None,
             consecutive_fails: 0,
@@ -79,17 +87,16 @@ impl BeamSpy {
         self.current_idx.map(|i| self.profile[i].0)
     }
 
-    // xtask-allow(hot-path-closure): the exhaustive SSB rescan rebuilds its power profile once per scan event, not per slot
     fn full_scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
-        let cb = Codebook::uniform(&geom, self.cfg.codebook_beams, self.cfg.span_deg);
-        self.profile = cb
-            .iter()
-            .map(|(angle, w)| {
-                let obs = fe.probe_kind(w, ProbeKind::Ssb);
-                (angle, obs.mean_power_mw())
-            })
-            .collect();
+        let n_beams = self.cfg.codebook_beams;
+        self.profile.clear();
+        for i in 0..n_beams {
+            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+            single_beam_into(&geom, angle, &mut self.beam);
+            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
+            self.profile.push((angle, self.obs.mean_power_mw()));
+        }
         self.full_scans += 1;
         self.consecutive_fails = 0;
         self.pick_best(&geom, None);
@@ -111,7 +118,8 @@ impl BeamSpy {
         if let Some(i) = pick {
             debug_assert!(i < self.profile.len());
             self.current_idx = Some(i);
-            self.weights = Some(single_beam(geom, self.profile[i].0));
+            let angle = self.profile[i].0;
+            steer_weights(&mut self.weights, |w| single_beam_into(geom, angle, w));
         }
     }
 }
@@ -127,8 +135,8 @@ impl BeamStrategy for BeamSpy {
             self.full_scan(fe);
             return;
         }
-        let obs = fe.probe(self.weights.as_ref().expect("trained"));
-        if obs.snr_db() >= self.cfg.outage_snr_db {
+        fe.probe_into(self.weights.as_ref().expect("trained"), &mut self.obs);
+        if self.obs.snr_db() >= self.cfg.outage_snr_db {
             self.consecutive_fails = 0;
             return;
         }

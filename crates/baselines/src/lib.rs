@@ -32,3 +32,15 @@ pub use oracle::OracleMrt;
 pub use single_reactive::SingleBeamReactive;
 pub use strategy::{BeamStrategy, MmReliableStrategy};
 pub use widebeam::WideBeamStrategy;
+
+use mmwave_array::weights::BeamWeights;
+
+/// Steers a strategy's trained weights with `steer`, reusing their buffer
+/// once trained (`steer` overwrites every element, so the placeholder's
+/// length does not matter).
+pub(crate) fn steer_weights(
+    weights: &mut Option<BeamWeights>,
+    steer: impl FnOnce(&mut BeamWeights),
+) {
+    steer(weights.get_or_insert_with(|| BeamWeights::muted(1)))
+}

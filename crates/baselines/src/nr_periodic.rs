@@ -7,12 +7,14 @@
 //! generous accounting — and points a single beam at the winner. Between
 //! scans nothing adapts.
 
+use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::single_beam;
+use mmwave_array::steering::single_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
+use mmwave_phy::chanest::ProbeObservation;
 
 /// Configuration of the periodic-NR baseline.
 #[derive(Clone, Debug)]
@@ -47,6 +49,10 @@ pub struct NrPeriodic {
     pub scans: usize,
     /// Current beam angle.
     pub angle_deg: Option<f64>,
+    /// Scratch every scan probe fills.
+    obs: ProbeObservation,
+    /// The scan's probe weights, steered in place beam by beam.
+    beam: BeamWeights,
 }
 
 impl NrPeriodic {
@@ -58,32 +64,37 @@ impl NrPeriodic {
             next_scan_s: 0.0,
             scans: 0,
             angle_deg: None,
+            obs: ProbeObservation::empty(),
+            beam: BeamWeights::muted(1),
         }
     }
 
     fn scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
         let n_probes = (2.0 * (self.cfg.n_antennas as f64).log2().ceil()) as usize;
-        let cb = Codebook::uniform(&geom, self.cfg.codebook_beams, self.cfg.span_deg);
-        // Sample exactly n_probes beams spread evenly over the codebook.
-        let n_probes = n_probes.clamp(1, cb.len());
+        let n_beams = self.cfg.codebook_beams;
+        // Sample exactly n_probes beams spread evenly over the codebook,
+        // steering only those.
+        let n_probes = n_probes.clamp(1, n_beams);
         let mut best: Option<(f64, f64)> = None;
         for k in 0..n_probes {
             let i = if n_probes == 1 {
                 0
             } else {
-                k * (cb.len() - 1) / (n_probes - 1)
+                k * (n_beams - 1) / (n_probes - 1)
             };
-            let obs = fe.probe_kind(cb.beam(i), ProbeKind::Ssb);
-            let p = obs.mean_power_mw();
+            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+            single_beam_into(&geom, angle, &mut self.beam);
+            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
+            let p = self.obs.mean_power_mw();
             if best.is_none_or(|(bp, _)| p > bp) {
-                best = Some((p, cb.angle_deg(i)));
+                best = Some((p, angle));
             }
         }
         if let Some((p, angle)) = best {
             if p > 0.0 {
                 self.angle_deg = Some(angle);
-                self.weights = Some(single_beam(&geom, angle));
+                steer_weights(&mut self.weights, |w| single_beam_into(&geom, angle, w));
             }
         }
         self.scans += 1;

@@ -8,10 +8,11 @@
 //! itself costs airtime during which the link carries no data — the heart
 //! of why reactive schemes lose reliability.
 
+use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::single_beam;
+use mmwave_array::steering::single_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
@@ -58,9 +59,11 @@ pub struct SingleBeamReactive {
     weights: Option<BeamWeights>,
     ticks_since_scan: usize,
     bad_ticks: usize,
-    /// Scratch for the per-tick maintenance probe: reused across ticks so
-    /// steady-state maintenance is allocation-free (DESIGN.md §8).
+    /// Scratch for every probe, maintenance and scan: reused across
+    /// ticks so maintenance and rescans are allocation-free (DESIGN.md §8).
     obs: ProbeObservation,
+    /// The scan's probe weights, steered in place beam by beam.
+    beam: BeamWeights,
     /// Number of re-trainings triggered (exposed for evaluation).
     pub rescans: usize,
 }
@@ -75,6 +78,7 @@ impl SingleBeamReactive {
             ticks_since_scan: usize::MAX / 2,
             bad_ticks: 0,
             obs: ProbeObservation::empty(),
+            beam: BeamWeights::muted(1),
             rescans: 0,
         }
     }
@@ -89,26 +93,29 @@ impl SingleBeamReactive {
     fn fast_scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
         let n_probes = (2.0 * (self.cfg.n_antennas as f64).log2().ceil()) as usize;
-        let cb = Codebook::uniform(&geom, self.cfg.codebook_beams, self.cfg.span_deg);
-        // Sample exactly n_probes beams spread evenly over the codebook.
-        let n_probes = n_probes.clamp(1, cb.len());
+        let n_beams = self.cfg.codebook_beams;
+        // Sample exactly n_probes beams spread evenly over the codebook,
+        // steering only those.
+        let n_probes = n_probes.clamp(1, n_beams);
         let mut best: Option<(f64, f64)> = None; // (power, angle)
         for k in 0..n_probes {
             let i = if n_probes == 1 {
                 0
             } else {
-                k * (cb.len() - 1) / (n_probes - 1)
+                k * (n_beams - 1) / (n_probes - 1)
             };
-            let obs = fe.probe_kind(cb.beam(i), ProbeKind::Ssb);
-            let p = obs.mean_power_mw();
+            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+            single_beam_into(&geom, angle, &mut self.beam);
+            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
+            let p = self.obs.mean_power_mw();
             if best.is_none_or(|(bp, _)| p > bp) {
-                best = Some((p, cb.angle_deg(i)));
+                best = Some((p, angle));
             }
         }
         if let Some((power, angle)) = best {
             if power > 0.0 {
                 self.beam_angle_deg = Some(angle);
-                self.weights = Some(single_beam(&geom, angle));
+                steer_weights(&mut self.weights, |w| single_beam_into(&geom, angle, w));
             }
         }
         self.rescans += 1;

@@ -5,12 +5,14 @@
 //! main lobe. The price is array gain — roughly `10·log₁₀(N/active)` dB —
 //! which costs both SNR headroom (blockage margin) and throughput.
 
+use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::wide_beam;
+use mmwave_array::steering::wide_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
+use mmwave_phy::chanest::ProbeObservation;
 
 /// Configuration of the wide-beam baseline.
 #[derive(Clone, Debug)]
@@ -48,6 +50,10 @@ pub struct WideBeamStrategy {
     angle_deg: Option<f64>,
     weights: Option<BeamWeights>,
     consecutive_fails: usize,
+    /// Scratch every probe fills, maintenance and scan.
+    obs: ProbeObservation,
+    /// The scan's probe weights, steered in place beam by beam.
+    beam: BeamWeights,
     /// Scans performed (evaluation counter).
     pub scans: usize,
 }
@@ -60,6 +66,8 @@ impl WideBeamStrategy {
             angle_deg: None,
             weights: None,
             consecutive_fails: 0,
+            obs: ProbeObservation::empty(),
+            beam: BeamWeights::muted(1),
             scans: 0,
         }
     }
@@ -74,12 +82,12 @@ impl WideBeamStrategy {
         // A coarse scan with the wide beam itself (its lobes are broad, so
         // few probes suffice).
         let mut best: Option<(f64, f64)> = None;
-        let cb = Codebook::uniform(&geom, self.cfg.codebook_beams, self.cfg.span_deg);
-        for i in 0..cb.len() {
-            let angle = cb.angle_deg(i);
-            let w = wide_beam(&geom, angle, self.cfg.active_elements);
-            let obs = fe.probe_kind(&w, ProbeKind::Ssb);
-            let p = obs.mean_power_mw();
+        let (n_beams, active) = (self.cfg.codebook_beams, self.cfg.active_elements);
+        for i in 0..n_beams {
+            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+            wide_beam_into(&geom, angle, active, &mut self.beam);
+            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
+            let p = self.obs.mean_power_mw();
             if best.is_none_or(|(bp, _)| p > bp) {
                 best = Some((p, angle));
             }
@@ -87,7 +95,9 @@ impl WideBeamStrategy {
         if let Some((p, angle)) = best {
             if p > 0.0 {
                 self.angle_deg = Some(angle);
-                self.weights = Some(wide_beam(&geom, angle, self.cfg.active_elements));
+                steer_weights(&mut self.weights, |w| {
+                    wide_beam_into(&geom, angle, active, w)
+                });
             }
         }
         self.scans += 1;
@@ -106,8 +116,8 @@ impl BeamStrategy for WideBeamStrategy {
             self.scan(fe);
             return;
         }
-        let obs = fe.probe(self.weights.as_ref().expect("trained"));
-        if obs.snr_db() < self.cfg.outage_snr_db {
+        fe.probe_into(self.weights.as_ref().expect("trained"), &mut self.obs);
+        if self.obs.snr_db() < self.cfg.outage_snr_db {
             self.consecutive_fails += 1;
             if self.consecutive_fails >= self.cfg.fails_before_rescan {
                 self.scan(fe);
@@ -140,7 +150,7 @@ mod tests {
     use mmreliable::frontend::SnapshotFrontEnd;
     use mmwave_array::geometry::ArrayGeometry;
     use mmwave_array::pattern::power_gain_db;
-    use mmwave_array::steering::single_beam;
+    use mmwave_array::steering::{single_beam, wide_beam};
     use mmwave_channel::channel::{GeometricChannel, UeReceiver};
     use mmwave_channel::environment::Scene;
     use mmwave_channel::geom2d::v2;

@@ -1,16 +1,21 @@
 //! Criterion benches for the channel substrate and the simulator's hot
-//! loop: image-method path extraction, CSI synthesis, and one simulated
-//! slot (what bounds the wall-clock of the Fig. 18 experiment sweeps).
+//! loop: image-method path extraction, CSI synthesis, the one-shot probe
+//! and the simulator's warm snapshot probe (what bounds the wall-clock of
+//! the Fig. 18 experiment sweeps).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
+use mmwave_channel::blockage::BlockageProcess;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
+use mmwave_channel::dynamics::DynamicChannel;
 use mmwave_channel::environment::Scene;
 use mmwave_channel::geom2d::v2;
+use mmwave_channel::mobility::{Pose, Trajectory};
+use mmwave_channel::snapshot::ChannelSnapshot;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::FC_28GHZ;
-use mmwave_phy::chanest::ChannelSounder;
+use mmwave_phy::chanest::{ChannelSounder, ProbeObservation};
 use mmwave_phy::grid::ResourceGrid;
 
 fn bench_paths_to(c: &mut Criterion) {
@@ -43,6 +48,34 @@ fn bench_probe(c: &mut Criterion) {
     });
 }
 
+fn bench_probe_snapshot_into(c: &mut Criterion) {
+    // The simulator's probe: a warm snapshot and a reused observation, so
+    // this times CSI synthesis plus the noise tail and nothing else.
+    let pose = Pose {
+        pos: v2(0.9, 7.0),
+        facing_deg: 180.0,
+    };
+    let dynamic = DynamicChannel::new(
+        Scene::conference_room(FC_28GHZ),
+        Trajectory::Static { pose },
+        BlockageProcess::none(),
+    );
+    let geom = ArrayGeometry::paper_8x8();
+    let w = single_beam(&geom, 7.0);
+    let sounder = ChannelSounder::paper_indoor();
+    let mut snap = ChannelSnapshot::new();
+    snap.rebuild(&dynamic, &geom, &UeReceiver::Omni, 0.0);
+    let mut obs = ProbeObservation::empty();
+    let mut rng = Rng64::seed(10);
+    sounder.probe_snapshot_into(&mut snap, &w, &mut rng, &mut obs);
+    c.bench_function("probe_snapshot_into", |b| {
+        b.iter(|| {
+            sounder.probe_snapshot_into(&mut snap, &w, &mut rng, &mut obs);
+            obs.noise_power_mw
+        })
+    });
+}
+
 fn bench_oracle_weights(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
     let ch = GeometricChannel::new(scene.paths_to(v2(0.9, 7.0), 180.0), FC_28GHZ);
@@ -58,6 +91,7 @@ criterion_group!(
     bench_paths_to,
     bench_csi,
     bench_probe,
+    bench_probe_snapshot_into,
     bench_oracle_weights
 );
 criterion_main!(benches);

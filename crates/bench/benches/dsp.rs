@@ -1,6 +1,7 @@
 //! Criterion benches for the DSP substrate: FFT, ridge least squares, and
 //! sinc-dictionary construction — the hot kernels under the
-//! super-resolution step (Table/Fig. 11's "100 µs" solve claim).
+//! super-resolution step (Table/Fig. 11's "100 µs" solve claim) — plus
+//! one probe's worth of complex AWGN, the bulk of a probe's cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmwave_dsp::complex::Complex64;
@@ -52,5 +53,23 @@ fn bench_sinc_dictionary(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_fft, bench_ridge, bench_sinc_dictionary);
+fn bench_awgn(c: &mut Criterion) {
+    // One 264-subcarrier probe's noise, drawn as a batch.
+    let mut rng = Rng64::seed(4);
+    let mut noise = vec![Complex64::ZERO; 264];
+    c.bench_function("awgn_264", |b| {
+        b.iter(|| {
+            rng.complex_normals_into(&mut noise);
+            noise[263]
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_fft,
+    bench_ridge,
+    bench_sinc_dictionary,
+    bench_awgn
+);
 criterion_main!(benches);

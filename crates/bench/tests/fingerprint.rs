@@ -23,7 +23,7 @@ fn mmreliable_fingerprint_is_pinned() {
     let f = fingerprint("mmReliable");
     assert_eq!(
         format!("{:016x}", f.hash),
-        "7efd71d3fa16c065",
+        "bf33b12c2c4945fe",
         "{} samples",
         f.samples
     );
@@ -37,7 +37,7 @@ fn front_end_stack_fingerprint_is_pinned() {
     let f = stack_fingerprint();
     assert_eq!(
         format!("{:016x}", f.hash),
-        "3c615ef923cd15e8",
+        "12fe9370c2598a50",
         "{} samples",
         f.samples
     );

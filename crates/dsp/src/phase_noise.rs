@@ -22,7 +22,7 @@
 //! the same Δt sequence reproduces the same phase trajectory bit-for-bit.
 
 use crate::complex::Complex64;
-use crate::rng::Rng64;
+use crate::rng::{Rng64, NORMAL_BATCH};
 use mmwave_hotpath::hot_path;
 
 /// Leaky-Wiener LO phase state.
@@ -83,9 +83,17 @@ pub fn rotate_with_ici(csi: &mut [Complex64], phi_rad: f64, sigma2_sym: f64, rng
     let coherent = (-0.5 * sigma2_sym).exp();
     let ici_frac = 1.0 - (-sigma2_sym).exp();
     let rot = Complex64::cis(phi_rad).scale(coherent);
-    for h in csi.iter_mut() {
-        let p_ici = h.norm_sqr() * ici_frac;
-        *h = *h * rot + rng.awgn(p_ici);
+    // `Rng64::awgn(p_ici)` per sample, drawn as batches: the same uniforms
+    // in the same order, scaled by the same `√p_ici`.
+    let mut noise = [Complex64::ZERO; NORMAL_BATCH];
+    for chunk in csi.chunks_mut(NORMAL_BATCH) {
+        debug_assert!(chunk.len() <= noise.len());
+        let noise = &mut noise[..chunk.len()];
+        rng.complex_normals_into(noise);
+        for (h, n) in chunk.iter_mut().zip(noise.iter()) {
+            let p_ici = h.norm_sqr() * ici_frac;
+            *h = *h * rot + n.scale(p_ici.sqrt());
+        }
     }
 }
 
@@ -157,6 +165,29 @@ mod tests {
             .fold(Complex64::ZERO, |a, &b| a + b)
             .scale(1.0 / csi.len() as f64);
         assert!((mean.abs() - (-0.5 * sigma2).exp()).abs() < 0.05);
+    }
+
+    #[test]
+    fn batched_ici_equals_per_sample_awgn() {
+        // Lengths around the batch size, and a probe's 264 subcarriers.
+        for n in [1, 63, 64, 65, 264] {
+            let csi: Vec<Complex64> = (0..n)
+                .map(|k| c64(1.0 + 0.01 * k as f64, -0.5 + 0.003 * k as f64))
+                .collect();
+            let (phi, sigma2) = (0.4, 0.05);
+            let mut rng = Rng64::seed(17);
+            let mut oracle_rng = rng.clone();
+            let mut got = csi.clone();
+            rotate_with_ici(&mut got, phi, sigma2, &mut rng);
+            let rot = Complex64::cis(phi).scale((-0.5 * sigma2).exp());
+            let ici_frac = 1.0 - (-sigma2).exp();
+            for (g, h) in got.iter().zip(&csi) {
+                let want = *h * rot + oracle_rng.awgn(h.norm_sqr() * ici_frac);
+                assert_eq!(g.re.to_bits(), want.re.to_bits(), "len {n}");
+                assert_eq!(g.im.to_bits(), want.im.to_bits(), "len {n}");
+            }
+            assert_eq!(rng.uniform().to_bits(), oracle_rng.uniform().to_bits());
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use mmwave_channel::linkbudget::LinkBudget;
 use mmwave_channel::snapshot::ChannelSnapshot;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::ifft;
-use mmwave_dsp::rng::Rng64;
+use mmwave_dsp::rng::{Rng64, NORMAL_BATCH};
 use mmwave_dsp::units::{db_from_pow, mw_from_dbm, SPEED_OF_LIGHT};
 use mmwave_hotpath::hot_path;
 
@@ -225,8 +225,17 @@ impl ChannelSounder {
             Complex64::ONE
         };
         let noise_mw = self.noise_power_mw();
-        for h in obs.csi.iter_mut() {
-            *h = common * h.scale(per_sc_amp * atmo) + rng.awgn(noise_mw);
+        // `Rng64::awgn` per subcarrier, drawn as batches: the same uniforms
+        // in the same order, scaled by the same `√pow`.
+        let noise_amp = noise_mw.sqrt();
+        let mut noise = [Complex64::ZERO; NORMAL_BATCH];
+        for chunk in obs.csi.chunks_mut(NORMAL_BATCH) {
+            debug_assert!(chunk.len() <= noise.len());
+            let noise = &mut noise[..chunk.len()];
+            rng.complex_normals_into(noise);
+            for (h, n) in chunk.iter_mut().zip(noise.iter()) {
+                *h = common * h.scale(per_sc_amp * atmo) + n.scale(noise_amp);
+            }
         }
         obs.noise_power_mw = noise_mw;
     }
@@ -362,6 +371,34 @@ mod tests {
             (delay_ns - 23.35).abs() < 2.0 * tap_s * 1e9,
             "peak at {delay_ns} ns"
         );
+    }
+
+    #[test]
+    fn batched_noise_equals_per_subcarrier_awgn() {
+        // The corrupt tail draws its AWGN as batches; it must equal one
+        // `Rng64::awgn` per subcarrier after the CFO phasor, bit for bit.
+        let sounder = ChannelSounder::paper_indoor();
+        let geom = ArrayGeometry::paper_8x8();
+        let w = single_beam(&geom, 10.0);
+        let ch = los_channel(7.0);
+        let mut noiseless = sounder.clone();
+        noiseless.cfo_impairment = false;
+        noiseless.noise_boost = 0.0;
+        let truth = noiseless.probe(&ch, &geom, &w, &UeReceiver::Omni, &mut Rng64::seed(0));
+        let mut rng = Rng64::seed(8);
+        let mut oracle_rng = rng.clone();
+        let got = sounder.probe(&ch, &geom, &w, &UeReceiver::Omni, &mut rng);
+        let common = oracle_rng.random_phasor();
+        let noise_mw = sounder.noise_power_mw();
+        assert_eq!(got.csi.len(), 264);
+        for (g, h) in got.csi.iter().zip(&truth.csi) {
+            let want = common * *h + oracle_rng.awgn(noise_mw);
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (want.re.to_bits(), want.im.to_bits())
+            );
+        }
+        assert_eq!(rng.uniform().to_bits(), oracle_rng.uniform().to_bits());
     }
 
     #[test]

@@ -31,10 +31,10 @@ use mmwave_phy::mcs::McsTable;
 /// of every buffer the steady-state slot loop touches (DESIGN.md §8).
 ///
 /// Holds the [`ChannelSnapshot`] (rebuilt at most once per simulated
-/// instant), the cached 33-point SNR evaluation comb, and the CSI scratch
-/// the SNR metric writes into. After the buffers reach their high-water
-/// mark during the first few slots, the data-plane slot loop performs no
-/// heap allocation at all.
+/// instant), the cached 33-point SNR evaluation comb with the metric's
+/// link constants, and the CSI scratch the SNR metric writes into. After
+/// the buffers reach their high-water mark during the first few slots, the
+/// data-plane slot loop performs no heap allocation at all.
 #[derive(Debug, Default)]
 pub struct SlotWorkspace {
     /// The per-instant channel snapshot every reader shares.
@@ -42,6 +42,11 @@ pub struct SlotWorkspace {
     /// Cached 33-point comb for [`LinkSimulator::true_snr_db`] (the grid
     /// is link-constant, so it is built once on first use).
     comb_freqs: Vec<f64>,
+    /// Per-subcarrier TX power, mW: the sounder budget's TX power spread
+    /// over the grid. Set with `comb_freqs`.
+    per_sc_tx_mw: f64,
+    /// The sounder's per-subcarrier noise power, mW. Set with `comb_freqs`.
+    noise_mw: f64,
     /// CSI scratch for the SNR metric.
     csi: Vec<Complex64>,
 }
@@ -209,7 +214,9 @@ impl LinkSimulator {
     /// coarse 33-point comb across the occupied band (captures frequency
     /// selectivity at 1/100 the cost of the full grid). Takes `&mut self`
     /// because it reads the channel through the workspace snapshot,
-    /// refreshing it if simulated time has advanced.
+    /// refreshing it if simulated time has advanced. The sounder's grid,
+    /// TX power and noise floor are link constants: they are read on the
+    /// first call and cached in the workspace.
     #[hot_path]
     pub fn true_snr_db(&mut self, weights: &BeamWeights) -> f64 {
         self.refresh_snapshot();
@@ -225,16 +232,18 @@ impl LinkSimulator {
             self.ws
                 .comb_freqs
                 .extend((0..33).map(|i| -half + 2.0 * half * i as f64 / 32.0));
+            // Same scaling as the sounder: TX power spread across
+            // subcarriers against per-subcarrier noise.
+            let tx_mw = mw_from_dbm(self.sounder.budget.tx_power_dbm);
+            self.ws.per_sc_tx_mw = tx_mw / self.sounder.grid.n_subcarriers as f64;
+            self.ws.noise_mw = self.sounder.noise_power_mw();
         }
         self.ws
             .snapshot
             .csi_into(weights, &self.ws.comb_freqs, &mut self.ws.csi);
         let csi = &self.ws.csi;
         let mean_pow: f64 = csi.iter().map(|v| v.norm_sqr()).sum::<f64>() / csi.len() as f64;
-        // Same scaling as the sounder: TX power spread across subcarriers
-        // against per-subcarrier noise, with atmospheric absorption.
-        let tx_mw = mw_from_dbm(self.sounder.budget.tx_power_dbm);
-        let per_sc = tx_mw / self.sounder.grid.n_subcarriers as f64;
+        let per_sc = self.ws.per_sc_tx_mw;
         let dist_m = self
             .ws
             .snapshot
@@ -247,8 +256,7 @@ impl LinkSimulator {
             * SPEED_OF_LIGHT;
         let atmo =
             mmwave_dsp::units::pow_from_db(-self.sounder.budget.atmospheric_absorption_db(dist_m));
-        let noise = self.sounder.noise_power_mw();
-        db_from_pow((mean_pow * per_sc * atmo / noise).max(1e-6)).max(-60.0)
+        db_from_pow((mean_pow * per_sc * atmo / self.ws.noise_mw).max(1e-6)).max(-60.0)
     }
 }
 

@@ -357,25 +357,25 @@ fn lossy_fault_paths_are_pinned() {
             "reactive",
             scenario::static_walker(),
             0xc67e09114a6656df,
-            0x15b47cf30a335a62,
+            0x3e6d41bd40c974a9,
         ),
         (
             "reactive",
             scenario::mixed_mobility_blockage(3),
             0x68d090cd5913abee,
-            0x7639b9ef68f34595,
+            0x53d08334a811b0f0,
         ),
         (
             "mmreliable",
             scenario::static_walker(),
-            0x1db21394e2714077,
-            0xae01e80cdefdbc5a,
+            0x034a0a6237f20766,
+            0x37ec81435dedf3bf,
         ),
         (
             "mmreliable",
             scenario::mixed_mobility_blockage(3),
-            0xe6141271b9912bbb,
-            0x8b7d107bcb431c28,
+            0x87a3eb363f63ef93,
+            0xafc91af7a370ea85,
         ),
     ];
     let mut seen = std::collections::BTreeSet::new();
