@@ -1,9 +1,10 @@
 //! Criterion benches for the channel substrate and the simulator's hot
-//! loop: image-method path extraction, CSI synthesis, the one-shot probe
-//! and the simulator's warm snapshot probe (what bounds the wall-clock of
-//! the Fig. 18 experiment sweeps).
+//! loop: image-method path extraction, CSI synthesis, the one-shot probe,
+//! the simulator's warm snapshot probe and its data slot (what bounds the
+//! wall-clock of the Fig. 18 experiment sweeps).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mmreliable::frontend::LinkFrontEnd;
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
 use mmwave_channel::blockage::BlockageProcess;
@@ -17,6 +18,7 @@ use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::FC_28GHZ;
 use mmwave_phy::chanest::{ChannelSounder, ProbeObservation};
 use mmwave_phy::grid::ResourceGrid;
+use mmwave_sim::scenario::{self, Scenario};
 
 fn bench_paths_to(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
@@ -76,6 +78,38 @@ fn bench_probe_snapshot_into(c: &mut Criterion) {
     });
 }
 
+fn bench_data_slots(c: &mut Criterion) {
+    // One data slot: advance the clock by a slot, then the SNR metric
+    // (snapshot rebuild plus band power) under a fixed beam. The four
+    // mobility cases differ in what moves between slots: the pose
+    // (translation re-traces and moves every delay), the gNB's facing
+    // (rotation: AoDs move, delays do not), nothing (static) or a
+    // waypoint walk in a 9-path channel with double bounces.
+    let cases: [(&str, Scenario); 4] = [
+        ("data_slot_translation", scenario::translation_1s()),
+        ("data_slot_rotation", scenario::gnb_rotation(18.0)),
+        ("data_slot_static", scenario::static_walker()),
+        ("data_slot_natural_motion", scenario::natural_motion(1)),
+    ];
+    for (id, sc) in cases {
+        let mut sim = sc.simulator(7);
+        let w = single_beam(&sim.geom, 0.0);
+        // Warm every workspace buffer to its high-water mark.
+        for _ in 0..8 {
+            let slot_s = sim.slot_s;
+            sim.wait(slot_s);
+            sim.true_snr_db(&w);
+        }
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let slot_s = sim.slot_s;
+                sim.wait(slot_s);
+                sim.true_snr_db(&w)
+            })
+        });
+    }
+}
+
 fn bench_oracle_weights(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
     let ch = GeometricChannel::new(scene.paths_to(v2(0.9, 7.0), 180.0), FC_28GHZ);
@@ -92,6 +126,7 @@ criterion_group!(
     bench_csi,
     bench_probe,
     bench_probe_snapshot_into,
+    bench_data_slots,
     bench_oracle_weights
 );
 criterion_main!(benches);

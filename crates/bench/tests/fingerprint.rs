@@ -12,7 +12,7 @@ fn reactive_fingerprint_is_pinned() {
     let f = fingerprint("single-beam reactive");
     assert_eq!(
         format!("{:016x}", f.hash),
-        "636133016b9ede92",
+        "0eab35741526069d",
         "{} samples",
         f.samples
     );
@@ -23,7 +23,7 @@ fn mmreliable_fingerprint_is_pinned() {
     let f = fingerprint("mmReliable");
     assert_eq!(
         format!("{:016x}", f.hash),
-        "bf33b12c2c4945fe",
+        "5413902bd379f885",
         "{} samples",
         f.samples
     );
@@ -37,7 +37,7 @@ fn front_end_stack_fingerprint_is_pinned() {
     let f = stack_fingerprint();
     assert_eq!(
         format!("{:016x}", f.hash),
-        "12fe9370c2598a50",
+        "5c53a4ffb83545c5",
         "{} samples",
         f.samples
     );

@@ -8,8 +8,11 @@
 //!   sounding would measure — used only by the oracle baseline),
 //! - effective scalar channel `y(f) = Σ_l γ_l·g_rx(θ_l)·e^{-j2πfτ_l}·a(φ_l)ᵀw`
 //!   under a given transmit beam (what reference signals actually measure),
+//! - its band-averaged power over a uniform comb (the data-slot SNR's
+//!   signal term), in closed form over the path pairs,
 //! - the band-limited sampled CIR (paper Eq. 22).
 
+use crate::bandpower::PairWeights;
 use crate::path::Path;
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::{
@@ -189,6 +192,27 @@ impl GeometricChannel {
         for &(alpha, tau) in &scratch.alphas {
             add_path(out, alpha, comb_phasors(freqs_hz, tau));
         }
+    }
+
+    /// Band-averaged received power (linear, relative to unit transmit
+    /// power) under transmit weights `w`: the mean of `|y(f)|²` over the
+    /// comb `freqs_hz`, in closed form over the path pairs (module docs of
+    /// `bandpower`: `Σ_l |α_l|² + 2·Σ_{l<m} Re(α_l·α_m*)·D_N(Δf·(τ_l − τ_m))`).
+    /// `freqs_hz` must be a uniform comb symmetric about the carrier
+    /// (checked by `debug_assert!`); an empty channel or comb gives 0. The
+    /// same kernel backs [`crate::snapshot::ChannelSnapshot::band_power`],
+    /// which caches the pair weights across slots, so the two routes are
+    /// bitwise equal.
+    pub fn band_power(
+        &self,
+        geom: &ArrayGeometry,
+        w: &BeamWeights,
+        rx: &UeReceiver,
+        freqs_hz: &[f64],
+    ) -> f64 {
+        let mut scratch = ChannelScratch::default();
+        self.path_alphas_into(geom, w, rx, &mut scratch);
+        PairWeights::default().band_power(&scratch.alphas, freqs_hz)
     }
 
     /// Band-limited sampled channel impulse response (paper Eq. 22):
@@ -381,7 +405,7 @@ pub(crate) fn comb_phasors(freqs_hz: &[f64], tau_s: f64) -> impl Iterator<Item =
 
 /// `(f₀, Δf)` of a comb, `Δf = (f_{n−1} − f₀)/(n − 1)`; `Δf` is 0 below two
 /// points and both are 0 for an empty comb.
-fn comb_origin_step(freqs: &[f64]) -> (f64, f64) {
+pub(crate) fn comb_origin_step(freqs: &[f64]) -> (f64, f64) {
     match (freqs.first(), freqs.last()) {
         (Some(&f0), Some(&f_last)) if freqs.len() > 1 => {
             (f0, (f_last - f0) / (freqs.len() - 1) as f64)
@@ -392,8 +416,8 @@ fn comb_origin_step(freqs: &[f64]) -> (f64, f64) {
 }
 
 /// True if `freqs` is `f₀ + i·Δf` to within `10⁻⁹·|Δf|` (the
-/// [`comb_phasors`] precondition).
-fn is_uniform_comb(freqs: &[f64]) -> bool {
+/// [`comb_phasors`] and band-power precondition).
+pub(crate) fn is_uniform_comb(freqs: &[f64]) -> bool {
     let (f0, df) = comb_origin_step(freqs);
     freqs
         .iter()

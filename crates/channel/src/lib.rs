@@ -9,7 +9,8 @@
 //! - [`path`] — one sparse propagation path (AoD/AoA/complex gain/ToF),
 //! - [`channel`] — the paper's own channel model (Eq. 25/26): per-element
 //!   frequency response, effective scalar channel under beamforming,
-//!   sampled CIR (Eq. 22),
+//!   its band-averaged power (the Dirichlet-kernel path Gram form over a
+//!   uniform comb), sampled CIR (Eq. 22),
 //! - [`environment`] — first-order image-method scenes with material
 //!   reflection losses, calibrated to the paper's measurement study
 //!   (§3.2: median reflector attenuation 7.2 dB indoor / 5 dB outdoor),
@@ -29,6 +30,7 @@
 //!   measurement-study reproduction (Fig. 4a).
 
 #![warn(missing_docs)]
+mod bandpower;
 pub mod blockage;
 pub mod cell;
 pub mod channel;

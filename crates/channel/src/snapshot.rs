@@ -16,8 +16,10 @@
 //!   the tiled zero-elevation steering vector `a(φ_l)` is the same),
 //! - per-path beam-independent coefficients `γ_l·g_rx(θ_l)`,
 //! - per-path delays `τ_l` (seconds),
-//! - the CSI phase tables `cis(-2π·f·τ_l)` for the two most recently read
-//!   frequency combs (the SNR metric's and the sounder's).
+//! - the CSI phase table `cis(-2π·f·τ_l)` of the last comb sounded (the
+//!   sounder's probe comb),
+//! - the band-power pair weights `D_N(Δf·(τ_l − τ_m))` of the last comb
+//!   averaged over (the SNR metric's).
 //!
 //! Every reader then costs only inner products against the cached rows
 //! (`nx` multiply-adds per path against the column-folded weights); no
@@ -27,11 +29,13 @@
 //! makes the rule checkable.
 //!
 //! Bit-identity: all derived quantities use the same kernels
-//! ([`azimuth_row_into`], [`fold_columns_into`], the comb recurrence) and
+//! ([`azimuth_row_into`], [`fold_columns_into`], the comb recurrence, the
+//! band-power pair weights) and
 //! the same floating-point association order as the allocating
 //! [`GeometricChannel`] methods they replace, so fixed-seed runs are
 //! bit-identical whichever route computes them.
 
+use crate::bandpower::PairWeights;
 use crate::channel::{add_path, comb_phasors, GeometricChannel, UeReceiver};
 use crate::dynamics::DynamicChannel;
 use crate::path::Path;
@@ -63,11 +67,13 @@ pub struct ChannelSnapshot {
     row_aods: Vec<f64>,
     /// Per-path gNB azimuth steering rows, flat `n_paths × nx`.
     steer_rows: Vec<Complex64>,
-    /// Cached CSI phase tables, least recently used first. Two slots so
-    /// the SNR metric's comb and the sounder's probe comb do not evict
-    /// each other. Delays only move when the pose moves, so static slots
-    /// and repeated probes on either comb skip all the `cis` calls.
-    phase_tables: [PhaseTable; 2],
+    /// Cached CSI phase table of the last comb sounded. Delays only move
+    /// when the pose moves, so repeated probes at a static pose skip all
+    /// the `cis` calls.
+    phase_table: PhaseTable,
+    /// Cached band-power pair weights of the last comb averaged over;
+    /// like the phase table, reused while the delays do not move.
+    pairs: PairWeights,
     /// Per-path beam-independent coefficient `γ_l · g_rx(θ_l)`.
     coeffs: Vec<Complex64>,
     /// Per-path delay, seconds.
@@ -102,7 +108,8 @@ impl ChannelSnapshot {
             traced_pose: None,
             row_aods: Vec::new(),
             steer_rows: Vec::new(),
-            phase_tables: Default::default(),
+            phase_table: PhaseTable::default(),
+            pairs: PairWeights::default(),
             coeffs: Vec::new(),
             delays_s: Vec::new(),
             geom: ArrayGeometry::ula(1),
@@ -236,8 +243,10 @@ impl ChannelSnapshot {
     pub fn csi_into(&mut self, w: &BeamWeights, freqs_hz: &[f64], out: &mut Vec<Complex64>) {
         debug_assert!(self.t_s.is_some(), "snapshot read before first rebuild");
         self.path_alphas_into(w);
-        self.refresh_phase_table(freqs_hz);
-        let [_, table] = &self.phase_tables;
+        let table = &mut self.phase_table;
+        if !table.matches(freqs_hz, &self.delays_s) {
+            table.fill(freqs_hz, &self.delays_s);
+        }
         out.clear();
         out.resize(freqs_hz.len(), Complex64::ZERO);
         // Same path-outer accumulation as `GeometricChannel::csi_into`,
@@ -249,18 +258,18 @@ impl ChannelSnapshot {
         }
     }
 
-    /// Makes the newer phase-table slot hold `freqs_hz` × current delays:
-    /// a cached slot when one matches bitwise, otherwise the least recently
-    /// used slot refilled. Either way that slot becomes the most recently
-    /// used.
-    fn refresh_phase_table(&mut self, freqs_hz: &[f64]) {
-        let [older, newer] = &mut self.phase_tables;
-        if !newer.matches(freqs_hz, &self.delays_s) {
-            if !older.matches(freqs_hz, &self.delays_s) {
-                older.fill(freqs_hz, &self.delays_s);
-            }
-            std::mem::swap(older, newer);
-        }
+    /// Band-averaged received power under transmit weights `w` over the
+    /// comb `freqs_hz` — the snapshot-backed equivalent of
+    /// [`GeometricChannel::band_power`] (same kernel, same precondition:
+    /// a uniform comb symmetric about the carrier), bit-identical to it.
+    /// The pair weights are cached keyed by the comb and the delays, so
+    /// while the delays do not move a read costs the path coefficients
+    /// plus O(L²) multiply-adds and no trig.
+    #[hot_path]
+    pub fn band_power(&mut self, w: &BeamWeights, freqs_hz: &[f64]) -> f64 {
+        debug_assert!(self.t_s.is_some(), "snapshot read before first rebuild");
+        self.path_alphas_into(w);
+        self.pairs.band_power(&self.alphas, freqs_hz)
     }
 }
 
@@ -291,7 +300,8 @@ impl PhaseTable {
     }
 }
 
-fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+/// True if `a` and `b` hold the same values bit for bit.
+pub(crate) fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
@@ -348,9 +358,8 @@ mod tests {
 
     #[test]
     fn alternating_combs_match_direct_query_bitwise() {
-        // Two combs read in turn (the SNR metric's and the sounder's) each
-        // keep their own table; a third comb evicts the least recently
-        // used one. Every read must still equal the direct query.
+        // Combs read in turn refill the one phase table whenever the comb
+        // changes; every read must still equal the direct query.
         let dc = walker();
         let geom = ArrayGeometry::paper_8x8();
         let rx = UeReceiver::Omni;
@@ -369,6 +378,38 @@ mod tests {
                 for (g, e) in got.iter().zip(&want) {
                     assert_eq!(g.re.to_bits(), e.re.to_bits(), "t={t}");
                     assert_eq!(g.im.to_bits(), e.im.to_bits(), "t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_power_matches_direct_query_bitwise() {
+        // Cached pair weights (same instant, static pose) and rebuilt ones
+        // (a moved pose) both equal a cold direct query, interleaved with
+        // probe-comb CSI reads that share nothing with the band power.
+        let geom = ArrayGeometry::paper_8x8();
+        let rx = UeReceiver::Omni;
+        let comb: Vec<f64> = (0..33).map(|i| -200e6 + 12.5e6 * i as f64).collect();
+        let probe: Vec<f64> = (0..20).map(|i| -190e6 + 20e6 * i as f64).collect();
+        let mut csi = Vec::new();
+        for dc in [
+            walker(),
+            DynamicChannel::new(
+                Scene::conference_room(FC_28GHZ),
+                Trajectory::paper_rotation(crate::geom2d::v2(0.4, 6.0)),
+                BlockageProcess::none(),
+            ),
+        ] {
+            let mut snap = ChannelSnapshot::new();
+            for t in [0.0, 0.0, 0.21, 0.44, 0.44] {
+                snap.rebuild(&dc, &geom, &rx, t);
+                for angle in [-7.0, 12.0] {
+                    let w = single_beam(&geom, angle);
+                    let got = snap.band_power(&w, &comb);
+                    snap.csi_into(&w, &probe, &mut csi);
+                    let want = dc.channel_at(t).band_power(&geom, &w, &rx, &comb);
+                    assert_eq!(got.to_bits(), want.to_bits(), "t={t}");
                 }
             }
         }

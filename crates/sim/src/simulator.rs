@@ -20,7 +20,6 @@ use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
 use mmwave_channel::dynamics::DynamicChannel;
 use mmwave_channel::snapshot::ChannelSnapshot;
-use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::{db_from_pow, mw_from_dbm, SPEED_OF_LIGHT};
 use mmwave_hotpath::hot_path;
@@ -31,10 +30,10 @@ use mmwave_phy::mcs::McsTable;
 /// of every buffer the steady-state slot loop touches (DESIGN.md §8).
 ///
 /// Holds the [`ChannelSnapshot`] (rebuilt at most once per simulated
-/// instant), the cached 33-point SNR evaluation comb with the metric's
-/// link constants, and the CSI scratch the SNR metric writes into. After
-/// the buffers reach their high-water mark during the first few slots, the
-/// data-plane slot loop performs no heap allocation at all.
+/// instant) and the cached 33-point SNR evaluation comb with the metric's
+/// link constants. After the buffers reach their high-water mark during
+/// the first few slots, the data-plane slot loop performs no heap
+/// allocation at all.
 #[derive(Debug, Default)]
 pub struct SlotWorkspace {
     /// The per-instant channel snapshot every reader shares.
@@ -47,8 +46,6 @@ pub struct SlotWorkspace {
     per_sc_tx_mw: f64,
     /// The sounder's per-subcarrier noise power, mW. Set with `comb_freqs`.
     noise_mw: f64,
-    /// CSI scratch for the SNR metric.
-    csi: Vec<Complex64>,
 }
 
 /// The simulator: channel + radio + clock.
@@ -210,13 +207,15 @@ impl LinkSimulator {
     }
 
     /// Noiseless wideband SNR (dB) the link would see right now under
-    /// `weights` — the data-plane quality the MCS adapts to. Evaluated on a
-    /// coarse 33-point comb across the occupied band (captures frequency
-    /// selectivity at 1/100 the cost of the full grid). Takes `&mut self`
-    /// because it reads the channel through the workspace snapshot,
-    /// refreshing it if simulated time has advanced. The sounder's grid,
-    /// TX power and noise floor are link constants: they are read on the
-    /// first call and cached in the workspace.
+    /// `weights` — the data-plane quality the MCS adapts to. The signal
+    /// power is the mean `|y(f)|²` over a 33-point comb spanning the
+    /// occupied band (it captures the frequency selectivity of §3.4),
+    /// computed in closed form from the path pairs by
+    /// [`ChannelSnapshot::band_power`] rather than by synthesising the
+    /// comb. Takes `&mut self` because it reads the channel through the
+    /// workspace snapshot, refreshing it if simulated time has advanced.
+    /// The sounder's grid, TX power and noise floor are link constants:
+    /// they are read on the first call and cached in the workspace.
     #[hot_path]
     pub fn true_snr_db(&mut self, weights: &BeamWeights) -> f64 {
         self.refresh_snapshot();
@@ -238,11 +237,7 @@ impl LinkSimulator {
             self.ws.per_sc_tx_mw = tx_mw / self.sounder.grid.n_subcarriers as f64;
             self.ws.noise_mw = self.sounder.noise_power_mw();
         }
-        self.ws
-            .snapshot
-            .csi_into(weights, &self.ws.comb_freqs, &mut self.ws.csi);
-        let csi = &self.ws.csi;
-        let mean_pow: f64 = csi.iter().map(|v| v.norm_sqr()).sum::<f64>() / csi.len() as f64;
+        let mean_pow = self.ws.snapshot.band_power(weights, &self.ws.comb_freqs);
         let per_sc = self.ws.per_sc_tx_mw;
         let dist_m = self
             .ws

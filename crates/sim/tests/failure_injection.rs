@@ -356,26 +356,26 @@ fn lossy_fault_paths_are_pinned() {
         (
             "reactive",
             scenario::static_walker(),
-            0xc67e09114a6656df,
-            0x3e6d41bd40c974a9,
+            0xdcb4f9c8652e4ce0,
+            0xde68fb612d64d7f0,
         ),
         (
             "reactive",
             scenario::mixed_mobility_blockage(3),
-            0x68d090cd5913abee,
-            0x53d08334a811b0f0,
+            0x9582bb29c94654d4,
+            0xee46cb74c232ee1d,
         ),
         (
             "mmreliable",
             scenario::static_walker(),
-            0x034a0a6237f20766,
-            0x37ec81435dedf3bf,
+            0x9775c22d88997614,
+            0x8a81c2beae6c9c84,
         ),
         (
             "mmreliable",
             scenario::mixed_mobility_blockage(3),
-            0x87a3eb363f63ef93,
-            0xafc91af7a370ea85,
+            0xd1c8eae1c9b323e1,
+            0x20feba10f476ff76,
         ),
     ];
     let mut seen = std::collections::BTreeSet::new();

@@ -2,16 +2,17 @@
 //! *bitwise* interchangeable with querying the [`DynamicChannel`] directly.
 //!
 //! [`LinkSimulator::true_snr_db`] reads the channel through the per-slot
-//! snapshot (steering rows, phase table, and ray-trace caches included).
-//! These properties recompute the same SNR from scratch — a fresh
-//! `channel_at` query plus the allocating `csi` path — and demand exact
-//! bit equality for ULA and UPA front ends across arbitrary times, beam
-//! angles, and query orders. Any drift here would silently break the
-//! fixed-seed reproducibility contract (DESIGN.md §8).
+//! snapshot (steering rows, band-power pair weights, and ray-trace caches
+//! included). These properties recompute the same SNR from scratch — a
+//! fresh `channel_at` query plus [`GeometricChannel::band_power`] — and
+//! demand exact bit equality for ULA and UPA front ends across arbitrary
+//! times, beam angles, and query orders. Any drift here would silently
+//! break the fixed-seed reproducibility contract (DESIGN.md §8).
 //!
-//! Both routes share the phasor-recurrence kernels (steering rows and CSI
-//! comb), so a last test bounds the slot-path SNR against an oracle that
-//! evaluates one `cis` per element and per frequency.
+//! Both routes share the phasor-recurrence steering rows and the
+//! closed-form band-power kernel, so a last test bounds the slot-path SNR
+//! against an oracle that synthesises the 33-point comb with one `cis` per
+//! element and per frequency and averages its power.
 
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
@@ -34,7 +35,7 @@ use mmreliable::frontend::LinkFrontEnd;
 
 /// A walking-speed translate-and-rotate trajectory through the conference
 /// room, so every drawn timestamp sees a different pose (and therefore a
-/// fresh ray trace, steering rows, and phase table in the snapshot).
+/// fresh ray trace, steering rows, and pair weights in the snapshot).
 fn walker_sim(geom: ArrayGeometry) -> LinkSimulator {
     link_sim(
         geom,
@@ -74,22 +75,26 @@ fn snr_comb(sim: &LinkSimulator) -> Vec<f64> {
 }
 
 /// Recomputes [`LinkSimulator::true_snr_db`] from first principles at an
-/// explicit time: a fresh `channel_at` query and the allocating
-/// [`mmwave_channel::channel::GeometricChannel::csi`], bypassing the
-/// snapshot and every scratch buffer. Mirrors the metric's formula exactly.
+/// explicit time: a fresh `channel_at` query and
+/// [`GeometricChannel::band_power`], bypassing the snapshot and the
+/// workspace. Mirrors the metric's formula exactly.
 fn direct_snr_db(sim: &LinkSimulator, t_s: f64, weights: &BeamWeights) -> f64 {
     let ch = sim.dynamic.channel_at(t_s);
     if ch.paths.is_empty() {
         return -60.0;
     }
-    let csi = ch.csi(&sim.geom, weights, &sim.rx, &snr_comb(sim));
-    snr_from_csi(sim, &ch, &csi)
+    let mean_pow = ch.band_power(&sim.geom, weights, &sim.rx, &snr_comb(sim));
+    snr_from_power(sim, &ch, mean_pow)
 }
 
-/// The metric's scaling from a CSI comb to SNR (dB), as in
+/// The mean comb power of a synthesised CSI comb.
+fn mean_power(csi: &[Complex64]) -> f64 {
+    csi.iter().map(|v| v.norm_sqr()).sum::<f64>() / csi.len() as f64
+}
+
+/// The metric's scaling from a band-averaged power to SNR (dB), as in
 /// [`LinkSimulator::true_snr_db`].
-fn snr_from_csi(sim: &LinkSimulator, ch: &GeometricChannel, csi: &[Complex64]) -> f64 {
-    let mean_pow: f64 = csi.iter().map(|v| v.norm_sqr()).sum::<f64>() / csi.len() as f64;
+fn snr_from_power(sim: &LinkSimulator, ch: &GeometricChannel, mean_pow: f64) -> f64 {
     let tx_mw = mw_from_dbm(sim.sounder.budget.tx_power_dbm);
     let per_sc = tx_mw / sim.sounder.grid.n_subcarriers as f64;
     let dist_m = ch
@@ -207,8 +212,9 @@ fn oracle_csi(
 fn slot_snr_matches_per_element_cis_oracle() {
     // A translating UE (delays and AoDs move every slot) and a UE rotating
     // in place behind a directional array (its steering moves instead), on
-    // the ULA and the 8×8 UPA: the slot path's recurrences and column fold
-    // stay within 10⁻¹⁰ dB of the per-element, per-frequency oracle.
+    // the ULA and the 8×8 UPA: the slot path's recurrences, column fold
+    // and closed-form band power stay within 10⁻¹⁰ dB of the per-element,
+    // per-frequency comb oracle.
     let ue = ArrayGeometry::ula(4);
     let links = [
         (
@@ -237,7 +243,8 @@ fn slot_snr_matches_per_element_cis_oracle() {
                 let want = if ch.paths.is_empty() {
                     -60.0
                 } else {
-                    snr_from_csi(&sim, &ch, &oracle_csi(&ch, &geom, &w, &rx, &snr_comb(&sim)))
+                    let csi = oracle_csi(&ch, &geom, &w, &rx, &snr_comb(&sim));
+                    snr_from_power(&sim, &ch, mean_power(&csi))
                 };
                 worst = worst.max((got - want).abs());
             }

@@ -58,7 +58,7 @@ fn static_sim(seed: u64) -> LinkSimulator {
 
 /// A UE walking the paper's 1.5 m/s translation: every slot moves the
 /// pose, so the snapshot re-traces the scene, rebuilds its steering rows
-/// and refills a phase-table slot on every slot.
+/// and recomputes the band-power pair weights on every slot.
 fn translating_sim(seed: u64) -> LinkSimulator {
     sim_on(Trajectory::paper_translation(v2(0.0, 7.0)), seed)
 }
@@ -89,7 +89,7 @@ fn steady_state_data_slots_do_not_allocate() {
     let mut sim = static_sim(11);
     let mut strategy = SingleBeamReactive::new(Default::default());
     // Warm-up: a real run trains the beam and grows every scratch buffer
-    // (snapshot path/steering/phase caches, SNR comb + CSI scratch) to its
+    // (snapshot path/steering/phase/pair-weight caches, SNR comb) to its
     // steady-state size.
     let _ = sim.run(&mut strategy, 0.05, 20e-3, "warmup");
 
@@ -273,14 +273,14 @@ fn null_sink_run_is_bit_identical_to_untraced() {
 
 /// A moving UE never reuses the snapshot: the pose, every AoD and every
 /// path delay change from slot to slot, so the ray trace, the tiled
-/// steering rows and the SNR comb's phase table are rebuilt each slot —
+/// steering rows and the SNR comb's pair weights are rebuilt each slot —
 /// in place, without touching the allocator.
 #[test]
 fn translating_ue_data_slots_do_not_allocate() {
     let mut sim = translating_sim(11);
     let mut strategy = SingleBeamReactive::new(Default::default());
-    // Warm-up: training probes fill the sounder comb's phase-table slot,
-    // data slots the SNR comb's.
+    // Warm-up: training probes fill the sounder comb's phase table, data
+    // slots the SNR comb's pair weights.
     let _ = sim.run(&mut strategy, 0.05, 20e-3, "warmup");
     let n = sim.geom.num_elements();
     let mut w_data = BeamWeights::muted(n);
