@@ -115,20 +115,6 @@ impl MultiBeam {
         self.components.iter().map(|c| c.angle_deg).collect()
     }
 
-    /// Removes beam `k` (blockage response: §4.1 re-purposes its power to
-    /// the surviving beams — which happens automatically through the final
-    /// normalization in [`MultiBeam::weights`]). Panics if it is the last
-    /// remaining beam.
-    pub fn drop_beam(&mut self, k: usize) -> BeamComponent {
-        assert!(self.components.len() > 1, "cannot drop the last beam");
-        self.components.remove(k)
-    }
-
-    /// Adds a beam component.
-    pub fn add_beam(&mut self, c: BeamComponent) {
-        self.components.push(c);
-    }
-
     /// Fraction of transmit power each beam carries, under the
     /// well-separated-beams approximation (`|⟨w_i, w_j⟩| ≈ 0`):
     /// `p_b = δ_b² / Σ δ²`.
@@ -259,25 +245,6 @@ mod tests {
         let p_m = matched.apply(&h).norm_sqr();
         let p_x = mismatched.apply(&h).norm_sqr();
         assert!(p_m > 3.0 * p_x, "matched {p_m} vs mismatched {p_x}");
-    }
-
-    #[test]
-    fn drop_beam_removes_and_renormalizes() {
-        let g = ArrayGeometry::ula(8);
-        let mut mb = MultiBeam::two_beam(0.0, 30.0, 1.0, 0.0);
-        let dropped = mb.drop_beam(1);
-        assert_eq!(dropped.angle_deg, 30.0);
-        assert_eq!(mb.num_beams(), 1);
-        // Power re-purposed: the remaining beam gets the full TRP.
-        let w = mb.weights(&g);
-        let p = array_factor(&g, &w, 0.0).norm_sqr();
-        assert!((p - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "last beam")]
-    fn cannot_drop_last_beam() {
-        MultiBeam::single(0.0).drop_beam(0);
     }
 
     #[test]

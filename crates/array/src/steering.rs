@@ -171,13 +171,6 @@ pub fn single_beam_into(geom: &ArrayGeometry, aod_deg: f64, out: &mut BeamWeight
     tile_azimuth_row(geom, su, |e| e.conj() / n, v);
 }
 
-/// Single-beam weights with explicit azimuth and elevation.
-pub fn single_beam_az_el(geom: &ArrayGeometry, az_deg: f64, el_deg: f64) -> BeamWeights {
-    let a = steering_vector_az_el(geom, az_deg, el_deg);
-    let n = (a.len() as f64).sqrt();
-    BeamWeights::from_vec(a.into_iter().map(|v| v.conj() / n).collect())
-}
-
 /// A "wide" beam: only the central `active` azimuth elements are driven
 /// (rest muted), which broadens the main lobe at the cost of array gain.
 /// Used by the wide-beam baseline. Power is renormalized to unit TRP.

@@ -2,9 +2,9 @@
 //!
 //! Everything the binary (`src/bin/admin.rs`) prints is produced here as
 //! plain strings or typed reports, so the test suite can drive the whole
-//! surface — status rollups, transition-tape history, metrics merging,
-//! journal diffing, live tailing — against synthetic journals without
-//! spawning a process.
+//! surface — status rollups, transition-tape history, per-cell traces,
+//! metrics merging, journal diffing and self-replay, live tailing —
+//! against synthetic journals without spawning a process.
 //!
 //! Design rules:
 //!
@@ -15,10 +15,12 @@
 //! * **Last entry wins.** A journal appends; re-runs supersede earlier
 //!   lines for the same cell. Every rollup and diff dedups by cell id
 //!   keeping the final line, mirroring the campaign's own resume logic.
-//! * **Replay is the source of truth for history.** `history` re-executes
-//!   the journaled cell (bit-identical by construction) and prints the
-//!   lifecycle transition tape the run actually produced, cross-checked
-//!   against [`check_transition_tape`].
+//! * **Replay is the source of truth for history.** `history` and `trace`
+//!   re-execute the journaled cell (bit-identical by construction) and
+//!   print what the run actually produced: the lifecycle transition tape,
+//!   cross-checked against [`check_transition_tape`], or the per-slot
+//!   trace. Every replay routes its line through [`ReplayTarget::of`] or
+//!   [`replay_line`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,10 +28,13 @@ use std::path::Path;
 
 use mmreliable::linkstate::check_transition_tape;
 use mmreliable::Transition;
-use mmwave_sim::campaign::{replay_cell, replay_line, JournalEntry, ReplayTarget, Verdict};
+use mmwave_sim::campaign::{
+    compiled_features, replay_cell, replay_cell_traced, replay_line, JournalEntry, LineReplay,
+    ReplayTarget, TelemetrySpec, Verdict,
+};
 use mmwave_sim::fleet::{parse_fleet_scenario, FleetScenarioRef};
 use mmwave_sim::RunResult;
-use mmwave_telemetry::MetricsRegistry;
+use mmwave_telemetry::{MetricsRegistry, Stage, TraceEvent};
 
 // ---------------------------------------------------------------------------
 // Journal scanning
@@ -76,15 +81,6 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, String> {
     Ok(scan)
 }
 
-/// The canonical cell id of a journal entry: `CellKey::id()` form —
-/// 4-segment for clean-front-end cells, 5-segment when an impairment spec
-/// is present. Legacy entries with an empty impairment field normalize to
-/// the 4-segment form, so a pre-impairment journal diffs cleanly against
-/// a modern re-run of the same grid.
-pub fn entry_id(e: &JournalEntry) -> String {
-    e.key().id()
-}
-
 /// Dedups a scan by cell id, keeping the *last* entry for each id (the
 /// journal is append-only; later lines supersede earlier ones). Returns
 /// ids in first-seen order alongside the superseded-line count.
@@ -93,7 +89,7 @@ pub fn dedup_last_wins(entries: &[JournalEntry]) -> (Vec<(String, &JournalEntry)
     let mut last: BTreeMap<String, &JournalEntry> = BTreeMap::new();
     let mut superseded = 0;
     for e in entries {
-        let id = entry_id(e);
+        let id = e.key().id();
         if last.insert(id.clone(), e).is_some() {
             superseded += 1;
         } else {
@@ -203,13 +199,14 @@ pub fn status_report(scan: &JournalScan) -> String {
 // history
 // ---------------------------------------------------------------------------
 
-/// Resolves a `history` resource argument against a scan: exact cell id
-/// first, then exact scenario-field match (`fleet:...:ue3` without the
-/// strategy/seed segments) when that is unambiguous.
-pub fn find_resource<'a>(
-    cells: &'a [(String, &'a JournalEntry)],
+/// Resolves a resource argument (`history`, `trace`, `diff --replay
+/// --cell`) against deduped cells: exact cell id first, then exact
+/// scenario-field match (`fleet:...:ue3` without the strategy/seed
+/// segments) when that is unambiguous.
+pub fn find_resource<'e>(
+    cells: &[(String, &'e JournalEntry)],
     resource: &str,
-) -> Result<&'a JournalEntry, String> {
+) -> Result<&'e JournalEntry, String> {
     if let Some((_, e)) = cells.iter().find(|(id, _)| id == resource) {
         return Ok(e);
     }
@@ -230,33 +227,42 @@ pub fn find_resource<'a>(
     }
 }
 
+/// Resolves one resource ([`find_resource`], last line wins) to its
+/// journal line and the link cell that line replays as
+/// ([`ReplayTarget::of`]): a fleet member becomes its single-link cell.
+/// Errors on aggregate fleet lines (their members own the tapes and
+/// traces) and on lines this binary cannot rebuild (with the skip note).
+fn routed_cell<'e>(
+    scan: &'e JournalScan,
+    resource: &str,
+) -> Result<(&'e JournalEntry, JournalEntry), String> {
+    let (cells, _) = dedup_last_wins(&scan.entries);
+    let entry = find_resource(&cells, resource)?;
+    match ReplayTarget::of(entry) {
+        ReplayTarget::Cell(cell) => Ok((entry, cell)),
+        ReplayTarget::Fleet(_) => Err(format!(
+            "{resource:?} is a fleet aggregate; ask a member instead (e.g. {}:ue0)",
+            entry.scenario
+        )),
+        ReplayTarget::Skip(note) => Err(format!(
+            "{resource:?} cannot be replayed by this binary: {note}"
+        )),
+    }
+}
+
 /// Replays the journaled cell behind one resource and renders its
 /// lifecycle transition tape — the exact tape `check_transition_tape`
-/// validates, cross-checked here before printing. Errors on aggregate
+/// validates, cross-checked here before printing. A fleet member replays
+/// as its single-link cell ([`ReplayTarget::of`]). Errors on aggregate
 /// fleet lines (their members own the tapes), on lines this binary cannot
 /// rebuild (with the skip note), and on entries whose replay reproduces a
 /// recorded failure (the failure class is reported instead).
 pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, String> {
-    let (cells, _) = dedup_last_wins(&scan.entries);
-    let entry = find_resource(&cells, resource)?;
-    let cell = match ReplayTarget::of(entry) {
-        ReplayTarget::Cell(cell) => cell,
-        ReplayTarget::Fleet(_) => {
-            return Err(format!(
-                "{resource:?} is a fleet aggregate; ask a member instead (e.g. {}:ue0)",
-                entry.scenario
-            ))
-        }
-        ReplayTarget::Skip(note) => {
-            return Err(format!(
-                "{resource:?} cannot be replayed by this binary: {note}"
-            ))
-        }
-    };
+    let (entry, cell) = routed_cell(scan, resource)?;
     if entry.status != "ok" {
         return Err(format!(
             "cell {} journaled as {:?} ({}); only completed cells have a replayable tape",
-            entry_id(entry),
+            entry.key().id(),
             entry.status,
             if entry.message.is_empty() {
                 "no message"
@@ -271,7 +277,7 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
     check_transition_tape(tape.iter().copied())
         .map_err(|e| format!("replayed tape violates the lifecycle contract: {e}"))?;
     let mut out = String::new();
-    let _ = writeln!(out, "cell {}", entry_id(entry));
+    let _ = writeln!(out, "cell {}", entry.key().id());
     let _ = writeln!(
         out,
         "digest {digest:016x} ({})",
@@ -293,6 +299,162 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
         );
     }
     Ok(out)
+}
+
+// ---------------------------------------------------------------------------
+// trace
+// ---------------------------------------------------------------------------
+
+/// How `trace` renders a replayed cell's capture.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceFormat {
+    /// Replay outcome against the journal, event counts by kind,
+    /// per-stage latency percentiles, and every lifecycle transition and
+    /// backoff decision in order.
+    Summary,
+    /// The decimated per-slot records as
+    /// `slot,t_s,snr_db,blockage_db,probing,outage` rows.
+    Csv,
+    /// Every captured event as a cell-tagged JSON line — the schema the
+    /// campaign's trace file uses.
+    Jsonl,
+}
+
+/// A rendered trace and how its replay compares with the journal line.
+pub struct TraceReport {
+    /// The rendering, ready to print.
+    pub text: String,
+    /// [`Verdict::Reproduced`] when the replay matches the journal line.
+    pub verdict: Verdict,
+}
+
+fn fmt_us(ns: u64) -> String {
+    format!("{:.1}", ns as f64 / 1e3)
+}
+
+/// Replays the journaled cell behind one resource under a ring-buffered
+/// tracer that keeps every `decimation`-th slot record, and renders the
+/// capture. The resource routes as in [`history_report`]: a fleet member
+/// traces as its single-link cell, and an aggregate or a line this binary
+/// cannot rebuild is an error. A journaled failure traces too — the
+/// capture covers the slots leading up to the reproduced crash. Built
+/// without the `telemetry` feature, the capture is empty.
+pub fn trace_report(
+    scan: &JournalScan,
+    resource: &str,
+    format: TraceFormat,
+    decimation: u64,
+) -> Result<TraceReport, String> {
+    let (entry, cell) = routed_cell(scan, resource)?;
+    let spec = TelemetrySpec {
+        decimation,
+        ..TelemetrySpec::default()
+    };
+    let (outcome, trace) = replay_cell_traced(&cell, &spec);
+    let replayed = match &outcome {
+        Ok((result, digest)) => format!(
+            "ok, digest {digest:016x} (reliability {:.4})",
+            result.reliability()
+        ),
+        Err(f) => format!("{}: {}", f.kind.as_str(), f.message),
+    };
+    let verdict = LineReplay::Cell(outcome).verdict(entry);
+    let id = entry.key().id();
+    let mut out = String::new();
+    match format {
+        TraceFormat::Csv => {
+            let _ = writeln!(out, "slot,t_s,snr_db,blockage_db,probing,outage");
+            for ev in &trace.events {
+                if let TraceEvent::Slot(s) = ev {
+                    let snr = if s.snr_db.is_finite() {
+                        format!("{:.3}", s.snr_db)
+                    } else {
+                        String::new()
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{},{:.6},{snr},{:.3},{},{}",
+                        s.slot, s.t_s, s.blockage_db, s.probing, s.outage
+                    );
+                }
+            }
+        }
+        TraceFormat::Jsonl => {
+            for ev in &trace.events {
+                let _ = writeln!(out, "{}", ev.to_json(&id));
+            }
+        }
+        TraceFormat::Summary => {
+            let _ = writeln!(out, "cell: {}", entry.key());
+            let journal = if entry.status == "ok" {
+                format!("ok, digest {:016x}", entry.digest)
+            } else {
+                entry.status.clone()
+            };
+            let _ = writeln!(
+                out,
+                "replay: {replayed}; journal: {journal} ({})",
+                if matches!(verdict, Verdict::Reproduced(_)) {
+                    "reproduced"
+                } else {
+                    "DIVERGED"
+                }
+            );
+            let _ = writeln!(
+                out,
+                "events: {} captured, {} dropped by the ring",
+                trace.events.len(),
+                trace.dropped
+            );
+            let mut by_kind: BTreeMap<&str, usize> = BTreeMap::new();
+            for ev in &trace.events {
+                *by_kind.entry(ev.kind()).or_default() += 1;
+            }
+            for (kind, n) in &by_kind {
+                let _ = writeln!(out, "  {kind}: {n}");
+            }
+            let _ = writeln!(out, "latency (µs):");
+            let _ = writeln!(
+                out,
+                "  {:<18} {:>8} {:>8} {:>8} {:>8} {:>8}",
+                "stage", "count", "p50", "p95", "p99", "max"
+            );
+            for stage in Stage::ALL {
+                let h = &trace.hists[stage.index()];
+                if h.is_empty() {
+                    continue;
+                }
+                let s = h.summary();
+                let _ = writeln!(
+                    out,
+                    "  {:<18} {:>8} {:>8} {:>8} {:>8} {:>8}",
+                    stage.name(),
+                    s.count,
+                    fmt_us(s.p50_ns),
+                    fmt_us(s.p95_ns),
+                    fmt_us(s.p99_ns),
+                    fmt_us(s.max_ns)
+                );
+            }
+            for ev in &trace.events {
+                match ev {
+                    TraceEvent::Lifecycle {
+                        t_s,
+                        from,
+                        to,
+                        cause,
+                    } => {
+                        let _ = writeln!(out, "  t={t_s:.3}s lifecycle {from} -> {to} ({cause})");
+                    }
+                    TraceEvent::Decision { t_s, what } => {
+                        let _ = writeln!(out, "  t={t_s:.3}s decision: {what}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    Ok(TraceReport { text: out, verdict })
 }
 
 // ---------------------------------------------------------------------------
@@ -384,6 +546,10 @@ pub struct DiffReport {
     pub rows: Vec<(String, CellDiff)>,
     /// Torn line counts for the two sides.
     pub torn: (usize, usize),
+    /// For a self-replay: the journal's feature sets that differ from
+    /// this build's [`compiled_features`]. Counters and latency differ;
+    /// the payload and its digest do not.
+    pub feature_note: Option<String>,
 }
 
 impl DiffReport {
@@ -411,6 +577,9 @@ impl DiffReport {
             self.torn.0,
             self.torn.1
         );
+        if let Some(note) = &self.feature_note {
+            let _ = writeln!(out, "note: {note}");
+        }
         for (id, d) in &self.rows {
             match d {
                 CellDiff::Identical => {}
@@ -517,7 +686,41 @@ pub fn diff_journals(a: &JournalScan, b: &JournalScan, localize: bool) -> DiffRe
     DiffReport {
         rows,
         torn: (a.torn, b.torn),
+        feature_note: None,
     }
+}
+
+/// Narrows a journal to what `diff --replay` re-executes: the last line of
+/// each cell, only `cell`'s ([`find_resource`]) when given, and only
+/// non-`ok` lines with `failures_only`. Errors when nothing is left, so a
+/// mistyped id or journal path (a missing file scans empty) cannot pass
+/// as a clean replay.
+pub fn select_cells(
+    scan: &JournalScan,
+    cell: Option<&str>,
+    failures_only: bool,
+) -> Result<JournalScan, String> {
+    let (cells, _) = dedup_last_wins(&scan.entries);
+    let picked = match cell {
+        Some(resource) => vec![find_resource(&cells, resource)?],
+        None => cells.iter().map(|(_, e)| *e).collect(),
+    };
+    let entries: Vec<JournalEntry> = picked
+        .into_iter()
+        .filter(|e| !failures_only || e.status != "ok")
+        .cloned()
+        .collect();
+    if entries.is_empty() {
+        return Err(if failures_only {
+            "no selected cell failed; --failures-only leaves nothing to replay".into()
+        } else {
+            "the journal has no cells to replay".into()
+        });
+    }
+    Ok(JournalScan {
+        entries,
+        torn: scan.torn,
+    })
 }
 
 /// Diffs a journal against its own fresh replay: every deduped entry is
@@ -528,6 +731,23 @@ pub fn diff_journals(a: &JournalScan, b: &JournalScan, localize: bool) -> DiffRe
 /// bit-identical codebase yields an all-identical report.
 pub fn self_replay_diff(scan: &JournalScan) -> DiffReport {
     let (cells, _) = dedup_last_wins(&scan.entries);
+    let ours = compiled_features();
+    let mut foreign: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, e) in &cells {
+        if e.features != ours {
+            *foreign.entry(e.features.as_str()).or_default() += 1;
+        }
+    }
+    let feature_note = (!foreign.is_empty()).then(|| {
+        let sets: Vec<String> = foreign
+            .iter()
+            .map(|(f, n)| format!("[{f}] on {n} cell(s)"))
+            .collect();
+        format!(
+            "journal features {} differ from this build's [{ours}]; counters differ, payloads bit-identical",
+            sets.join(", ")
+        )
+    });
     let mut rows = Vec::with_capacity(cells.len());
     for (id, e) in cells {
         let d = match replay_line(e).verdict(e) {
@@ -548,6 +768,7 @@ pub fn self_replay_diff(scan: &JournalScan) -> DiffReport {
     DiffReport {
         rows,
         torn: (scan.torn, scan.torn),
+        feature_note,
     }
 }
 
@@ -596,7 +817,7 @@ pub fn entry_line(e: &JournalEntry) -> String {
     if e.status == "ok" {
         format!(
             "ok         {}  digest {:016x}  rel {:.4}",
-            entry_id(e),
+            e.key().id(),
             e.digest,
             e.reliability
         )
@@ -604,7 +825,7 @@ pub fn entry_line(e: &JournalEntry) -> String {
         format!(
             "{:<10} {}  attempts {}  {}",
             e.status,
-            entry_id(e),
+            e.key().id(),
             e.attempts,
             e.message
         )
@@ -651,11 +872,11 @@ mod tests {
         let mut legacy = entry("a", 1, "ok", 5);
         legacy.impairment = String::new(); // pre-impairment journal line
         let modern = entry("a", 1, "ok", 5);
-        assert_eq!(entry_id(&legacy), entry_id(&modern));
-        assert_eq!(entry_id(&modern).matches("//").count(), 3);
+        assert_eq!(legacy.key().id(), modern.key().id());
+        assert_eq!(modern.key().id().matches("//").count(), 3);
         let mut impaired = entry("a", 1, "ok", 5);
         impaired.impairment = "pn-strong".to_string();
-        assert_eq!(entry_id(&impaired).matches("//").count(), 4);
+        assert_eq!(impaired.key().id().matches("//").count(), 4);
     }
 
     #[test]

@@ -4,13 +4,17 @@
 //! ```text
 //! mmwave-admin status  <journal>                      cell/fleet rollup
 //! mmwave-admin history <resource> --journal <path>    lifecycle transition tape
+//! mmwave-admin trace   <resource> --journal <path> [--csv | --jsonl] [--decimation N]
 //! mmwave-admin metrics <snapshot>... [--jsonl]        merge + dump registries
 //! mmwave-admin tail    <journal> [--metrics <path>] [--once] [--interval-ms N]
 //! mmwave-admin diff    <journal-a> <journal-b> [--no-locate]
-//! mmwave-admin diff    <journal> --replay             journal vs its own replay
+//! mmwave-admin diff    <journal> --replay [--cell <id>] [--failures-only]
 //! ```
 //!
-//! `diff` exits 0 only when every cell is bit-identical; every other
+//! `diff` exits 0 only when every cell is bit-identical (a line this
+//! binary cannot rebuild is a skipped row, not a divergence); `trace`
+//! exits 0 only when its replay reproduces the journal line, and needs
+//! `--features telemetry` for a non-empty capture; every other
 //! subcommand exits 0 unless its inputs are unreadable. All the logic
 //! lives in `mmwave_bench::admin` where the test suite drives it
 //! directly.
@@ -20,20 +24,26 @@ use std::process::ExitCode;
 
 use mmwave_bench::admin::{
     diff_journals, entry_line, hist_summary, history_report, merge_snapshots, scan_journal,
-    self_replay_diff, status_report, TailState,
+    select_cells, self_replay_diff, status_report, trace_report, TailState, TraceFormat,
 };
+use mmwave_sim::campaign::{compiled_features, Verdict};
 
-const USAGE: &str = "usage: mmwave-admin <status|history|metrics|tail|diff> ...
+const USAGE: &str = "usage: mmwave-admin <status|history|trace|metrics|tail|diff> ...
   status  <journal>
   history <resource> --journal <path>
+  trace   <resource> --journal <path> [--csv | --jsonl] [--decimation N]
   metrics <snapshot.jsonl>... [--jsonl]
   tail    <journal> [--metrics <snapshot>] [--once] [--interval-ms N]
   diff    <journal-a> <journal-b> [--no-locate]
-  diff    <journal> --replay";
+  diff    <journal> --replay [--cell <id>] [--failures-only]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("mmwave-admin: {msg}");
     ExitCode::FAILURE
+}
+
+fn has(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -100,6 +110,49 @@ fn main() -> ExitCode {
                 Err(e) => fail(&e),
             }
         }
+        "trace" => {
+            let pos = positionals(rest, &["--journal", "--decimation"]);
+            let [resource] = pos.as_slice() else {
+                return fail("trace takes exactly one resource (a cell id or fleet member)");
+            };
+            let Some(journal) = flag_value(rest, "--journal") else {
+                return fail("trace needs --journal <path>");
+            };
+            let format = match (has(rest, "--csv"), has(rest, "--jsonl")) {
+                (false, false) => TraceFormat::Summary,
+                (true, false) => TraceFormat::Csv,
+                (false, true) => TraceFormat::Jsonl,
+                (true, true) => return fail("trace takes one of --csv and --jsonl"),
+            };
+            let decimation = match flag_value(rest, "--decimation").map(str::parse) {
+                None => 1,
+                Some(Ok(n)) => n,
+                Some(Err(_)) => return fail("--decimation takes a slot count"),
+            };
+            if !compiled_features().contains("telemetry") {
+                eprintln!(
+                    "mmwave-admin: built without the telemetry feature, so the trace is empty; \
+                     rebuild with --features telemetry"
+                );
+            }
+            let report = scan_journal(Path::new(journal))
+                .and_then(|scan| trace_report(&scan, resource, format, decimation));
+            match report {
+                Ok(r) => {
+                    print!("{}", r.text);
+                    match r.verdict {
+                        Verdict::Reproduced(_) => ExitCode::SUCCESS,
+                        Verdict::Digest(d) => fail(&format!(
+                            "replay digest {d:016x} does not match the journal"
+                        )),
+                        v => fail(&format!(
+                            "replay does not reproduce the journal line: {v:?}"
+                        )),
+                    }
+                }
+                Err(e) => fail(&e),
+            }
+        }
         "metrics" => {
             let paths: Vec<PathBuf> = positionals(rest, &[])
                 .into_iter()
@@ -110,7 +163,7 @@ fn main() -> ExitCode {
             }
             match merge_snapshots(&paths) {
                 Ok(reg) => {
-                    if rest.iter().any(|a| a == "--jsonl") {
+                    if has(rest, "--jsonl") {
                         for line in reg.snapshot_jsonl() {
                             println!("{line}");
                         }
@@ -128,18 +181,25 @@ fn main() -> ExitCode {
                 return fail("tail takes exactly one journal path");
             };
             let metrics = flag_value(rest, "--metrics").map(PathBuf::from);
-            let once = rest.iter().any(|a| a == "--once");
+            let once = has(rest, "--once");
             let interval_ms: u64 = flag_value(rest, "--interval-ms")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(500);
             tail_loop(Path::new(journal), metrics.as_deref(), once, interval_ms)
         }
         "diff" => {
-            let pos = positionals(rest, &[]);
-            let replay = rest.iter().any(|a| a == "--replay");
-            let localize = !rest.iter().any(|a| a == "--no-locate");
+            let pos = positionals(rest, &["--cell"]);
+            let replay = has(rest, "--replay");
+            let localize = !has(rest, "--no-locate");
+            let cell = flag_value(rest, "--cell");
+            let failures_only = has(rest, "--failures-only");
+            if !replay && (cell.is_some() || failures_only) {
+                return fail("--cell and --failures-only select what diff --replay replays");
+            }
             let report = match (pos.as_slice(), replay) {
-                ([journal], true) => scan_journal(Path::new(journal)).map(|s| self_replay_diff(&s)),
+                ([journal], true) => scan_journal(Path::new(journal))
+                    .and_then(|s| select_cells(&s, cell, failures_only))
+                    .map(|s| self_replay_diff(&s)),
                 ([a, b], false) => match (scan_journal(Path::new(a)), scan_journal(Path::new(b))) {
                     (Ok(sa), Ok(sb)) => Ok(diff_journals(&sa, &sb, localize)),
                     (Err(e), _) | (_, Err(e)) => Err(e),

@@ -14,7 +14,7 @@
 //! fleet                      # full run: 64 UEs
 //! fleet --test               # CI smoke mode: same 64-UE fleet, same artifact
 //! fleet --journal <path>     # also write the fleet journal (replayable
-//!                            # per member with the `replay` binary)
+//!                            # per member with `mmwave-admin diff --replay`)
 //! ```
 //!
 //! Build with `--features perf-counters` to see the shared-scene cache

@@ -17,7 +17,7 @@
 //! shrunk and its replayable journal line is written to `--journal`, so
 //!
 //! ```text
-//! cargo run --release -p mmwave-bench --bin replay -- <journal>
+//! cargo run --release -p mmwave-bench --bin mmwave-admin -- diff <journal> --replay
 //! ```
 //!
 //! reproduces the counterexample bit-identically.

@@ -1,16 +1,19 @@
 //! End-to-end coverage of the `mmwave-admin` logic over *real* journals:
 //! a small campaign and a small fleet write journals through the
 //! production paths, then the admin layer reads them back — rollup,
-//! transition-tape history, self-replay diff, torn-line tolerance,
-//! legacy 4-segment ids, and metrics snapshot merging.
+//! transition-tape history, per-cell traces, self-replay diff and its
+//! cell selection, torn-line tolerance, legacy 4-segment ids, and metrics
+//! snapshot merging.
 
 use std::path::PathBuf;
 
 use mmwave_bench::admin::{
-    diff_journals, entry_id, history_report, merge_snapshots, scan_journal, self_replay_diff,
-    status_report, CellDiff,
+    diff_journals, history_report, merge_snapshots, scan_journal, select_cells, self_replay_diff,
+    status_report, trace_report, CellDiff, JournalScan, TraceFormat,
 };
-use mmwave_sim::campaign::{journal_note, run_campaign, CampaignConfig, Job, JournalEntry};
+use mmwave_sim::campaign::{
+    journal_note, run_campaign, CampaignConfig, Job, JournalEntry, Verdict,
+};
 use mmwave_sim::fleet::{run_fleet, FleetConfig};
 use mmwave_sim::{ScenarioSpec, WorldSpec};
 
@@ -47,7 +50,7 @@ fn history_reproduces_the_validated_transition_tape() {
     let journal = campaign_journal("history.jsonl", 9000..9002);
     let scan = scan_journal(&journal).expect("scan");
     assert_eq!(scan.torn, 0);
-    let id = entry_id(&scan.entries[0]);
+    let id = scan.entries[0].key().id();
     let report = history_report(&scan, &id).expect("history");
     assert!(report.contains("matches journal"), "{report}");
     // history_report already cross-checks the tape with
@@ -111,7 +114,7 @@ fn diff_tolerates_torn_lines_and_legacy_four_segment_ids() {
     assert!(report
         .rows
         .iter()
-        .any(|(id, d)| id == &entry_id(&scan_a.entries[0]) && *d == CellDiff::Identical));
+        .any(|(id, d)| id == &scan_a.entries[0].key().id() && *d == CellDiff::Identical));
 
     // Torn-only journals diff without panicking.
     let torn_only = tmp("torn-only.jsonl");
@@ -152,9 +155,81 @@ fn fleet_member_and_aggregate_lines_classify_correctly() {
     assert!(aggregate.is_err());
     assert!(aggregate.unwrap_err().contains("fleet aggregate"));
 
+    // A member traces as its single-link cell and reproduces its journaled
+    // digest; the aggregate has no single trace either.
+    let trace = trace_report(&scan, "fleet:static-walker:2:ue1", TraceFormat::Summary, 1)
+        .expect("member trace");
+    assert!(
+        matches!(trace.verdict, Verdict::Reproduced(_)),
+        "{:?}\n{}",
+        trace.verdict,
+        trace.text
+    );
+    assert!(trace.text.contains("(reproduced)"), "{}", trace.text);
+    let aggregate = trace_report(&scan, "fleet:static-walker:2", TraceFormat::Summary, 1);
+    assert!(aggregate.is_err_and(|e| e.contains("fleet aggregate")));
+
     // Self-replay over members *and* the aggregate line is identical.
     let report = self_replay_diff(&scan);
     assert!(report.all_identical(), "{}", report.render());
+}
+
+#[test]
+fn trace_reports_a_flipped_digest_as_a_divergence() {
+    let journal = campaign_journal("trace.jsonl", 9500..9501);
+    let scan = scan_journal(&journal).expect("scan");
+    let id = scan.entries[0].key().id();
+    let clean = trace_report(&scan, &id, TraceFormat::Csv, 10).expect("trace");
+    assert!(matches!(clean.verdict, Verdict::Reproduced(_)));
+    assert!(clean
+        .text
+        .starts_with("slot,t_s,snr_db,blockage_db,probing,outage\n"));
+
+    let mut flipped = scan.entries[0].clone();
+    flipped.digest ^= 1;
+    let copy = JournalScan {
+        entries: vec![flipped.clone()],
+        torn: 0,
+    };
+    let report = trace_report(&copy, &id, TraceFormat::Summary, 1).expect("trace");
+    assert_eq!(report.verdict, Verdict::Digest(flipped.digest ^ 1));
+    assert!(report.text.contains("(DIVERGED)"), "{}", report.text);
+}
+
+#[test]
+fn replay_selection_narrows_to_one_cell_or_to_failures() {
+    let journal = campaign_journal("select.jsonl", 9600..9603);
+    let mut scan = scan_journal(&journal).expect("scan");
+    let id = scan.entries[1].key().id();
+
+    // One cell, written by a build with other features: one row, one note.
+    scan.entries[1].features = "telemetry,from-elsewhere".to_string();
+    let one = select_cells(&scan, Some(&id), false).expect("cell filter");
+    let report = self_replay_diff(&one);
+    assert_eq!(report.rows.len(), 1, "{}", report.render());
+    assert_eq!(report.rows[0], (id.clone(), CellDiff::Identical));
+    assert!(
+        report
+            .render()
+            .contains("journal features [telemetry,from-elsewhere] on 1 cell(s) differ"),
+        "{}",
+        report.render()
+    );
+    assert!(select_cells(&scan, Some("no-such-cell"), false).is_err());
+    // A missing journal scans empty; replaying it is an error, not a pass.
+    let missing = scan_journal(&tmp("no-such-journal.jsonl")).expect("scan");
+    assert!(select_cells(&missing, None, false).is_err());
+
+    // Failures only: an all-ok journal leaves nothing; a superseding
+    // failure line is the one kept.
+    assert!(select_cells(&scan, None, true).is_err());
+    let mut failed = scan.entries[2].clone();
+    failed.status = "timeout".to_string();
+    scan.entries.push(failed.clone());
+    let failures = select_cells(&scan, None, true).expect("failures");
+    assert_eq!(failures.entries.len(), 1);
+    assert!(failures.entries.iter().all(|e| e.status != "ok"));
+    assert_eq!(failures.entries[0].key().id(), failed.key().id());
 }
 
 #[test]
@@ -243,8 +318,8 @@ fn lines_this_binary_cannot_rebuild_are_skipped_not_divergent() {
     assert!(report
         .rows
         .iter()
-        .any(|(id, d)| id == &entry_id(&real) && *d == CellDiff::Identical));
+        .any(|(id, d)| id == &real.key().id() && *d == CellDiff::Identical));
     for e in &unbuildable {
-        assert!(journal_note(e).is_some(), "{}", entry_id(e));
+        assert!(journal_note(e).is_some(), "{}", e.key().id());
     }
 }

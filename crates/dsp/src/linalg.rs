@@ -121,24 +121,6 @@ impl CMatrix {
             .collect()
     }
 
-    /// Matrix–matrix product `A·B`.
-    pub fn mul_mat(&self, b: &CMatrix) -> CMatrix {
-        assert_eq!(self.cols, b.rows, "dimension mismatch in mul_mat");
-        let mut out = CMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == Complex64::ZERO {
-                    continue;
-                }
-                for j in 0..b.cols {
-                    out[(i, j)] += aik * b[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Gram matrix `AᴴA` (Hermitian positive semi-definite).
     ///
     /// Single pass over the rows with one accumulator per upper-triangle
@@ -515,20 +497,6 @@ mod tests {
         assert!(x.iter().all(|v| !v.is_bad()));
         // Symmetry: the two coefficients must match.
         assert_close(x[0], x[1], 1e-6);
-    }
-
-    #[test]
-    fn mul_mat_identity() {
-        let mut rng = Rng64::seed(8);
-        let a = random_matrix(&mut rng, 4, 4);
-        let i = CMatrix::identity(4);
-        let p = a.mul_mat(&i);
-        assert!((p.frobenius_norm() - a.frobenius_norm()).abs() < 1e-12);
-        for r in 0..4 {
-            for c in 0..4 {
-                assert_close(p[(r, c)], a[(r, c)], 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -45,16 +45,9 @@ pub fn sinc_pulse_into(n: usize, bw_hz: f64, ts_s: f64, tau_s: f64, out: &mut Ve
     out.extend((0..n).map(|i| sinc(bw_hz * (i as f64 * ts_s - tau_s))));
 }
 
-/// Complex pulse train: `Σ_k α_k · sinc(bw·(i·Ts − τ_k))`.
-/// This is the forward model the super-resolution step inverts.
-pub fn pulse_train(n: usize, bw_hz: f64, ts_s: f64, taps: &[(Complex64, f64)]) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(n);
-    pulse_train_into(n, bw_hz, ts_s, taps, &mut out);
-    out
-}
-
-/// Write-into variant of [`pulse_train`]: clears `out`, then accumulates the
-/// sinc train into it without allocating (when capacity suffices).
+/// Complex pulse train `Σ_k α_k · sinc(bw·(i·Ts − τ_k))`, the forward
+/// model the super-resolution step inverts: clears `out`, then accumulates
+/// the sinc train into it without allocating (when capacity suffices).
 #[hot_path]
 pub fn pulse_train_into(
     n: usize,
@@ -147,7 +140,8 @@ mod tests {
         let bw = 400e6;
         let ts = 1.0 / bw;
         let taps = [(c64(1.0, 0.0), 2.0 * ts), (c64(0.0, 0.5), 7.0 * ts)];
-        let h = pulse_train(12, bw, ts, &taps);
+        let mut h = Vec::new();
+        pulse_train_into(12, bw, ts, &taps, &mut h);
         assert!((h[2] - c64(1.0, 0.0)).abs() < 1e-12);
         assert!((h[7] - c64(0.0, 0.5)).abs() < 1e-12);
         assert!(h[4].abs() < 1e-12);

@@ -38,10 +38,10 @@
 //!   cells are the lowest-priority ones) and counted in the report;
 //!   in-flight runs finish. Nothing is silently truncated.
 //!
-//! Every failed cell carries its full repro tuple; `mmwave-bench`'s
-//! `replay` binary feeds a journal line to [`replay_line`], which re-runs
-//! exactly that cell (or fleet member, or fleet) single-threaded and
-//! checks the digest.
+//! Every failed cell carries its full repro tuple; `mmwave-admin diff
+//! <journal> --replay` (in `mmwave-bench`) feeds each journal line to
+//! [`replay_line`], which re-runs exactly that cell (or fleet member, or
+//! fleet) single-threaded and checks the digest.
 //!
 //! Determinism contract: a zero-fault campaign produces results
 //! bit-identical to [`crate::runner::run_many`] over the same seeds,
@@ -103,7 +103,10 @@ impl CellKey {
     /// Canonical one-line identity, used for journal deduplication. Cells
     /// with a clean front end keep the historical four-segment form so old
     /// journals (and pinned CI cell ids) still match; an impairment spec
-    /// adds a fifth segment.
+    /// adds a fifth segment. A legacy journal line with an empty impairment
+    /// field keys as `none` ([`JournalEntry::key`]), so it normalizes to the
+    /// four-segment form and a pre-impairment journal diffs cleanly against
+    /// a modern re-run of the same grid.
     pub fn id(&self) -> String {
         if self.impairment_spec == "none" {
             format!(
@@ -313,7 +316,7 @@ pub type PreRunHook = Arc<dyn Fn(&CellKey, u32) + Send + Sync>;
 
 /// The observability feature set this binary was compiled with, as a
 /// canonical comma-joined string. Recorded on every journal entry so a
-/// replay binary built with a different feature set can flag that
+/// replay built with a different feature set can note that
 /// counters/latency differ while the simulation payload stays
 /// bit-identical (neither is part of the digest).
 pub fn compiled_features() -> String {
@@ -1030,6 +1033,8 @@ pub fn replay_cell(entry: &JournalEntry) -> Result<(RunResult, u64), CampaignFai
 /// [`replay_cell`] with a ring-buffered tracer installed: returns the
 /// drained per-slot trace alongside the replayed outcome — for a recorded
 /// failure, the trace covers the slots leading up to the reproduced crash.
+/// Like [`replay_cell`], it takes a link cell: a fleet member line is
+/// routed first ([`ReplayTarget::Cell`]).
 /// With the `telemetry` feature off the trace comes back empty (the
 /// instrumentation call sites do not exist).
 pub fn replay_cell_traced(

@@ -61,26 +61,19 @@ pub const RECOVERY_HORIZON_S: f64 = 0.25;
 
 /// A [`Strategy`] over full scenario specs. Valid by construction: every
 /// generated spec passes [`ScenarioSpec::validate`].
-pub struct SpecStrategy {
-    allow_fleet: bool,
-}
+pub struct SpecStrategy;
 
 impl Strategy for SpecStrategy {
     type Value = ScenarioSpec;
     fn new_value(&self, rng: &mut TestRng) -> ScenarioSpec {
-        gen_spec(rng, self.allow_fleet)
+        gen_spec(rng)
     }
 }
 
 /// Random-but-valid specs: curated and custom worlds, faulted and
 /// impaired, with roughly one in six cases a multi-UE fleet mix.
 pub fn arb_spec() -> SpecStrategy {
-    SpecStrategy { allow_fleet: true }
-}
-
-/// [`arb_spec`] restricted to single-link specs.
-pub fn arb_single_spec() -> SpecStrategy {
-    SpecStrategy { allow_fleet: false }
+    SpecStrategy
 }
 
 fn gen_range(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
@@ -268,10 +261,10 @@ fn gen_impairment(rng: &mut TestRng) -> ImpairmentConfig {
     }
 }
 
-fn gen_spec(rng: &mut TestRng, allow_fleet: bool) -> ScenarioSpec {
+fn gen_spec(rng: &mut TestRng) -> ScenarioSpec {
     let strategy = STRATEGY_NAMES[rng.below(STRATEGY_NAMES.len() as u64) as usize].to_string();
     let seed = rng.below(1_000_000);
-    if allow_fleet && rng.below(6) == 0 {
+    if rng.below(6) == 0 {
         let base = FLEET_BASES[rng.below(FLEET_BASES.len() as u64) as usize];
         let n_groups = rng.below(3) as usize;
         let groups = (0..n_groups)
@@ -336,7 +329,7 @@ impl Default for OracleOptions {
 
 /// One oracle violation: which invariant broke, on what evidence, and the
 /// journal fields (`status`, `digest`, `reliability`) the counterexample
-/// line should carry so `replay` reproduces the same outcome.
+/// line should carry so its replay reproduces the same outcome.
 #[derive(Clone, Debug)]
 pub struct FuzzFailure {
     /// Oracle name (`lifecycle-wedge`, `outage-recovery`, `determinism`,
@@ -725,7 +718,8 @@ pub struct Counterexample {
     /// The minimal spec's oracle violation.
     pub failure: FuzzFailure,
     /// The replayable journal line for the minimal spec: `status`/`digest`
-    /// reproduce under `replay`, and `message` names the failing oracle.
+    /// reproduce under [`crate::campaign::replay_line`], and `message`
+    /// names the failing oracle.
     pub entry: JournalEntry,
 }
 
@@ -743,7 +737,8 @@ pub struct FuzzReport {
 
 /// The journal line a counterexample writes: the spec's cell identity with
 /// the observed outcome and a `fuzz:{oracle}` message, parseable by
-/// [`JournalEntry::parse`] and replayable by `replay --cell`/`--line`.
+/// [`JournalEntry::parse`] and replayable by `mmwave-admin diff <journal>
+/// --replay --cell <id>`.
 pub fn counterexample_entry(spec: &ScenarioSpec, failure: &FuzzFailure) -> JournalEntry {
     let mut entry = spec.journal_entry(
         failure.digest,

@@ -278,36 +278,6 @@ impl RunResult {
             .count()
     }
 
-    /// Serializes the event log as CSV (`t_s,class,detail`). Free-text
-    /// payloads are escaped via [`csv_field`] — a transition cause whose
-    /// debug form contains commas stays one field.
-    pub fn events_csv(&self) -> String {
-        let mut out = String::from("t_s,class,detail\n");
-        for e in &self.events {
-            match e {
-                RunEvent::Transition(tr) => {
-                    let detail = format!("{}->{} ({:?})", tr.from.kind(), tr.to.kind(), tr.cause);
-                    out.push_str(&format!(
-                        "{:.6},transition,{}\n",
-                        tr.t_s,
-                        csv_field(&detail)
-                    ));
-                }
-                RunEvent::Fault(f) => out.push_str(&format!(
-                    "{:.6},fault,{}\n",
-                    f.t_s,
-                    csv_field(&f.kind.to_string())
-                )),
-                RunEvent::Impairment(im) => out.push_str(&format!(
-                    "{:.6},impairment,{}\n",
-                    im.t_s,
-                    csv_field(&im.kind.to_string())
-                )),
-            }
-        }
-        out
-    }
-
     /// Structural sanity check of a completed run record, used by the
     /// campaign supervisor to classify a run that *finished* but produced
     /// garbage (a `Validation` failure — not retryable, since it would
@@ -364,8 +334,9 @@ impl RunResult {
     /// A 64-bit FNV-1a digest over every behaviour-bearing field of the
     /// record — sample bit patterns, event log, probe accounting. Two runs
     /// digest equal iff they are bit-identical, which is how the campaign
-    /// journal detects divergence on resume and how `replay` proves a
-    /// reproduced failure matches the recorded one.
+    /// journal detects divergence on resume and how a journal replay
+    /// (`mmwave-admin diff --replay`) proves a reproduced run matches the
+    /// recorded one.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -404,19 +375,6 @@ impl RunResult {
             h.bytes(format!("{e:?}").as_bytes());
         }
         h.0
-    }
-
-    /// Serializes the per-interval record as CSV
-    /// (`t_s,dur_s,snr_db,probing`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_s,dur_s,snr_db,probing\n");
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.6},{:.6},{:.2},{}\n",
-                s.t_s, s.dur_s, s.snr_db, s.probing as u8
-            ));
-        }
-        out
     }
 }
 
@@ -537,14 +495,6 @@ mod tests {
     fn mean_snr_weighted_by_duration() {
         let r = mk(vec![s(0.0, 0.75, 20.0, false), s(0.75, 0.25, 8.0, false)]);
         assert!((r.mean_snr_db() - 17.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_shape() {
-        let r = mk(vec![s(0.0, 0.1, 12.0, false)]);
-        let csv = r.to_csv();
-        assert!(csv.starts_with("t_s,dur_s,snr_db,probing\n"));
-        assert!(csv.contains("0.000000,0.100000,12.00,0"));
     }
 
     #[test]

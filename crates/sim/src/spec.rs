@@ -921,16 +921,6 @@ impl ScenarioSpec {
     }
 }
 
-/// The coarse family of a spec-form scenario id, for once-per-file note
-/// dedup: the id up to the first field separator (`spec:v2:custom` for
-/// `spec:v2:custom;room=…`). Other scenarios dedup under their full name.
-pub fn spec_form_family(scenario: &str) -> &str {
-    match scenario.find([';', '@']) {
-        Some(i) => &scenario[..i],
-        None => scenario,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1166,18 +1156,5 @@ mod tests {
             curated.dynamic.reference_paths().len()
         );
         assert_eq!(custom.duration_s, curated.duration_s);
-    }
-
-    #[test]
-    fn spec_form_family_groups_by_form() {
-        assert_eq!(
-            spec_form_family("spec:v2:custom;room=tardis"),
-            "spec:v2:custom"
-        );
-        assert_eq!(
-            spec_form_family("spec:v1:gnb-rotation@8"),
-            "spec:v1:gnb-rotation"
-        );
-        assert_eq!(spec_form_family("static-walker"), "static-walker");
     }
 }

@@ -58,7 +58,7 @@ fn every_curated_world_matches_its_constructor_bit_for_bit() {
         );
 
         // Full journal path: the spec's cell id through the campaign
-        // registry, exactly as `replay` would execute it.
+        // registry, exactly as `mmwave-admin diff --replay` would execute it.
         let (_, replayed) = replay_cell(&spec.journal_entry(0, 0.0, ""))
             .unwrap_or_else(|f| panic!("replay of {} failed: {}", world.id(), f.message));
         assert_eq!(
