@@ -1,12 +1,15 @@
 //! Criterion benches for the channel substrate and the simulator's hot
 //! loop: image-method path extraction, CSI synthesis, the one-shot probe,
 //! the simulator's warm snapshot probe and its data slot (what bounds the
-//! wall-clock of the Fig. 18 experiment sweeps).
+//! wall-clock of the Fig. 18 experiment sweeps), and the drifting transmit
+//! chain a data slot radiates through under faults and impairments.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmreliable::frontend::LinkFrontEnd;
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
+use mmwave_array::weights::BeamWeights;
+use mmwave_bench::fingerprint::aging_schedule;
 use mmwave_channel::blockage::BlockageProcess;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
 use mmwave_channel::dynamics::DynamicChannel;
@@ -19,6 +22,7 @@ use mmwave_dsp::units::FC_28GHZ;
 use mmwave_phy::chanest::{ChannelSounder, ProbeObservation};
 use mmwave_phy::grid::ResourceGrid;
 use mmwave_sim::scenario::{self, Scenario};
+use mmwave_sim::{front_end_stack, ImpairmentConfig, SimFrontEnd};
 
 fn bench_paths_to(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
@@ -110,6 +114,26 @@ fn bench_data_slots(c: &mut Criterion) {
     }
 }
 
+fn bench_drift_chain(c: &mut Criterion) {
+    // One data slot's radiated weights through the fingerprint's aging
+    // array over `mild` impairments: the clock advances a slot, so the
+    // gain drift hands the transmit chain (PA, mismatch, coupling) new
+    // weights every time and its memo never hits.
+    let sim = scenario::static_walker().simulator(42);
+    let w = single_beam(&sim.geom, 0.0);
+    let mut fe = front_end_stack(sim, aging_schedule(), ImpairmentConfig::mild(4))
+        .expect("aging over mild is a valid stack");
+    let mut out = BeamWeights::muted(w.len());
+    c.bench_function("drift_chain_64", |b| {
+        b.iter(|| {
+            let slot_s = fe.sim().slot_s;
+            fe.wait(slot_s);
+            fe.radiated_weights_into(&w, &mut out);
+            out.as_slice()[0]
+        })
+    });
+}
+
 fn bench_oracle_weights(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
     let ch = GeometricChannel::new(scene.paths_to(v2(0.9, 7.0), 180.0), FC_28GHZ);
@@ -127,6 +151,7 @@ criterion_group!(
     bench_probe,
     bench_probe_snapshot_into,
     bench_data_slots,
+    bench_drift_chain,
     bench_oracle_weights
 );
 criterion_main!(benches);

@@ -1,12 +1,15 @@
 //! Criterion benches for the DSP substrate: FFT, ridge least squares, and
 //! sinc-dictionary construction — the hot kernels under the
 //! super-resolution step (Table/Fig. 11's "100 µs" solve claim) — plus
-//! one probe's worth of complex AWGN, the bulk of a probe's cost.
+//! one probe's worth of complex AWGN, the bulk of a probe's cost, and the
+//! Rapp PA over one 64-element weight vector, the largest stage of the
+//! impaired transmit chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::{fft, fft_in_place};
 use mmwave_dsp::linalg::{ridge_least_squares, CMatrix};
+use mmwave_dsp::nonlinearity::RappPa;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::sinc::sinc_dictionary;
 
@@ -65,11 +68,33 @@ fn bench_awgn(c: &mut Criterion) {
     });
 }
 
+fn bench_rapp_pa(c: &mut Criterion) {
+    // `mild`'s PA on a 64-element unit-norm vector with a ±1.5 dB
+    // amplitude spread, restored before each pass so every pass sees the
+    // same input.
+    let pa = RappPa::with_backoff(0.125, 8.0, 3.0, 3.0);
+    let mut rng = Rng64::seed(5);
+    let input: Vec<Complex64> = (0..64)
+        .map(|_| {
+            rng.random_phasor()
+                .scale(0.125 * rng.uniform_in(0.84, 1.19))
+        })
+        .collect();
+    let mut w = input.clone();
+    c.bench_function("rapp_pa_64", |b| {
+        b.iter(|| {
+            w.copy_from_slice(&input);
+            pa.apply(&mut w)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_fft,
     bench_ridge,
     bench_sinc_dictionary,
-    bench_awgn
+    bench_awgn,
+    bench_rapp_pa
 );
 criterion_main!(benches);

@@ -81,6 +81,20 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, String> {
     Ok(scan)
 }
 
+/// Reads one side of a two-journal `diff`. Unlike [`scan_journal`], a
+/// side with no entries (a missing, empty or torn-only file) is an error
+/// naming the path: diffing it would compare nothing and pass.
+pub fn scan_diff_side(path: &Path) -> Result<JournalScan, String> {
+    let scan = scan_journal(path)?;
+    if scan.entries.is_empty() {
+        return Err(format!(
+            "journal {} has no entries to diff (missing or empty file?)",
+            path.display()
+        ));
+    }
+    Ok(scan)
+}
+
 /// Dedups a scan by cell id, keeping the *last* entry for each id (the
 /// journal is append-only; later lines supersede earlier ones). Returns
 /// ids in first-seen order alongside the superseded-line count.

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! `diff` exits 0 only when every cell is bit-identical (a line this
-//! binary cannot rebuild is a skipped row, not a divergence); `trace`
+//! binary cannot rebuild is a skipped row, not a divergence) and fails
+//! when either journal has no entries; `trace`
 //! exits 0 only when its replay reproduces the journal line, and needs
 //! `--features telemetry` for a non-empty capture; every other
 //! subcommand exits 0 unless its inputs are unreadable. All the logic
@@ -23,8 +24,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mmwave_bench::admin::{
-    diff_journals, entry_line, hist_summary, history_report, merge_snapshots, scan_journal,
-    select_cells, self_replay_diff, status_report, trace_report, TailState, TraceFormat,
+    diff_journals, entry_line, hist_summary, history_report, merge_snapshots, scan_diff_side,
+    scan_journal, select_cells, self_replay_diff, status_report, trace_report, TailState,
+    TraceFormat,
 };
 use mmwave_sim::campaign::{compiled_features, Verdict};
 
@@ -200,10 +202,9 @@ fn main() -> ExitCode {
                 ([journal], true) => scan_journal(Path::new(journal))
                     .and_then(|s| select_cells(&s, cell, failures_only))
                     .map(|s| self_replay_diff(&s)),
-                ([a, b], false) => match (scan_journal(Path::new(a)), scan_journal(Path::new(b))) {
-                    (Ok(sa), Ok(sb)) => Ok(diff_journals(&sa, &sb, localize)),
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                },
+                ([a, b], false) => scan_diff_side(Path::new(a)).and_then(|sa| {
+                    scan_diff_side(Path::new(b)).map(|sb| diff_journals(&sa, &sb, localize))
+                }),
                 _ => {
                     return fail("diff takes two journals, or one journal with --replay");
                 }

@@ -87,7 +87,7 @@ pub fn fingerprint(strategy: &'static str) -> Fingerprint {
 /// An aging array: elements 3, 17 and 42 dead, every element's gain
 /// drifting ±1.5 dB with a 0.5 s period (fault seed 17). The drift hands
 /// the impairment layer new weights every slot.
-fn aging_schedule() -> FaultSchedule {
+pub fn aging_schedule() -> FaultSchedule {
     FaultSchedule {
         seed: 17,
         failed_elements: vec![3, 17, 42],

@@ -2,14 +2,15 @@
 //! a small campaign and a small fleet write journals through the
 //! production paths, then the admin layer reads them back — rollup,
 //! transition-tape history, per-cell traces, self-replay diff and its
-//! cell selection, torn-line tolerance, legacy 4-segment ids, and metrics
-//! snapshot merging.
+//! cell selection, torn-line tolerance, legacy 4-segment ids, a
+//! two-journal diff's refusal of an empty side (through the binary), and
+//! metrics snapshot merging.
 
 use std::path::PathBuf;
 
 use mmwave_bench::admin::{
-    diff_journals, history_report, merge_snapshots, scan_journal, select_cells, self_replay_diff,
-    status_report, trace_report, CellDiff, JournalScan, TraceFormat,
+    diff_journals, history_report, merge_snapshots, scan_diff_side, scan_journal, select_cells,
+    self_replay_diff, status_report, trace_report, CellDiff, JournalScan, TraceFormat,
 };
 use mmwave_sim::campaign::{
     journal_note, run_campaign, CampaignConfig, Job, JournalEntry, Verdict,
@@ -122,6 +123,40 @@ fn diff_tolerates_torn_lines_and_legacy_four_segment_ids() {
     let scan_t = scan_journal(&torn_only).expect("scan torn");
     let report = diff_journals(&scan_a, &scan_t, true);
     assert!(report.rows.iter().all(|(_, d)| *d == CellDiff::OnlyInA));
+}
+
+/// Runs the `mmwave-admin` binary; returns its exit status and stderr.
+fn admin(args: &[&std::ffi::OsStr]) -> (std::process::ExitStatus, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mmwave-admin"))
+        .args(args)
+        .output()
+        .expect("run mmwave-admin");
+    (
+        out.status,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn two_journal_diff_refuses_a_side_with_no_entries() {
+    let journal = campaign_journal("diff-sides.jsonl", 9250..9251);
+    let missing = tmp("no-such-journal.jsonl");
+    let _ = std::fs::remove_file(&missing);
+    let torn_only = tmp("diff-sides-torn.jsonl");
+    std::fs::write(&torn_only, "garbage\n").expect("write torn");
+    for empty in [&missing, &torn_only] {
+        let err = scan_diff_side(empty).err().expect("no entries is an error");
+        assert!(err.contains(&empty.display().to_string()), "{err}");
+        for (a, b) in [(&journal, empty), (empty, &journal), (empty, empty)] {
+            let (status, stderr) = admin(&["diff".as_ref(), a.as_os_str(), b.as_os_str()]);
+            assert_eq!(status.code(), Some(1), "{stderr}");
+            assert!(stderr.contains(&empty.display().to_string()), "{stderr}");
+        }
+    }
+    // An existing, identical pair still passes.
+    assert_eq!(scan_diff_side(&journal).expect("scan").entries.len(), 1);
+    let (status, stderr) = admin(&["diff".as_ref(), journal.as_os_str(), journal.as_os_str()]);
+    assert!(status.success(), "{stderr}");
 }
 
 #[test]

@@ -37,7 +37,7 @@ fn front_end_stack_fingerprint_is_pinned() {
     let f = stack_fingerprint();
     assert_eq!(
         format!("{:016x}", f.hash),
-        "5c53a4ffb83545c5",
+        "381db57c482d4333",
         "{} samples",
         f.samples
     );

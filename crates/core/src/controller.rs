@@ -268,7 +268,7 @@ impl MmReliableController {
     /// Runs beam training + constructive multi-beam establishment and
     /// reports the outcome to the lifecycle machine.
     /// Returns the actions taken (empty if no path was found).
-    // xtask-allow(hot-path-closure): link (re)establishment builds its codebook, scan buffers, and action list once per acquisition event — an exceptional-path cost, not a per-slot one (ROADMAP item 1)
+    // xtask-allow(hot-path-closure): link (re)establishment builds its codebook, scan buffers, and action list once per acquisition event — an exceptional-path cost, not a per-slot one (ROADMAP item 7)
     // xtask-allow(hot-path-panic): scan/component indices are bounded by the codebook and component counts fixed at the top of the function
     pub fn establish(&mut self, fe: &mut dyn LinkFrontEnd) -> Vec<ControllerAction> {
         let geom = self.cfg.geom;
@@ -362,7 +362,7 @@ impl MmReliableController {
     /// acquisition scans are paced by backoff, the degraded fallback runs a
     /// minimal keep-alive loop, and the normal maintenance path feeds its
     /// measurement to the state machine which schedules bounded re-trains.
-    // xtask-allow(hot-path-closure): the maintenance round runs every csi_rs_period slots, not per slot; its report/action buffers are per-round by design (ROADMAP item 1 tracks moving them into a scratch struct)
+    // xtask-allow(hot-path-closure): the maintenance round runs every csi_rs_period slots, not per slot; its report/action buffers are per-round by design (ROADMAP item 7 tracks moving them into a scratch struct)
     // xtask-allow(hot-path-panic): per-beam indices are bounded by the component count of the established multi-beam; the expects state lifecycle invariants (established implies mb is Some)
     pub fn maintenance_round(&mut self, fe: &mut dyn LinkFrontEnd) -> RoundReport {
         // Cooperative cancellation point: a supervisor that has given up on
@@ -681,7 +681,7 @@ impl MmReliableController {
     /// Re-estimates `(δ, σ)` of every active non-reference beam against the
     /// strongest active beam (2 probes each), using the latest per-beam
     /// powers as the single-beam spectra.
-    // xtask-allow(hot-path-closure): per-beam probe spectra are collected per re-estimation event (every refresh_period rounds), not per slot (ROADMAP item 1)
+    // xtask-allow(hot-path-closure): per-beam probe spectra are collected per re-estimation event (every refresh_period rounds), not per slot (ROADMAP item 7)
     // xtask-allow(hot-path-panic): beam indices are bounded by the component count; powers_mw comes from the same multi-beam probe
     fn refresh_constructive(&mut self, fe: &mut dyn LinkFrontEnd, powers_mw: &[f64]) {
         if !self.cfg.enable_constructive {

@@ -41,7 +41,7 @@ impl RelativeChannel {
 }
 
 /// Noise-debiased per-subcarrier power spectrum of a probe, mW.
-// xtask-allow(hot-path-closure): one spectrum vector per probe on the amortized probing cadence, not per slot (ROADMAP item 1)
+// xtask-allow(hot-path-closure): one spectrum vector per probe on the amortized probing cadence, not per slot (ROADMAP item 7)
 pub fn power_spectrum(obs: &ProbeObservation) -> Vec<f64> {
     obs.csi
         .iter()
@@ -115,7 +115,7 @@ pub fn relative_from_powers(
 ///
 /// `p1`/`p2` may be single-element slices (a scalar wideband power, as the
 /// training scan produces); they are broadcast across the sounding comb.
-// xtask-allow(hot-path-closure): broadcast copies of the two spectra are per-probe-pair scratch on the amortized re-estimation cadence (ROADMAP item 1)
+// xtask-allow(hot-path-closure): broadcast copies of the two spectra are per-probe-pair scratch on the amortized re-estimation cadence (ROADMAP item 7)
 // xtask-allow(hot-path-panic): spectra are broadcast to the comb length before indexing, so comb indices are in bounds
 pub fn two_probe_relative(
     fe: &mut dyn LinkFrontEnd,

@@ -79,7 +79,7 @@ impl BeamTracker {
     }
 
     /// Quadratic fit over the history, evaluated at the newest point.
-    // xtask-allow(hot-path-closure): the fit's (x, y) views are per-fit scratch on the amortized maintenance cadence (ROADMAP item 1)
+    // xtask-allow(hot-path-closure): the fit's (x, y) views are per-fit scratch on the amortized maintenance cadence (ROADMAP item 7)
     fn fitted_latest(&self) -> Option<f64> {
         if self.history.len() < 3 {
             return None;

@@ -69,7 +69,7 @@ impl Polynomial {
 ///
 /// Returns `None` when there are fewer samples than coefficients or the
 /// system is numerically singular.
-// xtask-allow(hot-path-closure): the Vandermonde normal-equation scratch is per-fit by design; fits run on the amortized maintenance cadence, not the per-slot loop (ROADMAP item 1)
+// xtask-allow(hot-path-closure): the Vandermonde normal-equation scratch is per-fit by design; fits run on the amortized maintenance cadence, not the per-slot loop (ROADMAP item 7)
 // xtask-allow(hot-path-panic): every index is bounded by m = degree + 1, the dimension used to size powers/ata/atb three lines up
 pub fn polyfit(xs: &[f64], ys: &[f64], degree: usize) -> Option<Polynomial> {
     assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
@@ -97,7 +97,7 @@ pub fn polyfit(xs: &[f64], ys: &[f64], degree: usize) -> Option<Polynomial> {
 
 /// In-place Gaussian elimination for small real systems; consumes its inputs.
 // xtask-allow(hot-path-panic): all indices are bounded by n = b.len() and the square system polyfit constructs; the pivot max_by scans the non-empty range col..n
-// xtask-allow(hot-path-closure): the solution vector is the fit's output; reached only from amortized tick-path fits (ROADMAP item 1)
+// xtask-allow(hot-path-closure): the solution vector is the fit's output; reached only from amortized tick-path fits (ROADMAP item 7)
 fn solve_real(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {

@@ -13,6 +13,8 @@
 //! - [`fit`] — real polynomial least squares (tracking smoother, §6.1),
 //! - [`stats`] — summary statistics, CDFs, EWMA,
 //! - [`units`] — dB/linear conversions and RF constants,
+//! - [`math`] — branch-free `ln`/`exp`/turn-fraction `sin`/`cos` kernels
+//!   for batched per-slot passes (noise, PA, gain drift),
 //! - [`rng`] — seeded Gaussian / complex-Gaussian sampling,
 //! - [`nonlinearity`] — Rapp PA AM/AM + AM/PM compression (impairment layer),
 //! - [`phase_noise`] — leaky-Wiener oscillator phase noise + ICI penalty,
@@ -29,6 +31,7 @@ pub mod count_alloc;
 pub mod fft;
 pub mod fit;
 pub mod linalg;
+pub mod math;
 pub mod nonlinearity;
 pub mod phase_noise;
 pub mod rng;

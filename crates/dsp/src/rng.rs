@@ -8,135 +8,21 @@
 //! reproducible.
 //!
 //! Every Gaussian comes from one Box–Muller, `√(−2·ln u₁)·cos(2π·u₂)`, on
-//! two in-crate, branch-free kernels instead of the platform libm:
-//!
-//! - `ln` of a positive normal double: fdlibm's `__ieee754_log`
-//!   reduction into `[√2/2, √2)` (an integer add on the exponent word, so
-//!   the renormalisation needs no branch) and its degree-14 polynomial;
-//! - `cos_turn`, `cos(2π·u)` of a turn fraction `u ∈ [0, 1)`: `4u` and
-//!   `r = 4u − round(4u)` are exact, so the quadrant split is exact; the
-//!   angle `r·π/2` is formed as a double-double and fed to fdlibm's
-//!   `__kernel_sin`/`__kernel_cos` on `[−π/4, π/4]`.
-//!
-//! Both are within about one ulp of the correctly rounded result (the unit
-//! tests hold them to that against libm), and neither branches on its
-//! input, so [`Rng64::complex_normals_into`] can evaluate them in separate
-//! vectorisable passes over a batch. The scalar [`Rng64::normal`] runs the
-//! same kernels, so the batch is bitwise equal to per-sample draws.
+//! the branch-free in-crate kernels of [`crate::math`] (`ln` and
+//! `cos_turn`) instead of the platform libm, so
+//! [`Rng64::complex_normals_into`] evaluates them in separate vectorisable
+//! passes over a batch. The scalar [`Rng64::normal`] runs the same
+//! kernels, so the batch is bitwise equal to per-sample draws.
 
 use crate::complex::{c64, Complex64};
+use crate::math::{cos_turn, ln};
 use mmwave_hotpath::hot_path;
 use std::f64::consts::{FRAC_1_SQRT_2, PI};
 
 /// Complex normals per pass of [`Rng64::complex_normals_into`]: its stack
 /// scratch holds the uniforms of this many samples. Callers that scale the
 /// batch on the fly size their own stack buffers with it.
-pub const NORMAL_BATCH: usize = 64;
-
-// fdlibm e_log.c constants (bit patterns in the comments).
-const LN2_HI: f64 = 0.6931471803691238; // 0x3fe62e42_fee00000
-const LN2_LO: f64 = 1.9082149292705877e-10; // 0x3dea39ef_35793c76
-const LG1: f64 = 0.6666666666666735; // 0x3fe55555_55555593
-const LG2: f64 = 0.3999999999940942; // 0x3fd99999_9997fa04
-const LG3: f64 = 0.2857142874366239; // 0x3fd24924_94229359
-const LG4: f64 = 0.22222198432149784; // 0x3fcc71c5_1d8e78af
-const LG5: f64 = 0.1818357216161805; // 0x3fc74664_96cb03de
-const LG6: f64 = 0.15313837699209373; // 0x3fc39a09_d078c69f
-const LG7: f64 = 0.14798198605116586; // 0x3fc2f112_df3e5244
-
-/// `2⁵² + 1023`: subtracting it from `2⁵² | e` turns a biased exponent
-/// `e` into the unbiased one, exactly and without an int → float convert.
-const EXP_BIAS_MAGIC: f64 = 4503599627370496.0 + 1023.0;
-
-/// Natural log of a positive normal double (fdlibm `__ieee754_log`, no
-/// special cases). An integer add on the high word carries mantissas at
-/// or above `√2` into the exponent, so `x = 2^k · (1 + f)` with
-/// `1 + f ∈ [√2/2, √2)`, then `ln x = k·ln2 + ln(1 + f)` with
-/// `ln(1 + f) = f − f²/2 + s·(f²/2 + R(s²))`, `s = f/(2 + f)`.
-#[inline(always)]
-fn ln(x: f64) -> f64 {
-    let bits = x.to_bits();
-    let hx = (bits >> 32) + (0x3ff0_0000 - 0x3fe6_a09e);
-    let biased_k = hx >> 20;
-    let m_hi = (hx & 0x000f_ffff) + 0x3fe6_a09e;
-    let m = f64::from_bits((m_hi << 32) | (bits & 0xffff_ffff));
-    let dk = f64::from_bits(0x4330_0000_0000_0000 | biased_k) - EXP_BIAS_MAGIC;
-    let f = m - 1.0;
-    let hfsq = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let t1 = w * (LG2 + w * (LG4 + w * LG6));
-    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    let r = t2 + t1;
-    s * (hfsq + r) + dk * LN2_LO - hfsq + f + dk * LN2_HI
-}
-
-// fdlibm k_cos.c / k_sin.c constants.
-const C1: f64 = 0.0416666666666666; // 0x3fa55555_5555554c
-const C2: f64 = -0.001388888888887411; // 0xbf56c16c_16c15177
-const C3: f64 = 2.480158728947673e-05; // 0x3efa01a0_19cb1590
-const C4: f64 = -2.7557314351390663e-07; // 0xbe927e4f_809c52ad
-const C5: f64 = 2.087572321298175e-09; // 0x3e21ee9e_bdb4b1c4
-const C6: f64 = -1.1359647557788195e-11; // 0xbda8fae9_be8838d4
-const S1: f64 = -0.16666666666666632; // 0xbfc55555_55555549
-const S2: f64 = 0.00833333333332249; // 0x3f811111_1110f8a6
-const S3: f64 = -0.0001984126982985795; // 0xbf2a01a0_19c161d5
-const S4: f64 = 2.7557313707070068e-06; // 0x3ec71de3_57b1fe7d
-const S5: f64 = -2.5050760253406863e-08; // 0xbe5ae5e6_8a2b9ceb
-const S6: f64 = 1.58969099521155e-10; // 0x3de5d93a_5acfd57c
-
-/// `π/2` as the double `PIO2` plus its tail; `PIO2 = PIO2_A + PIO2_B`
-/// splits it into 26 + 27 significant bits for Dekker's exact product.
-const PIO2: f64 = std::f64::consts::FRAC_PI_2; // 0x3ff921fb_54442d18
-const PIO2_TAIL: f64 = 6.123233995736766e-17; // 0x3c91a626_33145c07
-const PIO2_A: f64 = 1.5707963109016418; // 0x3ff921fb_50000000
-const PIO2_B: f64 = 1.5893254712295857e-08; // 0x3e5110b4_60000000
-
-/// `1.5·2⁵²`: adding it rounds a value in `[0, 2⁵¹)` to the nearest
-/// integer (ties to even), which then sits in the low mantissa bits.
-const ROUND_MAGIC: f64 = 6755399441055744.0;
-/// Veltkamp splitter `2²⁷ + 1`.
-const SPLIT: f64 = 134217729.0;
-
-/// `cos(2π·u)` of a turn fraction `u ∈ [0, 1)` (any `u` in `[0, 2⁴⁹)`
-/// works; only the fractional turn matters).
-///
-/// `4u` is exact, so `q = round(4u)` and `r = 4u − q ∈ [−½, ½]` are too:
-/// the quadrant split loses nothing. The angle `θ = r·π/2 ∈ [−π/4, π/4]`
-/// is a double-double `θ_hi + θ_lo` (Dekker's exact product of `r` and
-/// the double `π/2`, plus `r` times `π/2`'s tail), and fdlibm's kernels
-/// evaluate `cos θ` and `sin θ` with the tail folded in. The quadrant
-/// `q mod 4` picks `cos θ`, `−sin θ`, `−cos θ` or `sin θ` by bit masks.
-#[inline(always)]
-fn cos_turn(u: f64) -> f64 {
-    let t = 4.0 * u;
-    let shifted = t + ROUND_MAGIC;
-    let q = shifted.to_bits();
-    let r = t - (shifted - ROUND_MAGIC);
-    // θ = r·π/2 as θ_hi + θ_lo.
-    let x = r * PIO2;
-    let c = SPLIT * r;
-    let r_hi = c - (c - r);
-    let r_lo = r - r_hi;
-    let err = ((r_hi * PIO2_A - x) + r_hi * PIO2_B + r_lo * PIO2_A) + r_lo * PIO2_B;
-    let y = err + r * PIO2_TAIL;
-    // fdlibm __kernel_cos(x, y) and __kernel_sin(x, y, 1).
-    let z = x * x;
-    let w = z * z;
-    let rc = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
-    let hz = 0.5 * z;
-    let wc = 1.0 - hz;
-    let cos = wc + (((1.0 - wc) - hz) + (z * rc - x * y));
-    let rs = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
-    let v = z * x;
-    let sin = x - ((z * (0.5 * y - v * rs) - y) - v * S1);
-    // Quadrants 1 and 3 take sin, 1 and 2 flip the sign.
-    let odd = 0u64.wrapping_sub(q & 1);
-    let mag = (sin.to_bits() & odd) | (cos.to_bits() & !odd);
-    let sign = ((q + 1) & 2) << 62;
-    f64::from_bits(mag ^ sign)
-}
+pub const NORMAL_BATCH: usize = crate::math::BATCH;
 
 /// The Box–Muller normal from its two uniforms: `√(−2·ln u₁)·cos(2π·u₂)`.
 #[inline(always)]
@@ -227,7 +113,7 @@ impl Rng64 {
 
     /// The Box–Muller radius uniform: redraws until `u > 1e-300`, which
     /// guards `ln` against 0 (the only uniform it ever rejects).
-    fn radius_uniform(&mut self) -> f64 {
+    pub(crate) fn radius_uniform(&mut self) -> f64 {
         loop {
             let u = self.uniform();
             if u > 1e-300 {
@@ -391,11 +277,6 @@ mod tests {
         assert!(same < 4);
     }
 
-    /// Distance in ulps between two finite doubles of the same sign.
-    fn ulps(a: f64, b: f64) -> u64 {
-        (a.to_bits() as i64).abs_diff(b.to_bits() as i64)
-    }
-
     /// Seeded draws for the kernel oracles.
     const ORACLE_DRAWS: usize = 1_000_000;
 
@@ -449,63 +330,6 @@ mod tests {
         assert!(u1 > 0.0);
         assert_eq!(a.s, b.s);
         assert_eq!(x.to_bits(), box_muller(u1, u2).to_bits());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "the oracle is the platform libm, which miri emulates")]
-    fn ln_kernel_within_one_ulp_of_libm() {
-        let mut rng = Rng64::seed(31);
-        // The reduction's switch sits at mantissa 0x6a09e (√2): check
-        // both sides of it in a few binades, plus the range ends.
-        let mut edges = vec![2f64.powi(-53), 1.0 - 2f64.powi(-53), 0.5, 0.75];
-        for e in [0x3fe0_0000u64, 0x3fd0_0000, 0x3f00_0000, 0x3ca0_0000] {
-            let at = ((e | 0x6_a09e) << 32) as i64;
-            for d in -2..=2i64 {
-                edges.push(f64::from_bits((at + d) as u64));
-            }
-        }
-        let draws = (0..ORACLE_DRAWS).map(|_| rng.radius_uniform());
-        for x in edges.into_iter().chain(draws) {
-            let (got, want) = (ln(x), x.ln());
-            assert!(ulps(got, want) <= 1, "ln({x:e}) = {got:e}, libm {want:e}");
-        }
-    }
-
-    /// `2π·u` as a double-double `(hi, lo)`: Dekker's exact product of
-    /// the double `2π` and `u`, plus `u` times `2π`'s tail.
-    fn two_pi_turn(u: f64) -> (f64, f64) {
-        let hi = std::f64::consts::TAU * u;
-        let (a, b) = (4.0 * PIO2_A, 4.0 * PIO2_B);
-        let c = SPLIT * u;
-        let u_hi = c - (c - u);
-        let u_lo = u - u_hi;
-        let err = ((u_hi * a - hi) + u_hi * b + u_lo * a) + u_lo * b;
-        (hi, err + u * 4.0 * PIO2_TAIL)
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "the oracle is the platform libm, which miri emulates")]
-    fn cos_turn_kernel_matches_double_double_reference() {
-        let mut rng = Rng64::seed(32);
-        let eps = 2f64.powi(-53);
-        let mut edges = vec![0.0, 1.0 - eps, 0.25, 0.5, 0.75];
-        // Octant boundaries are where round(4u) switches quadrant.
-        for k in [1.0, 3.0, 5.0, 7.0] {
-            let at = k / 8.0;
-            edges.extend([at - eps, at, at + eps]);
-        }
-        let draws = (0..ORACLE_DRAWS).map(|_| rng.uniform());
-        for u in edges.into_iter().chain(draws) {
-            let (hi, lo) = two_pi_turn(u);
-            let want = hi.cos() - hi.sin() * lo;
-            let got = cos_turn(u);
-            let ulp = f64::from_bits(want.abs().to_bits() + 1) - want.abs();
-            let tol = ulp + 2f64.powi(-54);
-            assert!(
-                (got - want).abs() <= tol,
-                "cos(2π·{u:e}) = {got:e}, reference {want:e}"
-            );
-        }
     }
 
     #[test]

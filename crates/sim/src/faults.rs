@@ -29,7 +29,9 @@
 //! radiated beam, data slots included, so it is on the per-slot path.
 //! It is evaluated by angle addition: construction stores each element's
 //! `(κ·cos φᵢ, κ·sin φᵢ)` with `κ = G·ln10/20`, and a call takes one
-//! `(ωt).sin_cos()` and one `exp` per element.
+//! `(ωt).sin_cos()`, then per stack batch of elements one pass forming
+//! `sin ωt·κcos φᵢ + cos ωt·κsin φᵢ` and one vectorisable pass of the
+//! branch-free [`mmwave_dsp::math::exp`].
 
 use crate::metrics::RunEvent;
 use crate::scenario::ScenarioError;
@@ -38,6 +40,7 @@ use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
+use mmwave_dsp::math::{exp, BATCH};
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::pow_from_db;
 use mmwave_phy::chanest::ProbeObservation;
@@ -485,9 +488,20 @@ fn element_faults(
         let omega = std::f64::consts::TAU / schedule.gain_drift_period_s;
         let (sin_wt, cos_wt) = (omega * t_s).sin_cos();
         let kappa = schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
-        for (i, x) in v.iter_mut().enumerate() {
-            let (kc, ks) = drift_lanes.get(i).copied().unwrap_or((kappa, 0.0));
-            *x = x.scale((sin_wt * kc + cos_wt * ks).exp());
+        let mut gain = [0.0; BATCH];
+        for (c, chunk) in v.chunks_mut(BATCH).enumerate() {
+            let n = chunk.len();
+            for (i, g) in gain.iter_mut().take(n).enumerate() {
+                let lane = drift_lanes.get(c * BATCH + i).copied();
+                let (kc, ks) = lane.unwrap_or((kappa, 0.0));
+                *g = sin_wt * kc + cos_wt * ks;
+            }
+            for g in gain.iter_mut().take(n) {
+                *g = exp(*g);
+            }
+            for (x, &g) in chunk.iter_mut().zip(gain.iter()) {
+                *x = x.scale(g);
+            }
         }
     }
     for &i in &schedule.failed_elements {

@@ -363,19 +363,19 @@ fn lossy_fault_paths_are_pinned() {
             "reactive",
             scenario::mixed_mobility_blockage(3),
             0x9582bb29c94654d4,
-            0xee46cb74c232ee1d,
+            0x822e6d640c85e72f,
         ),
         (
             "mmreliable",
             scenario::static_walker(),
             0x9775c22d88997614,
-            0x8a81c2beae6c9c84,
+            0x262114f8f2516783,
         ),
         (
             "mmreliable",
             scenario::mixed_mobility_blockage(3),
             0xd1c8eae1c9b323e1,
-            0x20feba10f476ff76,
+            0xcb5b0f0f140a85ea,
         ),
     ];
     let mut seen = std::collections::BTreeSet::new();
