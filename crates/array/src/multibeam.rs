@@ -13,9 +13,9 @@
 //! SNR gain comes purely from coherent combining at the receiver.
 
 use crate::geometry::ArrayGeometry;
-use crate::steering::single_beam;
+use crate::steering::{push_azimuth_row, single_beam_weight};
 use crate::weights::BeamWeights;
-use mmwave_dsp::complex::Complex64;
+use mmwave_dsp::complex::{normalize_in_place, Complex64};
 
 /// One constituent beam of a multi-beam.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,7 +79,6 @@ impl MultiBeam {
     }
 
     /// The paper's 2-beam constructor `w(φ₁, φ₂, δ, σ)` (Eq. 10).
-    // xtask-allow(hot-path-closure): constructor; a multi-beam is built at establishment time and mutated in place afterwards
     pub fn two_beam(phi1_deg: f64, phi2_deg: f64, delta: f64, sigma_rad: f64) -> Self {
         Self::new(vec![
             BeamComponent::reference(phi1_deg),
@@ -134,23 +133,53 @@ impl MultiBeam {
     }
 
     /// Synthesizes the unit-TRP weight vector on the given array
-    /// (paper Eq. 10 / Eq. 29).
-    // xtask-allow(hot-path-closure): weight synthesis allocates per call by contract (paper Eq. 10); the per-slot loop synthesizes only on beam updates, which are maintenance-cadence events
+    /// (paper Eq. 10 / Eq. 29); the owned form of [`synthesize_into`].
     pub fn weights(&self, geom: &ArrayGeometry) -> BeamWeights {
-        let beams: Vec<BeamWeights> = self
-            .components
-            .iter()
-            .map(|c| single_beam(geom, c.angle_deg))
-            .collect();
-        let parts: Vec<(Complex64, &BeamWeights)> = self
-            .components
-            .iter()
-            .zip(&beams)
-            .map(|(c, w)| (c.coefficient(), w))
-            .collect();
-        let mut combo = BeamWeights::linear_combination(&parts);
-        combo.renormalize();
-        combo
+        let mut w = BeamWeights::muted(geom.num_elements());
+        synthesize_into(&self.components, geom, &mut w);
+        w
+    }
+}
+
+/// Writes the unit-TRP multi-beam `Σ_b δ_b·e^{-jσ_b}·w_{φ_b} / ‖·‖` of
+/// `components` (paper Eq. 10 / Eq. 29) into `out`, reusing its allocation.
+/// Each conjugate [`single_beam`](crate::steering::single_beam) is added
+/// into a zeroed buffer in component order. Every row of a single beam
+/// repeats the same `nx` column weights, so each is computed once and
+/// added down its column.
+pub fn synthesize_into(components: &[BeamComponent], geom: &ArrayGeometry, out: &mut BeamWeights) {
+    out.set_muted(geom.num_elements());
+    let w = out.as_mut_slice();
+    for comp in components {
+        let mut columns = AddToColumns {
+            w: &mut *w,
+            nx: geom.azimuth_elements(),
+            coef: comp.coefficient(),
+        };
+        let su = comp.angle_deg.to_radians().sin();
+        push_azimuth_row(geom, su, single_beam_weight(geom), &mut columns);
+    }
+    normalize_in_place(w);
+}
+
+/// A sink for one beam's row of column weights `b_c`: adds `coef·b_c` to
+/// every element of column `c` of the tiled layout `w`. Column numbers
+/// count from each `extend` call, so the row must arrive in one call, as
+/// [`push_azimuth_row`] makes it.
+struct AddToColumns<'a> {
+    w: &'a mut [Complex64],
+    nx: usize,
+    coef: Complex64,
+}
+
+impl Extend<Complex64> for AddToColumns<'_> {
+    fn extend<I: IntoIterator<Item = Complex64>>(&mut self, row: I) {
+        for (col, b) in row.into_iter().enumerate() {
+            let v = self.coef * b;
+            for x in self.w.iter_mut().skip(col).step_by(self.nx) {
+                *x += v;
+            }
+        }
     }
 }
 
@@ -158,7 +187,8 @@ impl MultiBeam {
 mod tests {
     use super::*;
     use crate::pattern::{array_factor, power_gain_db};
-    use crate::steering::steering_vector;
+    use crate::quantize::Quantizer;
+    use crate::steering::{single_beam, steering_vector};
 
     #[test]
     fn single_component_equals_single_beam() {
@@ -167,6 +197,76 @@ mod tests {
         let sb = single_beam(&g, 12.0);
         for (a, b) in mb.as_slice().iter().zip(sb.as_slice()) {
             assert!((*a - *b).abs() < 1e-12);
+        }
+    }
+
+    /// The synthesis as it stood before [`synthesize_into`]: one owned
+    /// single beam per component, combined into a zeroed vector in
+    /// component order, then renormalized.
+    fn combined_single_beams(mb: &MultiBeam, g: &ArrayGeometry) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; g.num_elements()];
+        for c in mb.components() {
+            let beam = single_beam(g, c.angle_deg);
+            for (o, v) in out.iter_mut().zip(beam.as_slice()) {
+                *o += c.coefficient() * *v;
+            }
+        }
+        normalize_in_place(&mut out);
+        out
+    }
+
+    fn assert_bitwise(got: &[Complex64], want: &[Complex64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits()),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn synthesis_and_quantization_into_a_reused_buffer_are_bitwise_the_owned_forms() {
+        // The buffer last held a beam of another array.
+        let mut w = MultiBeam::two_beam(5.0, -30.0, 0.4, 2.0).weights(&ArrayGeometry::ula(4));
+        let cases = [
+            (
+                ArrayGeometry::paper_8x8(),
+                MultiBeam::new(vec![
+                    BeamComponent::reference(-12.5),
+                    BeamComponent::new(31.0, 0.7, 1.1),
+                    BeamComponent::new(-47.0, 0.35, -2.6),
+                ]),
+            ),
+            // A muted (blocked) component still takes its turn.
+            (
+                ArrayGeometry::paper_8x8(),
+                MultiBeam::new(vec![
+                    BeamComponent::new(3.0, 0.0, 0.0),
+                    BeamComponent::new(-22.0, 0.9, 0.4),
+                ]),
+            ),
+            (
+                ArrayGeometry::ula(16),
+                MultiBeam::two_beam(0.0, 30.0, 1.0, -std::f64::consts::FRAC_PI_2),
+            ),
+            (ArrayGeometry::paper_8x8(), MultiBeam::single(17.0)),
+        ];
+        for (g, mb) in &cases {
+            synthesize_into(mb.components(), g, &mut w);
+            let owned = mb.weights(g);
+            assert_bitwise(w.as_slice(), owned.as_slice(), "synthesis vs owned");
+            assert_bitwise(
+                w.as_slice(),
+                &combined_single_beams(mb, g),
+                "synthesis vs combined single beams",
+            );
+            for q in [Quantizer::paper_array(), Quantizer::commercial_80211ad()] {
+                synthesize_into(mb.components(), g, &mut w);
+                q.quantize_in_place(&mut w);
+                assert_bitwise(w.as_slice(), q.quantize(&owned).as_slice(), "quantized");
+            }
         }
     }
 

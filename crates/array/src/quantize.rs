@@ -75,36 +75,40 @@ impl Quantizer {
         }
     }
 
-    /// Quantizes a weight vector. The result is renormalized to the input's
-    /// norm so quantization never changes radiated power, only its shape.
-    // xtask-allow(hot-path-closure): quantization produces a fresh weight vector at beam-update time (maintenance cadence), not per slot
+    /// Quantizes a weight vector; the owned form of
+    /// [`Quantizer::quantize_in_place`].
     pub fn quantize(&self, w: &BeamWeights) -> BeamWeights {
+        let mut out = w.clone();
+        self.quantize_in_place(&mut out);
+        out
+    }
+
+    /// Quantizes a weight vector in place. The result is renormalized to
+    /// the input's norm so quantization never changes radiated power, only
+    /// its shape.
+    pub fn quantize_in_place(&self, w: &mut BeamWeights) {
         let input_norm = w.norm();
         if input_norm == 0.0 {
-            return w.clone();
+            return;
         }
         let max_amp = w.as_slice().iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        let mut out: Vec<Complex64> = w
-            .as_slice()
-            .iter()
-            .map(|&v| {
-                let amp = self.quantize_amplitude(v.abs(), max_amp);
-                if amp == 0.0 {
-                    return Complex64::ZERO;
-                }
-                let phase = self.quantize_phase(v.arg());
-                Complex64::from_polar(amp, phase)
-            })
-            .collect();
+        let out = w.as_mut_slice();
+        for v in out.iter_mut() {
+            let amp = self.quantize_amplitude(v.abs(), max_amp);
+            *v = if amp == 0.0 {
+                Complex64::ZERO
+            } else {
+                Complex64::from_polar(amp, self.quantize_phase(v.arg()))
+            };
+        }
         // Restore the original TRP.
-        let out_norm = mmwave_dsp::complex::norm(&out);
+        let out_norm = mmwave_dsp::complex::norm(out);
         if out_norm > 0.0 {
             let k = input_norm / out_norm;
             for v in out.iter_mut() {
                 *v = v.scale(k);
             }
         }
-        BeamWeights::from_vec(out)
     }
 
     /// Quantizes a single phase (radians) to the phase-shifter grid.

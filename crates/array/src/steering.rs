@@ -27,7 +27,6 @@ pub fn steering_vector_into(geom: &ArrayGeometry, aod_deg: f64, out: &mut Vec<Co
 }
 
 /// Steering vector with explicit azimuth and elevation departure angles.
-// xtask-allow(hot-path-closure): owned-vector variant for construction-time callers; the slot loop uses steering_vector_az_el_into with a reused buffer
 pub fn steering_vector_az_el(geom: &ArrayGeometry, az_deg: f64, el_deg: f64) -> Vec<Complex64> {
     let mut out = Vec::with_capacity(geom.num_elements());
     steering_vector_az_el_into(geom, az_deg, el_deg, &mut out);
@@ -73,7 +72,7 @@ pub fn azimuth_row_into(geom: &ArrayGeometry, az_deg: f64, out: &mut Vec<Complex
     push_azimuth_row(geom, az_deg.to_radians().sin(), |e| e, out);
 }
 
-/// Appends `f(e_c)` for the `nx` azimuth columns, where
+/// Appends `f(e_c)` for the `nx` azimuth columns to `out`, where
 /// `e_c = cis(-2π·(x_c·su + 0))`. The columns are uniformly spaced
 /// (`x_c = c·d`), so the row is a geometric sequence: only the start
 /// `e_0` and the step `cis(-2π·(d·su + 0))` call `cis`, and
@@ -82,11 +81,11 @@ pub fn azimuth_row_into(geom: &ArrayGeometry, az_deg: f64, out: &mut Vec<Complex
 /// the per-element `cis` on ULAs of up to 256 elements, bounded by
 /// `crates/array/tests/properties.rs`). NaN in `su` gives NaN throughout.
 #[inline]
-fn push_azimuth_row(
+pub(crate) fn push_azimuth_row(
     geom: &ArrayGeometry,
     su: f64,
     f: impl Fn(Complex64) -> Complex64,
-    out: &mut Vec<Complex64>,
+    out: &mut impl Extend<Complex64>,
 ) {
     let step = Complex64::cis(-2.0 * PI * (geom.spacing_wl() * su + 0.0));
     let mut e = Complex64::cis(-2.0 * PI * (geom.azimuth_position_wl(0) * su + 0.0));
@@ -151,24 +150,33 @@ pub fn folded_array_factor(row: &[Complex64], folded: &[Complex64]) -> Complex64
 
 /// Conjugate (maximum-ratio) single-beam weights toward `aod_deg`
 /// (paper Eq. 6): `w = a*(φ)/‖a(φ)‖`, unit-norm so TRP is conserved.
-// xtask-allow(hot-path-closure): owned-weights variant for construction-time callers; the slot loop uses single_beam_into with a reused buffer
 pub fn single_beam(geom: &ArrayGeometry, aod_deg: f64) -> BeamWeights {
-    let a = steering_vector(geom, aod_deg);
-    let n = (a.len() as f64).sqrt();
-    BeamWeights::from_vec(a.into_iter().map(|v| v.conj() / n).collect())
+    let mut w = BeamWeights::muted(geom.num_elements());
+    single_beam_into(geom, aod_deg, &mut w);
+    w
 }
 
 /// Write-into variant of [`single_beam`]: overwrites `out` without
-/// allocating (when its capacity suffices).
+/// allocating (when its capacity suffices). Each element is the tiled
+/// zero-elevation steering phasor `e` of [`steering_vector`], conjugated
+/// and scaled: `conj(e)/√N`.
 #[hot_path]
 pub fn single_beam_into(geom: &ArrayGeometry, aod_deg: f64, out: &mut BeamWeights) {
-    // Bit-identical to `single_beam`: the same tiled zero-elevation row
-    // and the same conj/scale per element.
     let su = aod_deg.to_radians().sin();
-    let n = (geom.num_elements() as f64).sqrt();
+    let weight = single_beam_weight(geom);
     let v = out.vec_mut();
     v.clear();
-    tile_azimuth_row(geom, su, |e| e.conj() / n, v);
+    tile_azimuth_row(geom, su, weight, v);
+}
+
+/// The single-beam weight `conj(e)/√N` of a steering phasor `e` on `geom`
+/// (the conjugate of paper Eq. 6, unit-norm over the `N` elements); the one
+/// per-element formula of [`single_beam_into`] and
+/// [`synthesize_into`](crate::multibeam::synthesize_into).
+#[inline]
+pub(crate) fn single_beam_weight(geom: &ArrayGeometry) -> impl Fn(Complex64) -> Complex64 {
+    let n = (geom.num_elements() as f64).sqrt();
+    move |e| e.conj() / n
 }
 
 /// A "wide" beam: only the central `active` azimuth elements are driven

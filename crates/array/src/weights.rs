@@ -97,36 +97,11 @@ impl BeamWeights {
         norm(&self.w)
     }
 
-    /// Renormalizes to unit TRP in place.
-    pub fn renormalize(&mut self) {
-        normalize_in_place(&mut self.w);
-    }
-
     /// Applies the weights to a per-element channel vector:
     /// `y = hᵀ·w = Σ_n h[n]·w[n]` (paper Eq. 2, without noise).
     pub fn apply(&self, h: &[Complex64]) -> Complex64 {
         assert_eq!(h.len(), self.w.len(), "channel/weights length mismatch");
         h.iter().zip(&self.w).map(|(a, b)| *a * *b).sum()
-    }
-
-    /// Linear combination `Σ cᵢ·wᵢ` of weight vectors, **not** renormalized
-    /// (callers that need unit TRP call [`BeamWeights::renormalize`]).
-    // xtask-allow(hot-path-closure): combination output is a fresh vector by contract; called on beam updates (maintenance cadence), not per slot
-    // xtask-allow(hot-path-panic): the entry asserts make every part the same length n, so element indices are in bounds
-    pub fn linear_combination(parts: &[(Complex64, &BeamWeights)]) -> Self {
-        assert!(!parts.is_empty(), "need at least one component");
-        let n = parts[0].1.len();
-        assert!(
-            parts.iter().all(|(_, w)| w.len() == n),
-            "all components must have equal length"
-        );
-        let mut out = vec![Complex64::ZERO; n];
-        for (c, w) in parts {
-            for (o, v) in out.iter_mut().zip(w.as_slice()) {
-                *o += *c * *v;
-            }
-        }
-        Self { w: out }
     }
 
     /// Per-element power `|w[n]|²`, useful for inspecting quantizer effects.
@@ -159,23 +134,6 @@ mod tests {
         let w = BeamWeights::from_vec(vec![c64(0.0, 1.0)]);
         let y = w.apply(&[c64(0.0, 1.0)]);
         assert!((y - c64(-1.0, 0.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_combination_of_orthogonal_parts() {
-        let w1 = BeamWeights::from_vec(vec![Complex64::ONE, Complex64::ZERO]);
-        let w2 = BeamWeights::from_vec(vec![Complex64::ZERO, Complex64::ONE]);
-        let combo = BeamWeights::linear_combination(&[(c64(0.5, 0.0), &w1), (c64(0.0, 0.5), &w2)]);
-        assert_eq!(combo.as_slice()[0], c64(0.5, 0.0));
-        assert_eq!(combo.as_slice()[1], c64(0.0, 0.5));
-    }
-
-    #[test]
-    fn renormalize_restores_trp() {
-        let mut w = BeamWeights::from_vec(vec![c64(2.0, 0.0), c64(0.0, 2.0)]);
-        assert!(w.norm() > 1.0);
-        w.renormalize();
-        assert!((w.norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -229,8 +229,14 @@ fn tiled_kernels_match_per_element_within_bound() {
             }
             single_beam_into(g, az, &mut beam);
             assert_close(beam.as_slice(), &want, g, az);
-            // `single_beam` shares `single_beam_into`'s row bit for bit.
+            // `single_beam_into` (and so `single_beam`) is the tiled
+            // `steering_vector`, conjugated and scaled, bit for bit.
             if k % 64 == 0 {
+                let conj: Vec<Complex64> = steering_vector(g, az)
+                    .into_iter()
+                    .map(|v| v.conj() / n)
+                    .collect();
+                assert_bits_eq(&conj, beam.as_slice(), g, az, 0.0);
                 assert_bits_eq(single_beam(g, az).as_slice(), beam.as_slice(), g, az, 0.0);
             }
         }

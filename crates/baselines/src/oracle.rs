@@ -80,8 +80,9 @@ impl BeamStrategy for OracleMrt {
         }
         // Band-covariance oracle over a coarse comb across 400 MHz.
         let freqs: Vec<f64> = (0..17).map(|i| -190e6 + 23.75e6 * i as f64).collect();
-        let ideal = ch.wideband_oracle_weights(&self.geom, &self.rx, &freqs);
-        self.weights = Some(self.quantizer.quantize(&ideal));
+        let mut w = ch.wideband_oracle_weights(&self.geom, &self.rx, &freqs);
+        self.quantizer.quantize_in_place(&mut w);
+        self.weights = Some(w);
     }
 }
 

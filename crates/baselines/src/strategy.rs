@@ -57,16 +57,16 @@ pub trait BeamStrategy {
 /// [`BeamStrategy`] adapter for the mmReliable controller.
 ///
 /// The controller's beam state only changes inside a maintenance round, so
-/// the adapter materializes `current_weights()` (multi-beam synthesis +
-/// hardware quantization) once per tick and serves every intervening data
-/// slot from the cache — the synthesis would otherwise run thousands of
+/// the adapter writes `current_weights_into()` (multi-beam synthesis +
+/// hardware quantization) into its cache once per tick and serves every
+/// data slot from it — the synthesis would otherwise run thousands of
 /// times per second for an answer that changes a hundred times per second.
 pub struct MmReliableStrategy {
     /// The wrapped controller.
     pub controller: MmReliableController,
-    /// Data weights materialized at the end of the last tick.
+    /// Data weights written at the end of the last tick.
     cached: BeamWeights,
-    /// Telemetry handle: times the per-tick weight materialization.
+    /// Telemetry handle: times the per-tick weight synthesis.
     #[cfg(feature = "telemetry")]
     tracer: mmwave_telemetry::Tracer,
 }
@@ -83,11 +83,11 @@ impl MmReliableStrategy {
         }
     }
 
-    /// Re-materializes the cached data weights from the controller. Called
-    /// automatically after each tick; call manually only after driving the
-    /// controller directly (outside the [`BeamStrategy`] interface).
+    /// Rewrites the cached data weights in place. Called automatically
+    /// after each tick; call manually only after driving the controller
+    /// directly (outside the [`BeamStrategy`] interface).
     pub fn refresh_weights(&mut self) {
-        self.cached = self.controller.current_weights();
+        self.controller.current_weights_into(&mut self.cached);
     }
 }
 
@@ -98,9 +98,9 @@ impl BeamStrategy for MmReliableStrategy {
 
     fn on_tick(&mut self, fe: &mut dyn LinkFrontEnd, _t_s: f64) {
         self.controller.maintenance_round(fe);
-        // The weight materialization (multi-beam synthesis + hardware
-        // quantization) is the other compute-heavy stage of a tick; time
-        // it separately from the maintenance round.
+        // The weight synthesis (multi-beam + hardware quantization) is the
+        // other compute-heavy stage of a tick; time it separately from the
+        // maintenance round.
         #[cfg(feature = "telemetry")]
         let clock = self.tracer.begin();
         self.refresh_weights();

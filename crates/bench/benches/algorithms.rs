@@ -9,7 +9,7 @@ use mmreliable::controller::MmReliableController;
 use mmreliable::frontend::SnapshotFrontEnd;
 use mmreliable::probing::relative_from_powers;
 use mmreliable::superres::{
-    estimate_per_beam, estimate_per_beam_with, SuperResConfig, SuperResScratch,
+    estimate_per_beam, estimate_per_beam_into, PerBeamEstimate, SuperResConfig, SuperResScratch,
 };
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
@@ -56,10 +56,12 @@ fn bench_superres(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("beams", k), &k, |b, _| {
             b.iter(|| estimate_per_beam(&obs, &rel, &cfg))
         });
-        // The controller's path: one scratch reused across fits.
+        // The controller's path: one scratch and one estimate reused
+        // across fits.
         let mut scratch = SuperResScratch::default();
+        let mut est = PerBeamEstimate::default();
         group.bench_with_input(BenchmarkId::new("beams_warm", k), &k, |b, _| {
-            b.iter(|| estimate_per_beam_with(&mut scratch, &obs, &rel, &cfg))
+            b.iter(|| estimate_per_beam_into(&mut scratch, &obs, &rel, &cfg, &mut est))
         });
     }
     group.finish();

@@ -29,20 +29,51 @@ use crate::blockage::{BeamEvent, BlockageDetector};
 use crate::config::MmReliableConfig;
 use crate::frontend::LinkFrontEnd;
 use crate::linkstate::{LinkLifecycle, LinkSignal, LinkState, Transition};
-use crate::probing::two_probe_relative;
-use crate::superres::{estimate_per_beam_with, SuperResConfig, SuperResScratch};
+use crate::probing::{two_probe_relative, ProbeScratch};
+use crate::superres::{estimate_per_beam_into, PerBeamEstimate, SuperResConfig, SuperResScratch};
 use crate::tracking::BeamTracker;
 use crate::training::{beam_training, TrainingResult};
 use mmwave_array::codebook::Codebook;
-use mmwave_array::multibeam::{BeamComponent, MultiBeam};
+use mmwave_array::multibeam::{synthesize_into, BeamComponent, MultiBeam};
 use mmwave_array::pattern::hpbw_deg;
-use mmwave_array::steering::{single_beam, wide_beam};
+use mmwave_array::steering::{single_beam_into, wide_beam_into};
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::units::db_from_pow;
 
 /// Columns kept active in the wide-beam degraded fallback (of the 8-column
 /// paper array): half the aperture ≈ twice the beamwidth.
 const FALLBACK_ACTIVE_COLUMNS: usize = 4;
+
+/// Writes the hardware-quantized data weights into `out`: the wide-beam
+/// fallback when `fallback` is set, else the multi-beam `mb`, else a
+/// broadside single beam (see [`MmReliableController::current_weights`]).
+fn live_weights_into(
+    cfg: &MmReliableConfig,
+    fallback: bool,
+    mb: Option<&MultiBeam>,
+    out: &mut BeamWeights,
+) {
+    let geom = &cfg.geom;
+    match mb {
+        _ if fallback => wide_beam_into(geom, fallback_angle_deg(mb), FALLBACK_ACTIVE_COLUMNS, out),
+        Some(mb) => synthesize_into(mb.components(), geom, out),
+        None => single_beam_into(geom, 0.0, out),
+    }
+    cfg.quantizer.quantize_in_place(out);
+}
+
+/// The best-known link direction for the wide-beam fallback: the
+/// strongest still-active multi-beam component (or the reference beam
+/// when everything is muted; broadside with no link history).
+fn fallback_angle_deg(mb: Option<&MultiBeam>) -> f64 {
+    let Some(mb) = mb else { return 0.0 };
+    mb.components()
+        .iter()
+        .filter(|c| c.amplitude > 0.0)
+        .max_by(|a, b| a.amplitude.total_cmp(&b.amplitude))
+        .map(|c| c.angle_deg)
+        .unwrap_or_else(|| mb.component(0).angle_deg)
+}
 
 /// One-word summary of a round's actions for the telemetry `round` event,
 /// most-drastic action first.
@@ -115,6 +146,13 @@ pub struct MmReliableController {
     /// Buffers of the per-beam fit and the training scan, reused across
     /// maintenance rounds and (re)acquisitions.
     superres_scratch: SuperResScratch,
+    /// Buffers of every probe outside the training scan.
+    probe: ProbeScratch,
+    /// The fit of the round's live-beam probe, and of every other probe.
+    round_fit: PerBeamEstimate,
+    fit: PerBeamEstimate,
+    /// The round's drifting beams: index, step and prior angle (degrees).
+    realign: Vec<(usize, f64, f64)>,
     mb: Option<MultiBeam>,
     rel_delays_ns: Vec<f64>,
     trackers: Vec<BeamTracker>,
@@ -149,9 +187,14 @@ impl MmReliableController {
         let mut lc_cfg = cfg.lifecycle;
         lc_cfg.outage_snr_db = cfg.outage_snr_db;
         Self {
+            // Sized for every beam (before `cfg` moves in): no round grows it.
+            realign: Vec::with_capacity(cfg.max_beams),
             cfg,
             superres_cfg: SuperResConfig::default(),
             superres_scratch: SuperResScratch::default(),
+            probe: ProbeScratch::default(),
+            round_fit: PerBeamEstimate::default(),
+            fit: PerBeamEstimate::default(),
             mb: None,
             rel_delays_ns: Vec::new(),
             trackers: Vec::new(),
@@ -179,27 +222,33 @@ impl MmReliableController {
         let _ = tracer;
     }
 
-    /// Super-resolution per-beam fit, wrapped in a telemetry span so the
-    /// fit's latency lands in the `superres-fit` histogram.
-    fn fit_per_beam(
-        &mut self,
-        obs: &mmwave_phy::chanest::ProbeObservation,
-        t_s: f64,
-    ) -> crate::superres::PerBeamEstimate {
+    /// Probes the weights [`Self::current_weights`] describes into
+    /// `probe.obs` and returns the probe's SNR, dB.
+    fn probe_live(&mut self, fe: &mut dyn LinkFrontEnd) -> f64 {
+        let (fallback, w) = (self.lifecycle.fallback_active(), &mut self.probe.weights);
+        live_weights_into(&self.cfg, fallback, self.mb.as_ref(), w);
+        fe.probe_into(w, &mut self.probe.obs);
+        self.probe.obs.snr_db()
+    }
+
+    /// Super-resolution per-beam fit of `probe.obs` into `fit`, wrapped
+    /// in a telemetry span so the fit's latency lands in the
+    /// `superres-fit` histogram.
+    fn fit_per_beam(&mut self, t_s: f64) {
         #[cfg(not(feature = "telemetry"))]
         let _ = t_s;
         #[cfg(feature = "telemetry")]
         let clock = self.tracer.begin();
-        let est = estimate_per_beam_with(
+        estimate_per_beam_into(
             &mut self.superres_scratch,
-            obs,
+            &self.probe.obs,
             &self.rel_delays_ns,
             &self.superres_cfg,
+            &mut self.fit,
         );
         #[cfg(feature = "telemetry")]
         self.tracer
             .end(clock, mmwave_telemetry::Stage::SuperresFit, t_s);
-        est
     }
 
     /// Configuration accessor.
@@ -237,38 +286,22 @@ impl MmReliableController {
     /// wide beam at the best-known direction when the lifecycle's retry
     /// budget is exhausted (degraded fallback: coverage over gain).
     pub fn current_weights(&self) -> BeamWeights {
-        let ideal = if self.lifecycle.fallback_active() {
-            wide_beam(
-                &self.cfg.geom,
-                self.fallback_angle_deg(),
-                FALLBACK_ACTIVE_COLUMNS,
-            )
-        } else {
-            match &self.mb {
-                Some(mb) => mb.weights(&self.cfg.geom),
-                None => single_beam(&self.cfg.geom, 0.0),
-            }
-        };
-        self.cfg.quantizer.quantize(&ideal)
+        let mut w = BeamWeights::muted(self.cfg.geom.num_elements());
+        self.current_weights_into(&mut w);
+        w
     }
 
-    /// The best-known link direction for the wide-beam fallback: the
-    /// strongest still-active multi-beam component (or the reference beam
-    /// when everything is muted; broadside with no link history).
-    fn fallback_angle_deg(&self) -> f64 {
-        let Some(mb) = &self.mb else { return 0.0 };
-        mb.components()
-            .iter()
-            .filter(|c| c.amplitude > 0.0)
-            .max_by(|a, b| a.amplitude.total_cmp(&b.amplitude))
-            .map(|c| c.angle_deg)
-            .unwrap_or_else(|| mb.component(0).angle_deg)
+    /// Write-into form of [`Self::current_weights`]: overwrites `out`,
+    /// reusing its allocation.
+    pub fn current_weights_into(&self, out: &mut BeamWeights) {
+        let fallback = self.lifecycle.fallback_active();
+        live_weights_into(&self.cfg, fallback, self.mb.as_ref(), out);
     }
 
     /// Runs beam training + constructive multi-beam establishment and
     /// reports the outcome to the lifecycle machine.
     /// Returns the actions taken (empty if no path was found).
-    // xtask-allow(hot-path-closure): link (re)establishment builds its codebook, scan buffers, and action list once per acquisition event — an exceptional-path cost, not a per-slot one (ROADMAP item 7)
+    // xtask-allow(hot-path-closure): link (re)establishment builds its codebook, multi-beam, trackers and action list once per acquisition event — an exceptional-path cost, not a per-round one
     // xtask-allow(hot-path-panic): scan/component indices are bounded by the codebook and component counts fixed at the top of the function
     pub fn establish(&mut self, fe: &mut dyn LinkFrontEnd) -> Vec<ControllerAction> {
         let geom = self.cfg.geom;
@@ -302,6 +335,7 @@ impl MmReliableController {
         for v in training.viable.iter().skip(1) {
             let rel = two_probe_relative(
                 fe,
+                &mut self.probe,
                 reference.angle_deg,
                 v.angle_deg,
                 &[reference.power_mw],
@@ -323,9 +357,9 @@ impl MmReliableController {
         self.rel_delays_ns = rel_delays;
         self.last_training = Some(training);
         // Baseline probe through the live multi-beam.
-        let obs = fe.probe(&self.current_weights());
-        let est = self.fit_per_beam(&obs, fe.now_s());
-        let baselines = est.powers_db();
+        let snr_db = self.probe_live(fe);
+        self.fit_per_beam(fe.now_s());
+        let baselines = self.fit.powers_db();
         self.trackers = angles
             .iter()
             .zip(&baselines)
@@ -338,7 +372,6 @@ impl MmReliableController {
             .collect();
         self.saved_amp = vec![0.0; angles.len()];
         self.rounds = 0;
-        let snr_db = obs.snr_db();
         self.established_snr_db = Some(snr_db);
         if snr_db > self.best_snr_db {
             self.best_snr_db = snr_db;
@@ -362,7 +395,7 @@ impl MmReliableController {
     /// acquisition scans are paced by backoff, the degraded fallback runs a
     /// minimal keep-alive loop, and the normal maintenance path feeds its
     /// measurement to the state machine which schedules bounded re-trains.
-    // xtask-allow(hot-path-closure): the maintenance round runs every csi_rs_period slots, not per slot; its report/action buffers are per-round by design (ROADMAP item 7 tracks moving them into a scratch struct)
+    // xtask-allow(hot-path-closure): the round report owns its per-beam powers and actions by contract, one report per maintenance round (every csi_rs_period slots), not per slot
     // xtask-allow(hot-path-panic): per-beam indices are bounded by the component count of the established multi-beam; the expects state lifecycle invariants (established implies mb is Some)
     pub fn maintenance_round(&mut self, fe: &mut dyn LinkFrontEnd) -> RoundReport {
         // Cooperative cancellation point: a supervisor that has given up on
@@ -382,7 +415,7 @@ impl MmReliableController {
                 Vec::new()
             };
             let snr_db = if self.mb.is_some() {
-                fe.probe(&self.current_weights()).snr_db()
+                self.probe_live(fe)
             } else {
                 -60.0
             };
@@ -396,7 +429,7 @@ impl MmReliableController {
         if self.lifecycle.fallback_active() {
             self.rounds += 1;
             let mut actions = Vec::new();
-            let snr_db = fe.probe(&self.current_weights()).snr_db();
+            let snr_db = self.probe_live(fe);
             self.lifecycle.apply(
                 LinkSignal::SnrReport {
                     snr_db,
@@ -417,18 +450,20 @@ impl MmReliableController {
         self.rounds += 1;
         let mut actions = Vec::new();
 
-        // 1. Probe the live multi-beam; super-resolve per-beam powers.
-        let obs = fe.probe(&self.current_weights());
-        let snr_db = obs.snr_db();
-        let est = self.fit_per_beam(&obs, fe.now_s());
-        let per_beam_db = est.powers_db();
+        // 1. Probe the live multi-beam; super-resolve per-beam powers. The
+        // fit stays in `round_fit` for the rest of the round; later probes
+        // fit into `fit`.
+        let snr_db = self.probe_live(fe);
+        self.fit_per_beam(fe.now_s());
+        std::mem::swap(&mut self.round_fit, &mut self.fit);
+        let per_beam_db = self.round_fit.powers_db();
         // Relative ToFs drift slowly with user motion (§4.3); adopt the
         // jitter-refined values so the dictionary follows the geometry.
-        self.rel_delays_ns = est.rel_delays_ns.clone();
+        self.rel_delays_ns.clone_from(&self.round_fit.rel_delays_ns);
 
         // 2. Classify each active beam.
         let k_total = per_beam_db.len();
-        let mut realign: Vec<(usize, f64)> = Vec::new();
+        self.realign.clear();
         for (k, &beam_db) in per_beam_db.iter().enumerate() {
             if self.detectors[k].is_blocked() {
                 continue; // handled by the recovery path below
@@ -443,16 +478,14 @@ impl MmReliableController {
                     }
                     actions.push(ControllerAction::BeamBlocked(k));
                 }
-                BeamEvent::Mobility => {
-                    if self.cfg.enable_tracking {
-                        if let Some(dev) = upd.deviation_deg {
-                            if dev > 1.0 {
-                                realign.push((k, dev.min(self.cfg.max_step_deg)));
-                            }
-                        }
+                BeamEvent::Mobility if self.cfg.enable_tracking => {
+                    if let Some(dev) = upd.deviation_deg.filter(|&dev| dev > 1.0) {
+                        let from = self.mb.as_ref().expect("established").component(k);
+                        let step = dev.min(self.cfg.max_step_deg);
+                        self.realign.push((k, step, from.angle_deg));
                     }
                 }
-                BeamEvent::Stable | BeamEvent::Recovered => {}
+                BeamEvent::Mobility | BeamEvent::Stable | BeamEvent::Recovered => {}
             }
         }
 
@@ -479,42 +512,37 @@ impl MmReliableController {
             )
         });
         if blockage_transition {
-            realign.clear();
+            self.realign.clear();
         }
-        if !realign.is_empty() {
-            let mb = self.mb.as_ref().expect("established").clone();
+        if !self.realign.is_empty() {
             // One hypothesis probe with every drifting beam shifted toward
             // +Δθ; super-resolution then gives a *per-beam* verdict, so
             // beams drifting in opposite directions (Fig. 10) each resolve
-            // their own sign.
-            let mut plus = mb.clone();
-            for &(k, dev) in &realign {
-                plus.component_mut(k).angle_deg += dev;
+            // their own sign. The live multi-beam carries the shift for the
+            // probe; each drifting beam then moves to `from ± Δθ`.
+            let mb = self.mb.as_mut().expect("established");
+            for &(k, dev, _) in &self.realign {
+                mb.component_mut(k).angle_deg += dev;
             }
-            let w_plus = self.cfg.quantizer.quantize(&plus.weights(&self.cfg.geom));
-            let obs_plus = fe.probe(&w_plus);
-            let est_plus = self.fit_per_beam(&obs_plus, fe.now_s());
-            let mut chosen = mb.clone();
-            for &(k, dev) in &realign {
-                let sign = if est_plus.powers_mw[k] > est.powers_mw[k] {
+            self.probe_live(fe);
+            self.fit_per_beam(fe.now_s());
+            let mb = self.mb.as_mut().expect("established");
+            for &(k, dev, from) in &self.realign {
+                let sign = if self.fit.powers_mw[k] > self.round_fit.powers_mw[k] {
                     1.0
                 } else {
                     -1.0
                 };
-                chosen.component_mut(k).angle_deg += sign * dev;
-            }
-            for &(k, _) in &realign {
-                let from = mb.component(k).angle_deg;
-                let to = chosen.component(k).angle_deg;
+                let to = from + sign * dev;
+                mb.component_mut(k).angle_deg = to;
                 actions.push(ControllerAction::Realigned {
                     idx: k,
                     from_deg: from,
                     to_deg: to,
                 });
             }
-            self.mb = Some(chosen);
             // Refresh constructive parameters and re-baseline.
-            self.refresh_constructive(fe, &est.powers_mw);
+            self.refresh_constructive(fe);
             self.rebaseline(fe);
         }
 
@@ -523,10 +551,10 @@ impl MmReliableController {
         // a small angular neighborhood of the stale angle and re-acquire at
         // the best response.
         if self.rounds.is_multiple_of(self.cfg.recovery_check_rounds) {
-            let blocked: Vec<usize> = (0..k_total)
-                .filter(|&k| self.detectors[k].is_blocked())
-                .collect();
-            for k in blocked {
+            for k in 0..k_total {
+                if !self.detectors[k].is_blocked() {
+                    continue;
+                }
                 let stale = self
                     .mb
                     .as_ref()
@@ -541,13 +569,11 @@ impl MmReliableController {
                 };
                 for &offset in offsets {
                     let angle = stale + offset;
-                    let probe = fe.probe(
-                        &self
-                            .cfg
-                            .quantizer
-                            .quantize(&single_beam(&self.cfg.geom, angle)),
-                    );
-                    let p = db_from_pow(probe.mean_power_mw().max(1e-20));
+                    let w = &mut self.probe.weights;
+                    single_beam_into(&self.cfg.geom, angle, w);
+                    self.cfg.quantizer.quantize_in_place(w);
+                    fe.probe_into(w, &mut self.probe.obs);
+                    let p = db_from_pow(self.probe.obs.mean_power_mw().max(1e-20));
                     if best.is_none_or(|(bp, _)| p > bp) {
                         best = Some((p, angle));
                     }
@@ -564,8 +590,7 @@ impl MmReliableController {
                     mb.component_mut(k).angle_deg = best_angle;
                     self.detectors[k].set_blocked(false);
                     actions.push(ControllerAction::BeamRecovered(k));
-                    let powers = est.powers_mw.clone();
-                    self.refresh_constructive(fe, &powers);
+                    self.refresh_constructive(fe);
                     self.rebaseline(fe);
                 }
             }
@@ -679,54 +704,57 @@ impl MmReliableController {
     }
 
     /// Re-estimates `(δ, σ)` of every active non-reference beam against the
-    /// strongest active beam (2 probes each), using the latest per-beam
-    /// powers as the single-beam spectra.
-    // xtask-allow(hot-path-closure): per-beam probe spectra are collected per re-estimation event (every refresh_period rounds), not per slot (ROADMAP item 7)
-    // xtask-allow(hot-path-panic): beam indices are bounded by the component count; powers_mw comes from the same multi-beam probe
-    fn refresh_constructive(&mut self, fe: &mut dyn LinkFrontEnd, powers_mw: &[f64]) {
+    /// strongest active beam (2 probes each), using the round's per-beam
+    /// powers (`round_fit`) as the single-beam spectra. Each beam's update
+    /// reads only its own and the reference's old parameters, so the
+    /// multi-beam is updated in place.
+    // xtask-allow(hot-path-panic): beam indices are bounded by the component count; the round's powers come from the same multi-beam probe
+    fn refresh_constructive(&mut self, fe: &mut dyn LinkFrontEnd) {
         if !self.cfg.enable_constructive {
             return;
         }
-        let mb = self.mb.as_ref().expect("established").clone();
-        let comps = mb.components();
+        let mb = self.mb.as_mut().expect("established");
+        let powers_mw = &self.round_fit.powers_mw;
+        let k_total = mb.num_beams();
         // Reference: strongest active beam.
-        let Some(r) = (0..comps.len())
-            .filter(|&k| comps[k].amplitude > 0.0 || k == 0)
+        let Some(r) = (0..k_total)
+            .filter(|&k| mb.component(k).amplitude > 0.0 || k == 0)
             .max_by(|&a, &b| powers_mw[a].total_cmp(&powers_mw[b]))
         else {
             return;
         };
-        let mut updated = mb.clone();
-        for k in 0..comps.len() {
-            if k == r || comps[k].amplitude <= 0.0 {
+        let reference = *mb.component(r);
+        for k in 0..k_total {
+            let comp = *mb.component(k);
+            if k == r || comp.amplitude <= 0.0 {
                 continue;
             }
             let rel = two_probe_relative(
                 fe,
-                comps[r].angle_deg,
-                comps[k].angle_deg,
+                &mut self.probe,
+                reference.angle_deg,
+                comp.angle_deg,
                 &[powers_mw[r].max(1e-18)],
                 &[powers_mw[k].max(1e-18)],
                 self.rel_delays_ns[k] - self.rel_delays_ns[r],
             );
-            let ref_amp = comps[r].amplitude.max(1e-6);
-            updated.component_mut(k).amplitude = (ref_amp * rel.delta).clamp(0.0, 1.5);
-            updated.component_mut(k).phase_rad = comps[r].phase_rad + rel.sigma_rad;
+            let ref_amp = reference.amplitude.max(1e-6);
+            let c = mb.component_mut(k);
+            c.amplitude = (ref_amp * rel.delta).clamp(0.0, 1.5);
+            c.phase_rad = reference.phase_rad + rel.sigma_rad;
         }
-        self.mb = Some(updated);
     }
 
     /// Probes the refreshed multi-beam once and re-anchors every active
     /// tracker's baseline.
     // xtask-allow(hot-path-panic): tracker/baseline indices are bounded by the per-beam estimate the probe on the line above just produced
     fn rebaseline(&mut self, fe: &mut dyn LinkFrontEnd) {
-        let obs = fe.probe(&self.current_weights());
-        let est = self.fit_per_beam(&obs, fe.now_s());
-        let baselines = est.powers_db();
+        self.probe_live(fe);
+        self.fit_per_beam(fe.now_s());
         let mb = self.mb.as_ref().expect("established");
         for (k, tracker) in self.trackers.iter_mut().enumerate() {
             if !self.detectors[k].is_blocked() {
-                tracker.realign(mb.component(k).angle_deg, baselines[k]);
+                tracker.realign(mb.component(k).angle_deg, self.fit.power_db(k));
             }
         }
     }
@@ -737,6 +765,7 @@ mod tests {
     use super::*;
     use crate::frontend::SnapshotFrontEnd;
     use mmwave_array::geometry::ArrayGeometry;
+    use mmwave_array::steering::single_beam;
     use mmwave_channel::channel::{GeometricChannel, UeReceiver};
     use mmwave_channel::environment::Scene;
     use mmwave_channel::geom2d::v2;

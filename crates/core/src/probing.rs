@@ -19,7 +19,8 @@
 //! the paper's un-normalized `|h₁+h₂|²`; the estimator accounts for it.
 
 use crate::frontend::LinkFrontEnd;
-use mmwave_array::multibeam::MultiBeam;
+use mmwave_array::multibeam::{synthesize_into, BeamComponent};
+use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::{c64, Complex64};
 use mmwave_phy::chanest::ProbeObservation;
 use std::f64::consts::FRAC_PI_2;
@@ -40,13 +41,36 @@ impl RelativeChannel {
     }
 }
 
-/// Noise-debiased per-subcarrier power spectrum of a probe, mW.
-// xtask-allow(hot-path-closure): one spectrum vector per probe on the amortized probing cadence, not per slot (ROADMAP item 7)
-pub fn power_spectrum(obs: &ProbeObservation) -> Vec<f64> {
-    obs.csi
-        .iter()
-        .map(|v| (v.norm_sqr() - obs.noise_power_mw).max(0.0))
-        .collect()
+/// Buffers of a controller's probes, reused across rounds: the weights
+/// being radiated, two observations (the two combined probes of
+/// [`two_probe_relative`] are read together) and their power spectra.
+#[derive(Clone, Debug)]
+pub struct ProbeScratch {
+    pub(crate) weights: BeamWeights,
+    /// The last probe; the first of a combined pair.
+    pub(crate) obs: ProbeObservation,
+    /// The second probe of a combined pair.
+    pair_obs: ProbeObservation,
+    spectra: [Vec<f64>; 2],
+}
+
+impl Default for ProbeScratch {
+    fn default() -> Self {
+        Self {
+            weights: BeamWeights::muted(1),
+            obs: ProbeObservation::default(),
+            pair_obs: ProbeObservation::default(),
+            spectra: Default::default(),
+        }
+    }
+}
+
+/// Writes the noise-debiased per-subcarrier power spectrum of a probe, mW,
+/// into `out`, reusing its allocation.
+fn power_spectrum_into(obs: &ProbeObservation, out: &mut Vec<f64>) {
+    let noise = obs.noise_power_mw;
+    out.clear();
+    out.extend(obs.csi.iter().map(|v| (v.norm_sqr() - noise).max(0.0)));
 }
 
 /// Pure-math core of Eq. 12 + Eq. 14: given the four power spectra
@@ -60,7 +84,10 @@ pub fn power_spectrum(obs: &ProbeObservation) -> Vec<f64> {
 /// with `Δτ·BW ≳ 1` would average its relative phase to zero (which is
 /// exactly the wideband comb problem §3.4's delay array addresses). The
 /// returned σ is the relative phase at band center.
-// xtask-allow(hot-path-panic): the entry asserts make all five slices the same length, so per-subcarrier indices are in bounds
+///
+/// `p1`/`p2` may be single-element slices (a scalar wideband power, as the
+/// training scan produces); they are then broadcast across the comb.
+// xtask-allow(hot-path-panic): the entry asserts give every spectrum the comb's length n or (p1/p2) length 1, which is read at index 0, so per-subcarrier indices are in bounds
 pub fn relative_from_powers(
     p1: &[f64],
     p2: &[f64],
@@ -69,32 +96,36 @@ pub fn relative_from_powers(
     freqs_hz: &[f64],
     rel_delay_ns: f64,
 ) -> RelativeChannel {
+    let n = p3.len();
+    let on_comb = |p: &[f64]| p.len() == n || p.len() == 1;
     assert!(
-        p1.len() == p2.len() && p1.len() == p3.len() && p1.len() == p4.len(),
+        p4.len() == n && on_comb(p1) && on_comb(p2),
         "spectra must share a comb"
     );
     assert!(
-        freqs_hz.is_empty() || freqs_hz.len() == p1.len(),
+        freqs_hz.is_empty() || freqs_hz.len() == n,
         "frequency comb must match the spectra"
     );
+    let at = |p: &[f64], i: usize| if p.len() == 1 { p[0] } else { p[i] };
     // Per-subcarrier relative channel, delay-derotated, then p1-weighted
     // average (Eq. 14).
     let mut acc = Complex64::ZERO;
     let mut weight = 0.0;
-    for i in 0..p1.len() {
-        if p1[i] <= 0.0 {
+    for i in 0..n {
+        let (p1, p2) = (at(p1, i), at(p2, i));
+        if p1 <= 0.0 {
             continue;
         }
-        let sqrt_p1 = p1[i].sqrt();
-        let re = (2.0 * p3[i] - p1[i] - p2[i]) / (2.0 * sqrt_p1);
-        let im = (p1[i] + p2[i] - 2.0 * p4[i]) / (2.0 * sqrt_p1);
+        let sqrt_p1 = p1.sqrt();
+        let re = (2.0 * p3[i] - p1 - p2) / (2.0 * sqrt_p1);
+        let im = (p1 + p2 - 2.0 * p4[i]) / (2.0 * sqrt_p1);
         // r(f) = h2(f)/h1(f) with h1(f) real = √p1(f).
         let mut r = c64(re, im) / sqrt_p1;
         if !freqs_hz.is_empty() {
             r *= Complex64::cis(2.0 * std::f64::consts::PI * freqs_hz[i] * rel_delay_ns * 1e-9);
         }
-        acc += r.scale(p1[i]);
-        weight += p1[i];
+        acc += r.scale(p1);
+        weight += p1;
     }
     if weight <= 0.0 {
         return RelativeChannel {
@@ -111,14 +142,15 @@ pub fn relative_from_powers(
 
 /// Runs the two extra probes of the two-probe method for beam `phi_k`
 /// against reference `phi_ref`, reusing previously measured single-beam
-/// spectra `p1`/`p2` (e.g. from training). Consumes exactly 2 probes.
+/// spectra `p1`/`p2` (e.g. from training; a single element is broadcast,
+/// see [`relative_from_powers`]). Probes through `scratch`; consumes
+/// exactly 2 probes.
 ///
-/// `p1`/`p2` may be single-element slices (a scalar wideband power, as the
-/// training scan produces); they are broadcast across the sounding comb.
-// xtask-allow(hot-path-closure): broadcast copies of the two spectra are per-probe-pair scratch on the amortized re-estimation cadence (ROADMAP item 7)
-// xtask-allow(hot-path-panic): spectra are broadcast to the comb length before indexing, so comb indices are in bounds
+/// The combined probes radiate the ideal (unquantized) 2-beam weights,
+/// unlike every other probe of the controller (DESIGN.md §5).
 pub fn two_probe_relative(
     fe: &mut dyn LinkFrontEnd,
+    scratch: &mut ProbeScratch,
     phi_ref_deg: f64,
     phi_k_deg: f64,
     p1: &[f64],
@@ -126,26 +158,24 @@ pub fn two_probe_relative(
     rel_delay_ns: f64,
 ) -> RelativeChannel {
     let geom = *fe.geometry();
-    let w3 = MultiBeam::two_beam(phi_ref_deg, phi_k_deg, 1.0, 0.0).weights(&geom);
-    let w4 = MultiBeam::two_beam(phi_ref_deg, phi_k_deg, 1.0, -FRAC_PI_2).weights(&geom);
-    let obs3 = fe.probe(&w3);
-    let p3 = power_spectrum(&obs3);
-    let p4 = power_spectrum(&fe.probe(&w4));
-    let broadcast = |p: &[f64]| -> Vec<f64> {
-        if p.len() == 1 {
-            vec![p[0]; p3.len()]
-        } else {
-            p.to_vec()
-        }
+    let ProbeScratch {
+        weights,
+        obs: obs3,
+        pair_obs: obs4,
+        spectra: [p3, p4],
+    } = scratch;
+    let mut probe_pair = |sigma_rad: f64, obs: &mut ProbeObservation, p: &mut Vec<f64>| {
+        let pair = [
+            BeamComponent::reference(phi_ref_deg),
+            BeamComponent::new(phi_k_deg, 1.0, sigma_rad),
+        ];
+        synthesize_into(&pair, &geom, weights);
+        fe.probe_into(weights, obs);
+        power_spectrum_into(obs, p);
     };
-    relative_from_powers(
-        &broadcast(p1),
-        &broadcast(p2),
-        &p3,
-        &p4,
-        &obs3.freqs_hz,
-        rel_delay_ns,
-    )
+    probe_pair(0.0, obs3, p3);
+    probe_pair(-FRAC_PI_2, obs4, p4);
+    relative_from_powers(p1, p2, p3, p4, &obs3.freqs_hz, rel_delay_ns)
 }
 
 /// Full 4-probe measurement for one beam pair: sounds both single beams and
@@ -158,11 +188,15 @@ pub fn full_relative(
     rel_delay_ns: f64,
 ) -> (RelativeChannel, Vec<f64>, Vec<f64>) {
     let geom = *fe.geometry();
-    let w1 = MultiBeam::single(phi_ref_deg).weights(&geom);
-    let w2 = MultiBeam::single(phi_k_deg).weights(&geom);
-    let p1 = power_spectrum(&fe.probe(&w1));
-    let p2 = power_spectrum(&fe.probe(&w2));
-    let rel = two_probe_relative(fe, phi_ref_deg, phi_k_deg, &p1, &p2, rel_delay_ns);
+    let mut s = ProbeScratch::default();
+    let mut spectra = [Vec::new(), Vec::new()];
+    for (phi_deg, p) in [phi_ref_deg, phi_k_deg].into_iter().zip(&mut spectra) {
+        synthesize_into(&[BeamComponent::reference(phi_deg)], &geom, &mut s.weights);
+        fe.probe_into(&s.weights, &mut s.obs);
+        power_spectrum_into(&s.obs, p);
+    }
+    let [p1, p2] = spectra;
+    let rel = two_probe_relative(fe, &mut s, phi_ref_deg, phi_k_deg, &p1, &p2, rel_delay_ns);
     (rel, p1, p2)
 }
 
@@ -171,6 +205,7 @@ mod tests {
     use super::*;
     use crate::frontend::SnapshotFrontEnd;
     use mmwave_array::geometry::ArrayGeometry;
+    use mmwave_array::multibeam::MultiBeam;
     use mmwave_channel::channel::{GeometricChannel, UeReceiver};
     use mmwave_channel::path::{Path, PathKind};
     use mmwave_dsp::rng::Rng64;
@@ -264,7 +299,8 @@ mod tests {
         let p1 = vec![1.0; 264];
         let p2 = vec![0.2; 264];
         let before = fe.probes_used();
-        let _ = two_probe_relative(&mut fe, 0.0, 30.0, &p1, &p2, 5.0);
+        let mut scratch = ProbeScratch::default();
+        let _ = two_probe_relative(&mut fe, &mut scratch, 0.0, 30.0, &p1, &p2, 5.0);
         assert_eq!(fe.probes_used() - before, 2);
     }
 

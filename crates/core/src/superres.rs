@@ -87,7 +87,7 @@ impl Default for SuperResConfig {
 }
 
 /// Result of one per-beam decomposition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PerBeamEstimate {
     /// Complex per-beam amplitudes `α_k` (order matches the input delays).
     pub alphas: Vec<Complex64>,
@@ -107,10 +107,15 @@ impl PerBeamEstimate {
     /// Per-beam powers in dB (floored at −200 dB).
     // xtask-allow(hot-path-closure): one short per-beam vector per estimate on the maintenance cadence
     pub fn powers_db(&self) -> Vec<f64> {
-        self.powers_mw
-            .iter()
-            .map(|&p| 10.0 * p.max(1e-20).log10())
+        (0..self.powers_mw.len())
+            .map(|k| self.power_db(k))
             .collect()
+    }
+
+    /// Beam `k`'s power in dB (floored at −200 dB).
+    pub(crate) fn power_db(&self, k: usize) -> f64 {
+        debug_assert!(k < self.powers_mw.len());
+        10.0 * self.powers_mw[k].max(1e-20).log10()
     }
 }
 
@@ -368,10 +373,10 @@ impl CombRows {
     }
 }
 
-/// Reusable state of [`estimate_per_beam_with`] and of the training scan
+/// Reusable state of [`estimate_per_beam_into`] and of the training scan
 /// ([`crate::training::beam_training`]): every buffer either needs, sized
-/// on first use and reused thereafter, so a warmed scratch makes both
-/// allocation-free apart from their owned outputs.
+/// on first use and reused thereafter, so a warmed scratch leaves the fit
+/// allocation-free and the scan allocating only its owned outputs.
 #[derive(Clone, Debug, Default)]
 pub struct SuperResScratch {
     /// CIR and transform buffers of the coarse peak-delay estimate, shared
@@ -655,18 +660,27 @@ impl SuperResScratch {
 
 /// Decomposes one multi-beam probe into per-beam complex amplitudes, given
 /// the beams' relative delays (first entry is the reference, typically 0).
-/// One-shot form of [`estimate_per_beam_with`].
+/// One-shot form of [`estimate_per_beam_into`].
 pub fn estimate_per_beam(
     obs: &ProbeObservation,
     rel_delays_ns: &[f64],
     cfg: &SuperResConfig,
 ) -> PerBeamEstimate {
-    estimate_per_beam_with(&mut SuperResScratch::default(), obs, rel_delays_ns, cfg)
+    let mut est = PerBeamEstimate::default();
+    estimate_per_beam_into(
+        &mut SuperResScratch::default(),
+        obs,
+        rel_delays_ns,
+        cfg,
+        &mut est,
+    );
+    est
 }
 
-/// [`estimate_per_beam`] through a caller-owned [`SuperResScratch`]. Once
-/// the scratch has seen a probe of the same shape, the fit allocates only
-/// the vectors of the returned [`PerBeamEstimate`].
+/// [`estimate_per_beam`] through a caller-owned [`SuperResScratch`], into a
+/// caller-owned estimate. Once the scratch has seen a probe of the same
+/// shape and `out` has held an estimate of as many beams, the fit
+/// allocates nothing.
 ///
 /// Search: the coarse CIR peak is anchored to each beam in turn and the
 /// bulk delay τ₀ is swept ± `tau0_search_taps` around it (one Gram factor
@@ -680,13 +694,13 @@ pub fn estimate_per_beam(
 /// or with a bulk-delay step that is not finite and positive, or is below
 /// one ulp of the search span, or a search span that is not finite (each
 /// would never end the sweep).
-// xtask-allow(hot-path-closure): the per-beam decomposition owns its outputs (amplitudes, powers, delays) by contract; it runs per probe on the maintenance cadence
-pub fn estimate_per_beam_with(
+pub fn estimate_per_beam_into(
     scratch: &mut SuperResScratch,
     obs: &ProbeObservation,
     rel_delays_ns: &[f64],
     cfg: &SuperResConfig,
-) -> PerBeamEstimate {
+    out: &mut PerBeamEstimate,
+) {
     assert!(!rel_delays_ns.is_empty(), "need at least one beam delay");
     assert!(
         obs.csi.len() >= rel_delays_ns.len(),
@@ -732,15 +746,13 @@ pub fn estimate_per_beam_with(
     s.correlate();
     let residual = s.normal.solve_and_score(&s.b, y_energy, &mut s.alpha);
     s.keep_best();
-    let residual = s.refine_jitter(residual, y_energy, cfg);
-    let alphas = s.alpha_best.clone();
-    PerBeamEstimate {
-        powers_mw: alphas.iter().map(|a| a.norm_sqr()).collect(),
-        alphas,
-        residual,
-        tau0_ns: best_tau0,
-        rel_delays_ns: s.rel.clone(),
-    }
+    out.residual = s.refine_jitter(residual, y_energy, cfg);
+    out.alphas.clone_from(&s.alpha_best);
+    out.powers_mw.clear();
+    out.powers_mw
+        .extend(out.alphas.iter().map(|a| a.norm_sqr()));
+    out.tau0_ns = best_tau0;
+    out.rel_delays_ns.clone_from(&s.rel);
 }
 
 #[cfg(test)]
@@ -1095,7 +1107,8 @@ mod tests {
         what: &str,
     ) {
         let cfg = SuperResConfig::default();
-        let fast = estimate_per_beam_with(scratch, obs, rel, &cfg);
+        let mut fast = PerBeamEstimate::default();
+        estimate_per_beam_into(scratch, obs, rel, &cfg, &mut fast);
         let oracle = direct::estimate_per_beam(obs, rel, &cfg);
         assert_eq!(
             fast.tau0_ns.to_bits(),
@@ -1338,11 +1351,13 @@ mod tests {
             lambda: 0.0,
             ..SuperResConfig::default()
         };
+        // One scratch and one estimate carry over from fit to fit.
         let mut scratch = SuperResScratch::default();
+        let mut fast = PerBeamEstimate::default();
         let mut commits = 0;
         for (obs, given, what) in &seeded_probes() {
             for cfg in [&screened, &unscreened] {
-                let fast = estimate_per_beam_with(&mut scratch, obs, given, cfg);
+                estimate_per_beam_into(&mut scratch, obs, given, cfg, &mut fast);
                 let oracle = per_anchor::estimate_per_beam(obs, given, cfg);
                 assert_bitwise(&fast, &oracle, &format!("{what}, λ = {}", cfg.lambda));
                 commits += usize::from(fast.rel_delays_ns != *given);
@@ -1354,7 +1369,7 @@ mod tests {
         let (mut zero, given, _) = seeded_probes().swap_remove(100);
         zero.csi.fill(Complex64::ZERO);
         let cfg = SuperResConfig::default();
-        let fast = estimate_per_beam_with(&mut scratch, &zero, &given, &cfg);
+        estimate_per_beam_into(&mut scratch, &zero, &given, &cfg, &mut fast);
         assert_bitwise(
             &fast,
             &per_anchor::estimate_per_beam(&zero, &given, &cfg),
@@ -1374,9 +1389,10 @@ mod tests {
         // room, as the module docs' estimate says.
         let cfg = SuperResConfig::default();
         let mut s = SuperResScratch::default();
+        let mut est = PerBeamEstimate::default();
         let mut worst: f64 = 0.0;
         for (obs, given, _) in &seeded_probes() {
-            estimate_per_beam_with(&mut s, obs, given, &cfg);
+            estimate_per_beam_into(&mut s, obs, given, &cfg, &mut est);
             let y_energy: f64 = obs.csi.iter().map(|v| v.norm_sqr()).sum();
             let ridge = cfg.lambda * obs.csi.len() as f64;
             let m = obs.csi.len();

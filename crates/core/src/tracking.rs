@@ -78,15 +78,16 @@ impl BeamTracker {
         }
     }
 
-    /// Quadratic fit over the history, evaluated at the newest point.
-    // xtask-allow(hot-path-closure): the fit's (x, y) views are per-fit scratch on the amortized maintenance cadence (ROADMAP item 7)
+    /// Quadratic fit over the history (sample `i` at `x = i`), evaluated at
+    /// the newest point.
     fn fitted_latest(&self) -> Option<f64> {
-        if self.history.len() < 3 {
+        let n = self.history.len();
+        if n < 3 {
             return None;
         }
-        let xs: Vec<f64> = (0..self.history.len()).map(|i| i as f64).collect();
-        let fit = polyfit(&xs, &self.history, 2)?;
-        Some(fit.eval((self.history.len() - 1) as f64))
+        let samples = self.history.iter().enumerate();
+        let fit = polyfit::<3>(samples.map(|(i, &y)| (i as f64, y)))?;
+        Some(fit.eval((n - 1) as f64))
     }
 
     /// Re-anchors the tracker after a (re-)alignment: new steering angle

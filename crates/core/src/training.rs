@@ -78,7 +78,7 @@ impl TrainingResult {
 /// path across adjacent codebook beams (set it near the array's beamwidth).
 /// Probes and coarse delays run out of `scratch`; once it is warm, the scan
 /// allocates only its profile, its delays and the peak-finding's lists.
-// xtask-allow(hot-path-closure): the exhaustive scan runs once per (re)acquisition event; its profile buffers are sized by the codebook, not reused per slot (ROADMAP item 7)
+// xtask-allow(hot-path-closure): the exhaustive scan runs once per (re)acquisition event and owns its profile, delays and viable paths by contract; its probes and transforms run out of the caller's scratch
 pub fn beam_training(
     fe: &mut dyn LinkFrontEnd,
     codebook: &Codebook,

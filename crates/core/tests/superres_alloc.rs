@@ -1,17 +1,18 @@
 //! Counted allocation budget of the super-resolution fit.
 //!
 //! Installs [`CountingAllocator`] as this binary's global allocator and
-//! checks that a warmed [`estimate_per_beam_with`] allocates exactly the
-//! three vectors its [`PerBeamEstimate`](mmreliable::superres::PerBeamEstimate)
-//! owns (amplitudes, powers, refined delays) and nothing else: the grid
-//! search, the Gram factorisations, the screened and confirmed jitter
+//! checks that a warmed [`estimate_per_beam_into`] allocates nothing: the
+//! grid search, the Gram factorisations, the screened and confirmed jitter
 //! trials and the coarse CIR peak estimate all run out of the caller's
-//! [`SuperResScratch`].
+//! [`SuperResScratch`], and the amplitudes, powers and refined delays are
+//! written into the caller's [`PerBeamEstimate`].
 //!
 //! The counter is per thread, which the second test pins: allocations on
 //! another thread never reach this thread's count.
 
-use mmreliable::superres::{estimate_per_beam_with, SuperResConfig, SuperResScratch};
+use mmreliable::superres::{
+    estimate_per_beam_into, PerBeamEstimate, SuperResConfig, SuperResScratch,
+};
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::count_alloc::{allocation_count, CountingAllocator};
 use mmwave_dsp::rng::Rng64;
@@ -22,8 +23,9 @@ use std::sync::{Arc, Barrier};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The vectors a returned estimate owns.
-const OUTPUT_VECS: u64 = 3;
+/// The vectors the fit allocates for its output: none, since it writes
+/// into a warm caller-owned estimate.
+const OUTPUT_VECS: u64 = 0;
 
 /// A K-beam probe over the 264-subcarrier comb, with CFO and noise.
 fn probe(rel_delays_ns: &[f64], tau0_ns: f64, seed: u64) -> ProbeObservation {
@@ -53,7 +55,7 @@ fn probe(rel_delays_ns: &[f64], tau0_ns: f64, seed: u64) -> ProbeObservation {
 }
 
 #[test]
-fn warmed_fit_allocates_only_its_outputs() {
+fn warmed_fit_into_a_warm_estimate_allocates_nothing() {
     let cfg = SuperResConfig::default();
     let four = [0.0, 3.0, 7.5, 12.0];
     let three = [0.0, 4.5, 11.0];
@@ -70,17 +72,18 @@ fn warmed_fit_allocates_only_its_outputs() {
         (probe(&[0.0], 22.0, 4), &[0.0]),
     ];
     let mut scratch = SuperResScratch::default();
+    let mut est = PerBeamEstimate::default();
     // Warm-up on the largest delay set grows every buffer to its
     // high-water mark; smaller sets then reuse the same storage.
-    let _ = estimate_per_beam_with(&mut scratch, &probes[0].0, probes[0].1, &cfg);
+    estimate_per_beam_into(&mut scratch, &probes[0].0, probes[0].1, &cfg, &mut est);
     for (obs, rel) in &probes {
         let before = allocation_count();
-        let est = estimate_per_beam_with(&mut scratch, obs, rel, &cfg);
+        estimate_per_beam_into(&mut scratch, obs, rel, &cfg, &mut est);
         let delta = allocation_count() - before;
         assert_eq!(
             delta,
             OUTPUT_VECS,
-            "K = {}: fit allocated {delta} times, its outputs account for {OUTPUT_VECS}",
+            "K = {}: fit allocated {delta} times, its output accounts for {OUTPUT_VECS}",
             rel.len()
         );
         // The fit did real work: every beam carries power.

@@ -166,7 +166,7 @@ proptest! {
     fn polyfit_exact_on_polynomial_data(c0 in -10.0..10.0f64, c1 in -10.0..10.0f64, c2 in -10.0..10.0f64) {
         let xs: Vec<f64> = (0..8).map(|i| i as f64 * 0.5 - 2.0).collect();
         let ys: Vec<f64> = xs.iter().map(|&x| c0 + c1 * x + c2 * x * x).collect();
-        let fit = polyfit(&xs, &ys, 2).unwrap();
+        let fit = polyfit::<3>(xs.iter().copied().zip(ys.iter().copied())).unwrap();
         let scale = 1.0 + c0.abs() + c1.abs() + c2.abs();
         prop_assert!((fit.coeffs()[0] - c0).abs() < 1e-6 * scale);
         prop_assert!((fit.coeffs()[1] - c1).abs() < 1e-6 * scale);

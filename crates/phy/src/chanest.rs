@@ -40,7 +40,6 @@ impl ProbeObservation {
     /// An empty observation, suitable as reusable scratch for
     /// [`ChannelSounder::probe_snapshot_into`]-style fillers: the `Vec`
     /// buffers grow to the comb size on first use and are reused after.
-    // xtask-allow(hot-path-closure): an empty Vec::new allocates nothing; one-shot probes fill it once
     pub fn empty() -> Self {
         Self {
             csi: Vec::new(),
@@ -147,7 +146,6 @@ impl ChannelSounder {
 
     /// Sounds the channel under transmit weights `w`, returning the noisy
     /// probe observation. One call = one reference-signal transmission.
-    // xtask-allow(hot-path-closure): owned-output variant for one-shot callers; the slot loop uses probe_into with reused scratch
     pub fn probe(
         &self,
         ch: &GeometricChannel,

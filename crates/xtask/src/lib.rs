@@ -135,6 +135,30 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     Ok(lint_files(&collect_workspace(root)?))
 }
 
+/// One line counting the well-formed `xtask-allow` directives per lint,
+/// most-used first, over the files outside `crates/xtask` (whose sources
+/// name the hatch on purpose). `cargo xtask lint --stats` prints it, so
+/// the hatch count is read from the tool rather than from a grep.
+pub fn allow_summary(files: &[SourceFile], scrubbed: &[scrub::Scrubbed]) -> String {
+    let mut counts = std::collections::BTreeMap::<String, usize>::new();
+    for (f, s) in files.iter().zip(scrubbed) {
+        if !f.rel.starts_with("crates/xtask") {
+            for a in allow::parse_allows(&f.rel, s, &f.src).0 {
+                *counts.entry(a.lint).or_default() += 1;
+            }
+        }
+    }
+    let mut counts: Vec<(String, usize)> = counts.into_iter().collect();
+    // Stable: equal counts stay in lint-name order.
+    counts.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    let per_lint: Vec<String> = counts.iter().map(|(l, n)| format!("{n} {l}")).collect();
+    format!(
+        "xtask-allow: {total} outside crates/xtask ({})",
+        per_lint.join(", ")
+    )
+}
+
 /// Builds the workspace call graph over a file set (scrubs internally).
 /// Used by `cargo xtask lint --graph` / `--stats` and by tests.
 pub fn build_graph(files: &[SourceFile]) -> (Vec<scrub::Scrubbed>, graph::CallGraph) {

@@ -36,7 +36,8 @@ fn usage() {
     eprintln!("  --graph  export the workspace call graph to results/callgraph.json");
     eprintln!("           and results/callgraph.dot");
     eprintln!("  --stats  print graph summary stats (nodes/edges, hot-path closure");
-    eprintln!("           size, taint source/sink counts) on stderr");
+    eprintln!("           size, taint source/sink counts) and the xtask-allow count");
+    eprintln!("           per lint outside crates/xtask on stderr");
     eprintln!("  --root   workspace root (default: parent of crates/xtask at build time,");
     eprintln!("           i.e. the repo checkout the binary was built from)");
 }
@@ -87,6 +88,7 @@ fn lint(args: &[String]) -> ExitCode {
         let (scrubbed, g) = xtask::build_graph(&files);
         if stats {
             eprintln!("{}", g.stats(&scrubbed).render());
+            eprintln!("{}", xtask::allow_summary(&files, &scrubbed));
         }
         if graph {
             let dir = root.join("results");

@@ -406,3 +406,34 @@ fn callgraph_export_and_stats_describe_the_fixture_graph() {
     let dot = g.to_dot(&scrubbed);
     assert!(dot.starts_with("digraph"));
 }
+
+#[test]
+fn allow_summary_counts_directives_outside_xtask_per_lint() {
+    let directive = |lint: &str| format!("// xtask-allow({lint}): reason\nfn f() {{}}\n");
+    let sources = vec![
+        SourceFile {
+            rel: PathBuf::from("crates/dsp/src/a.rs"),
+            src: [
+                directive("hot-path-panic"),
+                directive("hot-path-closure"),
+                directive("hot-path-panic"),
+                // Doc comments and mid-prose mentions are not directives.
+                "/// xtask-allow(hot-path-alloc): prose\nfn g() {}\n".to_string(),
+            ]
+            .concat(),
+        },
+        SourceFile {
+            rel: PathBuf::from("crates/sim/src/b.rs"),
+            src: directive("determinism"),
+        },
+        SourceFile {
+            rel: PathBuf::from("crates/xtask/src/lints/c.rs"),
+            src: directive("hot-path-closure"),
+        },
+    ];
+    let (scrubbed, _) = xtask::build_graph(&sources);
+    assert_eq!(
+        xtask::allow_summary(&sources, &scrubbed),
+        "xtask-allow: 4 outside crates/xtask (2 hot-path-panic, 1 determinism, 1 hot-path-closure)"
+    );
+}
