@@ -14,7 +14,8 @@
 //! - [`quantize::Quantizer`] — hardware phase/amplitude quantization,
 //! - [`pattern`] — far-field array factor, beam-pattern metrics, and the
 //!   inverse-gain lookup used by the tracking algorithm (Eq. 19–20),
-//! - [`codebook`] — single-beam codebooks used for beam training,
+//! - [`codebook`] — the angles of the uniform beam-training scan (64 beams
+//!   over 120°, each steered in place by the scan that probes it),
 //! - [`multibeam`] — constructive multi-beam synthesis (Eq. 10 / Eq. 29),
 //! - [`delay_array`] — the delay-phased-array architecture for wideband
 //!   multi-beam operation (§3.4, Eq. 17),

@@ -114,24 +114,6 @@ impl MultiBeam {
         self.components.iter().map(|c| c.angle_deg).collect()
     }
 
-    /// Fraction of transmit power each beam carries, under the
-    /// well-separated-beams approximation (`|⟨w_i, w_j⟩| ≈ 0`):
-    /// `p_b = δ_b² / Σ δ²`.
-    pub fn power_fractions(&self) -> Vec<f64> {
-        let total: f64 = self
-            .components
-            .iter()
-            .map(|c| c.amplitude * c.amplitude)
-            .sum();
-        if total == 0.0 {
-            return vec![0.0; self.components.len()];
-        }
-        self.components
-            .iter()
-            .map(|c| c.amplitude * c.amplitude / total)
-            .collect()
-    }
-
     /// Synthesizes the unit-TRP weight vector on the given array
     /// (paper Eq. 10 / Eq. 29); the owned form of [`synthesize_into`].
     pub fn weights(&self, geom: &ArrayGeometry) -> BeamWeights {
@@ -300,20 +282,6 @@ mod tests {
         let p2 = array_factor(&g, &w, 25.0).norm_sqr();
         assert!((p1 - 8.0).abs() < 0.5, "p1 {p1}");
         assert!((p2 - 8.0).abs() < 0.5, "p2 {p2}");
-    }
-
-    #[test]
-    fn power_fractions_sum_to_one() {
-        let mb = MultiBeam::new(vec![
-            BeamComponent::reference(0.0),
-            BeamComponent::new(20.0, 0.5, 0.3),
-            BeamComponent::new(-35.0, 0.25, 2.0),
-        ]);
-        let f = mb.power_fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // δ = 0.5 → power fraction 0.25/1.3125
-        assert!((f[1] - 0.25 / 1.3125).abs() < 1e-12);
-        assert!(f[0] > f[1] && f[1] > f[2]);
     }
 
     #[test]

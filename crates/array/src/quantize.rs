@@ -147,14 +147,6 @@ impl Quantizer {
             }
         }
     }
-
-    /// Worst-case phase error introduced by this quantizer, radians.
-    pub fn max_phase_error(&self) -> f64 {
-        match self.phase_bits {
-            None => 0.0,
-            Some(bits) => PI / (1u64 << bits) as f64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,11 +186,10 @@ mod tests {
     #[test]
     fn six_bit_phase_error_bounded() {
         let q = Quantizer::paper_array();
-        assert!((q.max_phase_error() - PI / 64.0).abs() < 1e-12);
         for k in 0..100 {
             let phase = k as f64 * 0.0637 - PI;
             let err = (q.quantize_phase(phase) - phase).abs();
-            assert!(err <= q.max_phase_error() + 1e-12);
+            assert!(err <= PI / 64.0 + 1e-12);
         }
     }
 

@@ -103,11 +103,6 @@ impl BeamWeights {
         assert_eq!(h.len(), self.w.len(), "channel/weights length mismatch");
         h.iter().zip(&self.w).map(|(a, b)| *a * *b).sum()
     }
-
-    /// Per-element power `|w[n]|²`, useful for inspecting quantizer effects.
-    pub fn element_powers(&self) -> Vec<f64> {
-        self.w.iter().map(|v| v.norm_sqr()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -146,13 +141,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn rejects_empty() {
         BeamWeights::from_vec(Vec::new());
-    }
-
-    #[test]
-    fn element_powers() {
-        let w = BeamWeights::from_vec(vec![c64(1.0, 1.0), c64(0.0, 2.0)]);
-        let p = w.element_powers();
-        assert!((p[0] - 2.0).abs() < 1e-12);
-        assert!((p[1] - 4.0).abs() < 1e-12);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the phased-array model.
 
 use mmwave_array::geometry::ArrayGeometry;
-use mmwave_array::multibeam::{BeamComponent, MultiBeam};
+use mmwave_array::multibeam::MultiBeam;
 use mmwave_array::pattern::{array_factor, invert_gain_drop, ula_gain_rel};
 use mmwave_array::quantize::Quantizer;
 use mmwave_array::steering::{
@@ -58,21 +58,6 @@ proptest! {
         let mb = MultiBeam::two_beam(phi1, phi2, delta, sigma);
         let w = mb.weights(&ArrayGeometry::ula(16));
         prop_assert!((w.norm() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multibeam_power_fractions_sum_to_one(
-        amps in prop::collection::vec(0.01..2.0f64, 1..5)
-    ) {
-        let comps: Vec<BeamComponent> = amps
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| BeamComponent::new(i as f64 * 10.0 - 20.0, a, 0.0))
-            .collect();
-        let mb = MultiBeam::new(comps);
-        let f = mb.power_fractions();
-        prop_assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(f.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
     #[test]

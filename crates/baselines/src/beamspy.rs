@@ -9,7 +9,7 @@
 use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
-use mmwave_array::codebook::Codebook;
+use mmwave_array::codebook::{uniform_angle_deg, PAPER_SCAN_BEAMS};
 use mmwave_array::steering::single_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
@@ -18,10 +18,6 @@ use mmwave_phy::chanest::ProbeObservation;
 /// Configuration of the BeamSpy-like baseline.
 #[derive(Clone, Debug)]
 pub struct BeamSpyConfig {
-    /// Codebook size for the initial full scan.
-    pub codebook_beams: usize,
-    /// Angular span, degrees.
-    pub span_deg: f64,
     /// SNR (dB) below which a switch is attempted.
     pub outage_snr_db: f64,
     /// Minimum angular separation for an "alternate" beam, degrees.
@@ -37,8 +33,6 @@ pub struct BeamSpyConfig {
 impl Default for BeamSpyConfig {
     fn default() -> Self {
         Self {
-            codebook_beams: 64,
-            span_deg: 120.0,
             outage_snr_db: 6.0,
             alternate_separation_deg: 10.0,
             fails_before_rescan: 3,
@@ -89,10 +83,9 @@ impl BeamSpy {
 
     fn full_scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
-        let n_beams = self.cfg.codebook_beams;
         self.profile.clear();
-        for i in 0..n_beams {
-            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+        for i in 0..PAPER_SCAN_BEAMS {
+            let angle = uniform_angle_deg(PAPER_SCAN_BEAMS, i);
             single_beam_into(&geom, angle, &mut self.beam);
             fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
             self.profile.push((angle, self.obs.mean_power_mw()));

@@ -33,7 +33,12 @@ pub use single_reactive::SingleBeamReactive;
 pub use strategy::{BeamStrategy, MmReliableStrategy};
 pub use widebeam::WideBeamStrategy;
 
+use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
+use mmwave_array::codebook::{uniform_angle_deg, PAPER_SCAN_BEAMS};
+use mmwave_array::steering::single_beam_into;
 use mmwave_array::weights::BeamWeights;
+use mmwave_phy::chanest::ProbeObservation;
+use mmwave_phy::refsignal::ProbeBudget;
 
 /// Steers a strategy's trained weights with `steer`, reusing their buffer
 /// once trained (`steer` overwrites every element, so the placeholder's
@@ -43,4 +48,38 @@ pub(crate) fn steer_weights(
     steer: impl FnOnce(&mut BeamWeights),
 ) {
     steer(weights.get_or_insert_with(|| BeamWeights::muted(1)))
+}
+
+/// Fast beam training (Hassanieh et al. '18 style): probes
+/// [`ProbeBudget::nr_fast_scan_probes`] beams spread evenly over the paper's
+/// 64-beam codebook, steering each into `beam` and probing into `obs`.
+/// When the strongest response carries power, steers `weights` at it and
+/// returns its angle.
+pub(crate) fn fast_scan(
+    fe: &mut dyn LinkFrontEnd,
+    beam: &mut BeamWeights,
+    obs: &mut ProbeObservation,
+    weights: &mut Option<BeamWeights>,
+) -> Option<f64> {
+    let geom = *fe.geometry();
+    let n_beams = PAPER_SCAN_BEAMS;
+    let n_probes = ProbeBudget::nr_fast_scan_probes(geom.num_elements()).clamp(1, n_beams);
+    let mut best: Option<(f64, f64)> = None; // (power, angle)
+    for k in 0..n_probes {
+        let i = if n_probes == 1 {
+            0
+        } else {
+            k * (n_beams - 1) / (n_probes - 1)
+        };
+        let angle = uniform_angle_deg(n_beams, i);
+        single_beam_into(&geom, angle, beam);
+        fe.probe_kind_into(beam, ProbeKind::Ssb, obs);
+        let p = obs.mean_power_mw();
+        if best.is_none_or(|(bp, _)| p > bp) {
+            best = Some((p, angle));
+        }
+    }
+    let (_, angle) = best.filter(|&(p, _)| p > 0.0)?;
+    steer_weights(weights, |w| single_beam_into(&geom, angle, w));
+    Some(angle)
 }

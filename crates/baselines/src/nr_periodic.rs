@@ -7,11 +7,9 @@
 //! generous accounting — and points a single beam at the winner. Between
 //! scans nothing adapts.
 
-use crate::steer_weights;
+use crate::fast_scan;
 use crate::strategy::BeamStrategy;
-use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
-use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::single_beam_into;
+use mmreliable::frontend::LinkFrontEnd;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
@@ -21,21 +19,12 @@ use mmwave_phy::chanest::ProbeObservation;
 pub struct NrPeriodicConfig {
     /// SSB burst period, seconds (NR default 20 ms).
     pub scan_period_s: f64,
-    /// Number of antennas (sets the fast scan's probe budget).
-    pub n_antennas: usize,
-    /// Codebook size the scan samples from.
-    pub codebook_beams: usize,
-    /// Angular span, degrees.
-    pub span_deg: f64,
 }
 
 impl Default for NrPeriodicConfig {
     fn default() -> Self {
         Self {
             scan_period_s: 20e-3,
-            n_antennas: 64,
-            codebook_beams: 64,
-            span_deg: 120.0,
         }
     }
 }
@@ -70,32 +59,8 @@ impl NrPeriodic {
     }
 
     fn scan(&mut self, fe: &mut dyn LinkFrontEnd) {
-        let geom = *fe.geometry();
-        let n_probes = (2.0 * (self.cfg.n_antennas as f64).log2().ceil()) as usize;
-        let n_beams = self.cfg.codebook_beams;
-        // Sample exactly n_probes beams spread evenly over the codebook,
-        // steering only those.
-        let n_probes = n_probes.clamp(1, n_beams);
-        let mut best: Option<(f64, f64)> = None;
-        for k in 0..n_probes {
-            let i = if n_probes == 1 {
-                0
-            } else {
-                k * (n_beams - 1) / (n_probes - 1)
-            };
-            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
-            single_beam_into(&geom, angle, &mut self.beam);
-            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
-            let p = self.obs.mean_power_mw();
-            if best.is_none_or(|(bp, _)| p > bp) {
-                best = Some((p, angle));
-            }
-        }
-        if let Some((p, angle)) = best {
-            if p > 0.0 {
-                self.angle_deg = Some(angle);
-                steer_weights(&mut self.weights, |w| single_beam_into(&geom, angle, w));
-            }
+        if let Some(angle) = fast_scan(fe, &mut self.beam, &mut self.obs, &mut self.weights) {
+            self.angle_deg = Some(angle);
         }
         self.scans += 1;
     }
@@ -143,12 +108,16 @@ mod tests {
     use mmwave_phy::chanest::ChannelSounder;
 
     fn frontend(seed: u64) -> SnapshotFrontEnd {
+        frontend_on(ArrayGeometry::paper_8x8(), seed)
+    }
+
+    fn frontend_on(geom: ArrayGeometry, seed: u64) -> SnapshotFrontEnd {
         let scene = Scene::conference_room(FC_28GHZ);
         let paths = scene.paths_to(v2(0.9, 7.0), 180.0);
         SnapshotFrontEnd::new(
             GeometricChannel::new(paths, FC_28GHZ),
             ChannelSounder::paper_indoor(),
-            ArrayGeometry::paper_8x8(),
+            geom,
             UeReceiver::Omni,
             Rng64::seed(seed),
         )
@@ -184,13 +153,10 @@ mod tests {
 
     #[test]
     fn eight_antenna_scan_costs_3ms() {
-        let mut fe = frontend(3);
-        let cfg = NrPeriodicConfig {
-            n_antennas: 8,
-            ..NrPeriodicConfig::default()
-        };
-        let mut s = NrPeriodic::new(cfg);
+        let mut fe = frontend_on(ArrayGeometry::ula(8), 3);
+        let mut s = NrPeriodic::new(NrPeriodicConfig::default());
         s.on_tick(&mut fe, 0.0);
+        assert!(s.angle_deg.is_some(), "an 8-element scan still trains");
         assert!((fe.probe_airtime_s() - 3e-3).abs() < 1e-9);
     }
 

@@ -8,11 +8,9 @@
 //! itself costs airtime during which the link carries no data — the heart
 //! of why reactive schemes lose reliability.
 
-use crate::steer_weights;
+use crate::fast_scan;
 use crate::strategy::BeamStrategy;
-use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
-use mmwave_array::codebook::Codebook;
-use mmwave_array::steering::single_beam_into;
+use mmreliable::frontend::LinkFrontEnd;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
@@ -20,14 +18,8 @@ use mmwave_phy::chanest::ProbeObservation;
 /// Configuration of the reactive baseline.
 #[derive(Clone, Debug)]
 pub struct ReactiveConfig {
-    /// Beams in the full codebook (the fast scan samples it).
-    pub codebook_beams: usize,
-    /// Angular span of the codebook, degrees.
-    pub span_deg: f64,
     /// SNR (dB) below which a re-scan is triggered.
     pub outage_snr_db: f64,
-    /// Number of antennas (determines the fast scan's probe count).
-    pub n_antennas: usize,
     /// Minimum ticks between consecutive re-scans (hysteresis).
     pub rescan_holdoff_ticks: usize,
     /// Consecutive bad measurements before declaring beam failure
@@ -41,10 +33,7 @@ pub struct ReactiveConfig {
 impl Default for ReactiveConfig {
     fn default() -> Self {
         Self {
-            codebook_beams: 64,
-            span_deg: 120.0,
             outage_snr_db: 6.0,
-            n_antennas: 64,
             rescan_holdoff_ticks: 2,
             detection_ticks: 3,
             recovery_latency_s: 0.1,
@@ -88,35 +77,10 @@ impl SingleBeamReactive {
         self.beam_angle_deg
     }
 
-    /// Fast beam training: probes a decimated codebook with
-    /// `2·ceil(log₂ N)` SSBs and picks the strongest response.
+    /// Fast beam training ([`fast_scan`]) onto the strongest response.
     fn fast_scan(&mut self, fe: &mut dyn LinkFrontEnd) {
-        let geom = *fe.geometry();
-        let n_probes = (2.0 * (self.cfg.n_antennas as f64).log2().ceil()) as usize;
-        let n_beams = self.cfg.codebook_beams;
-        // Sample exactly n_probes beams spread evenly over the codebook,
-        // steering only those.
-        let n_probes = n_probes.clamp(1, n_beams);
-        let mut best: Option<(f64, f64)> = None; // (power, angle)
-        for k in 0..n_probes {
-            let i = if n_probes == 1 {
-                0
-            } else {
-                k * (n_beams - 1) / (n_probes - 1)
-            };
-            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
-            single_beam_into(&geom, angle, &mut self.beam);
-            fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
-            let p = self.obs.mean_power_mw();
-            if best.is_none_or(|(bp, _)| p > bp) {
-                best = Some((p, angle));
-            }
-        }
-        if let Some((power, angle)) = best {
-            if power > 0.0 {
-                self.beam_angle_deg = Some(angle);
-                steer_weights(&mut self.weights, |w| single_beam_into(&geom, angle, w));
-            }
+        if let Some(angle) = fast_scan(fe, &mut self.beam, &mut self.obs, &mut self.weights) {
+            self.beam_angle_deg = Some(angle);
         }
         self.rescans += 1;
         self.ticks_since_scan = 0;

@@ -8,21 +8,20 @@
 use crate::steer_weights;
 use crate::strategy::BeamStrategy;
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
-use mmwave_array::codebook::Codebook;
+use mmwave_array::codebook::uniform_angle_deg;
 use mmwave_array::steering::wide_beam_into;
 use mmwave_array::weights::BeamWeights;
 use mmwave_hotpath::hot_path;
 use mmwave_phy::chanest::ProbeObservation;
+
+/// Beams of the wide-beam scan: its lobes are broad, so few probes suffice.
+const SCAN_BEAMS: usize = 16;
 
 /// Configuration of the wide-beam baseline.
 #[derive(Clone, Debug)]
 pub struct WideBeamConfig {
     /// Active azimuth elements (out of the array's azimuth count).
     pub active_elements: usize,
-    /// Codebook size for the initial scan.
-    pub codebook_beams: usize,
-    /// Angular span, degrees.
-    pub span_deg: f64,
     /// Re-scan when SNR drops below this for `fails_before_rescan` ticks.
     pub outage_snr_db: f64,
     /// Consecutive failures before a re-scan.
@@ -33,8 +32,6 @@ impl Default for WideBeamConfig {
     fn default() -> Self {
         Self {
             active_elements: 4,
-            codebook_beams: 16,
-            span_deg: 120.0,
             outage_snr_db: 6.0,
             // The wide-beam philosophy is "no reaction": the broad lobe is
             // supposed to absorb change. Effectively never rescan within an
@@ -79,12 +76,11 @@ impl WideBeamStrategy {
 
     fn scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
-        // A coarse scan with the wide beam itself (its lobes are broad, so
-        // few probes suffice).
+        // A coarse scan with the wide beam itself.
         let mut best: Option<(f64, f64)> = None;
-        let (n_beams, active) = (self.cfg.codebook_beams, self.cfg.active_elements);
-        for i in 0..n_beams {
-            let angle = Codebook::uniform_angle_deg(n_beams, self.cfg.span_deg, i);
+        let active = self.cfg.active_elements;
+        for i in 0..SCAN_BEAMS {
+            let angle = uniform_angle_deg(SCAN_BEAMS, i);
             wide_beam_into(&geom, angle, active, &mut self.beam);
             fe.probe_kind_into(&self.beam, ProbeKind::Ssb, &mut self.obs);
             let p = self.obs.mean_power_mw();

@@ -12,10 +12,6 @@ pub struct MmReliableConfig {
     pub geom: ArrayGeometry,
     /// Hardware weight quantizer (paper: 6-bit phase, 27 dB gain range).
     pub quantizer: Quantizer,
-    /// Number of codebook beams scanned during training (paper: 64 over 120°).
-    pub training_beams: usize,
-    /// Angular span of the training scan, degrees.
-    pub training_span_deg: f64,
     /// Maximum constituent beams K in the multi-beam (paper: 3 is enough
     /// to reach 92% of oracle, §6.1).
     pub max_beams: usize,
@@ -58,8 +54,6 @@ impl MmReliableConfig {
         Self {
             geom: ArrayGeometry::paper_8x8(),
             quantizer: Quantizer::paper_array(),
-            training_beams: 64,
-            training_span_deg: 120.0,
             max_beams: 3,
             // Below the strongest path by more than this → not viable.
             // Must sit *below* the 8-element array's first sidelobe level
@@ -101,17 +95,11 @@ impl MmReliableConfig {
 
     /// Validates invariants; call after hand-editing fields.
     pub fn validate(&self) -> Result<(), String> {
-        if self.training_beams == 0 {
-            return Err("training_beams must be positive".into());
-        }
         if self.max_beams == 0 {
             return Err("max_beams must be positive".into());
         }
         if !(0.0 < self.power_ewma_alpha && self.power_ewma_alpha <= 1.0) {
             return Err("power_ewma_alpha must be in (0,1]".into());
-        }
-        if self.training_span_deg <= 0.0 || self.training_span_deg > 180.0 {
-            return Err("training_span_deg must be in (0,180]".into());
         }
         self.lifecycle.validate()?;
         Ok(())
@@ -141,13 +129,7 @@ mod tests {
     #[test]
     fn validation_catches_bad_values() {
         let mut c = MmReliableConfig::paper_default();
-        c.training_beams = 0;
-        assert!(c.validate().is_err());
-        let mut c = MmReliableConfig::paper_default();
         c.power_ewma_alpha = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = MmReliableConfig::paper_default();
-        c.training_span_deg = 360.0;
         assert!(c.validate().is_err());
     }
 }

@@ -33,7 +33,7 @@ use crate::probing::{two_probe_relative, ProbeScratch};
 use crate::superres::{estimate_per_beam_into, PerBeamEstimate, SuperResConfig, SuperResScratch};
 use crate::tracking::BeamTracker;
 use crate::training::{beam_training, TrainingResult};
-use mmwave_array::codebook::Codebook;
+use mmwave_array::codebook::PAPER_SCAN_BEAMS;
 use mmwave_array::multibeam::{synthesize_into, BeamComponent, MultiBeam};
 use mmwave_array::pattern::hpbw_deg;
 use mmwave_array::steering::{single_beam_into, wide_beam_into};
@@ -261,11 +261,6 @@ impl MmReliableController {
         &self.lifecycle
     }
 
-    /// Current lifecycle state.
-    pub fn link_state(&self) -> LinkState {
-        self.lifecycle.state()
-    }
-
     /// Takes the lifecycle transitions accumulated since the last drain.
     pub fn drain_transitions(&mut self) -> Vec<Transition> {
         self.lifecycle.drain_log()
@@ -301,16 +296,13 @@ impl MmReliableController {
     /// Runs beam training + constructive multi-beam establishment and
     /// reports the outcome to the lifecycle machine.
     /// Returns the actions taken (empty if no path was found).
-    // xtask-allow(hot-path-closure): link (re)establishment builds its codebook, multi-beam, trackers and action list once per acquisition event — an exceptional-path cost, not a per-round one
-    // xtask-allow(hot-path-panic): scan/component indices are bounded by the codebook and component counts fixed at the top of the function
+    // xtask-allow(hot-path-closure): link (re)establishment builds its training profile, multi-beam, trackers and action list once per acquisition event — an exceptional-path cost, not a per-round one
+    // xtask-allow(hot-path-panic): scan/component indices are bounded by the scan's beam count and the component counts fixed at the top of the function
     pub fn establish(&mut self, fe: &mut dyn LinkFrontEnd) -> Vec<ControllerAction> {
-        let geom = self.cfg.geom;
-        let codebook =
-            Codebook::uniform(&geom, self.cfg.training_beams, self.cfg.training_span_deg);
-        let min_sep = 0.8 * hpbw_deg(&geom, 0.0);
+        let min_sep = 0.8 * hpbw_deg(&self.cfg.geom, 0.0);
         let training = beam_training(
             fe,
-            &codebook,
+            PAPER_SCAN_BEAMS,
             self.cfg.max_beams,
             self.cfg.viable_window_db,
             min_sep,

@@ -34,13 +34,6 @@ pub struct RelativeChannel {
     pub sigma_rad: f64,
 }
 
-impl RelativeChannel {
-    /// As a complex ratio `δ·e^{jσ}`.
-    pub fn as_complex(&self) -> Complex64 {
-        Complex64::from_polar(self.delta, self.sigma_rad)
-    }
-}
-
 /// Buffers of a controller's probes, reused across rounds: the weights
 /// being radiated, two observations (the two combined probes of
 /// [`two_probe_relative`] are read together) and their power spectra.

@@ -55,6 +55,7 @@
 //! The screen runs only while this estimate stays `SCREEN_HEADROOM` times
 //! below the tolerance (never at λ = 0, where κ is unbounded).
 
+use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::FftScratch;
 use mmwave_dsp::linalg::{cholesky_factor_into, cholesky_solve_factored, CMatrix};
@@ -384,8 +385,10 @@ pub struct SuperResScratch {
     /// stays keyed to one length).
     pub(crate) cir: Vec<Complex64>,
     pub(crate) fft: FftScratch,
-    /// The scan's held and incoming probe observations.
+    /// The scan's held and incoming probe observations, and the weights
+    /// each of its beams is steered into before it is probed.
     pub(crate) scan: [ProbeObservation; 2],
+    pub(crate) scan_beam: Option<BeamWeights>,
     /// `2π·fᵢ` in rad/ns per sounded subcarrier.
     w: Vec<f64>,
     /// The probe's CSI `y`.

@@ -98,11 +98,6 @@ impl BeamTracker {
         self.ewma.reset();
         self.history.clear();
     }
-
-    /// Smoothed power history (dB), oldest first.
-    pub fn history(&self) -> &[f64] {
-        &self.history
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,7 @@ mod tests {
         t.update(&geom(), -56.0);
         t.realign(3.0, -49.0);
         assert_eq!(t.angle_deg, 3.0);
-        assert!(t.history().is_empty());
+        assert!(t.history.is_empty());
         let u = t.update(&geom(), -49.0);
         assert_eq!(u.drop_db, 0.0);
     }

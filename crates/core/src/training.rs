@@ -6,7 +6,8 @@
 //! peak-finding that turns the angular power profile into the 2–3 viable
 //! paths typical mmWave environments offer (§3.3).
 //!
-//! **Which delays are computed.** Every codebook beam is probed, in order,
+//! **Which delays are computed.** Every beam of the uniform codebook
+//! ([`mmwave_array::codebook`]) is steered in place and probed, in order,
 //! but the peak-finding reads a beam's coarse CIR delay only when it picks
 //! that beam, so the scan transforms only the probes it could still pick.
 //! It holds one observation back: once probe `i+1` is in, beam `i` is
@@ -27,10 +28,12 @@
 
 use crate::frontend::{LinkFrontEnd, ProbeKind};
 use crate::superres::SuperResScratch;
-use mmwave_array::codebook::Codebook;
+use mmwave_array::codebook::uniform_angle_deg;
+use mmwave_array::steering::single_beam_into;
+use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::{ifft_into, FftScratch};
-use mmwave_dsp::units::{db_from_pow, pow_from_db};
+use mmwave_dsp::units::pow_from_db;
 use mmwave_phy::chanest::ProbeObservation;
 
 /// One viable path found by training.
@@ -57,42 +60,36 @@ pub struct TrainingResult {
 }
 
 impl TrainingResult {
-    /// Power profile in dBm-like dB units (relative to 1 mW).
-    pub fn profile_db(&self) -> Vec<(f64, f64)> {
-        self.profile
-            .iter()
-            .map(|&(a, p)| (a, db_from_pow(p.max(1e-18))))
-            .collect()
-    }
-
     /// The strongest viable path, if any.
     pub fn strongest(&self) -> Option<&ViablePath> {
         self.viable.first()
     }
 }
 
-/// Runs an exhaustive scan over `codebook`, then extracts up to `max_paths`
-/// local maxima within `viable_window_db` of the strongest.
+/// Runs an exhaustive scan over the `n_beams`-beam uniform codebook, then
+/// extracts up to `max_paths` local maxima within `viable_window_db` of the
+/// strongest.
 ///
 /// `min_separation_deg` suppresses duplicate detections of one physical
 /// path across adjacent codebook beams (set it near the array's beamwidth).
-/// Probes and coarse delays run out of `scratch`; once it is warm, the scan
-/// allocates only its profile, its delays and the peak-finding's lists.
+/// Probe weights, probes and coarse delays run out of `scratch`; once it is
+/// warm, the scan allocates only its profile, its delays and the
+/// peak-finding's lists.
 // xtask-allow(hot-path-closure): the exhaustive scan runs once per (re)acquisition event and owns its profile, delays and viable paths by contract; its probes and transforms run out of the caller's scratch
 pub fn beam_training(
     fe: &mut dyn LinkFrontEnd,
-    codebook: &Codebook,
+    n_beams: usize,
     max_paths: usize,
     viable_window_db: f64,
     min_separation_deg: f64,
     scratch: &mut SuperResScratch,
 ) -> TrainingResult {
     let before = fe.probes_used();
-    let mut profile = Vec::with_capacity(codebook.len());
-    let mut delays = Vec::with_capacity(codebook.len());
+    let mut profile = Vec::with_capacity(n_beams);
+    let mut delays = Vec::with_capacity(n_beams);
     let noise_floor_mw = scan(
         fe,
-        codebook,
+        n_beams,
         viable_window_db,
         scratch,
         &mut profile,
@@ -115,20 +112,25 @@ pub fn beam_training(
     }
 }
 
-/// Probes every beam of `codebook` in order, pushing its `(angle, power)`
-/// onto `profile` and its coarse delay onto `delays` (NaN for a beam
-/// [`find_viable`] cannot pick, see the module docs). Returns the last
-/// probe's noise power.
+/// Steers every beam of the `n_beams`-beam uniform codebook into the
+/// scratch's probe weights and probes it, in order, pushing its
+/// `(angle, power)` onto `profile` and its coarse delay onto `delays` (NaN
+/// for a beam [`find_viable`] cannot pick, see the module docs). Returns
+/// the last probe's noise power.
 fn scan(
     fe: &mut dyn LinkFrontEnd,
-    codebook: &Codebook,
+    n_beams: usize,
     viable_window_db: f64,
     scratch: &mut SuperResScratch,
     profile: &mut Vec<(f64, f64)>,
     delays: &mut Vec<f64>,
 ) -> f64 {
     let window = pow_from_db(-viable_window_db);
+    let geom = *fe.geometry();
     let (cir, fft) = (&mut scratch.cir, &mut scratch.fft);
+    let weights = scratch
+        .scan_beam
+        .get_or_insert_with(|| BeamWeights::muted(1));
     let [held, next] = &mut scratch.scan;
     let mut delay_if_candidate = |profile: &[(f64, f64)], peak: f64, obs: &ProbeObservation| {
         if is_candidate(profile, delays.len(), peak * window) {
@@ -139,13 +141,15 @@ fn scan(
     };
     let mut running_peak = 0.0f64;
     let mut noise_floor_mw = 0.0f64;
-    for (angle, weights) in codebook.iter() {
+    for i in 0..n_beams {
         // A full scan is the longest uninterruptible stretch of controller
         // work (64 SSB probes); honor cooperative cancellation per probe so
         // a supervised run never overstays its deadline by a whole scan.
         if fe.cancel_requested() {
             crate::cancel::bail();
         }
+        let angle = uniform_angle_deg(n_beams, i);
+        single_beam_into(&geom, angle, weights);
         fe.probe_kind_into(weights, ProbeKind::Ssb, next);
         noise_floor_mw = next.noise_power_mw;
         let p = next.mean_power_mw();
@@ -264,29 +268,30 @@ fn find_viable(
 
 #[cfg(test)]
 mod eager {
-    //! The scan before its delays were computed lazily, kept as the
-    //! bit-exact test oracle: every probe is transformed, each through
-    //! fresh buffers.
+    //! The scan before its delays were computed lazily and its beams
+    //! steered in place, kept as the bit-exact test oracle: every beam is
+    //! built owned and every probe is transformed, each through fresh
+    //! buffers.
 
     use super::{estimate_delay_ns_with, find_viable, TrainingResult};
     use crate::frontend::{LinkFrontEnd, ProbeKind};
-    use mmwave_array::codebook::Codebook;
+    use mmwave_array::codebook::uniform_angle_deg;
+    use mmwave_array::steering::single_beam;
     use mmwave_dsp::fft::FftScratch;
 
     /// Probes every beam and transforms every probe: the profile, the
     /// delay of every beam, and the last probe's noise power.
-    pub fn scan(
-        fe: &mut dyn LinkFrontEnd,
-        codebook: &Codebook,
-    ) -> (Vec<(f64, f64)>, Vec<f64>, f64) {
-        let mut profile = Vec::with_capacity(codebook.len());
-        let mut delays = Vec::with_capacity(codebook.len());
+    pub fn scan(fe: &mut dyn LinkFrontEnd, n_beams: usize) -> (Vec<(f64, f64)>, Vec<f64>, f64) {
+        let mut profile = Vec::with_capacity(n_beams);
+        let mut delays = Vec::with_capacity(n_beams);
         let mut noise_floor_mw = 0.0f64;
-        for (angle, weights) in codebook.iter() {
+        for i in 0..n_beams {
             if fe.cancel_requested() {
                 crate::cancel::bail();
             }
-            let obs = fe.probe_kind(weights, ProbeKind::Ssb);
+            let angle = uniform_angle_deg(n_beams, i);
+            let weights = single_beam(fe.geometry(), angle);
+            let obs = fe.probe_kind(&weights, ProbeKind::Ssb);
             noise_floor_mw = obs.noise_power_mw;
             profile.push((angle, obs.mean_power_mw()));
             delays.push(estimate_delay_ns_with(
@@ -301,13 +306,13 @@ mod eager {
     /// [`super::beam_training`] over [`scan`].
     pub fn beam_training(
         fe: &mut dyn LinkFrontEnd,
-        codebook: &Codebook,
+        n_beams: usize,
         max_paths: usize,
         viable_window_db: f64,
         min_separation_deg: f64,
     ) -> TrainingResult {
         let before = fe.probes_used();
-        let (profile, delays, noise_floor_mw) = scan(fe, codebook);
+        let (profile, delays, noise_floor_mw) = scan(fe, n_beams);
         let viable = find_viable(
             &profile,
             &delays,
@@ -328,6 +333,7 @@ mod eager {
 mod tests {
     use super::*;
     use crate::frontend::SnapshotFrontEnd;
+    use mmwave_array::codebook::PAPER_SCAN_BEAMS;
     use mmwave_array::geometry::ArrayGeometry;
     use mmwave_channel::channel::{GeometricChannel, UeReceiver};
     use mmwave_channel::environment::Scene;
@@ -361,8 +367,14 @@ mod tests {
     #[test]
     fn training_finds_los_as_strongest() {
         let mut fe = room_frontend(1);
-        let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            15.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         assert_eq!(r.probes_used, 64);
         let best = r.strongest().expect("a path");
         // LOS is at 0° (UE straight ahead); codebook granularity ≈ 1.9°.
@@ -376,8 +388,14 @@ mod tests {
     #[test]
     fn training_finds_reflections_too() {
         let mut fe = room_frontend(2);
-        let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            15.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         assert!(
             r.viable.len() >= 2,
             "expected LOS + at least one reflector, got {:?}",
@@ -395,8 +413,14 @@ mod tests {
     #[test]
     fn viable_paths_sorted_and_separated() {
         let mut fe = room_frontend(3);
-        let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 18.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            18.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         for w in r.viable.windows(2) {
             assert!(w[0].power_mw >= w[1].power_mw, "sorted by power");
             assert!((w[0].angle_deg - w[1].angle_deg).abs() >= 8.0, "separated");
@@ -406,8 +430,14 @@ mod tests {
     #[test]
     fn delays_increase_for_reflections() {
         let mut fe = room_frontend(4);
-        let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            15.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         let los = r.strongest().unwrap();
         for v in r.viable.iter().skip(1) {
             assert!(
@@ -422,9 +452,15 @@ mod tests {
     #[test]
     fn window_filters_weak_paths() {
         let mut fe = room_frontend(5);
-        let cb = Codebook::paper_scan(fe.geometry());
         // 1 dB window: only the LOS survives.
-        let r = beam_training(&mut fe, &cb, 3, 1.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            1.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         assert_eq!(r.viable.len(), 1);
     }
 
@@ -437,21 +473,15 @@ mod tests {
     #[test]
     fn noise_only_scan_yields_no_paths() {
         let mut fe = frontend(Vec::new(), 99);
-        let cb = Codebook::paper_scan(fe.geometry());
-        let r = beam_training(&mut fe, &cb, 3, 15.0, 8.0, &mut SuperResScratch::default());
+        let r = beam_training(
+            &mut fe,
+            PAPER_SCAN_BEAMS,
+            3,
+            15.0,
+            8.0,
+            &mut SuperResScratch::default(),
+        );
         assert!(r.viable.is_empty(), "noise produced {:?}", r.viable);
-    }
-
-    #[test]
-    fn profile_db_conversion() {
-        let r = TrainingResult {
-            profile: vec![(0.0, 1.0), (1.0, 0.1)],
-            viable: Vec::new(),
-            probes_used: 2,
-        };
-        let db = r.profile_db();
-        assert!((db[0].1 - 0.0).abs() < 1e-9);
-        assert!((db[1].1 + 10.0).abs() < 1e-9);
     }
 
     /// A front end that returns scripted probe powers, beam by beam. Beam
@@ -559,14 +589,13 @@ mod tests {
         rooms.push(("noise only".to_string(), Vec::new()));
         // One scratch for every lazy scan: warm from the second on.
         let mut scratch = SuperResScratch::default();
-        let cb = Codebook::paper_scan(&ArrayGeometry::paper_8x8());
         let mut found = 0;
         for (seed, (what, paths)) in rooms.iter().enumerate() {
             for &(max_paths, window) in &SETTINGS {
                 let seed = 40 + seed as u64;
                 let lazy = beam_training(
                     &mut frontend(paths.clone(), seed),
-                    &cb,
+                    PAPER_SCAN_BEAMS,
                     max_paths,
                     window,
                     8.0,
@@ -574,7 +603,7 @@ mod tests {
                 );
                 let eager = eager::beam_training(
                     &mut frontend(paths.clone(), seed),
-                    &cb,
+                    PAPER_SCAN_BEAMS,
                     max_paths,
                     window,
                     8.0,
@@ -615,32 +644,34 @@ mod tests {
             ("below the noise", &[0.0, 0.001, 0.0, 0.0]),
         ];
         let mut scratch = SuperResScratch::default();
-        let geom = ArrayGeometry::paper_8x8();
         for (what, powers) in cases {
-            let cb = Codebook::uniform(&geom, powers.len(), 120.0);
             for &(max_paths, window) in &SETTINGS {
                 let what = format!("{what}, {max_paths} paths, {window} dB");
                 let lazy = beam_training(
                     &mut Scripted::new(powers),
-                    &cb,
+                    powers.len(),
                     max_paths,
                     window,
                     8.0,
                     &mut scratch,
                 );
-                let eager =
-                    eager::beam_training(&mut Scripted::new(powers), &cb, max_paths, window, 8.0);
+                let eager = eager::beam_training(
+                    &mut Scripted::new(powers),
+                    powers.len(),
+                    max_paths,
+                    window,
+                    8.0,
+                );
                 assert_bitwise(&lazy, &eager, &what);
             }
         }
         // The late strong beam hides the earlier local maximum at 11 dB but
         // not at 40 dB.
         let late = [1.0, 5.0, 1.0, 0.5, 0.7, 0.9, 1.2, 1.5, 400.0, 1.0];
-        let cb = Codebook::uniform(&geom, late.len(), 120.0);
         let mut picked = |window| {
             beam_training(
                 &mut Scripted::new(&late),
-                &cb,
+                late.len(),
                 64,
                 window,
                 8.0,
@@ -654,21 +685,19 @@ mod tests {
 
     #[test]
     fn scan_transforms_only_beams_it_could_pick() {
-        let geom = ArrayGeometry::paper_8x8();
-        let cb = Codebook::paper_scan(&geom);
         let mut scratch = SuperResScratch::default();
         for (ue, seed) in [(v2(0.0, 7.0), 7), (v2(0.9, 7.0), 8), (v2(-2.0, 4.0), 9)] {
             let (mut profile, mut delays) = (Vec::new(), Vec::new());
             let noise = scan(
                 &mut room_frontend_at(ue, seed),
-                &cb,
+                PAPER_SCAN_BEAMS,
                 15.0,
                 &mut scratch,
                 &mut profile,
                 &mut delays,
             );
             let (eager_profile, eager_delays, eager_noise) =
-                eager::scan(&mut room_frontend_at(ue, seed), &cb);
+                eager::scan(&mut room_frontend_at(ue, seed), PAPER_SCAN_BEAMS);
             assert_eq!(profile, eager_profile);
             assert_eq!(noise.to_bits(), eager_noise.to_bits());
             let transformed: Vec<usize> =

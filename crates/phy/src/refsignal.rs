@@ -95,8 +95,13 @@ impl ProbeBudget {
     /// "vanilla 5G NR" bar of Fig. 18d.
     pub fn nr_fast_scan_s(&self, n_antennas: usize, ssb: &SsbConfig) -> f64 {
         assert!(n_antennas >= 2, "need at least 2 antennas");
-        let probes = 2.0 * (n_antennas as f64).log2().ceil();
-        probes * ssb.slots_per_ssb as f64 * self.slot_s()
+        Self::nr_fast_scan_probes(n_antennas) as f64 * ssb.slots_per_ssb as f64 * self.slot_s()
+    }
+
+    /// Number of SSB probes of the fast training for an `n_antennas` base
+    /// station: `2·⌈log₂ N⌉`.
+    pub fn nr_fast_scan_probes(n_antennas: usize) -> usize {
+        (2.0 * (n_antennas as f64).log2().ceil()) as usize
     }
 
     /// Number of CSI-RS probes one mmReliable maintenance round needs for a
@@ -134,6 +139,8 @@ mod tests {
         //  3 ms, which increases to 6 ms for 64 antennas."
         let b = ProbeBudget::paper();
         let ssb = SsbConfig::default();
+        assert_eq!(ProbeBudget::nr_fast_scan_probes(8), 6);
+        assert_eq!(ProbeBudget::nr_fast_scan_probes(64), 12);
         assert!((b.nr_fast_scan_s(8, &ssb) - 3e-3).abs() < 1e-9);
         assert!((b.nr_fast_scan_s(64, &ssb) - 6e-3).abs() < 1e-9);
     }

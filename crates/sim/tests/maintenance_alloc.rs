@@ -1,12 +1,13 @@
 //! Counted allocation budgets of mmReliable beam maintenance.
 //!
 //! Installs [`CountingAllocator`] as this binary's global allocator and
-//! counts what warmed maintenance rounds allocate on a conference-room
-//! link with K = 3 beams. Every probe of a round goes through
+//! counts what warmed maintenance rounds and re-establishments allocate
+//! on a conference-room link with K = 3 beams. Every probe of a round goes through
 //! `probe_into` into the controller's reused observations, its weights are
 //! synthesised and quantized in place, and its per-beam fits write into
 //! estimates the controller owns, so what remains is what the returned
-//! [`RoundReport`] owns.
+//! [`RoundReport`] owns. A re-establishment steers each training beam in
+//! place, so what remains is the new link state it builds.
 //!
 //! The counter is per thread, so tests the harness runs concurrently in
 //! this binary cannot pollute each other's measurement.
@@ -47,6 +48,17 @@ const REALIGN_ROUND_ALLOCS: u64 = 2;
 /// `per_beam_db` and its `actions`.
 const RECOVERY_ROUND_ALLOCS: u64 = 2;
 
+/// A warmed re-establishment, all of it what the new link state, the
+/// lifecycle log or the caller owns: the training's profile, delays,
+/// candidate and picked lists and viable paths (5); the components and the
+/// relative delays, each allocated with the reference and grown once for
+/// the two extra beams (4); the angle list, the per-beam baselines, the
+/// tracker list and its three histories, the detector list and the saved
+/// amplitudes (8); the drained lifecycle log's new transition (1); and the
+/// returned actions (1). The 64 scan beams are steered into the scratch's
+/// one reused buffer, so none of them allocates.
+const ESTABLISH_ALLOCS: u64 = 19;
+
 /// The static conference-room link of the controller's unit tests: an
 /// off-centre UE, so LOS and both glass-wall bounces are resolvable.
 fn room_frontend(seed: u64) -> SnapshotFrontEnd {
@@ -77,6 +89,31 @@ fn counted_round(ctl: &mut MmReliableController, fe: &mut SnapshotFrontEnd) -> (
     let before = allocation_count();
     let report = ctl.maintenance_round(fe);
     (report, allocation_count() - before)
+}
+
+#[test]
+fn warmed_establish_allocates_only_the_new_link_state() {
+    let mut fe = room_frontend(3);
+    // The first establishes grow the scan's buffers and the fit's
+    // jitter-trial rows.
+    let mut ctl = warmed(&mut fe, 1);
+    ctl.establish(&mut fe);
+    for round in 0..4 {
+        // The simulator drains the log every tick, so each
+        // re-establishment logs its transition into a fresh one.
+        drop(ctl.drain_transitions());
+        let before = allocation_count();
+        let actions = ctl.establish(&mut fe);
+        let allocs = allocation_count() - before;
+        assert!(
+            matches!(&actions[..], [ControllerAction::Established(a)] if a.len() == 3),
+            "establish {round}: {actions:?}"
+        );
+        assert_eq!(
+            allocs, ESTABLISH_ALLOCS,
+            "establish {round} allocated {allocs} times"
+        );
+    }
 }
 
 #[test]

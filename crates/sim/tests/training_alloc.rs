@@ -4,9 +4,10 @@
 //! checks that a warmed [`beam_training`] over a [`LinkSimulator`]
 //! allocates exactly its output vectors — the profile, the per-beam
 //! delays, the peak-finding's candidate and picked lists, and the viable
-//! paths — and nothing else: the 64 SSB probes fill the scratch's two
-//! reused observations in place, and the coarse CIR delays run on its
-//! warm transform buffers. The baselines' rescans allocate nothing at
+//! paths — and nothing else: each of the 64 beams is steered into the
+//! scratch's reused probe weights, the SSB probes fill its two reused
+//! observations in place, and the coarse CIR delays run on its warm
+//! transform buffers. The baselines' rescans allocate nothing at
 //! all once warm: each strategy steers the beams it probes into one
 //! reused buffer and probes into one reused observation.
 //!
@@ -15,7 +16,7 @@
 
 use mmreliable::superres::SuperResScratch;
 use mmreliable::training::beam_training;
-use mmwave_array::codebook::Codebook;
+use mmwave_array::codebook::PAPER_SCAN_BEAMS;
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_baselines::beamspy::BeamSpyConfig;
 use mmwave_baselines::nr_periodic::NrPeriodicConfig;
@@ -61,14 +62,13 @@ fn conference_link(seed: u64) -> LinkSimulator {
 #[test]
 fn warmed_scan_allocates_only_its_outputs() {
     let mut sim = conference_link(23);
-    let cb = Codebook::paper_scan(&ArrayGeometry::paper_8x8());
     let mut scratch = SuperResScratch::default();
     // The first scan grows the observations, the transform buffers and
     // the simulator's snapshot caches to their high-water marks.
-    let _ = beam_training(&mut sim, &cb, 3, 15.0, 8.0, &mut scratch);
+    let _ = beam_training(&mut sim, PAPER_SCAN_BEAMS, 3, 15.0, 8.0, &mut scratch);
     for round in 0..4 {
         let before = allocation_count();
-        let r = beam_training(&mut sim, &cb, 3, 15.0, 8.0, &mut scratch);
+        let r = beam_training(&mut sim, PAPER_SCAN_BEAMS, 3, 15.0, 8.0, &mut scratch);
         let delta = allocation_count() - before;
         assert_eq!(
             delta, OUTPUT_VECS,
@@ -126,10 +126,7 @@ fn warmed_baseline_rescans_allocate_nothing() {
         fails_before_rescan: 1,
         ..WideBeamConfig::default()
     });
-    let nr = NrPeriodic::new(NrPeriodicConfig {
-        scan_period_s: 0.0,
-        ..NrPeriodicConfig::default()
-    });
+    let nr = NrPeriodic::new(NrPeriodicConfig { scan_period_s: 0.0 });
     let runs = [
         ("reactive", rescan_allocations(reactive, |s| s.rescans, 4)),
         ("beamspy", rescan_allocations(beamspy, |s| s.full_scans, 4)),
