@@ -150,7 +150,7 @@ impl BeamStrategy for BeamSpy {
     fn weights(&self) -> BeamWeights {
         match &self.weights {
             Some(w) => w.clone(),
-            None => BeamWeights::muted(64),
+            None => BeamWeights::muted(self.beam.len()),
         }
     }
 
@@ -158,7 +158,7 @@ impl BeamStrategy for BeamSpy {
     fn weights_into(&self, out: &mut BeamWeights) {
         match &self.weights {
             Some(w) => out.copy_from(w),
-            None => out.set_muted(64),
+            None => out.set_muted(self.beam.len()),
         }
     }
 }

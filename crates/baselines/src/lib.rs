@@ -83,3 +83,48 @@ pub(crate) fn fast_scan(
     steer_weights(weights, |w| single_beam_into(&geom, angle, w));
     Some(angle)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmreliable::frontend::SnapshotFrontEnd;
+    use mmwave_array::geometry::ArrayGeometry;
+    use mmwave_channel::channel::{GeometricChannel, UeReceiver};
+    use mmwave_dsp::rng::Rng64;
+    use mmwave_dsp::units::FC_28GHZ;
+    use mmwave_phy::chanest::ChannelSounder;
+
+    #[test]
+    fn untrained_weights_fit_the_scanned_array() {
+        // A pathless, noiseless channel: every scan probe sees zero power,
+        // so the strategies that require power stay untrained, and their
+        // muted weights must still fit the eight-element array the data
+        // plane radiates them on. BeamSpy points at the strongest profile
+        // entry even at zero power, so it trains.
+        let strategies: [(Box<dyn BeamStrategy>, bool); 4] = [
+            (Box::new(SingleBeamReactive::new(Default::default())), false),
+            (Box::new(NrPeriodic::new(Default::default())), false),
+            (Box::new(BeamSpy::new(Default::default())), true),
+            (Box::new(WideBeamStrategy::new(Default::default())), false),
+        ];
+        for (mut s, trains) in strategies {
+            let mut sounder = ChannelSounder::paper_indoor();
+            sounder.noise_boost = 0.0;
+            let mut fe = SnapshotFrontEnd::new(
+                GeometricChannel::new(Vec::new(), FC_28GHZ),
+                sounder,
+                ArrayGeometry::ula(8),
+                UeReceiver::Omni,
+                Rng64::seed(1),
+            );
+            s.on_tick(&mut fe, 0.0);
+            let owned = s.weights();
+            let mut into = BeamWeights::muted(64);
+            s.weights_into(&mut into);
+            for w in [&owned, &into] {
+                assert_eq!(w.len(), 8, "{}", s.name());
+                assert_eq!(w.norm() > 0.0, trains, "{}", s.name());
+            }
+        }
+    }
+}

@@ -82,7 +82,7 @@ impl BeamStrategy for NrPeriodic {
     fn weights(&self) -> BeamWeights {
         match &self.weights {
             Some(w) => w.clone(),
-            None => BeamWeights::muted(64),
+            None => BeamWeights::muted(self.beam.len()),
         }
     }
 
@@ -90,7 +90,7 @@ impl BeamStrategy for NrPeriodic {
     fn weights_into(&self, out: &mut BeamWeights) {
         match &self.weights {
             Some(w) => out.copy_from(w),
-            None => out.set_muted(64),
+            None => out.set_muted(self.beam.len()),
         }
     }
 }

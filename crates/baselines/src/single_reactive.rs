@@ -121,7 +121,7 @@ impl BeamStrategy for SingleBeamReactive {
     fn weights(&self) -> BeamWeights {
         match &self.weights {
             Some(w) => w.clone(),
-            None => BeamWeights::muted(64),
+            None => BeamWeights::muted(self.beam.len()),
         }
     }
 
@@ -129,7 +129,7 @@ impl BeamStrategy for SingleBeamReactive {
     fn weights_into(&self, out: &mut BeamWeights) {
         match &self.weights {
             Some(w) => out.copy_from(w),
-            None => out.set_muted(64),
+            None => out.set_muted(self.beam.len()),
         }
     }
 }

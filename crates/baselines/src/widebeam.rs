@@ -127,7 +127,7 @@ impl BeamStrategy for WideBeamStrategy {
     fn weights(&self) -> BeamWeights {
         match &self.weights {
             Some(w) => w.clone(),
-            None => BeamWeights::muted(64),
+            None => BeamWeights::muted(self.beam.len()),
         }
     }
 
@@ -135,7 +135,7 @@ impl BeamStrategy for WideBeamStrategy {
     fn weights_into(&self, out: &mut BeamWeights) {
         match &self.weights {
             Some(w) => out.copy_from(w),
-            None => out.set_muted(64),
+            None => out.set_muted(self.beam.len()),
         }
     }
 }

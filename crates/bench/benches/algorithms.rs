@@ -21,8 +21,8 @@ use mmwave_dsp::units::FC_28GHZ;
 use mmwave_phy::chanest::{ChannelSounder, ProbeObservation};
 use std::f64::consts::PI;
 
-fn synth_probe(k: usize) -> ProbeObservation {
-    let mut rng = Rng64::seed(7);
+fn synth_probe(k: usize, seed: u64) -> ProbeObservation {
+    let mut rng = Rng64::seed(seed);
     let n = 264;
     let spacing = 12.0 * 120e3;
     let freqs: Vec<f64> = (0..n)
@@ -50,7 +50,7 @@ fn synth_probe(k: usize) -> ProbeObservation {
 fn bench_superres(c: &mut Criterion) {
     let mut group = c.benchmark_group("superres_estimate");
     for k in [2usize, 3] {
-        let obs = synth_probe(k);
+        let obs = synth_probe(k, 7);
         let rel: Vec<f64> = (0..k).map(|i| 6.0 * i as f64).collect();
         let cfg = SuperResConfig::default();
         group.bench_with_input(BenchmarkId::new("beams", k), &k, |b, _| {
@@ -64,6 +64,22 @@ fn bench_superres(c: &mut Criterion) {
             b.iter(|| estimate_per_beam_into(&mut scratch, &obs, &rel, &cfg, &mut est))
         });
     }
+    // The controller's maintenance path: one scratch, and each fit's refined
+    // delays fed back as the next fit's, over fresh-noise probes of one
+    // quiet three-beam link.
+    let probes: Vec<ProbeObservation> = (0..8).map(|seed| synth_probe(3, seed)).collect();
+    let cfg = SuperResConfig::default();
+    let mut scratch = SuperResScratch::default();
+    let mut est = PerBeamEstimate::default();
+    let mut rel = vec![0.0, 6.0, 12.0];
+    let mut next = 0;
+    group.bench_with_input(BenchmarkId::new("beams_chain", 3), &3, |b, _| {
+        b.iter(|| {
+            estimate_per_beam_into(&mut scratch, &probes[next], &rel, &cfg, &mut est);
+            rel.clone_from(&est.rel_delays_ns);
+            next = (next + 1) % probes.len();
+        })
+    });
     group.finish();
 }
 

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmwave_dsp::complex::Complex64;
-use mmwave_dsp::fft::{fft, fft_in_place};
+use mmwave_dsp::fft::{fft, fft_in_place, ifft_into, FftScratch};
 use mmwave_dsp::linalg::{ridge_least_squares, CMatrix};
 use mmwave_dsp::nonlinearity::RappPa;
 use mmwave_dsp::rng::Rng64;
@@ -30,6 +30,13 @@ fn bench_fft(c: &mut Criterion) {
     let mut rng = Rng64::seed(2);
     let x: Vec<Complex64> = (0..264).map(|_| rng.complex_normal()).collect();
     group.bench_function("bluestein_264", |b| b.iter(|| fft(&x)));
+    // The coarse CIR of every super-resolution fit and training beam: a
+    // warm inverse transform through a reused scratch.
+    let mut scratch = FftScratch::default();
+    let mut cir = Vec::new();
+    group.bench_function("bluestein_ifft_264", |b| {
+        b.iter(|| ifft_into(&x, &mut cir, &mut scratch))
+    });
     group.finish();
 }
 

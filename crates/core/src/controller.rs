@@ -351,6 +351,9 @@ impl MmReliableController {
         // Baseline probe through the live multi-beam.
         let snr_db = self.probe_live(fe);
         self.fit_per_beam(fe.now_s());
+        // Rounds swap the two estimates; this sizes the one the first
+        // round's swap hands to its later fits, so no round grows it.
+        self.round_fit.clone_from(&self.fit);
         let baselines = self.fit.powers_db();
         self.trackers = angles
             .iter()

@@ -24,21 +24,33 @@
 //! `S(τ₀) = D(τ₀)·S₀` with `D` a unit-modulus diagonal, so the Gram
 //! `G = SᴴS`, `G_kl = Σᵢ e^{-j2πfᵢ(Δτ_l − Δτ_k)}`, does not depend on τ₀.
 //! One relative-delay set therefore needs one K×K Cholesky factor of
-//! `G + λM·I` for its whole τ₀ sweep. Per candidate, only the correlation
+//! `G + λM·I`, with the reciprocals of its diagonal, for its whole τ₀
+//! sweep. Per candidate, only the correlation
 //! `b = Sᴴy`, `b_k = Σᵢ c_ki·pᵢ` with `c_ki = yᵢ·e^{j2πfᵢΔτ_k}` and
 //! `pᵢ = e^{j2πfᵢτ₀}`, changes; stepping τ₀ by δ advances every `pᵢ` by
 //! the fixed phasor `e^{j2πfᵢδ}`, so the sweep evaluates no trig at all.
-//! α is a K×K triangular solve and the residual is closed-form,
-//! `‖y − Sα‖² = ‖y‖² − 2Re(αᴴb) + αᴴGα`.
+//! α is a K×K triangular solve that divides by nothing, and the residual
+//! is closed-form, `‖y − Sα‖² = ‖y‖² − 2Re(αᴴb) + αᴴGα`.
 //!
 //! The K anchors share one walk. Anchor `a` sweeps `τ₀ = τ̂ − Δτ_a + t`
 //! around the coarse peak `τ̂`, so its `b_k = Σᵢ yᵢ·e^{j2πfᵢ(Δτ_k − Δτ_a)}·qᵢ`
 //! with the anchor-free phasors `qᵢ = e^{j2πfᵢ(τ̂ + t)}`. The K diagonal
 //! terms (k = a) are the same series `Σᵢ yᵢ·qᵢ`, so a step costs one `q`
 //! advance and K²−K+1 correlations (rows `d_ka = c_k ∘ conj(e_a)` built
-//! once per fit) instead of K advances and K². The sweep's winner is
-//! re-scored with exact phasors, so the outputs depend on the sweep only
-//! through the position of its first minimum in anchor-major order.
+//! once per fit) instead of K advances and K². The correlations run as
+//! one fused pass over `q`, two rows per load of each block of four, on an
+//! AVX2 twin where the CPU has AVX2 (DESIGN.md §8, *Twin kernels*); every
+//! row keeps the four-partial-sum rounding of a lone dot product. The
+//! sweep's winner is re-scored with exact phasors, so the outputs depend
+//! on the sweep only through the position of its first minimum in
+//! anchor-major order.
+//!
+//! The rows `e_k` and the normal equations depend on the comb, the delays
+//! and the ridge alone. Maintenance feeds each fit's refined delays into
+//! the next on the same comb, so a fit whose three match the loaded set's
+//! bit for bit keeps it and rebuilds only the rows `c_k`: no `cis`, no
+//! Gram, no factorisation. The coarse peak `τ̂` comes from a Bluestein
+//! transform whose power-of-two plans the scratch keeps.
 //!
 //! **Screened jitter trials.** A relative-delay trial `Δτ_k + j` needs M
 //! `cis` for its row. The jitter pass first scores the row
@@ -58,7 +70,7 @@
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::FftScratch;
-use mmwave_dsp::linalg::{cholesky_factor_into, cholesky_solve_factored, CMatrix};
+use mmwave_dsp::linalg::{CMatrix, CholeskyFactor};
 use mmwave_phy::chanest::ProbeObservation;
 use std::cmp::Ordering;
 use std::f64::consts::PI;
@@ -88,7 +100,7 @@ impl Default for SuperResConfig {
 }
 
 /// Result of one per-beam decomposition.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct PerBeamEstimate {
     /// Complex per-beam amplitudes `α_k` (order matches the input delays).
     pub alphas: Vec<Complex64>,
@@ -102,6 +114,23 @@ pub struct PerBeamEstimate {
     pub tau0_ns: f64,
     /// Relative delays actually used after jitter refinement, ns.
     pub rel_delays_ns: Vec<f64>,
+}
+
+impl Clone for PerBeamEstimate {
+    fn clone(&self) -> Self {
+        let mut out = Self::default();
+        out.clone_from(self);
+        out
+    }
+
+    /// Field by field, so a warm estimate keeps its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.alphas.clone_from(&source.alphas);
+        self.powers_mw.clone_from(&source.powers_mw);
+        self.residual = source.residual;
+        self.tau0_ns = source.tau0_ns;
+        self.rel_delays_ns.clone_from(&source.rel_delays_ns);
+    }
 }
 
 impl PerBeamEstimate {
@@ -210,15 +239,6 @@ impl Lanes {
     }
 }
 
-/// `Σᵢ aᵢ·bᵢ` over split lanes, with `a` conjugated when `CONJ_A`.
-fn dot<const CONJ_A: bool>((ar, ai): (&[f64], &[f64]), (br, bi): (&[f64], &[f64])) -> Complex64 {
-    let sign = if CONJ_A { -1.0 } else { 1.0 };
-    Complex64::new(
-        lane_sum(ar, br, ai, bi, -sign),
-        lane_sum(ar, bi, ai, br, sign),
-    )
-}
-
 /// `Σᵢ (xᵢ·yᵢ + s·uᵢ·vᵢ)` over four interleaved partial sums: the lanes
 /// carry no dependency on one another, so the loop pipelines and packs.
 fn lane_sum(x: &[f64], y: &[f64], u: &[f64], v: &[f64], s: f64) -> f64 {
@@ -245,17 +265,141 @@ fn lane_sum(x: &[f64], y: &[f64], u: &[f64], v: &[f64], s: f64) -> f64 {
 
 /// Gram entry `G_kl = Σᵢ e_{l,i}*·e_{k,i}` from the beam rows
 /// `e_k = e^{j2πfΔτ_k}` and `e_l`: the τ₀ phasors cancel in `S_ikᴴ·S_il`.
-fn gram_entry(ek: (&[f64], &[f64]), el: (&[f64], &[f64])) -> Complex64 {
-    dot::<true>(el, ek)
+fn gram_entry((kr, ki): (&[f64], &[f64]), (lr, li): (&[f64], &[f64])) -> Complex64 {
+    Complex64::new(
+        lane_sum(lr, kr, li, ki, 1.0),
+        lane_sum(lr, ki, li, kr, -1.0),
+    )
+}
+
+/// `out[r] = Σᵢ x_{r,i}·qᵢ` for the rows `x_r` stacked in `rows`, each as
+/// long as `q`, in one pass over `q` that correlates two rows against
+/// each load of it. Every row is summed as [`lane_sum`] sums: four partial
+/// sums over `i mod 4` of `x·y − u·v` (real) and `x·v + u·y` (imaginary),
+/// the tail added to the first, folded as `(a0 + a1) + (a2 + a3)`. `lanes`
+/// holds the partial sums between the twin kernel and the fold.
+fn correlate_rows(
+    (xr, xi): (&[f64], &[f64]),
+    q: (&[f64], &[f64]),
+    lanes: &mut Vec<[f64; 4]>,
+    out: &mut [Complex64],
+) {
+    let m = q.0.len();
+    debug_assert!(q.1.len() == m && xr.len() == out.len() * m && xi.len() == xr.len());
+    lanes.resize(lanes.len().max(2 * out.len()), [0.0; 4]);
+    let lanes = &mut lanes[..2 * out.len()];
+    correlate_lanes((xr, xi), q, lanes);
+    let full = m - m % 4;
+    for (r, (o, l)) in out.iter_mut().zip(lanes.chunks_exact(2)).enumerate() {
+        let (mut re, mut im) = (l[0], l[1]);
+        for i in full..m {
+            let (x, u, y, v) = (xr[r * m + i], xi[r * m + i], q.0[i], q.1[i]);
+            re[0] += x * y - u * v;
+            im[0] += x * v + u * y;
+        }
+        let fold = |a: [f64; 4]| (a[0] + a[1]) + (a[2] + a[3]);
+        *o = Complex64::new(fold(re), fold(im));
+    }
+}
+
+/// The partial sums of [`correlate_rows`] over the whole blocks of four
+/// entries: `lanes[2r]` real and `lanes[2r + 1]` imaginary for row `r`.
+/// Runs the AVX2 twin when the CPU has AVX2 (DESIGN.md §8, *Twin
+/// kernels*).
+fn correlate_lanes(rows: (&[f64], &[f64]), q: (&[f64], &[f64]), lanes: &mut [[f64; 4]]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the twin's only requirement.
+        return unsafe { correlate_lanes_avx2(rows, q, lanes) };
+    }
+    correlate_lanes_baseline(rows, q, lanes);
+}
+
+/// [`correlate_lanes`] compiled for the baseline target.
+fn correlate_lanes_baseline(rows: (&[f64], &[f64]), q: (&[f64], &[f64]), lanes: &mut [[f64; 4]]) {
+    correlate_lanes_body(rows, q, lanes);
+}
+
+/// [`correlate_lanes`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn correlate_lanes_avx2(
+    rows: (&[f64], &[f64]),
+    q: (&[f64], &[f64]),
+    lanes: &mut [[f64; 4]],
+) {
+    correlate_lanes_body(rows, q, lanes);
+}
+
+/// The rows two at a time, then the odd one out.
+#[inline(always)]
+fn correlate_lanes_body((xr, xi): (&[f64], &[f64]), q: (&[f64], &[f64]), lanes: &mut [[f64; 4]]) {
+    let m = q.0.len();
+    let n = lanes.len() / 2;
+    debug_assert!(lanes.len() == 2 * n && xr.len() == n * m && xi.len() == xr.len());
+    let row = |r: usize| (&xr[r * m..(r + 1) * m], &xi[r * m..(r + 1) * m]);
+    let mut r = 0;
+    while r + 1 < n {
+        correlate_block([row(r), row(r + 1)], q, &mut lanes[2 * r..2 * r + 4]);
+        r += 2;
+    }
+    if r < n {
+        correlate_block([row(r)], q, &mut lanes[2 * r..2 * r + 2]);
+    }
+}
+
+/// The partial sums of `R` rows over the whole blocks of four entries,
+/// each block of `q` loaded once for all `R`. The kernel stores whole
+/// `[f64; 4]` accumulators and leaves tails and folds to its caller: a
+/// store of adjacent real and imaginary parts steers LLVM's vectoriser
+/// into two-wide complex arithmetic, which runs about half as fast.
+#[inline(always)]
+fn correlate_block<const R: usize>(
+    rows: [(&[f64], &[f64]); R],
+    (qr, qi): (&[f64], &[f64]),
+    lanes: &mut [[f64; 4]],
+) {
+    let qr4 = qr.as_chunks::<4>().0;
+    let blocks = qr4.len();
+    debug_assert!(lanes.len() == 2 * R && qi.len() == qr.len());
+    let qi4 = &qi.as_chunks::<4>().0[..blocks];
+    let rows4 = rows.map(|(xr, xi)| {
+        (
+            &xr.as_chunks::<4>().0[..blocks],
+            &xi.as_chunks::<4>().0[..blocks],
+        )
+    });
+    let mut re = [[0.0f64; 4]; R];
+    let mut im = [[0.0f64; 4]; R];
+    for j in 0..blocks {
+        let (y, v) = (qr4[j], qi4[j]);
+        for r in 0..R {
+            let (x, u) = (rows4[r].0[j], rows4[r].1[j]);
+            for l in 0..4 {
+                re[r][l] += x[l] * y[l] - u[l] * v[l];
+                im[r][l] += x[l] * v[l] + u[l] * y[l];
+            }
+        }
+    }
+    for r in 0..R {
+        lanes[2 * r] = re[r];
+        lanes[2 * r + 1] = im[r];
+    }
 }
 
 /// The τ₀-invariant normal equations of one relative-delay set: the Gram
-/// `G = SᴴS` and the Cholesky factor of `G + λM·I`.
+/// `G = SᴴS` and the Cholesky factor of `G + ridge·I`.
 #[derive(Clone, Debug, Default)]
 struct NormalEquations {
     gram: CMatrix,
     shifted: CMatrix,
-    factor: CMatrix,
+    factor: CholeskyFactor,
+    /// The ridge the factor was shifted by.
+    ridge: f64,
     /// `false` when `G + λM·I` is not numerically positive definite
     /// (λ = 0 with coincident delays); every candidate then scores α = 0.
     factored: bool,
@@ -272,7 +416,8 @@ impl NormalEquations {
         for d in self.shifted.as_mut_slice().iter_mut().step_by(k + 1) {
             *d += Complex64::new(ridge, 0.0);
         }
-        self.factored = cholesky_factor_into(&self.shifted, &mut self.factor).is_ok();
+        self.ridge = ridge;
+        self.factored = self.factor.factor(&self.shifted).is_ok();
     }
 
     /// Solves for α given the correlation `b` (written into `alpha`) and
@@ -283,7 +428,7 @@ impl NormalEquations {
         alpha.clear();
         if self.factored {
             alpha.extend_from_slice(b);
-            cholesky_solve_factored(&self.factor, alpha);
+            self.factor.solve_in_place(alpha);
         } else {
             alpha.resize(k, Complex64::ZERO);
         }
@@ -348,14 +493,16 @@ struct CombRows {
     jitter: Lanes,
 }
 
+/// Whether `a` and `b` hold the same values bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 impl CombRows {
     fn refresh(&mut self, w: &[f64], step_ns: f64, jitter_ns: &[f64]) {
-        let same = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        if same(&self.w, w)
+        if same_bits(&self.w, w)
             && self.step_ns.to_bits() == step_ns.to_bits()
-            && same(&self.jitter_ns, jitter_ns)
+            && same_bits(&self.jitter_ns, jitter_ns)
         {
             return;
         }
@@ -393,14 +540,20 @@ pub struct SuperResScratch {
     w: Vec<f64>,
     /// The probe's CSI `y`.
     y: Lanes,
-    /// Rows `e_k = e^{j2πfᵢΔτ_k}` of the current delay set.
+    /// Rows `e_k = e^{j2πfᵢΔτ_k}` of the current delay set `rel`, and its
+    /// normal equations. They depend on `w`, `rel` and the ridge only, so
+    /// a fit whose three equal the last fit's bit for bit keeps them
+    /// (`commit_trial` keeps `rel` in step with them).
     e: Lanes,
+    normal: NormalEquations,
     /// Rows `c_k = yᵢ·e^{j2πfᵢΔτ_k}`.
     c: Lanes,
-    normal: NormalEquations,
-    /// Rows `d_ka = c_k ∘ conj(e_a)` of the shared walk, anchor-major and
-    /// beam-minor, skipping `k = a`.
+    /// The rows the shared walk correlates: `y`, then `d_ka = c_k ∘
+    /// conj(e_a)` anchor-major and beam-minor, skipping `k = a`; their
+    /// correlations at the current step, and the partial sums behind them.
     d: Lanes,
+    corr: Vec<Complex64>,
+    lanes: Vec<[f64; 4]>,
     /// Row `e_k` of the beam whose jitter trials are being screened, as it
     /// was before any of them committed.
     nominal: Lanes,
@@ -424,18 +577,27 @@ pub struct SuperResScratch {
 }
 
 impl SuperResScratch {
-    /// Loads the probe's comb and CSI and the given relative delays.
-    fn load_probe(&mut self, obs: &ProbeObservation, rel_delays_ns: &[f64]) {
-        self.w.clear();
-        self.w
-            .extend(obs.freqs_hz.iter().map(|&f| 2.0 * PI * f * 1e-9));
+    /// Loads the probe's comb and CSI and the given relative delays, and
+    /// returns whether the loaded delay set (rows `e` and normal
+    /// equations) is still theirs at this ridge.
+    fn load_probe(&mut self, obs: &ProbeObservation, rel_delays_ns: &[f64], ridge: f64) -> bool {
+        let w = |f: f64| 2.0 * PI * f * 1e-9;
+        let loaded = self.w.len() == obs.freqs_hz.len()
+            && (self.w.iter().zip(&obs.freqs_hz)).all(|(&wi, &f)| wi.to_bits() == w(f).to_bits())
+            && same_bits(&self.rel, rel_delays_ns)
+            && self.normal.ridge.to_bits() == ridge.to_bits();
+        if !loaded {
+            self.w.clear();
+            self.w.extend(obs.freqs_hz.iter().map(|&f| w(f)));
+            self.rel.clear();
+            self.rel.extend_from_slice(rel_delays_ns);
+        }
         self.y.clear();
         self.y.reserve(obs.csi.len());
         for &v in &obs.csi {
             self.y.push(v);
         }
-        self.rel.clear();
-        self.rel.extend_from_slice(rel_delays_ns);
+        loaded
     }
 
     /// Sets `p` to the exact phasors of bulk delay `tau0_ns`.
@@ -446,24 +608,19 @@ impl SuperResScratch {
 
     /// Fills `b` with `b_k = Σᵢ c_ki·pᵢ` for the current delay set.
     fn correlate(&mut self) {
-        let m = self.w.len();
         self.b.clear();
-        for k in 0..self.rel.len() {
-            self.b.push(dot::<false>(self.c.row(k, m), self.p.all()));
-        }
+        self.b.resize(self.rel.len(), Complex64::ZERO);
+        correlate_rows(self.c.all(), self.p.all(), &mut self.lanes, &mut self.b);
     }
 
-    /// Loads the delay set `self.rel`: phasor rows, correlations with `y`,
-    /// the Gram and its factor.
+    /// Loads the delay set `self.rel`: phasor rows, the Gram and its factor,
+    /// then the correlations with `y`.
     fn load_delay_set(&mut self, ridge: f64) {
         let m = self.w.len();
         let n = self.rel.len();
         self.e.clear();
-        self.c.clear();
-        for (k, &d) in self.rel.iter().enumerate() {
+        for &d in &self.rel {
             self.e.extend_phasors(&self.w, d);
-            self.c
-                .extend_product::<false>(self.y.all(), self.e.row(k, m));
         }
         let g = &mut self.normal.gram;
         g.reset(n, n);
@@ -476,6 +633,17 @@ impl SuperResScratch {
             }
         }
         self.normal.refactor(ridge);
+        self.load_correlations();
+    }
+
+    /// Rebuilds the rows `c_k = y ∘ e_k` of the loaded delay set.
+    fn load_correlations(&mut self) {
+        let m = self.w.len();
+        self.c.clear();
+        for k in 0..self.rel.len() {
+            self.c
+                .extend_product::<false>(self.y.all(), self.e.row(k, m));
+        }
     }
 
     /// Builds the trial delay set with beam `k` moved to `delay_ns` (its
@@ -526,7 +694,8 @@ impl SuperResScratch {
         self.trial.refactor(ridge);
         self.b.clear();
         self.b.extend_from_slice(&self.b_best);
-        self.b[k] = dot::<false>(self.trial_c.all(), self.p.all());
+        let bk = &mut self.b[k..=k];
+        correlate_rows(self.trial_c.all(), self.p.all(), &mut self.lanes, bk);
     }
 
     /// Adopts the trial delay set built by [`Self::load_trial`].
@@ -564,26 +733,30 @@ impl SuperResScratch {
         let n = self.rel.len();
         debug_assert!(self.e.re.len() == n * m && self.c.re.len() == n * m);
         self.d.clear();
-        self.d.reserve(n * (n - 1) * m);
+        self.d.reserve((n * (n - 1) + 1) * m);
+        self.d.extend_row(self.y.all());
         for a in 0..n {
             for k in (0..n).filter(|&k| k != a) {
                 self.d
                     .extend_product::<true>(self.c.row(k, m), self.e.row(a, m));
             }
         }
+        self.corr.clear();
+        self.corr.resize(n * (n - 1) + 1, Complex64::ZERO);
         let mut best: Option<(f64, usize, f64)> = None;
         let mut t = -cfg.tau0_search_taps;
         self.seed_phasors(peak_ns + t * tap_ns);
         while t <= cfg.tau0_search_taps {
-            let diagonal = dot::<false>(self.y.all(), self.p.all());
-            let mut row = 0;
+            correlate_rows(self.d.all(), self.p.all(), &mut self.lanes, &mut self.corr);
+            // Row 0 is the diagonal `Σᵢ yᵢ·qᵢ` every anchor shares.
+            let mut row = 1;
             for a in 0..n {
                 self.b.clear();
                 for k in 0..n {
                     if k == a {
-                        self.b.push(diagonal);
+                        self.b.push(self.corr[0]);
                     } else {
-                        self.b.push(dot::<false>(self.d.row(row, m), self.p.all()));
+                        self.b.push(self.corr[row]);
                         row += 1;
                     }
                 }
@@ -731,8 +904,11 @@ pub fn estimate_per_beam_into(
     let ridge = cfg.lambda * y.len() as f64;
     let y_energy: f64 = y.iter().map(|v| v.norm_sqr()).sum();
     let s = scratch;
-    s.load_probe(obs, rel_delays_ns);
-    s.load_delay_set(ridge);
+    if s.load_probe(obs, rel_delays_ns, ridge) {
+        s.load_correlations();
+    } else {
+        s.load_delay_set(ridge);
+    }
 
     let tap_ns = 1.0 / (obs.comb_spacing_hz().max(1.0) * y.len() as f64) * 1e9;
     s.comb
@@ -873,7 +1049,7 @@ mod per_anchor {
         let y = &obs.csi;
         let ridge = cfg.lambda * y.len() as f64;
         let y_energy: f64 = y.iter().map(|v| v.norm_sqr()).sum();
-        s.load_probe(obs, rel_delays_ns);
+        s.load_probe(obs, rel_delays_ns, ridge);
         s.load_delay_set(ridge);
         let tap_ns = 1.0 / (obs.comb_spacing_hz().max(1.0) * y.len() as f64) * 1e9;
         let mut u = Lanes::default();
@@ -1415,6 +1591,133 @@ mod tests {
             worst * SCREEN_HEADROOM <= SCREEN_TOL,
             "screened residuals miss the exact ones by up to {worst:e}·‖y‖²"
         );
+    }
+
+    #[test]
+    fn chained_fits_reusing_the_delay_set_match_fresh_fits_bit_for_bit() {
+        // One scratch carries the delay set from fit to fit, each fit given
+        // the previous one's refined delays (as the controller feeds them
+        // back), across K changes, a comb change and a λ change. Each must
+        // equal a fit on a fresh scratch in every bit.
+        let spacing = 12.0 * 120e3;
+        let centred: Vec<f64> = (0..264).map(|i| (i as f64 - 131.5) * spacing).collect();
+        let one_sided: Vec<f64> = (0..264).map(|i| i as f64 * spacing).collect();
+        let default = SuperResConfig::default();
+        let stiffer = SuperResConfig {
+            lambda: 1e-2,
+            ..SuperResConfig::default()
+        };
+        // (K, comb, configuration, fits)
+        let legs = [
+            (1, &centred, &default, 3),
+            (4, &centred, &default, 4),
+            (2, &centred, &default, 4),
+            (2, &one_sided, &default, 3),
+            (2, &one_sided, &stiffer, 3),
+            (2, &one_sided, &default, 2),
+        ];
+        let mut rng = Rng64::seed(0xc4a1);
+        let mut scratch = SuperResScratch::default();
+        let mut chained = PerBeamEstimate::default();
+        let (mut fed_back, mut commits) = (0, 0);
+        for (leg, &(k, freqs, cfg, fits)) in legs.iter().enumerate() {
+            let truth: Vec<f64> = (0..k).map(|i| 3.1 * i as f64).collect();
+            let amps: Vec<(f64, f64)> = (0..k)
+                .map(|_| (rng.uniform_in(0.2, 1.0), rng.uniform_in(-PI, PI)))
+                .collect();
+            // Given delays 0.3 ns off the truth, so the first fits commit
+            // jitter trials and later ones start from refined delays.
+            let mut given: Vec<f64> = truth
+                .iter()
+                .map(|&d| if d == 0.0 { d } else { d + 0.3 })
+                .collect();
+            if leg > 0 && given.len() == chained.rel_delays_ns.len() {
+                given.clone_from(&chained.rel_delays_ns);
+            }
+            for fit in 0..fits {
+                let tau0 = rng.uniform_in(15.0, 40.0);
+                let obs = synth_probe_on(freqs.clone(), &amps, &truth, tau0, 1e-4, &mut rng);
+                estimate_per_beam_into(&mut scratch, &obs, &given, cfg, &mut chained);
+                let fresh = estimate_per_beam(&obs, &given, cfg);
+                assert_bitwise(&chained, &fresh, &format!("leg {leg}, fit {fit}, K = {k}"));
+                commits += usize::from(chained.rel_delays_ns != given);
+                fed_back += usize::from(fit > 0 || leg > 0);
+                given.clone_from(&chained.rel_delays_ns);
+            }
+        }
+        assert!(commits >= 3, "only {commits} fits committed a jitter trial");
+        assert!(fed_back >= 15, "only {fed_back} fits were fed back");
+    }
+
+    /// Rows of `m` entries for the twin tests: seeded random values, then
+    /// ±0, subnormals and large magnitudes spread through them.
+    fn twin_rows(rows: usize, m: usize, rng: &mut Rng64) -> (Vec<f64>, Vec<f64>) {
+        let special = [0.0, -0.0, 4.9e-324, -2.2e-310, 1e150, -3e149];
+        let mut entry = |i: usize| {
+            if i % 7 == 3 {
+                special[rng.index(special.len())]
+            } else {
+                rng.uniform_in(-2.0, 2.0)
+            }
+        };
+        let re = (0..rows * m).map(&mut entry).collect();
+        let im = (0..rows * m).map(&mut entry).collect();
+        (re, im)
+    }
+
+    #[test]
+    fn correlate_rows_matches_the_per_row_lane_sums_bit_for_bit() {
+        // Every row against the two `lane_sum`s the fit used per row before
+        // the rows were fused, over lengths with and without a tail.
+        let mut rng = Rng64::seed(0x1a2e);
+        let mut lanes = Vec::new();
+        for m in [0usize, 1, 3, 4, 5, 263, 264, 265] {
+            for rows in [1usize, 2, 3, 7, 13] {
+                let (xr, xi) = twin_rows(rows, m, &mut rng);
+                let (qr, qi) = twin_rows(1, m, &mut rng);
+                let mut out = vec![Complex64::ZERO; rows];
+                correlate_rows((&xr, &xi), (&qr, &qi), &mut lanes, &mut out);
+                for (r, o) in out.iter().enumerate() {
+                    let (x, u) = (&xr[r * m..(r + 1) * m], &xi[r * m..(r + 1) * m]);
+                    let want = (
+                        lane_sum(x, &qr, u, &qi, -1.0),
+                        lane_sum(x, &qi, u, &qr, 1.0),
+                    );
+                    assert_eq!(
+                        (o.re.to_bits(), o.im.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "m = {m}, {rows} rows, row {r}: {o:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn correlate_lanes_twins_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("skipped: this CPU has no AVX2, so there is no twin to compare");
+                return;
+            }
+            let mut rng = Rng64::seed(0x7a1);
+            for m in [0usize, 1, 3, 4, 5, 263, 264, 265] {
+                for rows in [1usize, 2, 3, 7] {
+                    let (xr, xi) = twin_rows(rows, m, &mut rng);
+                    let (qr, qi) = twin_rows(1, m, &mut rng);
+                    let mut base = vec![[0.0; 4]; 2 * rows];
+                    let mut avx2 = vec![[1.0; 4]; 2 * rows];
+                    correlate_lanes_baseline((&xr, &xi), (&qr, &qi), &mut base);
+                    // SAFETY: the CPU supports AVX2 (checked above).
+                    unsafe { correlate_lanes_avx2((&xr, &xi), (&qr, &qi), &mut avx2) };
+                    let bits = |v: &[[f64; 4]]| -> Vec<u64> {
+                        v.iter().flatten().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&base), bits(&avx2), "m = {m}, {rows} rows");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! - [`CMatrix`] — row-major dense complex matrix with the usual products,
 //! - [`solve`] — Gaussian elimination with partial pivoting,
 //! - [`cholesky_solve`] — for Hermitian positive-definite systems, also
-//!   split into [`cholesky_factor_into`] + [`cholesky_solve_factored`] so
-//!   one factor can serve many right-hand sides,
+//!   split into a reusable [`CholeskyFactor`] so one factor serves many
+//!   right-hand sides,
 //! - [`ridge_least_squares`] — `argmin ‖Ax − b‖² + λ‖x‖²` via the normal
 //!   equations (exactly the paper's regularized formulation).
 
@@ -263,67 +263,82 @@ pub fn cholesky_solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, Li
     if b.len() != a.rows() {
         return Err(LinalgError::DimensionMismatch);
     }
-    let mut l = CMatrix::default();
-    cholesky_factor_into(a, &mut l)?;
+    let mut l = CholeskyFactor::default();
+    l.factor(a)?;
     let mut x = b.to_vec();
-    cholesky_solve_factored(&l, &mut x);
+    l.solve_in_place(&mut x);
     Ok(x)
 }
 
-/// Writes the lower-triangular Cholesky factor `L` of a Hermitian
-/// positive-definite `A = L·Lᴴ` into `l`, reusing its storage. Solve
-/// against it with [`cholesky_solve_factored`]; [`cholesky_solve`] is
-/// exactly these two steps.
-pub fn cholesky_factor_into(a: &CMatrix, l: &mut CMatrix) -> Result<(), LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    l.reset(n, n);
-    debug_assert!(a.as_slice().len() == n * n && l.as_slice().len() == n * n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)].conj();
-            }
-            if i == j {
-                // Diagonal entries of a Hermitian PD matrix are real positive.
-                let d = sum.re;
-                if d <= 0.0 || sum.im.abs() > 1e-9 * (1.0 + d.abs()) {
-                    return Err(LinalgError::NotPositiveDefinite);
-                }
-                l[(i, j)] = Complex64::new(d.sqrt(), 0.0);
-            } else {
-                l[(i, j)] = sum * l[(j, j)].inv();
-            }
-        }
-    }
-    Ok(())
+/// The lower-triangular Cholesky factor `L` of a Hermitian
+/// positive-definite `A = L·Lᴴ`, with the reciprocals of its diagonal: one
+/// factor serves many right-hand sides, and a solve then inverts nothing.
+/// [`cholesky_solve`] is one [`Self::factor`] and one
+/// [`Self::solve_in_place`].
+#[derive(Clone, Debug, Default)]
+pub struct CholeskyFactor {
+    l: CMatrix,
+    /// `1/L_jj`, the value each division by `L_jj` multiplies by.
+    diag_inv: Vec<Complex64>,
 }
 
-/// Solves `L·Lᴴ·x = b` in place (`x` holds `b` on entry) for a factor from
-/// [`cholesky_factor_into`]. Allocation-free: the forward solve overwrites
-/// `x[i]` only after its last read of `b[i]`, and the backward solve reads
-/// only entries it has already finalised.
-pub fn cholesky_solve_factored(l: &CMatrix, x: &mut [Complex64]) {
-    let n = x.len();
-    debug_assert!(l.rows() == n && l.cols() == n);
-    // Forward solve L·y = b.
-    for i in 0..n {
-        let mut acc = x[i];
-        for k in 0..i {
-            acc -= l[(i, k)] * x[k];
+impl CholeskyFactor {
+    /// Factors `a` into `self`, reusing its storage.
+    pub fn factor(&mut self, a: &CMatrix) -> Result<(), LinalgError> {
+        let n = a.rows();
+        if a.cols() != n {
+            return Err(LinalgError::DimensionMismatch);
         }
-        x[i] = acc * l[(i, i)].inv();
+        let l = &mut self.l;
+        l.reset(n, n);
+        self.diag_inv.clear();
+        self.diag_inv.resize(n, Complex64::ZERO);
+        debug_assert!(a.as_slice().len() == n * n && l.as_slice().len() == n * n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)].conj();
+                }
+                if i == j {
+                    // Diagonal entries of a Hermitian PD matrix are real positive.
+                    let d = sum.re;
+                    if d <= 0.0 || sum.im.abs() > 1e-9 * (1.0 + d.abs()) {
+                        return Err(LinalgError::NotPositiveDefinite);
+                    }
+                    l[(i, j)] = Complex64::new(d.sqrt(), 0.0);
+                    self.diag_inv[i] = l[(i, j)].inv();
+                } else {
+                    l[(i, j)] = sum * self.diag_inv[j];
+                }
+            }
+        }
+        Ok(())
     }
-    // Backward solve Lᴴ·x = y.
-    for i in (0..n).rev() {
-        let mut acc = x[i];
-        for k in i + 1..n {
-            acc -= l[(k, i)].conj() * x[k];
+
+    /// Solves `L·Lᴴ·x = b` in place (`x` holds `b` on entry).
+    /// Allocation-free: the forward solve overwrites `x[i]` only after its
+    /// last read of `b[i]`, and the backward solve reads only entries it
+    /// has already finalised.
+    pub fn solve_in_place(&self, x: &mut [Complex64]) {
+        let (l, n) = (&self.l, x.len());
+        debug_assert!(l.rows() == n && l.cols() == n && self.diag_inv.len() == n);
+        // Forward solve L·y = b.
+        for i in 0..n {
+            let mut acc = x[i];
+            for k in 0..i {
+                acc -= l[(i, k)] * x[k];
+            }
+            x[i] = acc * self.diag_inv[i];
         }
-        x[i] = acc * l[(i, i)].inv();
+        // Backward solve Lᴴ·x = y.
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for k in i + 1..n {
+                acc -= l[(k, i)].conj() * x[k];
+            }
+            x[i] = acc * self.diag_inv[i];
+        }
     }
 }
 

@@ -94,10 +94,10 @@ fn counted_round(ctl: &mut MmReliableController, fe: &mut SnapshotFrontEnd) -> (
 #[test]
 fn warmed_establish_allocates_only_the_new_link_state() {
     let mut fe = room_frontend(3);
-    // The first establishes grow the scan's buffers and the fit's
-    // jitter-trial rows.
+    // The first establish grows the scan's buffers and both of the fit's
+    // estimates; a round then swaps the two, so the first re-establishment
+    // fits into the one the round did not use.
     let mut ctl = warmed(&mut fe, 1);
-    ctl.establish(&mut fe);
     for round in 0..4 {
         // The simulator drains the log every tick, so each
         // re-establishment logs its transition into a fresh one.
@@ -112,6 +112,22 @@ fn warmed_establish_allocates_only_the_new_link_state() {
         assert_eq!(
             allocs, ESTABLISH_ALLOCS,
             "establish {round} allocated {allocs} times"
+        );
+    }
+}
+
+#[test]
+fn quiet_rounds_after_a_cold_establish_allocate_only_their_reports() {
+    // A round fits its live probe into one estimate and swaps it with the
+    // other; the establishment sizes both, so no round grows either.
+    let mut fe = room_frontend(3);
+    let mut ctl = warmed(&mut fe, 0);
+    for round in 0..4 {
+        let (r, allocs) = counted_round(&mut ctl, &mut fe);
+        assert!(r.actions.is_empty(), "round {round}: {:?}", r.actions);
+        assert_eq!(
+            allocs, QUIET_ROUND_ALLOCS,
+            "quiet round {round} after a cold establish allocated {allocs} times"
         );
     }
 }
