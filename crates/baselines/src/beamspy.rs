@@ -95,16 +95,20 @@ impl BeamSpy {
         self.pick_best(&geom, None);
     }
 
-    /// Picks the strongest profile entry, optionally excluding directions
-    /// near `avoid_deg`.
+    /// Steers at the strongest profile entry that carries power, optionally
+    /// excluding directions near `avoid_deg`; keeps the current beam (or
+    /// none, so the next tick rescans) when no entry qualifies.
     fn pick_best(&mut self, geom: &mmwave_array::geometry::ArrayGeometry, avoid_deg: Option<f64>) {
         let pick = self
             .profile
             .iter()
             .enumerate()
-            .filter(|(_, (a, _))| match avoid_deg {
-                Some(av) => (a - av).abs() >= self.cfg.alternate_separation_deg,
-                None => true,
+            .filter(|&(_, &(a, p))| {
+                p > 0.0
+                    && match avoid_deg {
+                        Some(av) => (a - av).abs() >= self.cfg.alternate_separation_deg,
+                        None => true,
+                    }
             })
             .max_by(|(_, (_, p1)), (_, (_, p2))| p1.total_cmp(p2))
             .map(|(i, _)| i);
@@ -185,6 +189,27 @@ mod tests {
             UeReceiver::Omni,
             Rng64::seed(seed),
         )
+    }
+
+    #[test]
+    fn a_scan_that_sees_no_power_leaves_the_link_untrained() {
+        // A pathless, noiseless channel: every profile entry is zero, so
+        // there is no beam to pick and the next tick scans again.
+        let mut sounder = ChannelSounder::paper_indoor();
+        sounder.noise_boost = 0.0;
+        let mut fe = SnapshotFrontEnd::new(
+            GeometricChannel::new(Vec::new(), FC_28GHZ),
+            sounder,
+            ArrayGeometry::ula(8),
+            UeReceiver::Omni,
+            Rng64::seed(1),
+        );
+        let mut s = BeamSpy::new(BeamSpyConfig::default());
+        s.on_tick(&mut fe, 0.0);
+        assert_eq!(s.beam_angle_deg(), None);
+        s.on_tick(&mut fe, 0.01);
+        assert_eq!(s.full_scans, 2);
+        assert_eq!(s.beam_angle_deg(), None);
     }
 
     #[test]

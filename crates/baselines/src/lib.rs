@@ -97,17 +97,16 @@ mod tests {
     #[test]
     fn untrained_weights_fit_the_scanned_array() {
         // A pathless, noiseless channel: every scan probe sees zero power,
-        // so the strategies that require power stay untrained, and their
-        // muted weights must still fit the eight-element array the data
-        // plane radiates them on. BeamSpy points at the strongest profile
-        // entry even at zero power, so it trains.
-        let strategies: [(Box<dyn BeamStrategy>, bool); 4] = [
-            (Box::new(SingleBeamReactive::new(Default::default())), false),
-            (Box::new(NrPeriodic::new(Default::default())), false),
-            (Box::new(BeamSpy::new(Default::default())), true),
-            (Box::new(WideBeamStrategy::new(Default::default())), false),
+        // so every strategy stays untrained, and its muted weights must
+        // still fit the eight-element array the data plane radiates them
+        // on.
+        let strategies: [Box<dyn BeamStrategy>; 4] = [
+            Box::new(SingleBeamReactive::new(Default::default())),
+            Box::new(NrPeriodic::new(Default::default())),
+            Box::new(BeamSpy::new(Default::default())),
+            Box::new(WideBeamStrategy::new(Default::default())),
         ];
-        for (mut s, trains) in strategies {
+        for mut s in strategies {
             let mut sounder = ChannelSounder::paper_indoor();
             sounder.noise_boost = 0.0;
             let mut fe = SnapshotFrontEnd::new(
@@ -123,7 +122,7 @@ mod tests {
             s.weights_into(&mut into);
             for w in [&owned, &into] {
                 assert_eq!(w.len(), 8, "{}", s.name());
-                assert_eq!(w.norm() > 0.0, trains, "{}", s.name());
+                assert_eq!(w.norm(), 0.0, "{}", s.name());
             }
         }
     }

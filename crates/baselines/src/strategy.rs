@@ -119,8 +119,11 @@ impl BeamStrategy for MmReliableStrategy {
         out.copy_from(&self.cached);
     }
 
+    // xtask-allow(hot-path-closure): the run loop's per-tick drain allocates only when transitions were logged, as the regrowth of a taken log did; the controller's log keeps its capacity
     fn drain_transitions(&mut self) -> Vec<Transition> {
-        self.controller.drain_transitions()
+        let mut out = Vec::new();
+        self.controller.drain_transitions_into(&mut out);
+        out
     }
 
     fn set_tracer(&mut self, tracer: mmwave_telemetry::Tracer) {

@@ -118,7 +118,7 @@ fn bench_drift_chain(c: &mut Criterion) {
     // One data slot's radiated weights through the fingerprint's aging
     // array over `mild` impairments: the clock advances a slot, so the
     // gain drift hands the transmit chain (PA, mismatch, coupling) new
-    // weights every time and its memo never hits.
+    // weights every time, and the stack runs it without a memo.
     let sim = scenario::static_walker().simulator(42);
     let w = single_beam(&sim.geom, 0.0);
     let mut fe = front_end_stack(sim, aging_schedule(), ImpairmentConfig::mild(4))

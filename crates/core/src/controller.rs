@@ -261,9 +261,10 @@ impl MmReliableController {
         &self.lifecycle
     }
 
-    /// Takes the lifecycle transitions accumulated since the last drain.
-    pub fn drain_transitions(&mut self) -> Vec<Transition> {
-        self.lifecycle.drain_log()
+    /// Moves the lifecycle transitions accumulated since the last drain
+    /// onto the end of `out`; the lifecycle keeps its log's capacity.
+    pub fn drain_transitions_into(&mut self, out: &mut Vec<Transition>) {
+        self.lifecycle.drain_log_into(out);
     }
 
     /// The current multi-beam, if established.

@@ -488,9 +488,11 @@ impl LinkLifecycle {
         &self.log
     }
 
-    /// Takes the accumulated transitions, leaving the log empty.
-    pub fn drain_log(&mut self) -> Vec<Transition> {
-        std::mem::take(&mut self.log)
+    /// Moves the accumulated transitions onto the end of `out`, leaving
+    /// the log empty with its capacity kept, so the transitions logged
+    /// after a drain allocate nothing.
+    pub fn drain_log_into(&mut self, out: &mut Vec<Transition>) {
+        out.append(&mut self.log);
     }
 
     /// True when the controller should run a training scan this round:
@@ -1066,9 +1068,12 @@ mod tests {
         let mut lc = LinkLifecycle::new(cfg());
         lc.apply(est(true, 27.0), 0.0);
         assert_eq!(lc.log().len(), 1);
-        let drained = lc.drain_log();
+        let mut drained = Vec::new();
+        lc.drain_log_into(&mut drained);
         assert_eq!(drained.len(), 1);
         assert!(lc.log().is_empty());
+        // The log keeps its capacity for the next transition.
+        assert!(lc.log.capacity() >= 1);
     }
 
     #[test]

@@ -454,12 +454,13 @@ impl StateHandler {
 
     /// Drains one UE's accumulated transitions (end-of-run export).
     // xtask-allow(hot-path-panic): lane_idx is a binary_search hit over self.lanes, so the index is in bounds by construction
-    // xtask-allow(hot-path-closure): end-of-run export; the empty-vec arm allocates nothing until pushed to
+    // xtask-allow(hot-path-closure): end-of-run export, which hands the caller an owned Vec by design
     pub fn drain_transitions(&mut self, ue: UeId) -> Vec<Transition> {
-        match self.lane_idx(ue) {
-            Some(i) => self.lanes[i].lifecycle.drain_log(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        if let Some(i) = self.lane_idx(ue) {
+            self.lanes[i].lifecycle.drain_log_into(&mut out);
         }
+        out
     }
 
     /// One handler pass: drains everything queued in `io`, applies each

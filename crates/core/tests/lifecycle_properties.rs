@@ -86,7 +86,8 @@ proptest! {
                 applied.push(tr);
             }
         }
-        let drained = lc.drain_log();
+        let mut drained = Vec::new();
+        lc.drain_log_into(&mut drained);
         prop_assert_eq!(&drained, &applied, "log order must match apply order");
         prop_assert!(lc.log().is_empty(), "drain must empty the log");
         for w in drained.windows(2) {

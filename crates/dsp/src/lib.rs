@@ -17,6 +17,7 @@
 //!   for batched per-slot passes (noise, PA, gain drift),
 //! - [`rng`] — seeded Gaussian / complex-Gaussian sampling,
 //! - [`nonlinearity`] — Rapp PA AM/AM + AM/PM compression (impairment layer),
+//! - [`drift`] — sinusoidal per-element gain drift (fault layer),
 //! - [`phase_noise`] — leaky-Wiener oscillator phase noise + ICI penalty,
 //! - [`adc`] — mid-rise ADC quantization and clipping for probe samples,
 //! - [`count_alloc`] — a counting global allocator backing the
@@ -28,6 +29,7 @@
 pub mod adc;
 pub mod complex;
 pub mod count_alloc;
+pub mod drift;
 pub mod fft;
 pub mod fit;
 pub mod linalg;

@@ -101,66 +101,94 @@ impl RappPa {
     /// pass, so the passes vectorise. Zero elements are left bitwise
     /// untouched. The worst compression, `-20·log10(min f)`, takes one
     /// `log10` per call. Matches [`RappPa::am_am`], [`RappPa::am_pm`] and
-    /// [`RappPa::compression_db`] to rounding.
+    /// [`RappPa::compression_db`] to rounding. Runs the AVX2 twin when the
+    /// CPU has AVX2 (DESIGN.md §8, *Twin kernels*).
     #[hot_path]
     pub fn apply(&self, w: &mut [Complex64]) -> f64 {
-        let inv_sat2 = 1.0 / (self.a_sat * self.a_sat);
-        let p = self.smoothness;
-        let gain_exp = -0.5 / p;
-        let turn = self.am_pm_max_rad * 0.5 * std::f64::consts::FRAC_1_PI;
-        let mut r2 = [0.0; BATCH];
-        let mut y = [0.0; BATCH];
-        let mut gain = [0.0; BATCH];
-        let mut sin = [0.0; BATCH];
-        let mut cos = [0.0; BATCH];
-        let mut min_gain = 1.0f64;
-        for chunk in w.chunks_mut(BATCH) {
-            let n = chunk.len();
-            debug_assert!(n <= BATCH);
-            let (r2, y, gain) = (&mut r2[..n], &mut y[..n], &mut gain[..n]);
-            let (sin, cos) = (&mut sin[..n], &mut cos[..n]);
-            for (r, x) in r2.iter_mut().zip(chunk.iter()) {
-                *r = x.norm_sqr() * inv_sat2;
-            }
-            // Gain: y = p·ln r², then exp(ln(1 + e^y)·(−1/2p)) with
-            // ln(1 + e^y) = max(y, 0) + ln(1 + e^{−|y|}), one kernel per
-            // pass.
-            for (y, &r) in y.iter_mut().zip(r2.iter()) {
-                *y = p * ln(if r < f64::MIN_POSITIVE {
-                    f64::MIN_POSITIVE
-                } else {
-                    r
-                });
-            }
-            for (g, &y) in gain.iter_mut().zip(y.iter()) {
-                *g = exp(-y.abs());
-            }
-            for (g, &y) in gain.iter_mut().zip(y.iter()) {
-                *g = (if y > 0.0 { y } else { 0.0 } + ln(1.0 + *g)) * gain_exp;
-            }
-            for g in gain.iter_mut() {
-                *g = exp(*g);
-            }
-            // AM/PM: the turn fraction φ/2π, then its sine and cosine.
-            for (u, &r) in sin.iter_mut().zip(r2.iter()) {
-                *u = turn * r / (1.0 + r);
-            }
-            for (s, c) in sin.iter_mut().zip(cos.iter_mut()) {
-                (*s, *c) = sin_cos_turn(*s);
-            }
-            let lanes = r2.iter().zip(gain.iter()).zip(sin.iter().zip(cos.iter()));
-            for (x, ((&r, &f), (&s, &c))) in chunk.iter_mut().zip(lanes) {
-                if r > 0.0 {
-                    *x *= c64(c, s).scale(f);
-                    min_gain = min_gain.min(f);
-                }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the twin's only requirement.
+            return unsafe { apply_avx2(self, w) };
+        }
+        apply_baseline(self, w)
+    }
+}
+
+/// [`RappPa::apply`] compiled for the baseline target.
+fn apply_baseline(pa: &RappPa, w: &mut [Complex64]) -> f64 {
+    apply_body(pa, w)
+}
+
+/// [`RappPa::apply`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn apply_avx2(pa: &RappPa, w: &mut [Complex64]) -> f64 {
+    apply_body(pa, w)
+}
+
+/// The passes of [`RappPa::apply`], chunk by chunk.
+#[inline(always)]
+fn apply_body(pa: &RappPa, w: &mut [Complex64]) -> f64 {
+    let inv_sat2 = 1.0 / (pa.a_sat * pa.a_sat);
+    let p = pa.smoothness;
+    let gain_exp = -0.5 / p;
+    let turn = pa.am_pm_max_rad * 0.5 * std::f64::consts::FRAC_1_PI;
+    let mut r2 = [0.0; BATCH];
+    let mut y = [0.0; BATCH];
+    let mut gain = [0.0; BATCH];
+    let mut sin = [0.0; BATCH];
+    let mut cos = [0.0; BATCH];
+    let mut min_gain = 1.0f64;
+    for chunk in w.chunks_mut(BATCH) {
+        let n = chunk.len();
+        debug_assert!(n <= BATCH);
+        let (r2, y, gain) = (&mut r2[..n], &mut y[..n], &mut gain[..n]);
+        let (sin, cos) = (&mut sin[..n], &mut cos[..n]);
+        for (r, x) in r2.iter_mut().zip(chunk.iter()) {
+            *r = x.norm_sqr() * inv_sat2;
+        }
+        // Gain: y = p·ln r², then exp(ln(1 + e^y)·(−1/2p)) with
+        // ln(1 + e^y) = max(y, 0) + ln(1 + e^{−|y|}), one kernel per
+        // pass.
+        for (y, &r) in y.iter_mut().zip(r2.iter()) {
+            *y = p * ln(if r < f64::MIN_POSITIVE {
+                f64::MIN_POSITIVE
+            } else {
+                r
+            });
+        }
+        for (g, &y) in gain.iter_mut().zip(y.iter()) {
+            *g = exp(-y.abs());
+        }
+        for (g, &y) in gain.iter_mut().zip(y.iter()) {
+            *g = (if y > 0.0 { y } else { 0.0 } + ln(1.0 + *g)) * gain_exp;
+        }
+        for g in gain.iter_mut() {
+            *g = exp(*g);
+        }
+        // AM/PM: the turn fraction φ/2π, then its sine and cosine.
+        for (u, &r) in sin.iter_mut().zip(r2.iter()) {
+            *u = turn * r / (1.0 + r);
+        }
+        for (s, c) in sin.iter_mut().zip(cos.iter_mut()) {
+            (*s, *c) = sin_cos_turn(*s);
+        }
+        let lanes = r2.iter().zip(gain.iter()).zip(sin.iter().zip(cos.iter()));
+        for (x, ((&r, &f), (&s, &c))) in chunk.iter_mut().zip(lanes) {
+            if r > 0.0 {
+                *x *= c64(c, s).scale(f);
+                min_gain = min_gain.min(f);
             }
         }
-        if min_gain < 1.0 {
-            -20.0 * min_gain.log10()
-        } else {
-            0.0
-        }
+    }
+    if min_gain < 1.0 {
+        -20.0 * min_gain.log10()
+    } else {
+        0.0
     }
 }
 
@@ -310,6 +338,46 @@ mod tests {
                     0.0
                 };
                 assert_eq!(worst.to_bits(), want_worst.to_bits(), "p {p}, len {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_twins_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("skipped: this CPU has no AVX2, so there is no twin to compare");
+                return;
+            }
+            // Seeded drives around saturation with ±0, subnormals and
+            // large magnitudes spread through them.
+            let special = [0.0, -0.0, 4.9e-324, -2.2e-310, 1e150, -3e149];
+            let mut rng = crate::rng::Rng64::seed(23);
+            for p in [0.5, 3.0] {
+                let pa = RappPa::with_backoff(0.125, 3.0, p, 5.0);
+                for n in [0usize, 1, 63, 64, 65, 264] {
+                    let w: Vec<Complex64> = (0..n)
+                        .map(|i| match i % 5 {
+                            2 => c64(
+                                special[rng.index(special.len())],
+                                special[rng.index(special.len())],
+                            ),
+                            _ => rng
+                                .random_phasor()
+                                .scale(pa.a_sat * rng.uniform_in(0.0, 3.0)),
+                        })
+                        .collect();
+                    let (mut base, mut avx2) = (w.clone(), w);
+                    let worst_base = apply_baseline(&pa, &mut base);
+                    // SAFETY: the CPU supports AVX2 (checked above).
+                    let worst_avx2 = unsafe { apply_avx2(&pa, &mut avx2) };
+                    let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&base), bits(&avx2), "p {p}, len {n}");
+                    assert_eq!(worst_base.to_bits(), worst_avx2.to_bits(), "p {p}, len {n}");
+                }
             }
         }
     }

@@ -147,32 +147,16 @@ impl Rng64 {
     /// Each chunk of [`NORMAL_BATCH`] samples first draws its uniforms in
     /// per-sample order (real part's `u₁, u₂`, then the imaginary part's),
     /// then runs the `ln` and `cos` kernels as separate passes over stack
-    /// arrays: no heap scratch, and the passes vectorise.
+    /// arrays: no heap scratch, and the passes vectorise. Runs the AVX2
+    /// twin when the CPU has AVX2 (DESIGN.md §8, *Twin kernels*).
     #[hot_path]
     pub fn complex_normals_into(&mut self, out: &mut [Complex64]) {
-        let mut radius = [0.0; 2 * NORMAL_BATCH];
-        let mut turn = [0.0; 2 * NORMAL_BATCH];
-        for chunk in out.chunks_mut(NORMAL_BATCH) {
-            let n = 2 * chunk.len();
-            debug_assert!(n <= radius.len() && n <= turn.len());
-            let (radius, turn) = (&mut radius[..n], &mut turn[..n]);
-            // Even slots are real parts, odd slots imaginary parts.
-            for (r, t) in radius.iter_mut().zip(turn.iter_mut()) {
-                *r = self.radius_uniform();
-                *t = self.uniform();
-            }
-            for r in radius.iter_mut() {
-                *r = (-2.0 * ln(*r)).sqrt();
-            }
-            for t in turn.iter_mut() {
-                *t = cos_turn(*t);
-            }
-            let pairs = radius.chunks_exact(2).zip(turn.chunks_exact(2));
-            for (z, (r, t)) in chunk.iter_mut().zip(pairs) {
-                debug_assert!(r.len() == 2 && t.len() == 2);
-                *z = c64(r[0] * t[0] * FRAC_1_SQRT_2, r[1] * t[1] * FRAC_1_SQRT_2);
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the twin's only requirement.
+            return unsafe { complex_normals_avx2(self, out) };
         }
+        complex_normals_baseline(self, out);
     }
 
     /// Complex AWGN sample with total noise power `pow` (`E[|z|²] = pow`).
@@ -186,9 +170,90 @@ impl Rng64 {
     }
 }
 
+/// [`Rng64::complex_normals_into`] compiled for the baseline target.
+fn complex_normals_baseline(rng: &mut Rng64, out: &mut [Complex64]) {
+    complex_normals_body(rng, out);
+}
+
+/// [`Rng64::complex_normals_into`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn complex_normals_avx2(rng: &mut Rng64, out: &mut [Complex64]) {
+    complex_normals_body(rng, out);
+}
+
+/// The passes of [`Rng64::complex_normals_into`], chunk by chunk.
+#[inline(always)]
+fn complex_normals_body(rng: &mut Rng64, out: &mut [Complex64]) {
+    let mut radius = [0.0; 2 * NORMAL_BATCH];
+    let mut turn = [0.0; 2 * NORMAL_BATCH];
+    for chunk in out.chunks_mut(NORMAL_BATCH) {
+        let n = 2 * chunk.len();
+        debug_assert!(n <= radius.len() && n <= turn.len());
+        let (radius, turn) = (&mut radius[..n], &mut turn[..n]);
+        // Even slots are real parts, odd slots imaginary parts.
+        for (r, t) in radius.iter_mut().zip(turn.iter_mut()) {
+            *r = rng.radius_uniform();
+            *t = rng.uniform();
+        }
+        for r in radius.iter_mut() {
+            *r = (-2.0 * ln(*r)).sqrt();
+        }
+        for t in turn.iter_mut() {
+            *t = cos_turn(*t);
+        }
+        let pairs = radius.chunks_exact(2).zip(turn.chunks_exact(2));
+        for (z, (r, t)) in chunk.iter_mut().zip(pairs) {
+            debug_assert!(r.len() == 2 && t.len() == 2);
+            *z = c64(r[0] * t[0] * FRAC_1_SQRT_2, r[1] * t[1] * FRAC_1_SQRT_2);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn complex_normals_twins_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("skipped: this CPU has no AVX2, so there is no twin to compare");
+                return;
+            }
+            // The output buffers start from seeded entries with ±0,
+            // subnormals and large magnitudes: the twins overwrite every
+            // one, and leave the generators in the same state.
+            let special = [0.0, -0.0, 4.9e-324, -2.2e-310, 1e150, -3e149];
+            let mut fill = Rng64::seed(14);
+            for (k, n) in [0usize, 1, 63, 64, 65, 264].into_iter().enumerate() {
+                let start: Vec<Complex64> = (0..n)
+                    .map(|_| {
+                        c64(
+                            special[fill.index(special.len())],
+                            special[fill.index(special.len())],
+                        )
+                    })
+                    .collect();
+                let (mut base, mut avx2) = (start.clone(), start);
+                let (mut rng_base, mut rng_avx2) =
+                    (Rng64::seed(40 + k as u64), Rng64::seed(40 + k as u64));
+                complex_normals_baseline(&mut rng_base, &mut base);
+                // SAFETY: the CPU supports AVX2 (checked above).
+                unsafe { complex_normals_avx2(&mut rng_avx2, &mut avx2) };
+                let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+                };
+                assert_eq!(bits(&base), bits(&avx2), "len {n}");
+                assert_eq!(rng_base.s, rng_avx2.s, "len {n}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

@@ -25,13 +25,8 @@
 //! corrupted in place in the caller's observation; the last observation is
 //! kept for replay only when stale CSI is on.
 //!
-//! Gain drift scales element `i` by `10^{G·sin(ωt + φᵢ)/20}` on every
-//! radiated beam, data slots included, so it is on the per-slot path.
-//! It is evaluated by angle addition: construction stores each element's
-//! `(κ·cos φᵢ, κ·sin φᵢ)` with `κ = G·ln10/20`, and a call takes one
-//! `(ωt).sin_cos()`, then per stack batch of elements one pass forming
-//! `sin ωt·κcos φᵢ + cos ωt·κsin φᵢ` and one vectorisable pass of the
-//! branch-free [`mmwave_dsp::math::exp`].
+//! Gain drift ([`GainDrift`]) scales every element of every radiated
+//! beam, data slots included, so it is on the per-slot path.
 
 use crate::metrics::RunEvent;
 use crate::scenario::ScenarioError;
@@ -40,7 +35,7 @@ use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
-use mmwave_dsp::math::{exp, BATCH};
+use mmwave_dsp::drift::GainDrift;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::pow_from_db;
 use mmwave_phy::chanest::ProbeObservation;
@@ -327,9 +322,8 @@ pub struct FaultInjector<F> {
     /// The last delivered observation, kept only when stale CSI is on
     /// (only a stale draw reads it).
     last_obs: Option<ProbeObservation>,
-    /// Per-element drift lane `(κ·cos φᵢ, κ·sin φᵢ)`, `κ = G·ln10/20`
-    /// (empty when drift is disabled).
-    drift_lanes: Vec<(f64, f64)>,
+    /// The schedule's gain drift (`None` when drift is disabled).
+    drift: Option<GainDrift>,
     /// Probe weights under the element faults, sized at construction.
     radiated: BeamWeights,
     events: Vec<FaultEvent>,
@@ -346,23 +340,20 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         schedule.validate().map_err(ScenarioError::fault)?;
         let mut rng = Rng64::seed(schedule.seed ^ 0xFA17_FA17_FA17_FA17);
         let n = inner.geometry().num_elements();
-        let drift_lanes = if schedule.gain_drift_db > 0.0 {
-            let kappa = schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
-            (0..n)
-                .map(|_| {
-                    let (s, c) = rng.uniform_in(0.0, std::f64::consts::TAU).sin_cos();
-                    (kappa * c, kappa * s)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let drift = (schedule.gain_drift_db > 0.0).then(|| {
+            GainDrift::new(
+                schedule.gain_drift_db,
+                schedule.gain_drift_period_s,
+                n,
+                &mut rng,
+            )
+        });
         Ok(Self {
             inner,
             schedule,
             rng,
             last_obs: None,
-            drift_lanes,
+            drift,
             radiated: BeamWeights::muted(n),
             events: Vec::new(),
             static_faults_logged: false,
@@ -398,7 +389,7 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
         let mut out = w.clone();
         element_faults(
             &self.schedule,
-            &self.drift_lanes,
+            self.drift.as_ref(),
             self.inner.now_s(),
             out.as_mut_slice(),
         );
@@ -473,41 +464,22 @@ impl<F: LinkFrontEnd> FaultInjector<F> {
     }
 }
 
-/// Applies the schedule's gain drift at time `t_s` and its element
+/// Applies the gain drift at time `t_s` and the schedule's element
 /// failures to `v` in place, allocating nothing; a no-op when the schedule
 /// has no element faults. Takes the stage fields rather than the injector
 /// so the probe path can transform the injector's own scratch.
 fn element_faults(
     schedule: &FaultSchedule,
-    drift_lanes: &[(f64, f64)],
+    drift: Option<&GainDrift>,
     t_s: f64,
     v: &mut [Complex64],
 ) {
-    if schedule.gain_drift_db > 0.0 {
-        // 10^(G·sin(ωt + φᵢ)/20) by angle addition (module docs).
-        let omega = std::f64::consts::TAU / schedule.gain_drift_period_s;
-        let (sin_wt, cos_wt) = (omega * t_s).sin_cos();
-        let kappa = schedule.gain_drift_db * std::f64::consts::LN_10 / 20.0;
-        let mut gain = [0.0; BATCH];
-        for (c, chunk) in v.chunks_mut(BATCH).enumerate() {
-            let n = chunk.len();
-            for (i, g) in gain.iter_mut().take(n).enumerate() {
-                let lane = drift_lanes.get(c * BATCH + i).copied();
-                let (kc, ks) = lane.unwrap_or((kappa, 0.0));
-                *g = sin_wt * kc + cos_wt * ks;
-            }
-            for g in gain.iter_mut().take(n) {
-                *g = exp(*g);
-            }
-            for (x, &g) in chunk.iter_mut().zip(gain.iter()) {
-                *x = x.scale(g);
-            }
-        }
+    if let Some(drift) = drift {
+        drift.apply(t_s, v);
     }
     for &i in &schedule.failed_elements {
-        if i < v.len() {
-            // xtask-allow(hot-path-panic): guarded by the bounds check on the line above
-            v[i] = Complex64::ZERO;
+        if let Some(x) = v.get_mut(i) {
+            *x = Complex64::ZERO;
         }
     }
 }
@@ -525,13 +497,13 @@ impl<F: LinkFrontEnd> LinkFrontEnd for FaultInjector<F> {
     ) {
         let t_s = self.inner.now_s();
         self.log_static_faults(t_s);
-        if self.schedule.failed_elements.is_empty() && self.schedule.gain_drift_db == 0.0 {
+        if self.schedule.failed_elements.is_empty() && self.drift.is_none() {
             self.inner.probe_kind_into(weights, kind, out);
         } else {
             self.radiated.copy_from(weights);
             element_faults(
                 &self.schedule,
-                &self.drift_lanes,
+                self.drift.as_ref(),
                 t_s,
                 self.radiated.as_mut_slice(),
             );
@@ -570,7 +542,7 @@ impl<F: SimFrontEnd> SimFrontEnd for FaultInjector<F> {
         // Element faults hit the data plane too; compose with any faults
         // the inner stack applies.
         let t_s = self.inner.now_s();
-        element_faults(&self.schedule, &self.drift_lanes, t_s, w.as_mut_slice());
+        element_faults(&self.schedule, self.drift.as_ref(), t_s, w.as_mut_slice());
         self.inner.apply_radiated_faults(w);
     }
 

@@ -521,8 +521,8 @@ pub struct ImpairedFrontEnd<F> {
     last_probe_t_s: f64,
     chain: TransmitChain,
     /// Last data-plane weight transform, keyed by its bitwise input (see
-    /// [`WeightMemo`]).
-    memo: WeightMemo,
+    /// [`WeightMemo`]); `None` under a gain drift, where it never hits.
+    memo: Option<WeightMemo>,
     /// Probe weights through the transmit chain, sized at construction.
     radiated: BeamWeights,
     lo_phasor: Complex64,
@@ -631,7 +631,7 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
                 mismatch,
                 coupling,
             },
-            memo: WeightMemo::with_capacity(n),
+            memo: Some(WeightMemo::with_capacity(n)),
             radiated: BeamWeights::muted(n),
             lo_phasor,
             events: Vec::new(),
@@ -660,6 +660,14 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// them; unit tests inspect them directly).
     pub fn events(&self) -> &[ImpairmentEvent] {
         &self.events
+    }
+
+    /// Drops the data-plane weight memo. The stack calls this when a gain
+    /// drift sits above this layer: the drift changes the weights every
+    /// slot, so the memo would compare and copy them on every slot without
+    /// ever hitting.
+    pub(crate) fn drop_weight_memo(&mut self) {
+        self.memo = None;
     }
 
     /// The impaired weights actually radiated for `w` — clone-and-transform
@@ -771,7 +779,8 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
 /// ticks every slot repeats the last input. A hit copies the cached
 /// output (bit-identical to recomputing it); a miss recomputes and
 /// replaces the entry. Under a drifting [`crate::faults::FaultInjector`]
-/// above this layer the input changes every slot and simply misses.
+/// above this layer the input changes every slot, so the stack builds
+/// that layer without a memo.
 #[derive(Debug)]
 struct WeightMemo {
     input: Vec<Complex64>,
@@ -870,9 +879,14 @@ impl<F: SimFrontEnd> SimFrontEnd for ImpairedFrontEnd<F> {
         if self.chain.is_on() {
             // The data plane has no use for the worst-compression figure
             // (only probes report it), so the memo keeps just the weights.
-            self.memo.apply(w.as_mut_slice(), |v| {
-                self.chain.apply(v);
-            });
+            match &mut self.memo {
+                Some(memo) => memo.apply(w.as_mut_slice(), |v| {
+                    self.chain.apply(v);
+                }),
+                None => {
+                    self.chain.apply(w.as_mut_slice());
+                }
+            }
         }
         self.inner.apply_radiated_faults(w);
     }
@@ -1168,5 +1182,25 @@ mod tests {
             fe_a.impaired_weights(&w).as_slice(),
             fe_b.impaired_weights(&w).as_slice()
         );
+    }
+
+    #[test]
+    fn only_a_drifting_stack_drops_the_weight_memo() {
+        use crate::faults::FaultSchedule;
+        use crate::simulator::front_end_stack;
+        let sim = || crate::scenario::static_walker().simulator(5);
+        let drifting = FaultSchedule {
+            gain_drift_db: 1.0,
+            gain_drift_period_s: 2.0,
+            ..FaultSchedule::none()
+        };
+        let stack = front_end_stack(sim(), drifting, ImpairmentConfig::mild(4)).unwrap();
+        assert!(stack.inner().memo.is_none());
+        let failing = FaultSchedule {
+            failed_elements: vec![3],
+            ..FaultSchedule::none()
+        };
+        let stack = front_end_stack(sim(), failing, ImpairmentConfig::mild(4)).unwrap();
+        assert!(stack.inner().memo.is_some());
     }
 }

@@ -356,13 +356,19 @@ pub type FrontEndStack = FaultInjector<ImpairedFrontEnd<LinkSimulator>>;
 /// Wraps `sim` in the stack's two layers, failing fast on an invalid
 /// schedule or configuration. This is the only code that knows the nesting
 /// order: impairments sit nearest the hardware, faults wrap them so a
-/// probe-loss window suppresses the impaired observation wholesale.
+/// probe-loss window suppresses the impaired observation wholesale. Under
+/// a gain drift the impairment layer runs without its data-plane weight
+/// memo, which could never hit.
 pub fn front_end_stack(
     sim: LinkSimulator,
     fault: FaultSchedule,
     impairment: ImpairmentConfig,
 ) -> Result<FrontEndStack, ScenarioError> {
-    FaultInjector::new(ImpairedFrontEnd::new(sim, impairment)?, fault)
+    let mut impaired = ImpairedFrontEnd::new(sim, impairment)?;
+    if fault.gain_drift_db > 0.0 {
+        impaired.drop_weight_memo();
+    }
+    FaultInjector::new(impaired, fault)
 }
 
 impl FrontEndStack {
