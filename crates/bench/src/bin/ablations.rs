@@ -26,13 +26,12 @@ use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::widebeam::{WideBeamConfig, WideBeamStrategy};
 use mmwave_baselines::SingleBeamReactive;
-use mmwave_bench::figures::write_csv;
-use mmwave_bench::supervised::supervised_run_many;
+use mmwave_bench::figures::{parse_selection, write_csv};
 use mmwave_phy::mcs::McsTable;
-use mmwave_sim::runner::Aggregate;
+use mmwave_sim::runner::{run_many, Aggregate};
 use mmwave_sim::scenario;
 use mmwave_sim::ImpairmentConfig;
-use std::sync::Arc;
+use std::process::ExitCode;
 
 fn mm_with(cfg: MmReliableConfig) -> impl Fn() -> Box<dyn BeamStrategy + Send> + Send + Sync {
     move || {
@@ -52,14 +51,14 @@ fn quantizer_study(runs: usize, mcs: &McsTable) {
     ] {
         let mut cfg = MmReliableConfig::paper_default();
         cfg.quantizer = q;
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             9100,
             8,
             "mixed-mobility-blockage",
             &format!("mmreliable-quantizer-{name}"),
             scenario::mixed_mobility_blockage,
-            Arc::new(mm_with(cfg)),
+            mm_with(cfg),
         );
         let agg = Aggregate::from_runs(&results, mcs).expect("non-empty batch");
         csv.push_str(&format!(
@@ -84,14 +83,14 @@ fn beams_study(runs: usize, mcs: &McsTable) {
     for k in [1usize, 2, 3] {
         let mut cfg = MmReliableConfig::paper_default();
         cfg.max_beams = k;
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             9200,
             8,
             "mixed-mobility-blockage",
             &format!("mmreliable-k{k}"),
             scenario::mixed_mobility_blockage,
-            Arc::new(mm_with(cfg)),
+            mm_with(cfg),
         );
         let agg = Aggregate::from_runs(&results, mcs).expect("non-empty batch");
         csv.push_str(&format!(
@@ -115,7 +114,7 @@ fn cadence_study(runs: usize, mcs: &McsTable) {
     println!("--- CSI-RS maintenance-cadence ablation (translation + blockage) ---");
     let mut csv = String::from("tick_ms,rel_mean,tput_mbps,overhead\n");
     for tick_ms in [5.0, 10.0, 20.0, 40.0] {
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             9300,
             8,
@@ -126,7 +125,7 @@ fn cadence_study(runs: usize, mcs: &McsTable) {
                 sc.tick_period_s = tick_ms * 1e-3;
                 sc
             },
-            Arc::new(mm_with(MmReliableConfig::paper_default())),
+            mm_with(MmReliableConfig::paper_default()),
         );
         let agg = Aggregate::from_runs(&results, mcs).expect("non-empty batch");
         csv.push_str(&format!(
@@ -157,14 +156,14 @@ fn latency_study(runs: usize, mcs: &McsTable) {
             };
             Box::new(SingleBeamReactive::new(cfg))
         };
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             9400,
             8,
             "mixed-mobility-blockage",
             &format!("single-beam-reactive-{rec_ms}ms"),
             scenario::mixed_mobility_blockage,
-            Arc::new(factory),
+            factory,
         );
         let agg = Aggregate::from_runs(&results, mcs).expect("non-empty batch");
         csv.push_str(&format!(
@@ -185,18 +184,18 @@ fn impairments_study(runs: usize, mcs: &McsTable) {
     let mut csv = String::from("severity,strategy,rel_mean,tput_mbps,product_mbps\n");
     for severity in ["none", "mild", "moderate", "severe"] {
         for strat in ["mmreliable", "single-beam-reactive", "wide-beam"] {
-            let factory: Arc<dyn Fn() -> Box<dyn BeamStrategy + Send> + Send + Sync> = match strat {
-                "mmreliable" => Arc::new(mm_with(MmReliableConfig::paper_default())),
-                "single-beam-reactive" => Arc::new(|| {
+            let factory: Box<dyn Fn() -> Box<dyn BeamStrategy + Send> + Send + Sync> = match strat {
+                "mmreliable" => Box::new(mm_with(MmReliableConfig::paper_default())),
+                "single-beam-reactive" => Box::new(|| {
                     Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
                         as Box<dyn BeamStrategy + Send>
                 }),
-                _ => Arc::new(|| {
+                _ => Box::new(|| {
                     Box::new(WideBeamStrategy::new(WideBeamConfig::default()))
                         as Box<dyn BeamStrategy + Send>
                 }),
             };
-            let results = supervised_run_many(
+            let results = run_many(
                 runs,
                 9500,
                 8,
@@ -230,24 +229,17 @@ fn impairments_study(runs: usize, mcs: &McsTable) {
     println!("(multi-beam tapers are non-constant-modulus: PA compression taxes mmReliable hardest, but redundancy still wins on reliability)");
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let runs: usize = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let which: Vec<&str> = {
-        let named: Vec<&str> = args
-            .iter()
-            .take_while(|a| *a != "--runs")
-            .map(|s| s.as_str())
-            .collect();
-        if named.is_empty() || named.contains(&"all") {
-            vec!["quantizer", "beams", "cadence", "latency", "impairments"]
-        } else {
-            named
+    let known = ["quantizer", "beams", "cadence", "latency", "impairments"];
+    let (which, runs) = match parse_selection(&args, &known, 16) {
+        Ok(sel) => sel,
+        Err(e) => {
+            eprintln!(
+                "ablations: {e}\nusage: ablations [all | {} ...] [--runs N]",
+                known.join(" | ")
+            );
+            return ExitCode::from(2);
         }
     };
     let mcs = McsTable::nr_table();
@@ -258,8 +250,9 @@ fn main() {
             "cadence" => cadence_study(runs, &mcs),
             "latency" => latency_study(runs, &mcs),
             "impairments" => impairments_study(runs, &mcs),
-            other => eprintln!("unknown ablation: {other}"),
+            other => unreachable!("{other} is a known ablation without a study"),
         }
         println!();
     }
+    ExitCode::SUCCESS
 }

@@ -8,52 +8,47 @@ use mmwave_array::geometry::ArrayGeometry;
 use mmwave_baselines::beamspy::BeamSpyConfig;
 use mmwave_baselines::nr_periodic::NrPeriodicConfig;
 use mmwave_baselines::single_reactive::ReactiveConfig;
-use mmwave_baselines::strategy::MmReliableStrategy;
+use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::widebeam::WideBeamConfig;
 use mmwave_baselines::{BeamSpy, NrPeriodic, OracleMrt, SingleBeamReactive, WideBeamStrategy};
 use mmwave_bench::figures::write_csv;
-use mmwave_bench::supervised::{supervised_run_many, SharedFactory};
 use mmwave_channel::channel::UeReceiver;
 use mmwave_dsp::stats;
 use mmwave_phy::mcs::McsTable;
 use mmwave_phy::refsignal::{CsiRsConfig, ProbeBudget, SsbConfig};
-use mmwave_sim::runner::Aggregate;
+use mmwave_sim::runner::{run_many, Aggregate};
 use mmwave_sim::scenario;
-use std::sync::Arc;
 
-type Factory = SharedFactory;
+/// Builds a fresh strategy for each run of a sweep.
+type Factory = fn() -> Box<dyn BeamStrategy + Send>;
 
-fn mmreliable_factory() -> Factory {
-    Arc::new(|| {
-        Box::new(MmReliableStrategy::new(MmReliableController::new(
-            MmReliableConfig::paper_default(),
-        )))
-    })
+fn mmreliable() -> Box<dyn BeamStrategy + Send> {
+    Box::new(MmReliableStrategy::new(MmReliableController::new(
+        MmReliableConfig::paper_default(),
+    )))
 }
 
-fn reactive_factory() -> Factory {
-    Arc::new(|| Box::new(SingleBeamReactive::new(ReactiveConfig::default())))
+fn reactive() -> Box<dyn BeamStrategy + Send> {
+    Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
 }
 
-fn beamspy_factory() -> Factory {
-    Arc::new(|| Box::new(BeamSpy::new(BeamSpyConfig::default())))
+fn beamspy() -> Box<dyn BeamStrategy + Send> {
+    Box::new(BeamSpy::new(BeamSpyConfig::default()))
 }
 
-fn widebeam_factory() -> Factory {
-    Arc::new(|| Box::new(WideBeamStrategy::new(WideBeamConfig::default())))
+fn widebeam() -> Box<dyn BeamStrategy + Send> {
+    Box::new(WideBeamStrategy::new(WideBeamConfig::default()))
 }
 
-fn nr_factory() -> Factory {
-    Arc::new(|| Box::new(NrPeriodic::new(NrPeriodicConfig::default())))
+fn nr() -> Box<dyn BeamStrategy + Send> {
+    Box::new(NrPeriodic::new(NrPeriodicConfig::default()))
 }
 
-fn oracle_factory() -> Factory {
-    Arc::new(|| {
-        Box::new(OracleMrt::ideal(
-            ArrayGeometry::paper_8x8(),
-            UeReceiver::Omni,
-        ))
-    })
+fn oracle() -> Box<dyn BeamStrategy + Send> {
+    Box::new(OracleMrt::ideal(
+        ArrayGeometry::paper_8x8(),
+        UeReceiver::Omni,
+    ))
 }
 
 /// Fig. 16: SNR time series under a walker crossing the link — the
@@ -61,7 +56,7 @@ fn oracle_factory() -> Factory {
 /// threshold.
 pub fn fig16() {
     let grab = |label: &str, factory: Factory| {
-        let runs = supervised_run_many(
+        let runs = run_many(
             1,
             1600,
             1,
@@ -72,8 +67,8 @@ pub fn fig16() {
         );
         runs.into_iter().next().unwrap()
     };
-    let multi = grab("mmreliable", mmreliable_factory());
-    let single = grab("single-beam-reactive", reactive_factory());
+    let multi = grab("mmreliable", mmreliable);
+    let single = grab("single-beam-reactive", reactive);
     let mut csv = String::from("t_s,snr_multibeam_db,snr_singlebeam_db\n");
     let ms = multi.snr_series();
     let ss = single.snr_series();
@@ -179,36 +174,30 @@ pub fn fig17b(runs: usize) {
 /// tracking-only vs tracking + constructive combining.
 pub fn fig17c(runs: usize) {
     let variants: Vec<(&str, Factory)> = vec![
-        (
-            "no_tracking",
-            Arc::new(|| {
-                Box::new(MmReliableStrategy::new(MmReliableController::new(
-                    MmReliableConfig::paper_default().without_tracking(),
-                )))
-            }),
-        ),
-        (
-            "tracking_only",
-            Arc::new(|| {
-                Box::new(MmReliableStrategy::new(MmReliableController::new(
-                    MmReliableConfig::paper_default().without_constructive(),
-                )))
-            }),
-        ),
-        ("tracking_cc", mmreliable_factory()),
+        ("no_tracking", || {
+            Box::new(MmReliableStrategy::new(MmReliableController::new(
+                MmReliableConfig::paper_default().without_tracking(),
+            )))
+        }),
+        ("tracking_only", || {
+            Box::new(MmReliableStrategy::new(MmReliableController::new(
+                MmReliableConfig::paper_default().without_constructive(),
+            )))
+        }),
+        ("tracking_cc", mmreliable),
     ];
     let mcs = McsTable::nr_table();
     let mut columns: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut names = Vec::new();
     for (name, factory) in &variants {
-        let results = supervised_run_many(
+        let results = run_many(
             runs.max(4),
             1720,
             8,
             "translation-1s",
             name,
             |_| scenario::translation_1s(),
-            Arc::clone(factory),
+            *factory,
         );
         // Average the throughput series across runs on a 10 ms grid.
         let grid: Vec<f64> = (0..100).map(|i| 0.06 + 0.01 * i as f64).collect();
@@ -257,24 +246,24 @@ pub fn fig17c(runs: usize) {
 pub fn fig18a(runs: usize) {
     let mcs = McsTable::nr_table();
     let entries: Vec<(&str, Factory)> = vec![
-        ("mmReliable", mmreliable_factory()),
-        ("beamspy", beamspy_factory()),
-        ("reactive", reactive_factory()),
+        ("mmReliable", mmreliable),
+        ("beamspy", beamspy),
+        ("reactive", reactive),
     ];
     let mut csv = String::from("strategy,mean_tput_mbps,rel_mean,tput_drop_pct_vs_unblocked\n");
     for (name, factory) in &entries {
-        let blocked = supervised_run_many(
+        let blocked = run_many(
             runs,
             1800,
             8,
             "static-walker",
             name,
             |_| scenario::static_walker(),
-            Arc::clone(factory),
+            *factory,
         );
         let agg = Aggregate::from_runs(&blocked, &mcs).expect("non-empty batch");
         // Unblocked reference: the same static scenario without the walker.
-        let unblocked = supervised_run_many(
+        let unblocked = run_many(
             4,
             1801,
             4,
@@ -285,7 +274,7 @@ pub fn fig18a(runs: usize) {
                 sc.dynamic.blockage = mmwave_channel::blockage::BlockageProcess::none();
                 sc
             },
-            Arc::clone(factory),
+            *factory,
         );
         let unblocked_tput = Aggregate::from_runs(&unblocked, &mcs)
             .expect("non-empty batch")
@@ -310,20 +299,20 @@ pub fn fig18a(runs: usize) {
 pub fn fig18b(runs: usize) {
     let mcs = McsTable::nr_table();
     let entries: Vec<(&str, Factory)> = vec![
-        ("mmReliable", mmreliable_factory()),
-        ("reactive", reactive_factory()),
-        ("widebeam", widebeam_factory()),
+        ("mmReliable", mmreliable),
+        ("reactive", reactive),
+        ("widebeam", widebeam),
     ];
     let mut csv = String::from("strategy,run,reliability\n");
     for (name, factory) in &entries {
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             1810,
             8,
             "mixed-mobility-blockage",
             name,
             scenario::mixed_mobility_blockage,
-            Arc::clone(factory),
+            *factory,
         );
         let agg = Aggregate::from_runs(&results, &mcs).expect("non-empty batch");
         for (i, r) in agg.reliability.iter().enumerate() {
@@ -341,25 +330,25 @@ pub fn fig18b(runs: usize) {
 pub fn fig18c(runs: usize) {
     let mcs = McsTable::nr_table();
     let entries: Vec<(&str, Factory)> = vec![
-        ("mmReliable", mmreliable_factory()),
-        ("reactive", reactive_factory()),
-        ("beamspy", beamspy_factory()),
-        ("widebeam", widebeam_factory()),
-        ("nr_periodic", nr_factory()),
-        ("oracle", oracle_factory()),
+        ("mmReliable", mmreliable),
+        ("reactive", reactive),
+        ("beamspy", beamspy),
+        ("widebeam", widebeam),
+        ("nr_periodic", nr),
+        ("oracle", oracle),
     ];
     let mut csv =
         String::from("strategy,rel_mean,rel_std,tput_mbps_mean,tput_mbps_std,product_mbps\n");
     let mut products = std::collections::BTreeMap::new();
     for (name, factory) in &entries {
-        let results = supervised_run_many(
+        let results = run_many(
             runs,
             1820,
             8,
             "mixed-mobility-blockage",
             name,
             scenario::mixed_mobility_blockage,
-            Arc::clone(factory),
+            *factory,
         );
         let agg = Aggregate::from_runs(&results, &mcs).expect("non-empty batch");
         csv.push_str(&format!(
@@ -425,10 +414,10 @@ pub fn fig19(runs: usize) {
     for sixty in [false, true] {
         let band = if sixty { "60GHz" } else { "28GHz" };
         for (name, factory) in [
-            ("mmReliable", mmreliable_factory()),
-            ("single_beam", reactive_factory()),
+            ("mmReliable", mmreliable as Factory),
+            ("single_beam", reactive),
         ] {
-            let results = supervised_run_many(
+            let results = run_many(
                 runs.max(4),
                 1900,
                 4,

@@ -13,24 +13,17 @@ mod endtoend;
 mod micro;
 
 use mmwave_bench::all_figure_ids;
+use mmwave_bench::figures::parse_selection;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let runs: usize = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let ids: Vec<String> = args
-        .iter()
-        .take_while(|a| *a != "--runs")
-        .cloned()
-        .collect();
-    let ids: Vec<&str> = if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        all_figure_ids()
-    } else {
-        ids.iter().map(|s| s.as_str()).collect()
+    let (ids, runs) = match parse_selection(&args, &all_figure_ids(), 24) {
+        Ok(sel) => sel,
+        Err(e) => {
+            eprintln!("figures: {e}\nusage: figures [all | <figure id> ...] [--runs N]");
+            return ExitCode::from(2);
+        }
     };
     for id in ids {
         println!("\n=== {id} ===");
@@ -56,7 +49,8 @@ fn main() {
             "fig18c" => endtoend::fig18c(runs),
             "fig18d" => endtoend::fig18d(),
             "fig19" => endtoend::fig19(runs.min(12)),
-            other => eprintln!("unknown figure id: {other}"),
+            other => unreachable!("{other} is in all_figure_ids but has no regenerator"),
         }
     }
+    ExitCode::SUCCESS
 }

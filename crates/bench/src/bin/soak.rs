@@ -55,7 +55,7 @@ fn job(world: WorldSpec, strategy: &str, seed: u64, fault: &FaultSchedule) -> Jo
         fault: fault.clone(),
         ..ScenarioSpec::single(world, strategy, seed)
     };
-    Job::from_spec(&spec, 1).expect("registry job")
+    Job::from_spec(&spec).expect("registry job")
 }
 
 fn build_jobs() -> Vec<Job> {
@@ -172,7 +172,6 @@ fn main() -> ExitCode {
         report2.resumed_count() == phase1_cells,
         "phase 2 resumed exactly the phase-1 cells (no rerun)",
     );
-    check(report2.shed_count() == 0, "no cells shed");
 
     // Journal invariants: every cell exactly once, no torn residue.
     let entries = load_journal(&journal).expect("readable journal");
@@ -267,7 +266,6 @@ fn main() -> ExitCode {
             trace: Some(trace_path.clone()),
             chrome_trace: Some(chrome_path.clone()),
             decimation: 16,
-            ..TelemetrySpec::default()
         }),
         metrics: Some(metrics.clone()),
         ..CampaignConfig::default()
@@ -354,8 +352,8 @@ fn main() -> ExitCode {
         "metrics snapshot counts every telemetry cell as completed",
     );
 
-    // Backoff determinism: the same (campaign seed, cell, attempt) always
-    // yields the same delay.
+    // Backoff determinism: the same (cell, attempt) always yields the same
+    // delay.
     let probe = &jobs[0].key;
     check(
         backoff_delay(&cfg, probe, 1) == backoff_delay(&cfg, probe, 1)

@@ -8,7 +8,5 @@
 pub mod admin;
 pub mod figures;
 pub mod fingerprint;
-pub mod supervised;
 
 pub use figures::all_figure_ids;
-pub use supervised::{supervised_run_many, SharedFactory};

@@ -29,10 +29,11 @@ fn campaign_journal(name: &str, seeds: std::ops::Range<u64>) -> PathBuf {
     let _ = std::fs::remove_file(&journal);
     let jobs: Vec<Job> = seeds
         .map(|s| {
-            Job::from_spec(
-                &ScenarioSpec::single(WorldSpec::MobileBlockage, "mmreliable", s),
-                1,
-            )
+            Job::from_spec(&ScenarioSpec::single(
+                WorldSpec::MobileBlockage,
+                "mmreliable",
+                s,
+            ))
             .expect("registry job")
         })
         .collect();
@@ -275,10 +276,11 @@ fn metrics_snapshots_merge_and_reexport() {
     let _ = std::fs::remove_file(&snapshot);
     let jobs: Vec<Job> = (9300..9302u64)
         .map(|s| {
-            Job::from_spec(
-                &ScenarioSpec::single(WorldSpec::MobileBlockage, "mmreliable", s),
-                1,
-            )
+            Job::from_spec(&ScenarioSpec::single(
+                WorldSpec::MobileBlockage,
+                "mmreliable",
+                s,
+            ))
             .expect("registry job")
         })
         .collect();

@@ -31,29 +31,25 @@
 //!   trace (same crash-consistent write idiom as the journal), per-stage
 //!   latency histograms merge campaign-wide onto the report, and an
 //!   optional Chrome-trace-format file renders the whole sweep in
-//!   Perfetto. With [`CampaignConfig::progress`] on, a heartbeat line
-//!   (cells done/retried/shed, busy workers, ETA) ticks on stderr.
-//! - **Graceful degradation** — when the campaign-level deadline expires,
-//!   pending cells are *shed* (the queue is priority-ordered, so the shed
-//!   cells are the lowest-priority ones) and counted in the report;
-//!   in-flight runs finish. Nothing is silently truncated.
+//!   Perfetto.
 //!
-//! Every failed cell carries its full repro tuple; `mmwave-admin diff
-//! <journal> --replay` (in `mmwave-bench`) feeds each journal line to
-//! [`replay_line`], which re-runs exactly that cell (or fleet member, or
-//! fleet) single-threaded and checks the digest.
+//! Cells run in submission order. Every failed cell carries its full
+//! repro tuple; `mmwave-admin diff <journal> --replay` (in `mmwave-bench`)
+//! feeds each journal line to [`replay_line`], which re-runs exactly that
+//! cell (or fleet member, or fleet) single-threaded and checks the digest.
+//! [`crate::runner::run_many`], the sweep entry of the figure and ablation
+//! binaries, is a campaign of [`closure_jobs`] cells.
 //!
-//! Determinism contract: a zero-fault campaign produces results
-//! bit-identical to [`crate::runner::run_many`] over the same seeds,
-//! independent of worker count — each cell's simulator is seeded from its
-//! key alone, and the supervisor machinery (tokens, watchdog, journal)
-//! never perturbs a run that completes.
+//! Determinism contract: a zero-fault cell's result is bit-identical to a
+//! serial `scenario.simulator(seed).run_with_warmup(..)` of the same
+//! scenario and seed, independent of worker count — each cell's simulator
+//! is seeded from its key alone, and the supervisor machinery (tokens,
+//! watchdog, journal) never perturbs a run that completes.
 
 use crate::faults::FaultSchedule;
 use crate::fleet::{parse_fleet_scenario, run_fleet, FleetConfig, FleetReport, FleetScenarioRef};
 use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
-use crate::runner::panic_msg;
 use crate::scenario::Scenario;
 use crate::simulator::SimFrontEnd;
 use crate::spec::{is_registry_name, parse_mix_fields, ScenarioSpec, WorldSpec};
@@ -71,7 +67,7 @@ use mmwave_telemetry::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -190,11 +186,7 @@ type JobBuilder = Arc<dyn Fn(&CellKey) -> Result<JobSetup, String> + Send + Sync
 pub struct Job {
     /// The cell's repro tuple.
     pub key: CellKey,
-    /// Scheduling priority; higher runs first. Under a campaign deadline
-    /// the lowest-priority pending cells are the ones shed.
-    pub priority: u32,
-    /// Deterministic per-run tick budget (overrides
-    /// [`CampaignConfig::tick_budget`]). The run cancels cooperatively
+    /// Deterministic per-run tick budget. The run cancels cooperatively
     /// after this many maintenance ticks — the reproducible stand-in for a
     /// wall-clock timeout.
     pub tick_budget: Option<u64>,
@@ -208,7 +200,7 @@ impl Job {
     /// invalid fault schedule or impairment configuration). Fleet specs
     /// are not campaign cells — run those through
     /// [`ScenarioSpec::fleet_config`].
-    pub fn from_spec(spec: &ScenarioSpec, priority: u32) -> Result<Self, String> {
+    pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, String> {
         spec.validate().map_err(|e| e.to_string())?;
         if spec.fleet.is_some() {
             return Err(
@@ -218,7 +210,6 @@ impl Job {
         let spec = spec.clone();
         Ok(Self {
             key: spec.cell_key(),
-            priority,
             tick_budget: None,
             builder: Arc::new(move |_: &CellKey| spec_setup(&spec)),
         })
@@ -233,7 +224,6 @@ impl Job {
     ) -> Self {
         Self {
             key,
-            priority: 0,
             tick_budget: None,
             builder: Arc::new(builder),
         }
@@ -242,12 +232,6 @@ impl Job {
     /// Sets the deterministic tick budget.
     pub fn with_tick_budget(mut self, budget: u64) -> Self {
         self.tick_budget = Some(budget);
-        self
-    }
-
-    /// Sets the scheduling priority.
-    pub fn with_priority(mut self, priority: u32) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -262,8 +246,8 @@ fn spec_setup(spec: &ScenarioSpec) -> Result<JobSetup, String> {
 }
 
 /// Closure-built jobs for sweeps over configurations the registry does not
-/// name (ablation studies): one job per seed, mirroring
-/// [`crate::runner::run_many`]'s seeding (`base_seed + run_idx`). The
+/// name (figures, ablation studies): one job per seed
+/// (`base_seed + run_idx`), the cells of [`crate::runner::run_many`]. The
 /// labels identify the cells in the journal; such cells are not replayable
 /// from names alone.
 pub fn closure_jobs<S, F>(
@@ -293,7 +277,6 @@ where
                     fault_spec: "none".to_string(),
                     impairment_spec: "none".to_string(),
                 },
-                priority: 0,
                 tick_budget: None,
                 builder: Arc::new(move |key: &CellKey| {
                     Ok(JobSetup {
@@ -345,10 +328,11 @@ pub struct TelemetrySpec {
     pub chrome_trace: Option<PathBuf>,
     /// Keep every `decimation`-th per-slot sample (≥ 1).
     pub decimation: u64,
-    /// Per-cell event ring capacity; the oldest events beyond it are
-    /// dropped (and counted).
-    pub ring_capacity: usize,
 }
+
+/// Per-cell trace event ring capacity; the oldest events beyond it are
+/// dropped (and counted, [`CellTrace::dropped`]).
+const RING_CAPACITY: usize = 1 << 16;
 
 impl Default for TelemetrySpec {
     fn default() -> Self {
@@ -356,7 +340,6 @@ impl Default for TelemetrySpec {
             trace: None,
             chrome_trace: None,
             decimation: 8,
-            ring_capacity: 1 << 16,
         }
     }
 }
@@ -369,36 +352,20 @@ pub struct CampaignConfig {
     /// Per-run wall-clock deadline enforced by the watchdog thread.
     /// `None` disables wall-clock supervision (tick budgets still apply).
     pub run_deadline: Option<Duration>,
-    /// Campaign-level wall-clock deadline: once exceeded, pending cells
-    /// are shed (lowest priority first, by queue construction) and counted
-    /// in the report. In-flight runs finish.
-    pub campaign_deadline: Option<Duration>,
     /// Total attempts per cell (1 = no retries) for transient failures.
     pub max_attempts: u32,
-    /// Backoff before retry #1 (doubling per attempt by
-    /// [`CampaignConfig::backoff_factor`]).
+    /// Backoff before retry #1, doubling per further attempt.
     pub backoff_base: Duration,
-    /// Multiplier applied per additional attempt.
-    pub backoff_factor: f64,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Campaign seed: the only input (besides the cell key and attempt
-    /// number) to the deterministic backoff jitter.
-    pub seed: u64,
     /// Journal path. `Some` enables crash-consistent journaling *and*
     /// resume-from-journal.
     pub journal: Option<PathBuf>,
-    /// Default deterministic tick budget for every run (overridable per
-    /// job).
-    pub tick_budget: Option<u64>,
     /// Chaos-injection hook (see [`PreRunHook`]).
     pub pre_run_hook: Option<PreRunHook>,
     /// Per-cell telemetry capture (see [`TelemetrySpec`]). `None` runs
     /// every cell with a disabled tracer — zero overhead.
     pub telemetry: Option<TelemetrySpec>,
-    /// Emit a live heartbeat line on stderr (~2 Hz): cells done / retried
-    /// / shed, busy workers, and an ETA extrapolated from throughput.
-    pub progress: bool,
     /// Metrics-registry snapshot (JSONL) output path: per-cell attempts
     /// and reliability, campaign-level completion counters, and the
     /// merged per-stage latency histograms. `None` skips the capture.
@@ -410,17 +377,12 @@ impl Default for CampaignConfig {
         Self {
             threads: 0,
             run_deadline: None,
-            campaign_deadline: None,
             max_attempts: 3,
             backoff_base: Duration::from_millis(25),
-            backoff_factor: 2.0,
             backoff_max: Duration::from_secs(1),
-            seed: 0,
             journal: None,
-            tick_budget: None,
             pre_run_hook: None,
             telemetry: None,
-            progress: false,
             metrics: None,
         }
     }
@@ -497,17 +459,13 @@ pub enum CellStatus {
         /// The classified failure.
         failure: CampaignFailure,
     },
-    /// The cell was shed under the campaign deadline without running.
-    Shed,
 }
 
 /// One cell's final report line.
 pub struct CellOutcome {
     /// The cell's repro tuple.
     pub key: CellKey,
-    /// Scheduling priority the cell ran (or was shed) at.
-    pub priority: u32,
-    /// Attempts consumed (0 for resumed or shed cells).
+    /// Attempts consumed (0 for resumed cells).
     pub attempts: u32,
     /// Terminal status.
     pub status: CellStatus,
@@ -554,34 +512,12 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Number of cells shed under the campaign deadline.
-    pub fn shed_count(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, CellStatus::Shed))
-            .count()
-    }
-
     /// Number of cells skipped because the journal already had them.
     pub fn resumed_count(&self) -> usize {
         self.outcomes
             .iter()
             .filter(|o| matches!(o.status, CellStatus::Resumed { .. }))
             .count()
-    }
-
-    /// The digest recorded for a cell — whether it completed this campaign
-    /// or was resumed from the journal of a previous one. `None` for shed
-    /// cells and failures.
-    pub fn digest_of(&self, key: &CellKey) -> Option<u64> {
-        self.outcomes
-            .iter()
-            .find(|o| &o.key == key)
-            .and_then(|o| match &o.status {
-                CellStatus::Completed { digest, .. } => Some(*digest),
-                CellStatus::Resumed { entry } if entry.status == "ok" => Some(entry.digest),
-                _ => None,
-            })
     }
 }
 
@@ -800,18 +736,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The deterministic retry delay before attempt `attempt + 1` (i.e. after
-/// `attempt` failed attempts, `attempt >= 1`): exponential in the attempt
-/// number, capped, then jittered into `[0.5, 1.0]×` by a seeded draw that
-/// depends only on the campaign seed, the cell key, and the attempt — so a
-/// replayed campaign backs off identically, while different cells decorrelate.
+/// `attempt` failed attempts, `attempt >= 1`): doubling per attempt,
+/// capped, then jittered into `[0.5, 1.0]×` by a seeded draw that depends
+/// only on the cell key and the attempt — so a replayed campaign backs off
+/// identically, while different cells decorrelate.
 pub fn backoff_delay(cfg: &CampaignConfig, key: &CellKey, attempt: u32) -> Duration {
-    let exp = cfg.backoff_factor.powi(attempt.saturating_sub(1) as i32);
+    let exp = 2f64.powi(attempt.saturating_sub(1) as i32);
     let raw = cfg.backoff_base.as_secs_f64() * exp;
     let capped = raw.min(cfg.backoff_max.as_secs_f64());
     let mut rng = mmwave_dsp::rng::Rng64::seed(
-        cfg.seed
-            ^ fnv1a(key.id().as_bytes())
-            ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        fnv1a(key.id().as_bytes()) ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
     Duration::from_secs_f64(capped * rng.uniform_in(0.5, 1.0))
 }
@@ -861,44 +795,20 @@ impl CellTrace {
 /// A fresh ring-buffered tracer per the campaign's telemetry spec
 /// (disabled tracer when telemetry is unconfigured).
 fn spec_tracer(spec: Option<&TelemetrySpec>) -> Option<Tracer> {
-    spec.map(|s| Tracer::new(Box::new(RingBufferSink::new(s.ring_capacity)), s.decimation))
+    spec.map(|s| Tracer::new(Box::new(RingBufferSink::new(RING_CAPACITY)), s.decimation))
 }
 
-/// Live campaign counters, shared between the workers and the heartbeat
-/// printer on the watchdog thread.
-struct CampaignStats {
-    /// Cells resolved (completed, failed, or shed) this campaign.
-    done: AtomicUsize,
-    /// Retry attempts consumed beyond each cell's first.
-    retried: AtomicUsize,
-    /// Cells shed under the campaign deadline.
-    shed: AtomicUsize,
-    /// Workers currently executing a cell.
-    busy: AtomicUsize,
-    /// Cells this campaign has to resolve (journal-resumed cells excluded).
-    total: usize,
-}
-
-impl CampaignStats {
-    /// One heartbeat line: progress, retry/shed counts, utilization, ETA.
-    fn heartbeat(&self, elapsed: Duration, threads: usize) -> String {
-        let done = self.done.load(Ordering::Relaxed);
-        let eta = if done > 0 && done < self.total {
-            let remaining = (self.total - done) as f64;
-            let per_cell = elapsed.as_secs_f64() / done as f64;
-            format!("{:.0}s", per_cell * remaining)
-        } else if done >= self.total {
-            "0s".to_string()
-        } else {
-            "?".to_string()
-        };
-        format!(
-            "[campaign] {done}/{total} done · {retried} retried · {shed} shed · {busy}/{threads} busy · ETA {eta}",
-            total = self.total,
-            retried = self.retried.load(Ordering::Relaxed),
-            shed = self.shed.load(Ordering::Relaxed),
-            busy = self.busy.load(Ordering::Relaxed),
-        )
+/// The message of a caught panic payload; a cooperative cancellation reads
+/// as [`CancelUnwind`]'s.
+fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if is_cancel_unwind(payload.as_ref()) {
+        CancelUnwind.to_string()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -906,24 +816,21 @@ impl CampaignStats {
 /// journaling nothing — the caller owns the journal. The returned trace is
 /// `Some` exactly when the campaign configured telemetry, drained from the
 /// terminal attempt (successful or not).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+#[allow(clippy::type_complexity)]
 fn execute_cell(
     job: &Job,
     cfg: &CampaignConfig,
     inflight: &Mutex<HashMap<usize, (Option<Instant>, CancelToken)>>,
     job_idx: usize,
-    campaign_expired: &AtomicBool,
-    stats: &CampaignStats,
 ) -> (
     u32,
     Result<(RunResult, u64), CampaignFailure>,
     Option<CellTrace>,
 ) {
-    let budget = job.tick_budget.or(cfg.tick_budget);
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let token = match budget {
+        let token = match job.tick_budget {
             Some(b) => CancelToken::with_tick_budget(b),
             None => CancelToken::new(),
         };
@@ -972,27 +879,13 @@ fn execute_cell(
         if !failure.kind.retryable() || attempts >= cfg.max_attempts {
             return (attempts, Err(failure), trace);
         }
-        if campaign_expired.load(Ordering::Acquire) {
-            return (
-                attempts,
-                Err(CampaignFailure {
-                    message: format!(
-                        "campaign deadline expired during retry: {}",
-                        failure.message
-                    ),
-                    ..failure
-                }),
-                trace,
-            );
-        }
-        stats.retried.fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(backoff_delay(cfg, &job.key, attempts));
     }
 }
 
 /// Builds the cell's front-end stack ([`Scenario::front_end`]) and plays
 /// it. A clean cell's layers are inert, so it stays bit-identical to the
-/// bare simulator of [`crate::runner::run_many`].
+/// bare simulator ([`Scenario::simulator`]).
 fn run_setup(
     setup: JobSetup,
     key: &CellKey,
@@ -1291,40 +1184,28 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
         cfg.threads
     };
 
-    // Resolve resumed cells up front; queue the rest by (priority desc,
-    // submission order).
+    // Resolve resumed cells up front; queue the rest in submission order.
     let mut slots: Vec<Option<CellOutcome>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
-    let mut runnable: Vec<usize> = Vec::new();
+    let mut runnable: VecDeque<usize> = VecDeque::new();
     for (i, job) in jobs.iter().enumerate() {
         if let Some(entry) = journaled.get(&job.key.id()) {
             slots[i] = Some(CellOutcome {
                 key: job.key.clone(),
-                priority: job.priority,
                 attempts: 0,
                 status: CellStatus::Resumed {
                     entry: entry.clone(),
                 },
             });
         } else {
-            runnable.push(i);
+            runnable.push_back(i);
         }
     }
-    runnable.sort_by(|&a, &b| jobs[b].priority.cmp(&jobs[a].priority).then(a.cmp(&b)));
-    let stats = CampaignStats {
-        done: AtomicUsize::new(0),
-        retried: AtomicUsize::new(0),
-        shed: AtomicUsize::new(0),
-        busy: AtomicUsize::new(0),
-        total: runnable.len(),
-    };
-    let queue: Mutex<VecDeque<usize>> = Mutex::new(runnable.into());
+    let queue: Mutex<VecDeque<usize>> = Mutex::new(runnable);
     let slots = Mutex::new(slots);
     let inflight: Mutex<HashMap<usize, (Option<Instant>, CancelToken)>> =
         Mutex::new(HashMap::new());
-    let campaign_expired = AtomicBool::new(false);
     let watchdog_stop = AtomicBool::new(false);
-    let start = Instant::now();
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let spec = cfg.telemetry.as_ref();
     let trace_file: Option<Mutex<TraceFile>> = spec
@@ -1336,28 +1217,16 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
         Mutex::new(std::array::from_fn(|_| LatencyHist::new()));
 
     std::thread::scope(|s| {
-        // The watchdog: cancels in-flight runs past their deadline, raises
-        // the campaign-expired flag, and (when enabled) ticks the progress
-        // heartbeat.
+        // The watchdog: cancels in-flight runs past their deadline.
         let watchdog = s.spawn(|| {
-            let mut last_beat = Instant::now();
             while !watchdog_stop.load(Ordering::Acquire) {
                 let now = Instant::now();
-                if let Some(cd) = cfg.campaign_deadline {
-                    if now.duration_since(start) >= cd {
-                        campaign_expired.store(true, Ordering::Release);
-                    }
-                }
                 for (deadline, token) in inflight.lock().unwrap().values() {
                     if let Some(d) = deadline {
                         if now >= *d {
                             token.cancel();
                         }
                     }
-                }
-                if cfg.progress && now.duration_since(last_beat) >= Duration::from_millis(500) {
-                    last_beat = now;
-                    eprintln!("{}", stats.heartbeat(now.duration_since(start), threads));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -1368,89 +1237,73 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
                     let idx = queue.lock().unwrap().pop_front();
                     let Some(idx) = idx else { break };
                     let job = &jobs[idx];
-                    let outcome = if campaign_expired.load(Ordering::Acquire) {
-                        stats.shed.fetch_add(1, Ordering::Relaxed);
-                        CellOutcome {
-                            key: job.key.clone(),
-                            priority: job.priority,
-                            attempts: 0,
-                            status: CellStatus::Shed,
+                    let (attempts, result, trace) = execute_cell(job, cfg, &inflight, idx);
+                    if let Some(trace) = trace {
+                        let mut hists = merged.lock().unwrap();
+                        for (m, h) in hists.iter_mut().zip(trace.hists.iter()) {
+                            m.merge(h);
                         }
-                    } else {
-                        stats.busy.fetch_add(1, Ordering::Relaxed);
-                        let (attempts, result, trace) =
-                            execute_cell(job, cfg, &inflight, idx, &campaign_expired, &stats);
-                        stats.busy.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(trace) = trace {
-                            let mut hists = merged.lock().unwrap();
-                            for (m, h) in hists.iter_mut().zip(trace.hists.iter()) {
-                                m.merge(h);
-                            }
-                            drop(hists);
-                            let cell_id = job.key.id();
-                            if let Some(tf) = &trace_file {
-                                let lines = trace.events.iter().map(|e| e.to_json(&cell_id));
-                                if let Err(e) = tf.lock().unwrap().append_cell(lines) {
-                                    journal_err.lock().unwrap().get_or_insert(e);
-                                }
-                            }
-                            if chrome_wanted {
-                                chrome_cells.lock().unwrap().push((cell_id, trace.events));
-                            }
-                        }
-                        let (entry, status) = match result {
-                            Ok((result, digest)) => (
-                                JournalEntry {
-                                    scenario: job.key.scenario.clone(),
-                                    strategy: job.key.strategy.clone(),
-                                    seed: job.key.seed,
-                                    fault: job.key.fault_spec.clone(),
-                                    status: "ok".to_string(),
-                                    attempts,
-                                    digest,
-                                    tick_budget: job.tick_budget.or(cfg.tick_budget),
-                                    reliability: result.reliability(),
-                                    message: String::new(),
-                                    features: compiled_features(),
-                                    impairment: job.key.impairment_spec.clone(),
-                                },
-                                CellStatus::Completed {
-                                    result: Box::new(result),
-                                    digest,
-                                },
-                            ),
-                            Err(failure) => (
-                                JournalEntry {
-                                    scenario: job.key.scenario.clone(),
-                                    strategy: job.key.strategy.clone(),
-                                    seed: job.key.seed,
-                                    fault: job.key.fault_spec.clone(),
-                                    status: failure.kind.as_str().to_string(),
-                                    attempts,
-                                    digest: 0,
-                                    tick_budget: job.tick_budget.or(cfg.tick_budget),
-                                    reliability: 0.0,
-                                    message: failure.message.clone(),
-                                    features: compiled_features(),
-                                    impairment: job.key.impairment_spec.clone(),
-                                },
-                                CellStatus::Failed { failure },
-                            ),
-                        };
-                        if let Some(j) = &journal {
-                            if let Err(e) = j.lock().unwrap().append(&entry) {
+                        drop(hists);
+                        let cell_id = job.key.id();
+                        if let Some(tf) = &trace_file {
+                            let lines = trace.events.iter().map(|e| e.to_json(&cell_id));
+                            if let Err(e) = tf.lock().unwrap().append_cell(lines) {
                                 journal_err.lock().unwrap().get_or_insert(e);
                             }
                         }
-                        CellOutcome {
-                            key: job.key.clone(),
-                            priority: job.priority,
-                            attempts,
-                            status,
+                        if chrome_wanted {
+                            chrome_cells.lock().unwrap().push((cell_id, trace.events));
                         }
+                    }
+                    let (entry, status) = match result {
+                        Ok((result, digest)) => (
+                            JournalEntry {
+                                scenario: job.key.scenario.clone(),
+                                strategy: job.key.strategy.clone(),
+                                seed: job.key.seed,
+                                fault: job.key.fault_spec.clone(),
+                                status: "ok".to_string(),
+                                attempts,
+                                digest,
+                                tick_budget: job.tick_budget,
+                                reliability: result.reliability(),
+                                message: String::new(),
+                                features: compiled_features(),
+                                impairment: job.key.impairment_spec.clone(),
+                            },
+                            CellStatus::Completed {
+                                result: Box::new(result),
+                                digest,
+                            },
+                        ),
+                        Err(failure) => (
+                            JournalEntry {
+                                scenario: job.key.scenario.clone(),
+                                strategy: job.key.strategy.clone(),
+                                seed: job.key.seed,
+                                fault: job.key.fault_spec.clone(),
+                                status: failure.kind.as_str().to_string(),
+                                attempts,
+                                digest: 0,
+                                tick_budget: job.tick_budget,
+                                reliability: 0.0,
+                                message: failure.message.clone(),
+                                features: compiled_features(),
+                                impairment: job.key.impairment_spec.clone(),
+                            },
+                            CellStatus::Failed { failure },
+                        ),
                     };
-                    stats.done.fetch_add(1, Ordering::Relaxed);
-                    slots.lock().unwrap()[idx] = Some(outcome);
+                    if let Some(j) = &journal {
+                        if let Err(e) = j.lock().unwrap().append(&entry) {
+                            journal_err.lock().unwrap().get_or_insert(e);
+                        }
+                    }
+                    slots.lock().unwrap()[idx] = Some(CellOutcome {
+                        key: job.key.clone(),
+                        attempts,
+                        status,
+                    });
                 })
             })
             .collect();
@@ -1460,9 +1313,6 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
         watchdog_stop.store(true, Ordering::Release);
         let _ = watchdog.join();
     });
-    if cfg.progress {
-        eprintln!("{}", stats.heartbeat(start.elapsed(), threads));
-    }
 
     if let Some(e) = journal_err.into_inner().unwrap() {
         return Err(e);
@@ -1502,7 +1352,7 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
                     let g = reg.gauge(cell, "reliability");
                     reg.set_gauge(g, entry.reliability);
                 }
-                CellStatus::Failed { .. } | CellStatus::Shed => failed += 1,
+                CellStatus::Failed { .. } => failed += 1,
             }
         }
         for (counter, value) in [
@@ -1526,7 +1376,6 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_many;
     use crate::scenario;
 
     fn quick_jobs(n: usize, base_seed: u64) -> Vec<Job> {
@@ -1541,23 +1390,40 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_campaign_matches_run_many_bit_for_bit() {
-        let cfg = CampaignConfig {
-            threads: 1,
-            ..CampaignConfig::default()
-        };
-        let report = run_campaign(&quick_jobs(3, 400), &cfg).unwrap();
-        let direct = run_many(3, 400, 1, scenario::mobile_blockage, || {
-            Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-        });
-        let campaign_results = report.results();
-        assert_eq!(campaign_results.len(), 3);
-        for (c, d) in campaign_results.iter().zip(&direct) {
-            assert_eq!(
-                c.digest(),
-                d.digest(),
-                "supervised run must be bit-identical"
-            );
+    fn zero_fault_campaign_matches_the_serial_loop_bit_for_bit() {
+        // Shortened runs keep the debug-build mmReliable cells quick.
+        fn short(seed: u64) -> Scenario {
+            let mut sc = scenario::mobile_blockage(seed);
+            sc.duration_s = 0.3;
+            sc
+        }
+        for strategy in ["single-beam-reactive", "mmreliable"] {
+            let jobs = closure_jobs(2, 400, "mobile-blockage-0.3s", strategy, short, move || {
+                build_strategy(strategy).unwrap()
+            });
+            let cfg = CampaignConfig {
+                threads: 2,
+                ..CampaignConfig::default()
+            };
+            let report = run_campaign(&jobs, &cfg).unwrap();
+            let campaign_results = report.results();
+            assert_eq!(campaign_results.len(), 2);
+            for (seed, c) in (400..).zip(campaign_results) {
+                let sc = short(seed);
+                let mut s = build_strategy(strategy).unwrap();
+                let serial = sc.simulator(seed).run_with_warmup(
+                    s.as_mut(),
+                    sc.duration_s,
+                    sc.tick_period_s,
+                    sc.name,
+                    sc.warmup_s,
+                );
+                assert_eq!(
+                    c.digest(),
+                    serial.digest(),
+                    "{strategy} seed {seed}: supervised run must be bit-identical"
+                );
+            }
         }
     }
 
@@ -1586,7 +1452,6 @@ mod tests {
             CellStatus::Completed { .. } => "completed",
             CellStatus::Resumed { .. } => "resumed",
             CellStatus::Failed { .. } => "failed",
-            CellStatus::Shed => "shed",
         }
     }
 
@@ -1621,10 +1486,13 @@ mod tests {
             threads: 1,
             max_attempts: 2,
             backoff_base: Duration::from_millis(1),
-            tick_budget: Some(3),
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&quick_jobs(1, 7), &cfg).unwrap();
+        let jobs: Vec<Job> = quick_jobs(1, 7)
+            .into_iter()
+            .map(|j| j.with_tick_budget(3))
+            .collect();
+        let report = run_campaign(&jobs, &cfg).unwrap();
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].1.kind, FailureKind::Timeout);
@@ -1658,24 +1526,24 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_capped_and_grows() {
         let cfg = CampaignConfig {
-            seed: 42,
             backoff_base: Duration::from_millis(100),
-            backoff_factor: 2.0,
             backoff_max: Duration::from_millis(350),
             ..CampaignConfig::default()
         };
-        let key = quick_jobs(1, 0).remove(0).key;
+        let mut keys = quick_jobs(2, 0).into_iter().map(|j| j.key);
+        let (key, other) = (keys.next().unwrap(), keys.next().unwrap());
         let d1 = backoff_delay(&cfg, &key, 1);
         assert_eq!(d1, backoff_delay(&cfg, &key, 1), "same inputs, same delay");
         assert!(d1 >= Duration::from_millis(50) && d1 <= Duration::from_millis(100));
+        let d2 = backoff_delay(&cfg, &key, 2);
+        assert!(d2 >= Duration::from_millis(100) && d2 <= Duration::from_millis(200));
         let d3 = backoff_delay(&cfg, &key, 3);
         assert!(
             d3 <= Duration::from_millis(350),
             "cap respected, got {d3:?}"
         );
-        // A different campaign seed jitters differently.
-        let other = CampaignConfig { seed: 43, ..cfg };
-        assert_ne!(d1, backoff_delay(&other, &key, 1));
+        // A different cell jitters differently.
+        assert_ne!(d1, backoff_delay(&cfg, &other, 1));
     }
 
     #[test]
@@ -1773,7 +1641,6 @@ mod tests {
                 trace: Some(trace.clone()),
                 chrome_trace: Some(chrome.clone()),
                 decimation: 4,
-                ring_capacity: 1 << 16,
             }),
             ..CampaignConfig::default()
         };
@@ -1853,15 +1720,15 @@ mod tests {
         assert!(build_scenario("nope", 0).is_none());
         assert!(build_strategy("nope").is_none());
         let job =
-            Job::from_spec(&clean_spec("mobile-blockage", "single-beam-reactive", 5), 0).unwrap();
+            Job::from_spec(&clean_spec("mobile-blockage", "single-beam-reactive", 5)).unwrap();
         assert_eq!(job.key.fault_spec, "none");
         // An unknown world has no spec; its journal line fails to parse.
         assert!(ScenarioSpec::parse_spec("nope//mmreliable//0//none").is_err());
-        assert!(Job::from_spec(&clean_spec("mobile-blockage", "nope", 0), 0).is_err());
+        assert!(Job::from_spec(&clean_spec("mobile-blockage", "nope", 0)).is_err());
         let mut bad = clean_spec("mobile-blockage", "mmreliable", 0);
         bad.fault.stale_prob = 7.0;
         assert!(
-            Job::from_spec(&bad, 0).is_err(),
+            Job::from_spec(&bad).is_err(),
             "invalid fault schedule must fail job construction"
         );
         assert!(
@@ -1877,15 +1744,12 @@ mod tests {
     fn cell_key_id_keeps_four_segments_for_clean_front_ends() {
         // The historical four-segment id is pinned by old journals and the
         // CI soak cell; only an actual impairment spec may extend it.
-        let clean = Job::from_spec(&clean_spec("mobile-blockage", "mmreliable", 7000), 0).unwrap();
+        let clean = Job::from_spec(&clean_spec("mobile-blockage", "mmreliable", 7000)).unwrap();
         assert_eq!(clean.key.id(), "mobile-blockage//mmreliable//7000//none");
-        let impaired = Job::from_spec(
-            &ScenarioSpec {
-                impairment: ImpairmentConfig::mild(3),
-                ..clean_spec("mobile-blockage", "mmreliable", 7000)
-            },
-            0,
-        )
+        let impaired = Job::from_spec(&ScenarioSpec {
+            impairment: ImpairmentConfig::mild(3),
+            ..clean_spec("mobile-blockage", "mmreliable", 7000)
+        })
         .unwrap();
         let id = impaired.key.id();
         assert_eq!(id.split("//").count(), 5, "impaired id gains one segment");
@@ -1897,13 +1761,10 @@ mod tests {
             headroom_db: 9.0,
         });
         assert!(
-            Job::from_spec(
-                &ScenarioSpec {
-                    impairment: bad.clone(),
-                    ..clean_spec("mobile-blockage", "mmreliable", 7000)
-                },
-                0
-            )
+            Job::from_spec(&ScenarioSpec {
+                impairment: bad.clone(),
+                ..clean_spec("mobile-blockage", "mmreliable", 7000)
+            })
             .is_err(),
             "invalid impairment config must fail job construction"
         );

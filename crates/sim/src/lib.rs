@@ -37,13 +37,13 @@
 //! - [`fuzz`] — the property-based scenario fuzzer: random-but-valid
 //!   specs run against lifecycle/recovery/determinism oracles, with
 //!   greedy shrinking and replayable counterexample journal lines.
-//! - [`runner`] — seeded multi-run sweeps across OS threads with
-//!   aggregation.
+//! - [`runner`] — [`run_many`], the one seeded multi-run sweep (a
+//!   campaign of closure cells), with aggregation.
 //! - [`campaign`] — the resilient campaign supervisor: watchdogged
 //!   (scenario × strategy × seed × fault) sweeps with per-run deadlines,
 //!   bounded retry + deterministic backoff, a crash-consistent JSONL
-//!   journal with resume, priority shedding under a campaign deadline,
-//!   and deterministic single-threaded failure replay (DESIGN.md §9).
+//!   journal with resume, and deterministic single-threaded failure
+//!   replay (DESIGN.md §9).
 //!
 //! The per-slot compute path is allocation-free in steady state: the
 //! simulator owns a [`simulator::SlotWorkspace`] whose
@@ -79,7 +79,7 @@ pub use impairments::{
     ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent, ImpairmentKind, ImpairmentStage,
 };
 pub use metrics::{csv_field, csv_parse_row, RunCounters, RunEvent, RunResult, Sample};
-pub use runner::{run_many, try_run_many, Aggregate, FailedRun};
+pub use runner::{run_many, Aggregate};
 pub use scenario::{Scenario, ScenarioError, ValidationMessage};
 pub use simulator::{
     front_end_stack, run_front_end, FrontEndStack, LinkSimulator, SimFrontEnd, SlotLoop,

@@ -1,16 +1,19 @@
 //! Seeded multi-run experiment sweeps.
 //!
 //! The paper's end-to-end numbers aggregate ~100 repetitions per
-//! configuration (§6.2). [`run_many`] plays one strategy family over many
-//! seeded scenario instances across OS threads and aggregates reliability,
-//! throughput, and the throughput-reliability product.
+//! configuration (§6.2). [`run_many`] is the one sweep entry: it plays
+//! one strategy family over many seeded scenario instances as cells of a
+//! supervised campaign ([`crate::campaign`]), and [`Aggregate`] reduces the
+//! batch to reliability, throughput, and the throughput-reliability
+//! product.
 
+use crate::campaign::{closure_jobs, run_campaign, CampaignConfig, CellStatus};
 use crate::metrics::RunResult;
 use crate::scenario::Scenario;
-use crate::simulator::SimFrontEnd;
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::stats;
 use mmwave_phy::mcs::McsTable;
+use std::time::Duration;
 
 /// Aggregated statistics over a batch of runs.
 #[derive(Clone, Debug)]
@@ -73,157 +76,73 @@ impl Aggregate {
     pub fn mean_overhead(&self) -> f64 {
         stats::mean(&self.overhead)
     }
-
-    /// One CSV row: `strategy,scenario,rel_mean,rel_median,tput_mbps,product_mbps,overhead`.
-    /// Names are escaped via [`crate::metrics::csv_field`], so a strategy
-    /// label containing a comma cannot shear the row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{:.4},{:.4},{:.1},{:.1},{:.4}",
-            crate::metrics::csv_field(&self.strategy),
-            crate::metrics::csv_field(&self.scenario),
-            self.mean_reliability(),
-            self.median_reliability(),
-            self.mean_throughput_bps() / 1e6,
-            self.mean_product_bps() / 1e6,
-            self.mean_overhead()
-        )
-    }
 }
 
-/// One run of a sweep that did not complete: the seed that was being
-/// played and the panic payload, so a 100-run overnight sweep reports
-/// *which* configuration died instead of tearing the whole batch down
-/// with an opaque join error.
-#[derive(Clone, Debug)]
-pub struct FailedRun {
-    /// Index of the run within the sweep.
-    pub run_idx: usize,
-    /// Seed the failed run was instantiated with.
-    pub seed: u64,
-    /// Panic message (or a placeholder for non-string payloads).
-    pub panic_msg: String,
-}
-
-impl std::fmt::Display for FailedRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "run {} (seed {}) panicked: {}",
-            self.run_idx, self.seed, self.panic_msg
-        )
-    }
-}
-
-impl std::error::Error for FailedRun {}
-
-pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if mmreliable::cancel::is_cancel_unwind(payload.as_ref()) {
-        mmreliable::cancel::CancelUnwind.to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Like [`run_many`], but a run that panics becomes an `Err(`[`FailedRun`]`)`
-/// in its slot instead of killing the sweep: the other runs (including
-/// those sharing the panicking run's thread) still complete.
-///
-/// `threads == 0` means "use every available core"
-/// (`std::thread::available_parallelism`). Seeds — and therefore results —
-/// do not depend on the thread count.
-pub fn try_run_many<S, F>(
-    n_runs: usize,
-    base_seed: u64,
-    threads: usize,
-    scenario_fn: S,
-    strategy_fn: F,
-) -> Vec<Result<RunResult, FailedRun>>
-where
-    S: Fn(u64) -> Scenario + Sync,
-    F: Fn() -> Box<dyn BeamStrategy + Send> + Sync,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let mut results: Vec<Option<Result<RunResult, FailedRun>>> = Vec::new();
-    results.resize_with(n_runs, || None);
-    let chunk = n_runs.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ti, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-            let scenario_fn = &scenario_fn;
-            let strategy_fn = &strategy_fn;
-            scope.spawn(move || {
-                for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                    let run_idx = ti * chunk + i;
-                    let seed = base_seed.wrapping_add(run_idx as u64);
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let sc = scenario_fn(seed);
-                        let mut sim = sc.simulator(seed);
-                        let mut strategy = strategy_fn();
-                        sim.run_with_warmup(
-                            strategy.as_mut(),
-                            sc.duration_s,
-                            sc.tick_period_s,
-                            sc.name,
-                            sc.warmup_s,
-                        )
-                    }));
-                    *slot = Some(outcome.map_err(|payload| FailedRun {
-                        run_idx,
-                        seed,
-                        panic_msg: panic_msg(payload),
-                    }));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot visited"))
-        .collect()
-}
-
-/// Runs `n_runs` seeded instances of a scenario family against a strategy
-/// family, spread across `threads` OS threads (`0` = every available
-/// core). Returns all run records.
+/// Plays `n_runs` seeded cells (`base_seed + run_idx`) of one
+/// (scenario family × strategy) sweep on `threads` campaign workers (`0` =
+/// every available core) and returns the run records in seed order.
 ///
 /// `scenario_fn(seed)` builds the (possibly seed-dependent) scenario;
-/// `strategy_fn()` builds a fresh strategy per run.
+/// `strategy_fn()` builds a fresh strategy per run. The labels name the
+/// cells (`scenario//strategy//seed//none`, [`CellKey::id`]) in the
+/// failure report. Results are bit-identical to a serial loop of
+/// `scenario_fn(seed).simulator(seed).run_with_warmup(..)` and do not
+/// depend on `threads`.
 ///
-/// Panics if any run panics, naming the failed runs (see [`try_run_many`]
-/// for the non-panicking variant).
+/// Each run has a 600 s wall-clock watchdog and one retry. Panics, naming
+/// every cell that still failed, if any did: a figure has no use for a
+/// partial batch.
+///
+/// [`CellKey::id`]: crate::campaign::CellKey::id
 pub fn run_many<S, F>(
     n_runs: usize,
     base_seed: u64,
     threads: usize,
+    scenario_label: &str,
+    strategy_label: &str,
     scenario_fn: S,
     strategy_fn: F,
 ) -> Vec<RunResult>
 where
-    S: Fn(u64) -> Scenario + Sync,
-    F: Fn() -> Box<dyn BeamStrategy + Send> + Sync,
+    S: Fn(u64) -> Scenario + Send + Sync + 'static,
+    F: Fn() -> Box<dyn BeamStrategy + Send> + Send + Sync + 'static,
 {
-    let outcomes = try_run_many(n_runs, base_seed, threads, scenario_fn, strategy_fn);
-    let failures: Vec<String> = outcomes
+    let jobs = closure_jobs(
+        n_runs,
+        base_seed,
+        scenario_label,
+        strategy_label,
+        scenario_fn,
+        strategy_fn,
+    );
+    let cfg = CampaignConfig {
+        threads,
+        // An honest run takes seconds; one that runs for minutes is hung.
+        run_deadline: Some(Duration::from_secs(600)),
+        max_attempts: 2,
+        ..CampaignConfig::default()
+    };
+    let report = run_campaign(&jobs, &cfg).expect("closure cells have distinct keys");
+    let failures: Vec<String> = report
+        .failures()
         .iter()
-        .filter_map(|r| r.as_ref().err().map(|f| f.to_string()))
+        .map(|(key, f)| format!("{}: {}: {}", key.id(), f.kind.as_str(), f.message))
         .collect();
     if !failures.is_empty() {
         panic!(
-            "{} of {} runs failed: {}",
+            "{} of {n_runs} runs failed terminally:\n{}",
             failures.len(),
-            n_runs,
-            failures.join("; ")
+            failures.join("\n")
         );
     }
-    outcomes.into_iter().map(|r| r.unwrap()).collect()
+    report
+        .outcomes
+        .into_iter()
+        .filter_map(|o| match o.status {
+            CellStatus::Completed { result, .. } => Some(*result),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -232,11 +151,21 @@ mod tests {
     use crate::scenario;
     use mmwave_baselines::single_reactive::{ReactiveConfig, SingleBeamReactive};
 
+    fn reactive() -> Box<dyn BeamStrategy + Send> {
+        Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
+    }
+
     #[test]
     fn run_many_produces_all_runs() {
-        let runs = run_many(4, 100, 2, scenario::mobile_blockage, || {
-            Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-        });
+        let runs = run_many(
+            4,
+            100,
+            2,
+            "mobile-blockage",
+            "reactive",
+            scenario::mobile_blockage,
+            reactive,
+        );
         assert_eq!(runs.len(), 4);
         for r in &runs {
             assert!((r.duration_s() - 1.0).abs() < 5e-3);
@@ -247,13 +176,18 @@ mod tests {
     #[test]
     fn aggregate_statistics() {
         let mcs = McsTable::nr_table();
-        let runs = run_many(3, 7, 3, scenario::mobile_blockage, || {
-            Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-        });
+        let runs = run_many(
+            3,
+            7,
+            3,
+            "mobile-blockage",
+            "reactive",
+            scenario::mobile_blockage,
+            reactive,
+        );
         let agg = Aggregate::from_runs(&runs, &mcs).expect("non-empty batch");
         assert_eq!(agg.reliability.len(), 3);
         assert!(agg.mean_reliability() >= 0.0 && agg.mean_reliability() <= 1.0);
-        assert!(agg.csv_row().contains("single-beam reactive"));
     }
 
     #[test]
@@ -262,66 +196,63 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_uses_available_parallelism() {
-        let go = |threads| {
-            let runs = run_many(2, 91, threads, scenario::mobile_blockage, || {
-                Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-            });
-            runs.iter()
-                .map(|r| r.reliability().to_bits())
-                .collect::<Vec<_>>()
-        };
-        // threads = 0 must run (auto-sized pool) and reproduce the
-        // single-thread results exactly.
-        assert_eq!(go(0), go(1));
-    }
-
-    #[test]
-    fn panicking_run_is_marked_not_fatal() {
+    fn run_many_names_the_failed_cell_and_runs_the_rest() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
 
-        struct PanicOnTick;
-        impl BeamStrategy for PanicOnTick {
+        /// Reactive until 0.5 s of simulated time, then panics: only the
+        /// seed whose scenario runs that long fails, on every attempt.
+        struct PanicLate(SingleBeamReactive);
+        impl BeamStrategy for PanicLate {
             fn name(&self) -> &'static str {
-                "panic-on-tick"
+                "panic-late"
             }
-            fn on_tick(&mut self, _fe: &mut dyn mmreliable::frontend::LinkFrontEnd, _t_s: f64) {
-                panic!("injected test panic");
+            fn on_tick(&mut self, fe: &mut dyn mmreliable::frontend::LinkFrontEnd, t_s: f64) {
+                if t_s >= 0.5 {
+                    panic!("injected test panic");
+                }
+                self.0.on_tick(fe, t_s);
             }
             fn weights(&self) -> mmwave_array::weights::BeamWeights {
-                mmwave_array::weights::BeamWeights::muted(64)
+                self.0.weights()
             }
         }
 
-        let built = AtomicUsize::new(0);
-        let outcomes = try_run_many(3, 50, 1, scenario::mobile_blockage, || {
-            if built.fetch_add(1, Ordering::SeqCst) == 1 {
-                Box::new(PanicOnTick)
-            } else {
-                Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-            }
+        const BAD_SEED: u64 = 51;
+        let built = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&built);
+        let sweep = std::panic::catch_unwind(|| {
+            run_many(
+                3,
+                50,
+                1,
+                "short-blockage",
+                "panic-late",
+                |seed| {
+                    let mut sc = scenario::mobile_blockage(seed);
+                    sc.duration_s = if seed == BAD_SEED { 1.0 } else { 0.2 };
+                    sc
+                },
+                move || -> Box<dyn BeamStrategy + Send> {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Box::new(PanicLate(
+                        SingleBeamReactive::new(ReactiveConfig::default()),
+                    ))
+                },
+            )
         });
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].is_ok());
+        let payload = sweep.expect_err("a failed cell must fail the sweep");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("run_many panics with a formatted message");
+        assert!(msg.starts_with("1 of 3 runs failed"), "{msg}");
         assert!(
-            outcomes[2].is_ok(),
-            "runs after the panic must still complete"
+            msg.contains("short-blockage//panic-late//51//"),
+            "the failed cell is named: {msg}"
         );
-        let failed = outcomes[1].as_ref().unwrap_err();
-        assert_eq!(failed.run_idx, 1);
-        assert_eq!(failed.seed, 51);
-        assert!(failed.panic_msg.contains("injected test panic"));
-        assert!(failed.to_string().contains("seed 51"));
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let go = |threads| {
-            let runs = run_many(4, 55, threads, scenario::mobile_blockage, || {
-                Box::new(SingleBeamReactive::new(ReactiveConfig::default()))
-            });
-            runs.iter().map(|r| r.reliability()).collect::<Vec<_>>()
-        };
-        assert_eq!(go(1), go(4));
+        assert!(msg.contains("injected test panic"), "{msg}");
+        // Two attempts of the bad cell plus one run of each other cell:
+        // the sweep went on past the failure.
+        assert_eq!(built.load(Ordering::SeqCst), 4);
     }
 }

@@ -981,6 +981,30 @@ impl CallGraph {
             .collect()
     }
 
+    /// Non-test functions that no entry point reaches, and the non-test
+    /// total: `(unreached, total)`. The roots are every `main`, every
+    /// function of a `benches/` file (`criterion_main!` generates their
+    /// `main` and calls them through a macro the graph cannot see), and
+    /// every function whose name `mentioned` holds — the identifiers of
+    /// the code outside `crates/` ([`crate::mentioned_names`]). The graph
+    /// misses edges, so the count overstates: a report, not a lint.
+    pub fn unreached(&self, mentioned: &BTreeSet<String>) -> (usize, usize) {
+        let roots: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| {
+                let n = &self.nodes[i];
+                !n.in_test
+                    && ((n.name == "main" && n.owner.is_none())
+                        || self.files[n.file].module.split("::").nth(1) == Some("benches")
+                        || mentioned.contains(&n.name))
+            })
+            .collect();
+        let (seen, _) = self.reach(&roots);
+        let live: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| !self.nodes[i].in_test)
+            .collect();
+        (live.iter().filter(|&&i| !seen[i]).count(), live.len())
+    }
+
     /// Summary counts for `--stats` and the JSON export.
     pub fn stats(&self, scrubbed: &[Scrubbed]) -> GraphStats {
         let (closure, _) = self.hot_closure();

@@ -159,6 +159,33 @@ pub fn allow_summary(files: &[SourceFile], scrubbed: &[scrub::Scrubbed]) -> Stri
     )
 }
 
+/// The directories outside `crates/` whose code calls into the
+/// workspace: the root package's library, examples and tests, and the
+/// benchmark harness.
+pub const MENTION_DIRS: &[&str] = &["src", "examples", "tests", "perfbench/src"];
+
+/// Every identifier that the code under `root`'s [`MENTION_DIRS`] names,
+/// comments and literals excluded. A missing directory contributes
+/// nothing. The roots of [`graph::CallGraph::unreached`].
+pub fn mentioned_names(root: &Path) -> Result<std::collections::BTreeSet<String>, String> {
+    let mut files = Vec::new();
+    for dir in MENTION_DIRS.iter().map(|d| root.join(d)) {
+        if dir.is_dir() {
+            walk(&dir, root, &mut files)?;
+        }
+    }
+    let mut names = std::collections::BTreeSet::new();
+    for f in &files {
+        let text = scrub::scrub(&f.src).text;
+        for tok in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if tok.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+                names.insert(tok.to_string());
+            }
+        }
+    }
+    Ok(names)
+}
+
 /// Builds the workspace call graph over a file set (scrubs internally).
 /// Used by `cargo xtask lint --graph` / `--stats` and by tests.
 pub fn build_graph(files: &[SourceFile]) -> (Vec<scrub::Scrubbed>, graph::CallGraph) {

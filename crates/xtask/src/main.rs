@@ -36,8 +36,9 @@ fn usage() {
     eprintln!("  --graph  export the workspace call graph to results/callgraph.json");
     eprintln!("           and results/callgraph.dot");
     eprintln!("  --stats  print graph summary stats (nodes/edges, hot-path closure");
-    eprintln!("           size, taint source/sink counts) and the xtask-allow count");
-    eprintln!("           per lint outside crates/xtask on stderr");
+    eprintln!("           size, taint source/sink counts), the xtask-allow count");
+    eprintln!("           per lint outside crates/xtask, and the count of non-test");
+    eprintln!("           fns no main or outside-crates mention reaches, on stderr");
     eprintln!("  --root   workspace root (default: parent of crates/xtask at build time,");
     eprintln!("           i.e. the repo checkout the binary was built from)");
 }
@@ -89,6 +90,14 @@ fn lint(args: &[String]) -> ExitCode {
         if stats {
             eprintln!("{}", g.stats(&scrubbed).render());
             eprintln!("{}", xtask::allow_summary(&files, &scrubbed));
+            // A report only: an unreadable directory never fails the lint.
+            match xtask::mentioned_names(&root) {
+                Ok(names) => {
+                    let (unreached, total) = g.unreached(&names);
+                    eprintln!("unreached: {unreached} of {total} non-test fns");
+                }
+                Err(e) => eprintln!("xtask lint: unreached report skipped: {e}"),
+            }
         }
         if graph {
             let dir = root.join("results");

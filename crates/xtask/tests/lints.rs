@@ -437,3 +437,24 @@ fn allow_summary_counts_directives_outside_xtask_per_lint() {
         "xtask-allow: 4 outside crates/xtask (2 hot-path-panic, 1 determinism, 1 hot-path-closure)"
     );
 }
+
+#[test]
+fn unreached_counts_fns_no_main_or_mention_reaches() {
+    let sources = vec![
+        SourceFile {
+            rel: PathBuf::from("crates/bench/src/bin/tool.rs"),
+            src: "fn main() { reached(); }\nfn reached() {}\nfn orphan() {}\n".to_string(),
+        },
+        SourceFile {
+            rel: PathBuf::from("crates/dsp/src/api.rs"),
+            src: "pub fn exported() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n"
+                .to_string(),
+        },
+    ];
+    let (_, g) = xtask::build_graph(&sources);
+    let mentioned = std::collections::BTreeSet::from(["exported".to_string()]);
+    // `orphan` is the one unreached fn; the test-module helper is not counted.
+    assert_eq!(g.unreached(&mentioned), (1, 4));
+    // Without the outside mention, `exported` is unreached too.
+    assert_eq!(g.unreached(&Default::default()), (2, 4));
+}

@@ -28,20 +28,22 @@ fn main() {
     );
     for dist in [30.0, 50.0, 80.0] {
         for which in ["mmReliable", "reactive"] {
-            let factory: Box<dyn Fn() -> Box<dyn BeamStrategy + Send> + Sync> = match which {
-                "mmReliable" => Box::new(|| {
+            let factory: fn() -> Box<dyn BeamStrategy + Send> = match which {
+                "mmReliable" => || {
                     Box::new(MmReliableStrategy::new(MmReliableController::new(
                         MmReliableConfig::paper_default(),
                     )))
-                }),
-                _ => Box::new(|| Box::new(SingleBeamReactive::new(ReactiveConfig::default()))),
+                },
+                _ => || Box::new(SingleBeamReactive::new(ReactiveConfig::default())),
             };
             let results = run_many(
                 runs,
                 900 + dist as u64,
                 runs,
-                |seed| scenario::outdoor(dist, seed),
-                factory.as_ref(),
+                &format!("outdoor-{dist}m"),
+                which,
+                move |seed| scenario::outdoor(dist, seed),
+                factory,
             );
             let agg = Aggregate::from_runs(&results, &mcs).expect("non-empty run set");
             println!(

@@ -8,7 +8,6 @@ use mmwave_baselines::strategy::MmReliableStrategy;
 use mmwave_baselines::SingleBeamReactive;
 use mmwave_channel::sampling::sample_indoor;
 use mmwave_dsp::rng::Rng64;
-use mmwave_sim::runner::run_many;
 use mmwave_sim::scenario;
 use mmwave_sim::SimFrontEnd;
 
@@ -40,27 +39,6 @@ fn different_seeds_differ() {
         r.mean_snr_db()
     };
     assert_ne!(go(100), go(101));
-}
-
-#[test]
-fn runner_thread_count_does_not_change_results() {
-    let go = |threads: usize| {
-        run_many(
-            4,
-            900,
-            threads,
-            |_| {
-                let mut sc = scenario::translation_1s();
-                sc.duration_s = 0.2;
-                sc
-            },
-            || Box::new(SingleBeamReactive::new(ReactiveConfig::default())),
-        )
-        .iter()
-        .map(|r| (r.reliability().to_bits(), r.probes))
-        .collect::<Vec<_>>()
-    };
-    assert_eq!(go(1), go(4));
 }
 
 #[test]
