@@ -1,11 +1,13 @@
 //! Criterion benches for the channel substrate and the simulator's hot
 //! loop: image-method path extraction, CSI synthesis, the one-shot probe,
 //! the simulator's warm snapshot probe and its data slot (what bounds the
-//! wall-clock of the Fig. 18 experiment sweeps), and the drifting transmit
-//! chain a data slot radiates through under faults and impairments.
+//! wall-clock of the Fig. 18 experiment sweeps), the drifting transmit
+//! chain a data slot radiates through under faults and impairments, and
+//! that chain's mutual-coupling stage alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmreliable::frontend::LinkFrontEnd;
+use mmwave_array::coupling::MutualCoupling;
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::steering::single_beam;
 use mmwave_array::weights::BeamWeights;
@@ -134,6 +136,23 @@ fn bench_drift_chain(c: &mut Criterion) {
     });
 }
 
+fn bench_coupling(c: &mut Criterion) {
+    // The paper array's coupling stage at `mild`'s −30 dB and the stack's
+    // 1 λ radius (612 entries on 12 diagonals), on a steered beam restored
+    // before each pass so every pass sees the same input.
+    let geom = ArrayGeometry::paper_8x8();
+    let mut cpl = MutualCoupling::from_geometry(&geom, -30.0, 1.0);
+    let input = single_beam(&geom, 7.0);
+    let mut w = input.as_slice().to_vec();
+    c.bench_function("coupling_64", |b| {
+        b.iter(|| {
+            w.copy_from_slice(input.as_slice());
+            cpl.apply_in_place(&mut w);
+            w[0]
+        })
+    });
+}
+
 fn bench_oracle_weights(c: &mut Criterion) {
     let scene = Scene::conference_room(FC_28GHZ);
     let ch = GeometricChannel::new(scene.paths_to(v2(0.9, 7.0), 180.0), FC_28GHZ);
@@ -152,6 +171,7 @@ criterion_group!(
     bench_probe_snapshot_into,
     bench_data_slots,
     bench_drift_chain,
+    bench_coupling,
     bench_oracle_weights
 );
 criterion_main!(benches);

@@ -349,10 +349,9 @@ pub struct LifecycleConfig {
     /// Re-training attempts per degradation/outage episode before the
     /// wide-beam fallback engages.
     pub max_retrain_attempts: u32,
-    /// Delay before the episode's first re-training attempt, seconds.
+    /// Delay before the episode's first re-training attempt, seconds; it
+    /// doubles per failed attempt.
     pub backoff_base_s: f64,
-    /// Backoff multiplier per failed attempt.
-    pub backoff_factor: f64,
     /// Backoff ceiling, seconds — also the heartbeat cadence of the
     /// post-exhaustion safety-net retries.
     pub backoff_max_s: f64,
@@ -373,7 +372,6 @@ impl Default for LifecycleConfig {
             // beam-readmission glitches self-heal within ~2–4 maintenance
             // rounds); only a *sustained* outage is worth a 32 ms scan.
             backoff_base_s: 0.12,
-            backoff_factor: 2.0,
             backoff_max_s: 0.4,
             improve_rearm_db: 8.0,
         }
@@ -385,9 +383,6 @@ impl LifecycleConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.backoff_base_s <= 0.0 || self.backoff_max_s < self.backoff_base_s {
             return Err("backoff window must satisfy 0 < base <= max".into());
-        }
-        if self.backoff_factor < 1.0 {
-            return Err("backoff_factor must be >= 1".into());
         }
         if self.max_retrain_attempts == 0 {
             return Err("max_retrain_attempts must be positive".into());
@@ -509,8 +504,7 @@ impl LinkLifecycle {
     /// Current backoff delay for attempt number `attempt` (1-based).
     fn backoff_s(&self, attempt: u32) -> f64 {
         let exp = attempt.saturating_sub(1).min(30);
-        (self.cfg.backoff_base_s * self.cfg.backoff_factor.powi(exp as i32))
-            .min(self.cfg.backoff_max_s)
+        (self.cfg.backoff_base_s * 2f64.powi(exp as i32)).min(self.cfg.backoff_max_s)
     }
 
     /// **The** transition function — the sole mutation point for
@@ -1108,9 +1102,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let mut c = cfg();
-        c.backoff_factor = 0.5;
-        assert!(c.validate().is_err());
         let mut c = cfg();
         c.max_retrain_attempts = 0;
         assert!(c.validate().is_err());

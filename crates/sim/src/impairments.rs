@@ -548,10 +548,10 @@ impl TransmitChain {
     }
 
     /// Runs the chain on `v` in place and returns the worst per-element PA
-    /// compression observed, dB. Allocation-free: the coupling scratch
-    /// lives on the stack (sized by [`MAX_COUPLED_ELEMENTS`]).
+    /// compression observed, dB. Allocation-free: the coupling stage works
+    /// in lanes it built at construction.
     #[hot_path]
-    fn apply(&self, v: &mut [Complex64]) -> f64 {
+    fn apply(&mut self, v: &mut [Complex64]) -> f64 {
         let mut worst_db = 0.0;
         if let Some(pa) = &self.pa {
             worst_db = pa.apply(v);
@@ -561,9 +561,8 @@ impl TransmitChain {
                 *x *= *m;
             }
         }
-        if let Some(cpl) = &self.coupling {
-            let mut scratch = [Complex64::ZERO; MAX_COUPLED_ELEMENTS];
-            cpl.apply_in_place(v, &mut scratch);
+        if let Some(cpl) = &mut self.coupling {
+            cpl.apply_in_place(v);
         }
         worst_db
     }
@@ -574,8 +573,8 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// a mis-specified campaign cell surfaces as a `Validation` failure
     /// before any sweep time is spent. The typed [`ScenarioError`] lets
     /// the scenario fuzzer tell this reject apart from a real run failure.
-    /// Only the coupling stage caps the array size (its kernel runs on a
-    /// [`MAX_COUPLED_ELEMENTS`] stack scratch); every other configuration,
+    /// Only the coupling stage caps the array size (its diagonal tables are
+    /// bounded by [`MAX_COUPLED_ELEMENTS`]); every other configuration,
     /// the inert one included, accepts any array.
     pub fn new(inner: F, config: ImpairmentConfig) -> Result<Self, ScenarioError> {
         config.validate().map_err(ScenarioError::impairment)?;
@@ -673,7 +672,7 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
     /// The impaired weights actually radiated for `w` — clone-and-transform
     /// convenience for tests; the per-slot path uses
     /// [`SimFrontEnd::radiated_weights_into`] instead.
-    pub fn impaired_weights(&self, w: &BeamWeights) -> BeamWeights {
+    pub fn impaired_weights(&mut self, w: &BeamWeights) -> BeamWeights {
         let mut out = w.clone();
         self.chain.apply(out.as_mut_slice());
         out
@@ -974,18 +973,18 @@ mod tests {
             gain_sigma_db: 1.0,
             phase_sigma_deg: 5.0,
         });
-        let fe = ImpairedFrontEnd::new(frozen_fe(2), cfg.clone()).unwrap();
+        let mut fe = ImpairedFrontEnd::new(frozen_fe(2), cfg.clone()).unwrap();
         let w = boresight(&fe);
         let a = fe.impaired_weights(&w);
         let b = fe.impaired_weights(&w);
         assert_eq!(a.as_slice(), b.as_slice(), "mismatch is static");
         assert_ne!(a.as_slice(), w.as_slice(), "mismatch perturbs weights");
         // Same seed reproduces the same draw; another seed differs.
-        let fe2 = ImpairedFrontEnd::new(frozen_fe(2), cfg.clone()).unwrap();
+        let mut fe2 = ImpairedFrontEnd::new(frozen_fe(2), cfg.clone()).unwrap();
         assert_eq!(fe2.impaired_weights(&w).as_slice(), a.as_slice());
         let mut other = cfg;
         other.seed = 5;
-        let fe3 = ImpairedFrontEnd::new(frozen_fe(2), other).unwrap();
+        let mut fe3 = ImpairedFrontEnd::new(frozen_fe(2), other).unwrap();
         assert_ne!(fe3.impaired_weights(&w).as_slice(), a.as_slice());
     }
 
@@ -993,7 +992,7 @@ mod tests {
     fn coupling_perturbs_weights_gently() {
         let mut cfg = ImpairmentConfig::none();
         cfg.coupling = Some(CouplingCfg { coupling_db: -20.0 });
-        let fe = ImpairedFrontEnd::new(frozen_fe(3), cfg).unwrap();
+        let mut fe = ImpairedFrontEnd::new(frozen_fe(3), cfg).unwrap();
         let w = boresight(&fe);
         let cw = fe.impaired_weights(&w);
         let delta: f64 = w
@@ -1175,8 +1174,8 @@ mod tests {
             linewidth_hz: 100e3,
             pll_tau_s: 1e-3,
         });
-        let fe_a = ImpairedFrontEnd::new(frozen_fe(1), only_mm).unwrap();
-        let fe_b = ImpairedFrontEnd::new(frozen_fe(1), mm_and_pn).unwrap();
+        let mut fe_a = ImpairedFrontEnd::new(frozen_fe(1), only_mm).unwrap();
+        let mut fe_b = ImpairedFrontEnd::new(frozen_fe(1), mm_and_pn).unwrap();
         let w = boresight(&fe_a);
         assert_eq!(
             fe_a.impaired_weights(&w).as_slice(),

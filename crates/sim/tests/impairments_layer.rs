@@ -355,7 +355,7 @@ fn assert_bits_eq(got: &BeamWeights, want: &BeamWeights, what: &str) {
 
 /// The un-memoised transform of `w`, from a stack built for this one call.
 fn fresh_transform(cfg: &ImpairmentConfig, w: &BeamWeights) -> BeamWeights {
-    let fe = ImpairedFrontEnd::new(scenario::static_walker().simulator(5), cfg.clone())
+    let mut fe = ImpairedFrontEnd::new(scenario::static_walker().simulator(5), cfg.clone())
         .expect("valid impairment config");
     fe.impaired_weights(w)
 }
