@@ -41,9 +41,11 @@
 //! one fused pass over `q`, two rows per load of each block of four, on an
 //! AVX2 twin where the CPU has AVX2 (DESIGN.md §8, *Twin kernels*); every
 //! row keeps the four-partial-sum rounding of a lone dot product. The
-//! sweep's winner is re-scored with exact phasors, so the outputs depend
-//! on the sweep only through the position of its first minimum in
-//! anchor-major order.
+//! rows, the probe load and the walk's phasor advance run on the
+//! split-lane twins of `mmwave_dsp::lanes`, each entry rounded as a
+//! `Complex64` product. The sweep's winner is re-scored with exact
+//! phasors, so the outputs depend on the sweep only through the position
+//! of its first minimum in anchor-major order.
 //!
 //! The rows `e_k` and the normal equations depend on the comb, the delays
 //! and the ridge alone. Maintenance feeds each fit's refined delays into
@@ -70,6 +72,7 @@
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::fft::FftScratch;
+use mmwave_dsp::lanes;
 use mmwave_dsp::linalg::{CMatrix, CholeskyFactor};
 use mmwave_phy::chanest::ProbeObservation;
 use std::cmp::Ordering;
@@ -176,6 +179,16 @@ impl Lanes {
         self.im.reserve_exact(n);
     }
 
+    /// Appends `n` zero entries and returns their lanes.
+    fn grow(&mut self, n: usize) -> (&mut [f64], &mut [f64]) {
+        debug_assert_eq!(self.re.len(), self.im.len());
+        self.reserve(n);
+        let len = self.re.len();
+        self.re.resize(len + n, 0.0);
+        self.im.resize(len + n, 0.0);
+        (&mut self.re[len..], &mut self.im[len..])
+    }
+
     /// Row `k` of `m` entries.
     fn row(&self, k: usize, m: usize) -> (&[f64], &[f64]) {
         debug_assert!((k + 1) * m <= self.re.len() && self.re.len() == self.im.len());
@@ -185,6 +198,12 @@ impl Lanes {
 
     fn all(&self) -> (&[f64], &[f64]) {
         (&self.re, &self.im)
+    }
+
+    /// Holds the entries of `v`, split into the lanes.
+    fn load(&mut self, v: &[Complex64]) {
+        self.clear();
+        lanes::split(v, self.grow(v.len()));
     }
 
     /// Appends `e^{j·wᵢ·delay_ns}` per subcarrier (`w` in rad/ns).
@@ -204,16 +223,8 @@ impl Lanes {
 
     /// Appends `xᵢ·zᵢ` (or `xᵢ·zᵢ*` when `CONJ_Z`) for the rows `x`, `z`,
     /// rounded as [`Complex64`]'s product.
-    fn extend_product<const CONJ_Z: bool>(
-        &mut self,
-        (xr, xi): (&[f64], &[f64]),
-        (zr, zi): (&[f64], &[f64]),
-    ) {
-        self.reserve(xr.len());
-        for ((&a, &b), (&r, &i)) in xr.iter().zip(xi).zip(zr.iter().zip(zi)) {
-            let z = Complex64::new(r, i);
-            self.push(Complex64::new(a, b) * if CONJ_Z { z.conj() } else { z });
-        }
+    fn extend_product<const CONJ_Z: bool>(&mut self, x: (&[f64], &[f64]), z: (&[f64], &[f64])) {
+        lanes::mul_into::<CONJ_Z>(x, z, self.grow(x.0.len()));
     }
 
     /// Overwrites row `k` of `m` entries with `src`.
@@ -225,17 +236,7 @@ impl Lanes {
 
     /// Multiplies every entry by the matching entry of `u`.
     fn advance(&mut self, u: &Lanes) {
-        for (((pr, pi), &ur), &ui) in self
-            .re
-            .iter_mut()
-            .zip(self.im.iter_mut())
-            .zip(&u.re)
-            .zip(&u.im)
-        {
-            let (r, i) = (*pr, *pi);
-            *pr = r * ur - i * ui;
-            *pi = r * ui + i * ur;
-        }
+        lanes::mul_assign((&mut self.re, &mut self.im), u.all());
     }
 }
 
@@ -592,11 +593,7 @@ impl SuperResScratch {
             self.rel.clear();
             self.rel.extend_from_slice(rel_delays_ns);
         }
-        self.y.clear();
-        self.y.reserve(obs.csi.len());
-        for &v in &obs.csi {
-            self.y.push(v);
-        }
+        self.y.load(&obs.csi);
         loaded
     }
 

@@ -182,13 +182,7 @@ pub fn estimate_delay_ns_with(
     if cir.is_empty() || obs.comb_spacing_hz() <= 0.0 {
         return 0.0;
     }
-    let peak = cir
-        .iter()
-        .map(|v| v.abs())
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+    let peak = peak_tap(cir);
     // Parabolic interpolation around the peak (guarding the edges).
     let n = cir.len();
     let frac = if peak > 0 && peak + 1 < n {
@@ -205,6 +199,47 @@ pub fn estimate_delay_ns_with(
     let tap_s = 1.0 / (obs.comb_spacing_hz() * cir.len() as f64);
     (peak as f64 + frac) * tap_s * 1e9
 }
+
+/// Index of the tap of largest magnitude `|c|` (`hypot`), the last one on
+/// a tie: the tap `max_by(total_cmp)` over every tap's `abs()` picks.
+/// `|c|²` rounds within a few ulps of the exact square and `hypot` within
+/// one ulp of the exact magnitude, so a tap whose `|c|²` falls short of
+/// the largest by more than the relative [`PEAK_MARGIN`] has a strictly
+/// smaller `hypot` than the peak; only the taps inside the margin pay for
+/// one. A non-finite `|c|²`, or a largest one outside
+/// [`PEAK_SQ_RANGE`] (where underflow or overflow would void the
+/// rounding bound), takes the plain scan.
+fn peak_tap(cir: &[Complex64]) -> usize {
+    let last_max = |taps: &mut dyn Iterator<Item = (usize, &Complex64)>| {
+        taps.map(|(i, v)| (i, v.abs()))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(0, |(i, _)| i)
+    };
+    let (mut max_sq, mut finite) = (0.0f64, true);
+    for v in cir {
+        let q = v.norm_sqr();
+        finite &= q <= f64::MAX;
+        max_sq = max_sq.max(q);
+    }
+    if !finite || !PEAK_SQ_RANGE.contains(&max_sq) {
+        return last_max(&mut cir.iter().enumerate());
+    }
+    let floor = max_sq * (1.0 - PEAK_MARGIN);
+    last_max(
+        &mut cir
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.norm_sqr() >= floor),
+    )
+}
+
+/// Relative `|c|²` margin inside which [`peak_tap`] compares magnitudes:
+/// far above the few ulps either rounding can move a tap.
+const PEAK_MARGIN: f64 = 1e-12;
+
+/// Largest `|c|²` for which [`peak_tap`]'s margin holds: normal numbers,
+/// with room below for the smaller taps' squares to round as normals too.
+const PEAK_SQ_RANGE: std::ops::RangeInclusive<f64> = 1e-280..=1e280;
 
 /// The peak-finding's candidate test on beam `i`: at or above `floor`, and
 /// no lower than either neighbour present in `profile`. During the scan the
@@ -343,6 +378,83 @@ mod tests {
     use mmwave_dsp::rng::Rng64;
     use mmwave_dsp::units::FC_28GHZ;
     use mmwave_phy::chanest::ChannelSounder;
+
+    #[test]
+    fn peak_tap_matches_the_plain_magnitude_scan() {
+        // The tap of every `abs()` scanned with `max_by(total_cmp)`, as the
+        // coarse peak was found before it screened on `|c|²`: seeded CIRs
+        // at every scale, with exact ties of the peak, swapped and
+        // conjugated copies of it, a copy one ulp off it that ties its
+        // `hypot` but not its `|c|²`, and non-finite or underflowing
+        // entries planted.
+        let plain = |cir: &[Complex64]| {
+            cir.iter()
+                .map(|v| v.abs())
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map_or(0, |(i, _)| i)
+        };
+        let mut rng = Rng64::seed(0x9ea);
+        let (mut checked, mut discordant) = (0, 0);
+        for scale in [1e-170, 1e-141, 1e-120, 1.0, 3e7, 1e139, 1e141, 1e170] {
+            for case in 0..12 {
+                let n = [1usize, 2, 5, 264][case % 4];
+                let mut cir: Vec<Complex64> =
+                    (0..n).map(|_| rng.complex_normal().scale(scale)).collect();
+                let top = plain(&cir);
+                let peak = cir[top];
+                match case / 4 {
+                    0 => cir[rng.index(n)] = peak,
+                    1 => {
+                        cir[rng.index(n)] = c64(peak.im, -peak.re);
+                        cir[rng.index(n)] = peak.conj();
+                    }
+                    _ if n > 1 => {
+                        // A copy one ulp off the peak with the same `hypot`
+                        // but another `|c|²`, the smaller `|c|²` last: the
+                        // tie goes to it, though its square is not the
+                        // largest.
+                        let ulp = |x: f64, d: i64| f64::from_bits((x.to_bits() as i64 + d) as u64);
+                        let twin = (0..64)
+                            .map(|t| match t % 4 {
+                                0 => c64(ulp(peak.re, 1), peak.im),
+                                1 => c64(ulp(peak.re, -1), peak.im),
+                                2 => c64(peak.re, ulp(peak.im, 1)),
+                                _ => c64(peak.re, ulp(peak.im, -1)),
+                            })
+                            .find(|t| t.abs() == peak.abs() && t.norm_sqr() != peak.norm_sqr());
+                        if let Some(t) = twin {
+                            let (lo, hi) = if t.norm_sqr() < peak.norm_sqr() {
+                                (peak, t)
+                            } else {
+                                (t, peak)
+                            };
+                            cir[0] = lo;
+                            cir[n - 1] = hi;
+                            discordant += 1;
+                        }
+                    }
+                    _ => {}
+                }
+                if case == 5 {
+                    cir[rng.index(n)] = c64(f64::NAN, 1.0);
+                }
+                if case == 9 {
+                    cir[rng.index(n)] = c64(0.5, f64::INFINITY);
+                }
+                if case == 10 {
+                    cir[rng.index(n)] = c64(4.9e-324, -0.0);
+                }
+                assert_eq!(peak_tap(&cir), plain(&cir), "scale {scale:e}, case {case}");
+                checked += 1;
+            }
+        }
+        for cir in [vec![], vec![Complex64::ZERO; 7], vec![c64(-0.0, 0.0); 3]] {
+            assert_eq!(peak_tap(&cir), plain(&cir), "{cir:?}");
+        }
+        assert_eq!(checked, 96);
+        assert!(discordant >= 4, "only {discordant} discordant ties planted");
+    }
 
     fn room_frontend(seed: u64) -> SnapshotFrontEnd {
         room_frontend_at(v2(0.0, 7.0), seed)

@@ -7,6 +7,8 @@
 //! - [`Complex64`] — complex arithmetic (the workhorse type of every crate
 //!   above this one),
 //! - [`fft`] — radix-2 and Bluestein FFTs plus a reference DFT,
+//! - [`lanes`] — element-wise complex products on split real/imaginary
+//!   lanes (the FFT's convolution, the super-resolution fit's rows),
 //! - [`linalg`] — dense complex matrices, Hermitian solves, ridge-regularized
 //!   least squares (used by the paper's super-resolution step, Eq. 23),
 //! - [`sinc`] — band-limited interpolation kernels (Eq. 22),
@@ -32,6 +34,7 @@ pub mod count_alloc;
 pub mod drift;
 pub mod fft;
 pub mod fit;
+pub mod lanes;
 pub mod linalg;
 pub mod math;
 pub mod nonlinearity;
