@@ -120,21 +120,6 @@ impl DelayPhasedArray {
         arr
     }
 
-    /// Sub-array descriptors.
-    pub fn groups(&self) -> &[SubArrayBeam] {
-        &self.groups
-    }
-
-    /// Geometry of each constituent array.
-    pub fn per_beam_geometry(&self) -> &ArrayGeometry {
-        &self.per_beam_geom
-    }
-
-    /// Total element count across the bank.
-    pub fn total_elements(&self) -> usize {
-        self.per_beam_geom.num_elements() * self.groups.len()
-    }
-
     /// Frequency-dependent element weights (concatenated across the bank)
     /// at baseband offset `freq_hz`. Normalized so that `‖w‖ = 1` at every
     /// frequency: the delay lines are lossless phase elements and the TRP
@@ -367,7 +352,7 @@ mod tests {
         let g = ArrayGeometry::ula(8);
         let (p1, p2) = two_paths(5e-9);
         let arr = DelayPhasedArray::two_beam_compensated(g, &p1, &p2);
-        assert_eq!(arr.total_elements(), 16);
+        assert_eq!(arr.weights_at(0.0).len(), 16);
         for f in [-200e6, -37e6, 0.0, 112e6, 200e6] {
             let w = arr.weights_at(f);
             assert!((mmwave_dsp::complex::norm(&w) - 1.0).abs() < 1e-12);
@@ -392,7 +377,7 @@ mod tests {
             tau_s: 22e-9,
         };
         let arr = DelayPhasedArray::two_beam_compensated(g, &p1, &p2);
-        assert!(arr.groups().iter().all(|grp| grp.delay_s >= 0.0));
+        assert!(arr.groups.iter().all(|grp| grp.delay_s >= 0.0));
         let resp = arr.power_response(&[p1, p2], &freqs_400mhz(101));
         assert!(ripple_db(&resp) < 0.5, "ripple {} dB", ripple_db(&resp));
     }

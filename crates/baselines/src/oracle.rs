@@ -35,16 +35,6 @@ impl OracleMrt {
             weights: None,
         }
     }
-
-    /// Oracle limited by the paper's 6-bit hardware.
-    pub fn quantized(geom: mmwave_array::geometry::ArrayGeometry, rx: UeReceiver) -> Self {
-        Self {
-            quantizer: Quantizer::paper_array(),
-            geom,
-            rx,
-            weights: None,
-        }
-    }
 }
 
 impl BeamStrategy for OracleMrt {
@@ -146,23 +136,6 @@ mod tests {
         // And beats the single beam on the strongest path.
         let single = mmwave_array::steering::single_beam(&geom, 0.0);
         assert!(avg(&eig) >= avg(&single) * (1.0 - 1e-9));
-    }
-
-    #[test]
-    fn quantized_oracle_slightly_below_ideal() {
-        let geom = ArrayGeometry::ula(16);
-        let ch = two_path();
-        let mut ideal = OracleMrt::ideal(geom, UeReceiver::Omni);
-        let mut quant = OracleMrt::quantized(geom, UeReceiver::Omni);
-        ideal.observe_truth(&ch);
-        quant.observe_truth(&ch);
-        let pi = ch.received_power(&geom, &ideal.weights(), &UeReceiver::Omni);
-        let pq = ch.received_power(&geom, &quant.weights(), &UeReceiver::Omni);
-        assert!(pq <= pi);
-        assert!(
-            pq > 0.9 * pi,
-            "6-bit quantization loss too large: {pq} vs {pi}"
-        );
     }
 
     #[test]

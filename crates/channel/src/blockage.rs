@@ -190,11 +190,6 @@ impl BlockageProcess {
             p.blockage_db = self.attenuation_db(i, t_s);
         }
     }
-
-    /// True if any event is active (attenuation > 0.5 dB) at `t_s`.
-    pub fn any_active(&self, t_s: f64) -> bool {
-        self.events.iter().any(|e| e.attenuation_db(t_s) > 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -378,19 +373,5 @@ mod tests {
             assert!((25.0..=35.0).contains(&e.depth_db));
             assert!(e.end_s() < 1.1, "event must fit a ~1 s experiment");
         }
-    }
-
-    #[test]
-    fn any_active_detects_windows() {
-        let p = BlockageProcess::from_events(vec![BlockageEvent {
-            path_idx: 0,
-            start_s: 0.4,
-            ramp_s: 0.05,
-            depth_db: 20.0,
-            hold_s: 0.2,
-        }]);
-        assert!(!p.any_active(0.1));
-        assert!(p.any_active(0.5));
-        assert!(!p.any_active(0.9));
     }
 }

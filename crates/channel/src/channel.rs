@@ -20,7 +20,6 @@ use mmwave_array::steering::{
 };
 use mmwave_array::weights::BeamWeights;
 use mmwave_dsp::complex::Complex64;
-use mmwave_dsp::sinc::pulse_train_into;
 use mmwave_hotpath::hot_path;
 use std::f64::consts::PI;
 
@@ -40,15 +39,9 @@ pub enum UeReceiver {
 
 impl UeReceiver {
     /// Complex receive gain toward an arrival angle (degrees from the UE's
-    /// boresight).
-    pub fn gain_toward(&self, aoa_deg: f64) -> Complex64 {
-        let mut scratch = Vec::new();
-        self.gain_toward_with(aoa_deg, &mut scratch)
-    }
-
-    /// Allocation-free variant of [`UeReceiver::gain_toward`]: `steer` is a
-    /// caller-owned scratch buffer reused for the UE steering vector (unused
-    /// for an omni UE).
+    /// boresight). `steer` is a caller-owned scratch buffer reused for the
+    /// UE steering vector (unused for an omni UE), so the call never
+    /// allocates.
     pub fn gain_toward_with(&self, aoa_deg: f64, steer: &mut Vec<Complex64>) -> Complex64 {
         match self {
             UeReceiver::Omni => Complex64::ONE,
@@ -213,55 +206,6 @@ impl GeometricChannel {
         let mut scratch = ChannelScratch::default();
         self.path_alphas_into(geom, w, rx, &mut scratch);
         PairWeights::default().band_power(&scratch.alphas, freqs_hz)
-    }
-
-    /// Band-limited sampled channel impulse response (paper Eq. 22):
-    /// `h_eff[n] = Σ_l α_l · sinc(B·(n·Ts − τ_l))`, with delays re-referenced
-    /// to the earliest path (plus `guard_s` of leading margin so early sinc
-    /// sidelobes are visible).
-    pub fn cir(
-        &self,
-        geom: &ArrayGeometry,
-        w: &BeamWeights,
-        rx: &UeReceiver,
-        bw_hz: f64,
-        n_taps: usize,
-        guard_s: f64,
-    ) -> Vec<Complex64> {
-        let mut scratch = ChannelScratch::default();
-        let mut out = Vec::with_capacity(n_taps);
-        self.cir_into(geom, w, rx, bw_hz, n_taps, guard_s, &mut scratch, &mut out);
-        out
-    }
-
-    /// Write-into variant of [`GeometricChannel::cir`]: clears `out` and
-    /// fills it with `n_taps` samples, reusing `out` and the `scratch`
-    /// buffers (the delay re-referencing happens in place on
-    /// `scratch.alphas`).
-    #[allow(clippy::too_many_arguments)]
-    #[hot_path]
-    pub fn cir_into(
-        &self,
-        geom: &ArrayGeometry,
-        w: &BeamWeights,
-        rx: &UeReceiver,
-        bw_hz: f64,
-        n_taps: usize,
-        guard_s: f64,
-        scratch: &mut ChannelScratch,
-        out: &mut Vec<Complex64>,
-    ) {
-        self.path_alphas_into(geom, w, rx, scratch);
-        let alphas = &mut scratch.alphas;
-        let t0 = alphas
-            .iter()
-            .map(|&(_, tau)| tau)
-            .fold(f64::INFINITY, f64::min);
-        let ts = 1.0 / bw_hz;
-        for tap in alphas.iter_mut() {
-            tap.1 = tap.1 - t0 + guard_s;
-        }
-        pulse_train_into(n_taps, bw_hz, ts, alphas, out);
     }
 
     /// Per-element narrowband channel vector `h[n]` at band center
@@ -537,22 +481,6 @@ mod tests {
             ripple > 2.0,
             "expected frequency selectivity, ripple {ripple}"
         );
-    }
-
-    #[test]
-    fn cir_shows_two_taps_at_path_delays() {
-        let g = ArrayGeometry::ula(8);
-        let ch = two_path_channel(0.8, 0.0);
-        let w = MultiBeam::two_beam(0.0, 30.0, 0.8, 0.0).weights(&g);
-        let bw = 400e6;
-        let ts = 1.0 / bw; // 2.5 ns
-                           // Δτ = 5 ns = 2 taps; guard of 2 taps.
-        let cir = ch.cir(&g, &w, &UeReceiver::Omni, bw, 16, 2.0 * ts);
-        let mags: Vec<f64> = cir.iter().map(|v| v.abs()).collect();
-        // Peaks at taps 2 (LOS) and 4 (reflection).
-        assert!(mags[2] > mags[3] && mags[2] > mags[1]);
-        assert!(mags[4] > mags[5] && mags[4] > mags[3]);
-        assert!(mags[2] > mags[4], "LOS tap should dominate");
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl DynamicChannel {
         self.shared = Some(cache);
     }
 
-    /// The installed shared cache, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedSceneCache>> {
-        self.shared.as_ref()
-    }
-
     /// Pristine scene trace at `pose`, routed through the shared cell
     /// cache when one is installed. The kernel behind both the per-slot
     /// snapshot rebuild and the reference trace.

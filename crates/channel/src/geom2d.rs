@@ -140,13 +140,6 @@ impl Segment {
             None
         }
     }
-
-    /// Shortest distance from point `p` to this segment.
-    pub fn dist_to_point(&self, p: Vec2) -> f64 {
-        let ab = self.b - self.a;
-        let t = ((p - self.a).dot(ab) / ab.dot(ab)).clamp(0.0, 1.0);
-        (self.a + ab * t).dist(p)
-    }
 }
 
 #[cfg(test)]
@@ -214,13 +207,6 @@ mod tests {
         let s = Segment::new(v2(0.0, 0.0), v2(10.0, 0.0));
         let hit = s.intersect(v2(0.0, -1.0), v2(0.0, 1.0));
         assert!(hit.is_some());
-    }
-
-    #[test]
-    fn dist_to_point() {
-        let s = Segment::new(v2(0.0, 0.0), v2(10.0, 0.0));
-        assert!(close(s.dist_to_point(v2(5.0, 3.0)), 3.0));
-        assert!(close(s.dist_to_point(v2(-4.0, 3.0)), 5.0)); // beyond endpoint
     }
 
     #[test]

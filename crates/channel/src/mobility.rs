@@ -106,15 +106,6 @@ impl Trajectory {
             Trajectory::Waypoints { ref knots } => waypoint_pose(knots, t_s),
         }
     }
-
-    /// True if the UE moves at all.
-    pub fn is_mobile(&self) -> bool {
-        match self {
-            Trajectory::Static { .. } => false,
-            Trajectory::Waypoints { knots } => knots.len() > 1,
-            _ => true,
-        }
-    }
 }
 
 /// Linear interpolation over timestamped pose knots, clamped at the ends.
@@ -153,7 +144,6 @@ mod tests {
             },
         };
         assert_eq!(t.pose_at(0.0), t.pose_at(5.0));
-        assert!(!t.is_mobile());
     }
 
     #[test]
@@ -162,7 +152,6 @@ mod tests {
         let p = t.pose_at(0.5);
         assert_eq!(p.pos, v2(0.0, 7.0));
         assert!((p.facing_deg - 192.0).abs() < 1e-12); // 180 + 24·0.5
-        assert!(t.is_mobile());
     }
 
     #[test]
@@ -228,17 +217,6 @@ mod tests {
         assert!((mid2.facing_deg - 180.0).abs() < 1e-12);
         // Clamp after the last knot.
         assert_eq!(t.pose_at(99.0), t.pose_at(2.0));
-        assert!(t.is_mobile());
-        let single = Trajectory::Waypoints {
-            knots: vec![(
-                0.0,
-                Pose {
-                    pos: v2(0.0, 7.0),
-                    facing_deg: 180.0,
-                },
-            )],
-        };
-        assert!(!single.is_mobile());
     }
 
     #[test]

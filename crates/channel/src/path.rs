@@ -66,11 +66,6 @@ impl Path {
         }
     }
 
-    /// Path power gain in dB (negative for lossy paths), including blockage.
-    pub fn power_db(&self) -> f64 {
-        db_from_amp(self.effective_gain().abs())
-    }
-
     /// Attenuation of this path relative to a reference path, dB
     /// (positive when this path is weaker). This is the paper's `δ` in dB.
     pub fn rel_attenuation_db(&self, reference: &Path) -> f64 {
@@ -119,7 +114,6 @@ mod tests {
         assert!((p.effective_gain().abs() - 1.0).abs() < 1e-12);
         p.blockage_db = 20.0;
         assert!((p.effective_gain().abs() - 0.1).abs() < 1e-12);
-        assert!((p.power_db() + 20.0).abs() < 1e-9);
     }
 
     #[test]

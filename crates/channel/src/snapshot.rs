@@ -198,11 +198,6 @@ impl ChannelSnapshot {
         self.t_s.map(f64::to_bits) == Some(t_s.to_bits())
     }
 
-    /// Simulation time of the last rebuild.
-    pub fn time_s(&self) -> Option<f64> {
-        self.t_s
-    }
-
     /// The frozen channel at the snapshot time. Panics if never rebuilt.
     pub fn channel(&self) -> &GeometricChannel {
         assert!(self.t_s.is_some(), "snapshot read before first rebuild");
@@ -212,11 +207,6 @@ impl ChannelSnapshot {
     /// Cached t = 0 reference path list.
     pub fn reference_paths(&self) -> &[Path] {
         &self.reference
-    }
-
-    /// Number of paths at the snapshot time.
-    pub fn num_paths(&self) -> usize {
-        self.channel.paths.len()
     }
 
     /// Refills `self.alphas` with the per-path compound coefficients

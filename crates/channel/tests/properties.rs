@@ -31,7 +31,10 @@ proptest! {
         let s = Segment::new(v2(ax, ay), v2(bx, by));
         let p = v2(px, py);
         let m = s.mirror(p);
-        prop_assert!((s.dist_to_point(p) - s.dist_to_point(m)).abs() < 1e-6);
+        // Distance to the wall's line: |(q − a) × (b − a)| / |b − a|.
+        let ab = s.b - s.a;
+        let to_line = |q: mmwave_channel::geom2d::Vec2| ((q - s.a).cross(ab) / ab.len()).abs();
+        prop_assert!((to_line(p) - to_line(m)).abs() < 1e-6);
     }
 
     #[test]

@@ -105,14 +105,6 @@ impl CancelToken {
         self.inner.ticks.load(Ordering::Relaxed)
     }
 
-    /// The configured tick budget, if any.
-    pub fn tick_budget(&self) -> Option<u64> {
-        match self.inner.tick_budget.load(Ordering::Relaxed) {
-            NO_BUDGET => None,
-            n => Some(n),
-        }
-    }
-
     /// The cooperative checkpoint: unwinds with [`CancelUnwind`] when the
     /// token is cancelled, otherwise returns immediately.
     pub fn checkpoint(&self) {
@@ -154,7 +146,6 @@ mod tests {
     fn fresh_token_is_inert() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
-        assert_eq!(t.tick_budget(), None);
         t.checkpoint(); // must not unwind
         for _ in 0..1000 {
             t.note_tick();
@@ -173,7 +164,6 @@ mod tests {
     #[test]
     fn tick_budget_cancels_deterministically() {
         let t = CancelToken::with_tick_budget(3);
-        assert_eq!(t.tick_budget(), Some(3));
         for _ in 0..2 {
             t.note_tick();
             assert!(!t.is_cancelled());

@@ -87,12 +87,6 @@ impl MmReliableConfig {
         self
     }
 
-    /// Same stack configured for a two-beam maximum (ablation).
-    pub fn two_beam(mut self) -> Self {
-        self.max_beams = 2;
-        self
-    }
-
     /// Validates invariants; call after hand-editing fields.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_beams == 0 {
@@ -117,13 +111,6 @@ mod tests {
         assert_eq!(c.geom.num_elements(), 64);
         assert_eq!(c.max_beams, 3);
         assert_eq!(c.outage_snr_db, 6.0);
-    }
-
-    #[test]
-    fn two_beam_ablation() {
-        let c = MmReliableConfig::paper_default().two_beam();
-        assert_eq!(c.max_beams, 2);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl MmReliableController {
         &self.cfg
     }
 
-    /// The lifecycle state machine (read-only).
-    pub fn lifecycle(&self) -> &LinkLifecycle {
-        &self.lifecycle
-    }
-
     /// Moves the lifecycle transitions accumulated since the last drain
     /// onto the end of `out`; the lifecycle keeps its log's capacity.
     pub fn drain_transitions_into(&mut self, out: &mut Vec<Transition>) {
@@ -958,7 +953,10 @@ mod tests {
     #[test]
     fn two_beam_config_limits_beams() {
         let mut fe = room_frontend(9);
-        let mut ctl = MmReliableController::new(MmReliableConfig::paper_default().two_beam());
+        let mut ctl = MmReliableController::new(MmReliableConfig {
+            max_beams: 2,
+            ..MmReliableConfig::paper_default()
+        });
         ctl.establish(&mut fe);
         assert!(ctl.multibeam().unwrap().num_beams() <= 2);
     }

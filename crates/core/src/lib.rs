@@ -24,11 +24,10 @@
 //!    transition point, bounded-retry recovery, degraded-mode fallback).
 //! 8. [`controller`] — the beam-maintenance controller tying it all
 //!    together over an abstract [`frontend::LinkFrontEnd`].
-//! 9. [`ue`] — extension to directional (multi-beam) UEs (§4.4).
-//! 10. [`statehandler`] — the fleet-scale generalization of the lifecycle:
-//!     a cell-level [`statehandler::StateHandler`] is the only writer of
-//!     per-UE lifecycle state; peers queue typed intents through
-//!     [`statehandler::Io`] and the handler drains them each pass.
+//! 9. [`statehandler`] — the fleet-scale generalization of the lifecycle:
+//!    a cell-level [`statehandler::StateHandler`] is the only writer of
+//!    per-UE lifecycle state; peers queue typed intents on a
+//!    [`statehandler::IntentQueue`] and the handler drains it each pass.
 
 #![warn(missing_docs)]
 pub mod blockage;
@@ -43,14 +42,10 @@ pub mod statehandler;
 pub mod superres;
 pub mod tracking;
 pub mod training;
-pub mod ue;
 
 pub use cancel::{CancelToken, CancelUnwind};
 pub use config::MmReliableConfig;
 pub use controller::MmReliableController;
 pub use frontend::{LinkFrontEnd, ProbeKind};
 pub use linkstate::{LinkState, LinkStateKind, Transition, TransitionCause};
-pub use statehandler::{
-    HistoryRecord, Intent, IntentKind, IntentQueue, Io, PassStats, StateHandler, UeId, UeMetrics,
-    UeStats,
-};
+pub use statehandler::{Intent, IntentKind, IntentQueue, PassStats, StateHandler, UeId, UeStats};

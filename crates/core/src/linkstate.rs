@@ -473,11 +473,6 @@ impl LinkLifecycle {
         self.fallback_active
     }
 
-    /// Training scans signalled so far.
-    pub fn scans(&self) -> u64 {
-        self.scans
-    }
-
     /// The transition log accumulated so far.
     pub fn log(&self) -> &[Transition] {
         &self.log

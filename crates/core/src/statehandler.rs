@@ -11,13 +11,13 @@
 //!   discipline the `lifecycle-single-writer` xtask lint enforces for the
 //!   state machine itself, lifted one level up.
 //! - Peers (the fleet scheduler, probe planner, fault/impairment layers)
-//!   never touch a lifecycle. They queue typed [`Intent`]s through an
-//!   [`Io`] implementation, and the handler drains the queue once per
+//!   never touch a lifecycle. They queue typed [`Intent`]s on an
+//!   [`IntentQueue`], and the handler drains the queue once per
 //!   [`StateHandler::pass`], applying each intent at its timestamp and
 //!   accounting per-resource metrics.
 //!
-//! Determinism: a pass applies intents in exactly the order the [`Io`]
-//! yields them. Lanes (per-UE state) are independent, so any schedule
+//! Determinism: a pass applies intents in exactly the order they were
+//! queued. Lanes (per-UE state) are independent, so any schedule
 //! that preserves each UE's own intent order produces bit-identical
 //! lifecycle evolutions — the property the fleet's shard-count-invariant
 //! digest rests on. Lane lookup is a binary search over a sorted id
@@ -28,25 +28,18 @@
 //! actually fires.
 //!
 //! Observability (the operator surface of DESIGN.md §15) rides on the
-//! same pass: every lane keeps a bounded, timestamped **state history**
-//! ([`HistoryRecord`]: pass index + front-end clock, never a wall clock —
-//! the records sit in digest-adjacent paths) of each lifecycle transition
-//! with its cause, the intent kind that fired it, and the retry attempt,
-//! serialized as JSON values per resource with the stable serde names
-//! from [`LinkStateKind::name`] / [`TransitionCause::name`]. Per-lane
-//! [`UeStats`] (state occupancy, time-in-state, exit-failure and retrain
-//! churn counters) accumulate unconditionally — they are plain
-//! deterministic arithmetic — and project into the
+//! same pass: per-lane [`UeStats`] (state occupancy, time-in-state,
+//! exit-failure and retrain churn counters) accumulate unconditionally —
+//! they are plain deterministic arithmetic — and project into the
 //! `mmwave-telemetry` metrics registry only under the `telemetry`
-//! feature, keeping the feature-off build byte-identical.
+//! feature, keeping the feature-off build byte-identical. A lane's
+//! transition history is its lifecycle's own log, which the run drains
+//! into the journal; `mmwave-admin history` replays it from there.
 
 use crate::linkstate::{
     LifecycleConfig, LinkLifecycle, LinkSignal, LinkState, LinkStateKind, Transition,
-    TransitionCause,
 };
 use mmwave_hotpath::hot_path;
-use mmwave_telemetry::json::{fmt_f64_json, json_escape};
-use std::collections::VecDeque;
 
 /// Identity of one UE within a cell. Cell-local: the fleet layer maps
 /// global UE indices onto the ids it registered with the handler.
@@ -82,16 +75,6 @@ pub enum IntentKind {
     },
 }
 
-impl IntentKind {
-    /// Stable serde name for history lines ([`HistoryRecord::to_json`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            IntentKind::Establish { .. } => "establish",
-            IntentKind::SnrReport { .. } => "snr-report",
-        }
-    }
-}
-
 /// One queued instruction: *which* UE, *when* (front-end clock), *what*.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Intent {
@@ -103,24 +86,10 @@ pub struct Intent {
     pub kind: IntentKind,
 }
 
-/// The mailbox interface between peers and the handler. Peers only ever
-/// [`Io::submit`]; the handler drains everything queued since the last
-/// pass with [`Io::drain_into`] (FIFO, preserving submission order).
-pub trait Io {
-    /// Queues one intent.
-    fn submit(&mut self, intent: Intent);
-
-    /// Moves every queued intent into `out` (appending, oldest first) and
-    /// leaves the queue empty. Implementations must preserve submission
-    /// order — the handler's determinism contract depends on it.
-    fn drain_into(&mut self, out: &mut Vec<Intent>);
-
-    /// Queued intents not yet drained.
-    fn pending(&self) -> usize;
-}
-
-/// The default FIFO queue: a reused `Vec`, allocation-free in steady
-/// state once it reaches its high-water mark.
+/// The mailbox between peers and the handler: a FIFO over a reused
+/// `Vec`, allocation-free in steady state once it reaches its
+/// high-water mark. Peers only ever [`IntentQueue::submit`]; the handler
+/// drains everything queued since the last pass.
 #[derive(Debug, Default)]
 pub struct IntentQueue {
     queue: Vec<Intent>,
@@ -131,39 +100,19 @@ impl IntentQueue {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Io for IntentQueue {
-    fn submit(&mut self, intent: Intent) {
+    /// Queues one intent.
+    pub fn submit(&mut self, intent: Intent) {
         self.queue.push(intent);
     }
 
+    /// Moves every queued intent into `out` (appending, oldest first) and
+    /// leaves the queue empty: submission order is the handler's
+    /// determinism contract.
     #[hot_path]
     fn drain_into(&mut self, out: &mut Vec<Intent>) {
         out.append(&mut self.queue);
     }
-
-    fn pending(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-/// Per-UE resource accounting the handler emits as it drains.
-///
-/// This is the original compact form, kept as a thin shim over
-/// [`UeStats`] (the registry-facing accounting that superseded it):
-/// [`StateHandler::metrics`] assembles one from the unified per-lane
-/// stats, so there is exactly one metric path underneath.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UeMetrics {
-    /// Intents applied to this UE's lifecycle.
-    pub intents: u64,
-    /// Transitions those intents fired.
-    pub transitions: u64,
-    /// Passes this UE ended in an established state (`Steady`/`Degraded`).
-    pub established_passes: u64,
-    /// Handler passes that touched this UE at all.
-    pub active_passes: u64,
 }
 
 /// Number of lifecycle state kinds, the width of the per-state arrays on
@@ -183,8 +132,8 @@ pub fn state_kind_index(kind: LinkStateKind) -> usize {
 }
 
 /// Full per-resource accounting the handler accumulates on every pass —
-/// the single metric path under both the [`UeMetrics`] shim and the
-/// `mmwave-telemetry` metrics registry. All plain deterministic
+/// the metric path under the `mmwave-telemetry` metrics registry. All
+/// plain deterministic
 /// arithmetic over intent timestamps (front-end clock): no wall clock
 /// ever enters, so the values are bit-reproducible across runs.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -205,72 +154,10 @@ pub struct UeStats {
     /// the lane was in *before* the intent applied.
     pub time_in_state_s: [f64; STATE_KINDS],
     /// Transitions whose cause is a failed attempt to leave a bad state
-    /// ([`TransitionCause::is_exit_failure`]).
+    /// ([`crate::linkstate::TransitionCause::is_exit_failure`]).
     pub exit_failures: u64,
     /// Entries into `Recovering` — the retrain churn counter.
     pub retrains: u64,
-}
-
-impl UeStats {
-    /// The compact legacy view ([`UeMetrics`]) of these stats.
-    pub fn ue_metrics(&self) -> UeMetrics {
-        UeMetrics {
-            intents: self.intents,
-            transitions: self.transitions,
-            established_passes: self.established_passes,
-            active_passes: self.active_passes,
-        }
-    }
-}
-
-/// One state-history entry: a lifecycle transition plus the context the
-/// operator needs to read the tape without replaying the run — when (pass
-/// index and front-end clock; deliberately no wall clock), what fired it,
-/// and how deep into a retry episode the lane was.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistoryRecord {
-    /// Handler pass (slot-rate sequence number) the transition fired in.
-    pub pass: u64,
-    /// Front-end timestamp of the intent that fired it, seconds.
-    pub t_s: f64,
-    /// State before.
-    pub from: LinkState,
-    /// State after.
-    pub to: LinkState,
-    /// Why the machine moved.
-    pub cause: TransitionCause,
-    /// The intent kind that carried the signal.
-    pub intent: IntentKind,
-    /// Retry attempt the lane landed in (1-based inside a recovery
-    /// episode, 0 outside one).
-    pub retry: u32,
-}
-
-impl HistoryRecord {
-    /// The record as one JSON value, using the stable serde names
-    /// ([`LinkStateKind::name`], [`TransitionCause::name`],
-    /// [`IntentKind::name`]) so history lines diff cleanly across binary
-    /// versions. `resource` labels the line (`ue3`); a non-empty `note`
-    /// (the lane's fault/impairment annotation) is included as `"note"`.
-    pub fn to_json(&self, resource: &str, note: &str) -> String {
-        let mut out = format!(
-            "{{\"resource\":\"{}\",\"pass\":{},\"t_s\":{},\"from\":\"{}\",\"to\":\"{}\",\
-             \"cause\":\"{}\",\"intent\":\"{}\",\"retry\":{}",
-            json_escape(resource),
-            self.pass,
-            fmt_f64_json(self.t_s),
-            self.from.kind().name(),
-            self.to.kind().name(),
-            self.cause.name(),
-            self.intent.name(),
-            self.retry
-        );
-        if !note.is_empty() {
-            out.push_str(&format!(",\"note\":\"{}\"", json_escape(note)));
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// What one [`StateHandler::pass`] did, in aggregate.
@@ -286,23 +173,12 @@ pub struct PassStats {
     pub rejected: u64,
 }
 
-/// Default bound on each lane's state history: old records are dropped
-/// oldest-first past this many. Transitions are rare next to passes, so
-/// 256 records cover hours of simulated churn per UE while keeping a
-/// thousand-UE cell's history footprint bounded.
-pub const DEFAULT_HISTORY_CAP: usize = 256;
-
-/// One UE's state lane: the lifecycle plus its running stats and bounded
-/// state history.
+/// One UE's state lane: the lifecycle plus its running stats.
 #[derive(Debug)]
 struct Lane {
     ue: UeId,
     lifecycle: LinkLifecycle,
     stats: UeStats,
-    history: VecDeque<HistoryRecord>,
-    /// Fault/impairment annotation the registering layer attached
-    /// (empty = clean front-end); rides on history lines as `"note"`.
-    note: String,
     /// Front-end timestamp of the last applied intent (time-in-state
     /// integration anchor).
     last_t_s: Option<f64>,
@@ -312,7 +188,7 @@ struct Lane {
 /// The single writer of per-UE lifecycle state in a cell.
 ///
 /// Construction registers the full UE set up front; [`StateHandler::pass`]
-/// then drains an [`Io`] queue and applies each intent through
+/// then drains an [`IntentQueue`] and applies each intent through
 /// [`LinkLifecycle::apply`] — the state machine's own sole mutation point
 /// — so the whole cell preserves the single-transition-point invariant of
 /// DESIGN.md §6 at fleet scale.
@@ -321,8 +197,6 @@ pub struct StateHandler {
     /// Sorted by id: lookup is a deterministic binary search.
     lanes: Vec<Lane>,
     passes: u64,
-    /// Per-lane state-history bound (oldest records dropped past it).
-    history_cap: usize,
     /// Reused drain buffer (steady-state passes never allocate).
     scratch: Vec<Intent>,
 }
@@ -340,8 +214,6 @@ impl StateHandler {
                 ue,
                 lifecycle: LinkLifecycle::new(cfg),
                 stats: UeStats::default(),
-                history: VecDeque::new(),
-                note: String::new(),
                 last_t_s: None,
                 touched: false,
             })
@@ -349,29 +221,7 @@ impl StateHandler {
         Self {
             lanes,
             passes: 0,
-            history_cap: DEFAULT_HISTORY_CAP,
             scratch: Vec::new(),
-        }
-    }
-
-    /// Overrides the per-lane state-history bound (0 disables history
-    /// entirely). Existing histories are trimmed to the new cap.
-    pub fn set_history_cap(&mut self, cap: usize) {
-        self.history_cap = cap;
-        for lane in &mut self.lanes {
-            while lane.history.len() > cap {
-                lane.history.pop_front();
-            }
-        }
-    }
-
-    /// Attaches a fault/impairment annotation to a UE's lane (the fleet
-    /// layer labels faulted/impaired front-ends at registration); it
-    /// rides on every subsequent history line as `"note"`.
-    pub fn set_note(&mut self, ue: UeId, note: &str) {
-        if let Some(i) = self.lane_idx(ue) {
-            self.lanes[i].note.clear();
-            self.lanes[i].note.push_str(note);
         }
     }
 
@@ -395,26 +245,8 @@ impl StateHandler {
     }
 
     /// Current lifecycle state of a UE (`None` for unregistered ids).
-    // xtask-allow(hot-path-panic): lane_idx is a binary_search hit over self.lanes, so the index is in bounds by construction
     pub fn state(&self, ue: UeId) -> Option<LinkState> {
         self.lane_idx(ue).map(|i| self.lanes[i].lifecycle.state())
-    }
-
-    /// Whether the lifecycle wants a training scan for this UE now — the
-    /// probe planner reads this; it never writes.
-    // xtask-allow(hot-path-panic): lane_idx is a binary_search hit over self.lanes, so the index is in bounds by construction
-    pub fn should_scan(&self, ue: UeId, t_s: f64) -> bool {
-        self.lane_idx(ue)
-            .is_some_and(|i| self.lanes[i].lifecycle.should_scan(t_s))
-    }
-
-    /// Per-UE metrics accumulated so far (`None` for unregistered ids).
-    ///
-    /// Thin shim over [`StateHandler::stats`], kept for callers of the
-    /// original compact form; the registry-facing [`UeStats`] underneath
-    /// is the single metric path.
-    pub fn metrics(&self, ue: UeId) -> Option<UeMetrics> {
-        self.stats(ue).map(UeStats::ue_metrics)
     }
 
     /// Full per-UE stats accumulated so far (`None` for unregistered
@@ -423,38 +255,7 @@ impl StateHandler {
         self.lane_idx(ue).map(|i| &self.lanes[i].stats)
     }
 
-    /// The bounded state history of a UE, oldest first (empty for
-    /// unregistered ids).
-    pub fn history(&self, ue: UeId) -> impl Iterator<Item = &HistoryRecord> {
-        self.lane_idx(ue)
-            .into_iter()
-            .flat_map(move |i| self.lanes[i].history.iter())
-    }
-
-    /// The state history of a UE as JSON values (one per record), labeled
-    /// with the UE's resource name and its fault/impairment note.
-    pub fn history_json(&self, ue: UeId) -> Vec<String> {
-        let Some(i) = self.lane_idx(ue) else {
-            return Vec::new();
-        };
-        let lane = &self.lanes[i];
-        let resource = lane.ue.to_string();
-        lane.history
-            .iter()
-            .map(|r| r.to_json(&resource, &lane.note))
-            .collect()
-    }
-
-    /// The transition log a UE's lifecycle has accumulated (not drained).
-    pub fn transition_log(&self, ue: UeId) -> &[Transition] {
-        self.lane_idx(ue)
-            .map(|i| self.lanes[i].lifecycle.log())
-            .unwrap_or(&[])
-    }
-
     /// Drains one UE's accumulated transitions (end-of-run export).
-    // xtask-allow(hot-path-panic): lane_idx is a binary_search hit over self.lanes, so the index is in bounds by construction
-    // xtask-allow(hot-path-closure): end-of-run export, which hands the caller an owned Vec by design
     pub fn drain_transitions(&mut self, ue: UeId) -> Vec<Transition> {
         let mut out = Vec::new();
         if let Some(i) = self.lane_idx(ue) {
@@ -467,7 +268,7 @@ impl StateHandler {
     /// intent to its lane in FIFO order, and updates per-resource metrics.
     /// The only call site in the cell that mutates lifecycle state.
     #[hot_path]
-    pub fn pass(&mut self, io: &mut dyn Io) -> PassStats {
+    pub fn pass(&mut self, io: &mut IntentQueue) -> PassStats {
         let mut batch = std::mem::take(&mut self.scratch);
         batch.clear();
         io.drain_into(&mut batch);
@@ -515,26 +316,8 @@ impl StateHandler {
                 if tr.cause.is_exit_failure() {
                     lane.stats.exit_failures += 1;
                 }
-                let retry = match tr.to {
-                    LinkState::Recovering { attempt } => {
-                        lane.stats.retrains += 1;
-                        attempt
-                    }
-                    _ => 0,
-                };
-                if self.history_cap > 0 {
-                    if lane.history.len() == self.history_cap {
-                        lane.history.pop_front();
-                    }
-                    lane.history.push_back(HistoryRecord {
-                        pass: self.passes,
-                        t_s: intent.t_s,
-                        from: tr.from,
-                        to: tr.to,
-                        cause: tr.cause,
-                        intent: intent.kind,
-                        retry,
-                    });
+                if matches!(tr.to, LinkState::Recovering { .. }) {
+                    lane.stats.retrains += 1;
                 }
             }
         }
@@ -621,8 +404,8 @@ mod tests {
         assert_eq!(h.state(UeId(0)).unwrap().kind(), LinkStateKind::Steady);
         assert_eq!(h.state(UeId(1)).unwrap().kind(), LinkStateKind::Acquiring);
         assert_eq!(h.state(UeId(2)).unwrap().kind(), LinkStateKind::Acquiring);
-        assert_eq!(h.metrics(UeId(0)).unwrap().established_passes, 1);
-        assert_eq!(h.metrics(UeId(1)).unwrap().active_passes, 0);
+        assert_eq!(h.stats(UeId(0)).unwrap().established_passes, 1);
+        assert_eq!(h.stats(UeId(1)).unwrap().active_passes, 0);
     }
 
     #[test]
@@ -643,8 +426,8 @@ mod tests {
         let stats = h.pass(&mut io);
         assert_eq!(stats.transitions, 1);
         assert_eq!(h.state(UeId(0)).unwrap().kind(), LinkStateKind::Outage);
-        assert_eq!(h.metrics(UeId(0)).unwrap().intents, 2);
-        assert_eq!(h.transition_log(UeId(0)).len(), 2);
+        assert_eq!(h.stats(UeId(0)).unwrap().intents, 2);
+        assert_eq!(h.drain_transitions(UeId(0)).len(), 2);
     }
 
     #[test]
@@ -724,7 +507,7 @@ mod tests {
             (
                 h.drain_transitions(UeId(0)),
                 h.drain_transitions(UeId(1)),
-                h.metrics(UeId(0)).unwrap(),
+                h.stats(UeId(0)).cloned().unwrap(),
             )
         };
         assert_eq!(run(false), run(true));
@@ -755,11 +538,11 @@ mod tests {
             assert_eq!(stats.transitions, 0);
         }
         assert_eq!(h.passes(), 50);
-        assert_eq!(h.metrics(UeId(3)).unwrap().established_passes, 50);
+        assert_eq!(h.stats(UeId(3)).unwrap().established_passes, 50);
     }
 
     /// Drives one lane Steady → Outage → Recovering, returning the
-    /// handler for history/stats assertions.
+    /// handler for stats assertions.
     fn churned_handler() -> StateHandler {
         let mut h = handler(1);
         let mut io = IntentQueue::new();
@@ -798,93 +581,9 @@ mod tests {
     }
 
     #[test]
-    fn history_records_transitions_with_causes_and_context() {
-        let h = churned_handler();
-        let hist: Vec<_> = h.history(UeId(0)).copied().collect();
-        assert!(hist.len() >= 3, "establish + collapse + retrain expected");
-        // History mirrors the lifecycle's own log exactly (same tape).
-        let log = h.transition_log(UeId(0));
-        assert_eq!(hist.len(), log.len());
-        for (r, tr) in hist.iter().zip(log) {
-            assert_eq!(
-                (r.t_s, r.from, r.to, r.cause),
-                (tr.t_s, tr.from, tr.to, tr.cause)
-            );
-        }
-        assert_eq!(hist[0].from.kind(), LinkStateKind::Acquiring);
-        assert_eq!(hist[0].to.kind(), LinkStateKind::Steady);
-        assert_eq!(hist[0].intent.name(), "establish");
-        assert_eq!(hist[0].pass, 0);
-        assert_eq!(hist[0].retry, 0);
-        let retrain = hist
-            .iter()
-            .find(|r| r.to.kind() == LinkStateKind::Recovering)
-            .expect("a retrain entry");
-        assert_eq!(retrain.retry, 1);
-        assert_eq!(retrain.intent.name(), "snr-report");
-        // Pass stamps are monotone and below the pass count.
-        for w in hist.windows(2) {
-            assert!(w[0].pass <= w[1].pass);
-        }
-        assert!(hist.last().unwrap().pass < h.passes());
-    }
-
-    #[test]
-    fn history_json_uses_stable_names_and_carries_the_note() {
-        let mut h = churned_handler();
-        h.set_note(UeId(0), "faulted");
-        let lines = h.history_json(UeId(0));
-        assert_eq!(lines.len(), h.history(UeId(0)).count());
-        let first = &lines[0];
-        assert!(first.contains("\"resource\":\"ue0\""), "{first}");
-        assert!(first.contains("\"from\":\"acquiring\""), "{first}");
-        assert!(first.contains("\"to\":\"steady\""), "{first}");
-        assert!(first.contains("\"cause\":\"established\""), "{first}");
-        assert!(first.contains("\"intent\":\"establish\""), "{first}");
-        assert!(first.contains("\"note\":\"faulted\""), "{first}");
-        for l in &lines {
-            mmwave_telemetry::validate_json_line(l).expect("history line must be strict JSON");
-        }
-        assert!(h.history_json(UeId(9)).is_empty());
-    }
-
-    #[test]
-    fn history_is_bounded_oldest_first() {
-        let mut h = handler(1);
-        h.set_history_cap(3);
-        let mut io = IntentQueue::new();
-        // Alternate failed/ok establishment to fire a transition per pass.
-        for p in 0..10u64 {
-            establish(
-                &mut io,
-                0,
-                0.01 + p as f64 * 0.025,
-                if p % 2 == 0 { 25.0 } else { -60.0 },
-            );
-            h.pass(&mut io);
-        }
-        // Transitions fire on the successful establishments (Steady
-        // re-establish; a failed establish from Steady is a no-op), i.e.
-        // on even passes 0,2,4,6,8 — five records against a cap of 3.
-        let hist: Vec<_> = h.history(UeId(0)).copied().collect();
-        assert_eq!(hist.len(), 3);
-        // Only the newest records survive.
-        assert_eq!(hist.last().unwrap().pass, 8);
-        assert!(hist[0].pass >= 4);
-        h.set_history_cap(1);
-        assert_eq!(h.history(UeId(0)).count(), 1);
-        h.set_history_cap(0);
-        establish(&mut io, 0, 1.0, 25.0);
-        h.pass(&mut io);
-        assert_eq!(h.history(UeId(0)).count(), 0);
-    }
-
-    #[test]
     fn stats_track_occupancy_time_and_churn() {
         let h = churned_handler();
         let s = h.stats(UeId(0)).unwrap();
-        // The shim is exactly the compact projection of the stats.
-        assert_eq!(h.metrics(UeId(0)).unwrap(), s.ue_metrics());
         assert!(s.retrains >= 1);
         assert!(s.exit_failures == 0 || s.exit_failures < s.transitions);
         // Occupancy: every touched pass lands in exactly one state bucket.

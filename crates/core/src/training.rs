@@ -59,12 +59,7 @@ pub struct TrainingResult {
     pub probes_used: usize,
 }
 
-impl TrainingResult {
-    /// The strongest viable path, if any.
-    pub fn strongest(&self) -> Option<&ViablePath> {
-        self.viable.first()
-    }
-}
+impl TrainingResult {}
 
 /// Runs an exhaustive scan over the `n_beams`-beam uniform codebook, then
 /// extracts up to `max_paths` local maxima within `viable_window_db` of the
@@ -488,7 +483,7 @@ mod tests {
             &mut SuperResScratch::default(),
         );
         assert_eq!(r.probes_used, 64);
-        let best = r.strongest().expect("a path");
+        let best = r.viable.first().expect("a path");
         // LOS is at 0° (UE straight ahead); codebook granularity ≈ 1.9°.
         assert!(
             best.angle_deg.abs() < 3.0,
@@ -550,7 +545,7 @@ mod tests {
             8.0,
             &mut SuperResScratch::default(),
         );
-        let los = r.strongest().unwrap();
+        let los = r.viable.first().unwrap();
         for v in r.viable.iter().skip(1) {
             assert!(
                 v.delay_ns > los.delay_ns - 0.5,

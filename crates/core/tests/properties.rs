@@ -4,7 +4,6 @@ use mmreliable::frontend::SnapshotFrontEnd;
 use mmreliable::probing::full_relative;
 use mmreliable::superres::{estimate_per_beam, SuperResConfig};
 use mmreliable::tracking::BeamTracker;
-use mmreliable::ue::{associate_beams, estimate_translation_misalign_deg, two_sided_loss_db};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::pattern::ula_gain_rel;
 use mmwave_channel::channel::{GeometricChannel, UeReceiver};
@@ -133,49 +132,5 @@ proptest! {
         }
         prop_assert!(est.is_some());
         prop_assert!((est.unwrap() - dev).abs() < 0.5, "dev {dev} est {:?}", est);
-    }
-
-    #[test]
-    fn ue_association_is_a_permutation_matching(
-        tofs in prop::collection::vec(0.0..50.0f64, 1..5),
-        shuffle_seed in 0u64..16,
-    ) {
-        // UE sees the same relative ToFs, permuted and slightly perturbed.
-        let mut rng = Rng64::seed(shuffle_seed);
-        let mut order: Vec<usize> = (0..tofs.len()).collect();
-        // Fisher–Yates with the seeded RNG.
-        for i in (1..order.len()).rev() {
-            let j = rng.index(i + 1);
-            order.swap(i, j);
-        }
-        let ue_tofs: Vec<f64> = order.iter().map(|&i| tofs[i] + rng.uniform_in(-0.01, 0.01)).collect();
-        let pairs = associate_beams(&tofs, &ue_tofs);
-        prop_assert_eq!(pairs.len(), tofs.len());
-        // Only require correctness where the match is unambiguous (ToFs
-        // separated by more than the perturbation scale).
-        for &(g, u) in &pairs {
-            let ambiguous = tofs
-                .iter()
-                .enumerate()
-                .any(|(k, &t)| k != g && (t - tofs[g]).abs() < 0.05);
-            if !ambiguous {
-                prop_assert_eq!(order[u], g, "gnb {} matched ue {}", g, u);
-            }
-        }
-    }
-
-    #[test]
-    fn translation_inversion_round_trips(
-        gnb_steer in -25.0..25.0f64,
-        ue_steer in -25.0..25.0f64,
-        dev in 0.2..5.0f64,
-    ) {
-        let gnb = ArrayGeometry::ula(8);
-        let ue = ArrayGeometry::ula(4);
-        let drop = two_sided_loss_db(&gnb, gnb_steer, &ue, ue_steer, dev);
-        prop_assume!(drop < 20.0); // inside both main lobes
-        let est = estimate_translation_misalign_deg(&gnb, gnb_steer, &ue, ue_steer, drop);
-        prop_assert!(est.is_some());
-        prop_assert!((est.unwrap() - dev).abs() < 0.2, "dev {dev} est {:?}", est);
     }
 }

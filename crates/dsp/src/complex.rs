@@ -105,17 +105,6 @@ impl Complex64 {
     pub fn is_bad(self) -> bool {
         !(self.re.is_finite() && self.im.is_finite())
     }
-
-    /// Returns the unit phasor `z/|z|`, or zero when `|z| == 0`.
-    #[inline]
-    pub fn normalize(self) -> Self {
-        let a = self.abs();
-        if a == 0.0 {
-            Self::ZERO
-        } else {
-            self.scale(1.0 / a)
-        }
-    }
 }
 
 impl fmt::Debug for Complex64 {
@@ -409,12 +398,5 @@ mod tests {
         assert!(c64(f64::NAN, 0.0).is_bad());
         assert!(c64(0.0, f64::INFINITY).is_bad());
         assert!(!c64(1.0, -1.0).is_bad());
-    }
-
-    #[test]
-    fn normalize_unit_phasor() {
-        let z = c64(3.0, 4.0).normalize();
-        assert!(close(z.abs(), 1.0));
-        assert!(Complex64::ZERO.normalize() == Complex64::ZERO);
     }
 }

@@ -46,6 +46,8 @@ pub fn polyfit<const M: usize>(
     // (j, i) sums x^{i+j}. Each power is the running product 1·x·x·…
     let mut ata = [[0.0; M]; M];
     let mut atb = [0.0; M];
+    // Every index below is under `M` by its loop bounds.
+    debug_assert_eq!(ata.len(), atb.len());
     let mut samples = 0;
     for (x, y) in points {
         samples += 1;
@@ -68,6 +70,8 @@ pub fn polyfit<const M: usize>(
 
 /// In-place Gaussian elimination for small real systems; consumes its inputs.
 fn solve_real<const M: usize>(a: &mut [[f64; M]; M], b: &mut [f64; M]) -> Option<[f64; M]> {
+    // Every row and column index below is under `M` by its loop bounds.
+    debug_assert_eq!(a.len(), b.len());
     for col in 0..M {
         let pivot_row =
             (col..M).max_by(|&r1, &r2| a[r1][col].abs().total_cmp(&a[r2][col].abs()))?;

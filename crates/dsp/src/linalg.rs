@@ -96,17 +96,6 @@ impl CMatrix {
         self.cols
     }
 
-    /// Conjugate (Hermitian) transpose `Aᴴ`.
-    pub fn hermitian(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)].conj();
-            }
-        }
-        out
-    }
-
     /// Matrix–vector product `A·x`.
     pub fn mul_vec(&self, x: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
@@ -420,19 +409,6 @@ mod tests {
         let a = CMatrix::zeros(3, 2);
         let b = vec![Complex64::ONE; 3];
         assert_eq!(solve(&a, &b), Err(LinalgError::DimensionMismatch));
-    }
-
-    #[test]
-    fn hermitian_transpose() {
-        let a = CMatrix::from_rows(
-            2,
-            2,
-            vec![c64(1.0, 1.0), c64(2.0, 0.0), c64(0.0, 3.0), c64(4.0, -4.0)],
-        );
-        let h = a.hermitian();
-        assert_close(h[(0, 0)], c64(1.0, -1.0), 1e-15);
-        assert_close(h[(0, 1)], c64(0.0, -3.0), 1e-15);
-        assert_close(h[(1, 0)], c64(2.0, 0.0), 1e-15);
     }
 
     #[test]

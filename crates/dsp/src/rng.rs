@@ -80,13 +80,6 @@ impl Rng64 {
         result
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// experiment run or each subsystem its own stream.
-    pub fn fork(&mut self, salt: u64) -> Self {
-        let s: u64 = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Self::seed(s)
-    }
-
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 top bits → the standard [0,1) double construction.
@@ -331,15 +324,6 @@ mod tests {
         let mut rng = Rng64::seed(11);
         assert!((0..100).all(|_| !rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0 + 1e-12)));
-    }
-
-    #[test]
-    fn fork_streams_independent() {
-        let mut root = Rng64::seed(5);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let same = (0..32).filter(|_| a.uniform() == b.uniform()).count();
-        assert!(same < 4);
     }
 
     /// Seeded draws for the kernel oracles.

@@ -45,26 +45,6 @@ pub fn sinc_pulse_into(n: usize, bw_hz: f64, ts_s: f64, tau_s: f64, out: &mut Ve
     out.extend((0..n).map(|i| sinc(bw_hz * (i as f64 * ts_s - tau_s))));
 }
 
-/// Complex pulse train `Σ_k α_k · sinc(bw·(i·Ts − τ_k))`, the forward
-/// model the super-resolution step inverts: clears `out`, then accumulates
-/// the sinc train into it without allocating (when capacity suffices).
-#[hot_path]
-pub fn pulse_train_into(
-    n: usize,
-    bw_hz: f64,
-    ts_s: f64,
-    taps: &[(Complex64, f64)],
-    out: &mut Vec<Complex64>,
-) {
-    out.clear();
-    out.resize(n, Complex64::ZERO);
-    for &(alpha, tau) in taps {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o += alpha * sinc(bw_hz * (i as f64 * ts_s - tau));
-        }
-    }
-}
-
 /// Builds the sinc dictionary `S` of Eq. 23: column `k` is a unit sinc pulse
 /// at delay `delays_s[k]`, sampled on `n` taps.
 pub fn sinc_dictionary(n: usize, bw_hz: f64, ts_s: f64, delays_s: &[f64]) -> CMatrix {
@@ -83,7 +63,6 @@ pub fn sinc_dictionary(n: usize, bw_hz: f64, ts_s: f64, delays_s: &[f64]) -> CMa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::c64;
 
     #[test]
     fn sinc_at_zero_and_integers() {
@@ -133,18 +112,6 @@ mod tests {
         // No single tap captures everything; neighbors share energy.
         assert!(p[5] > 0.5 && p[6] > 0.5);
         assert!(p[4] < 0.0 && p[7] < 0.0); // first sidelobes are negative
-    }
-
-    #[test]
-    fn pulse_train_superposition() {
-        let bw = 400e6;
-        let ts = 1.0 / bw;
-        let taps = [(c64(1.0, 0.0), 2.0 * ts), (c64(0.0, 0.5), 7.0 * ts)];
-        let mut h = Vec::new();
-        pulse_train_into(12, bw, ts, &taps, &mut h);
-        assert!((h[2] - c64(1.0, 0.0)).abs() < 1e-12);
-        assert!((h[7] - c64(0.0, 0.5)).abs() < 1e-12);
-        assert!(h[4].abs() < 1e-12);
     }
 
     #[test]

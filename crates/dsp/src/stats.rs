@@ -65,20 +65,6 @@ pub fn max(x: &[f64]) -> f64 {
         .fold(f64::NAN, |a, b| if a.is_nan() || b > a { b } else { a })
 }
 
-/// Mean squared error between two equal-length slices.
-pub fn mse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mse requires equal lengths");
-    if a.is_empty() {
-        return f64::NAN;
-    }
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64
-}
-
-/// Root-mean-square error.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    mse(a, b).sqrt()
-}
-
 /// Empirical CDF evaluated at `n_points` evenly spaced values across the data
 /// range; returns `(value, P(X ≤ value))` pairs. Useful for Fig. 4a-style
 /// CDF plots.
@@ -102,15 +88,6 @@ pub fn empirical_cdf(x: &[f64], n_points: usize) -> Vec<(f64, f64)> {
             (v, count as f64 / n)
         })
         .collect()
-}
-
-/// Fraction of samples strictly below `threshold` — the empirical outage
-/// probability of paper Eq. 1 when applied to an SNR time series.
-pub fn fraction_below(x: &[f64], threshold: f64) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    x.iter().filter(|&&v| v < threshold).count() as f64 / x.len() as f64
 }
 
 /// Exponentially-weighted moving average with forgetting factor
@@ -185,26 +162,6 @@ impl SlidingWindow {
         self.buf.is_empty()
     }
 
-    /// True once the window has filled to capacity.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
-    /// Oldest sample, if any.
-    pub fn oldest(&self) -> Option<f64> {
-        self.buf.first().copied()
-    }
-
-    /// Newest sample, if any.
-    pub fn newest(&self) -> Option<f64> {
-        self.buf.last().copied()
-    }
-
-    /// Newest − oldest (total change across the window).
-    pub fn span_change(&self) -> Option<f64> {
-        Some(self.newest()? - self.oldest()?)
-    }
-
     /// Contents in arrival order.
     pub fn as_slice(&self) -> &[f64] {
         &self.buf
@@ -257,14 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_rmse() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 2.0, 5.0];
-        assert!((mse(&a, &b) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((rmse(&a, &b) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn cdf_monotone_and_bounded() {
         let x: Vec<f64> = (0..100).map(|i| (i as f64 * 7.3) % 13.0).collect();
         let cdf = empirical_cdf(&x, 25);
@@ -274,17 +223,6 @@ mod tests {
         }
         assert!(cdf.last().unwrap().1 >= 1.0 - 1e-12);
         assert!(cdf[0].1 >= 0.0);
-    }
-
-    #[test]
-    fn fraction_below_threshold() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(fraction_below(&x, 2.5), 0.5);
-        assert_eq!(fraction_below(&x, 0.0), 0.0);
-        assert_eq!(fraction_below(&x, 100.0), 1.0);
-        assert_eq!(fraction_below(&[], 1.0), 0.0);
-        // strictly below: values equal to the threshold are not outages
-        assert_eq!(fraction_below(&x, 1.0), 0.0);
     }
 
     #[test]
@@ -318,13 +256,8 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             w.push(v);
         }
-        assert!(w.is_full());
         assert_eq!(w.as_slice(), &[2.0, 3.0, 4.0]);
-        assert_eq!(w.oldest(), Some(2.0));
-        assert_eq!(w.newest(), Some(4.0));
-        assert_eq!(w.span_change(), Some(2.0));
         w.clear();
         assert!(w.is_empty());
-        assert_eq!(w.span_change(), None);
     }
 }

@@ -48,12 +48,6 @@ pub fn amp_from_db(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts milliwatts to dBm.
-#[inline]
-pub fn dbm_from_mw(mw: f64) -> f64 {
-    db_from_pow(mw)
-}
-
 /// Converts dBm to milliwatts.
 #[inline]
 pub fn mw_from_dbm(dbm: f64) -> f64 {
@@ -105,11 +99,6 @@ pub fn fspl_db(d_m: f64, fc_hz: f64) -> f64 {
 /// `nf_db`: `10·log10(kT·BW·1000) + NF`.
 pub fn thermal_noise_dbm(bw_hz: f64, nf_db: f64) -> f64 {
     db_from_pow(BOLTZMANN * T0_KELVIN * bw_hz * 1_000.0) + nf_db
-}
-
-/// Shannon spectral efficiency (bits/s/Hz) at linear SNR.
-pub fn shannon_se(snr_linear: f64) -> f64 {
-    (1.0 + snr_linear).log2()
 }
 
 #[cfg(test)]
@@ -181,12 +170,5 @@ mod tests {
         assert!(close(wrap_deg(-190.0), 170.0, 1e-12));
         assert!(close(wrap_deg(360.0), 0.0, 1e-12));
         assert!(close(wrap_deg(180.0), 180.0, 1e-12));
-    }
-
-    #[test]
-    fn shannon_monotone() {
-        assert!(close(shannon_se(1.0), 1.0, 1e-12));
-        assert!(shannon_se(10.0) > shannon_se(1.0));
-        assert!(close(shannon_se(0.0), 0.0, 1e-12));
     }
 }

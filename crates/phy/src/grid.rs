@@ -46,13 +46,6 @@ impl ResourceGrid {
         (k as f64 - (self.n_subcarriers as f64 - 1.0) / 2.0) * self.numerology.scs_hz()
     }
 
-    /// All subcarrier frequencies (Hz offsets from carrier).
-    pub fn all_freqs(&self) -> Vec<f64> {
-        (0..self.n_subcarriers)
-            .map(|k| self.subcarrier_freq_hz(k))
-            .collect()
-    }
-
     /// Frequencies of every `decimation`-th subcarrier — the comb a
     /// reference signal actually sounds. Panics if `decimation == 0`.
     pub fn sounding_freqs(&self, decimation: usize) -> Vec<f64> {
@@ -79,11 +72,6 @@ impl ResourceGrid {
     pub fn fft_size(&self) -> usize {
         self.n_subcarriers.next_power_of_two()
     }
-
-    /// Sample rate of the IFFT output, Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.fft_size() as f64 * self.numerology.scs_hz()
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +85,6 @@ mod tests {
         // ≈ 380 MHz occupied.
         assert!((g.occupied_bw_hz() - 380.16e6).abs() < 1e3);
         assert_eq!(g.fft_size(), 4096);
-        assert!((g.sample_rate_hz() - 491.52e6).abs() < 1.0);
     }
 
     #[test]

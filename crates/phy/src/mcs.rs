@@ -31,8 +31,6 @@ impl McsEntry {
 #[derive(Clone, Debug)]
 pub struct McsTable {
     entries: Vec<McsEntry>,
-    /// SNR below `entries[0].min_snr_db` ⇒ outage.
-    outage_snr_db: f64,
 }
 
 impl McsTable {
@@ -72,20 +70,12 @@ impl McsTable {
                 }
             })
             .collect();
-        Self {
-            outage_snr_db: 6.0,
-            entries,
-        }
+        Self { entries }
     }
 
     /// Entries, lowest SE first.
     pub fn entries(&self) -> &[McsEntry] {
         &self.entries
-    }
-
-    /// The SNR (dB) below which the link is in outage.
-    pub fn outage_snr_db(&self) -> f64 {
-        self.outage_snr_db
     }
 
     /// Selects the highest decodable entry for `snr_db`; `None` = outage.
@@ -105,11 +95,6 @@ impl McsTable {
     pub fn throughput_bps(&self, snr_db: f64, bandwidth_hz: f64, overhead: f64) -> f64 {
         assert!((0.0..=1.0).contains(&overhead), "overhead is a fraction");
         self.spectral_efficiency(snr_db) * bandwidth_hz * (1.0 - overhead)
-    }
-
-    /// True when `snr_db` is below the decode threshold.
-    pub fn is_outage(&self, snr_db: f64) -> bool {
-        snr_db < self.outage_snr_db
     }
 }
 
@@ -135,8 +120,6 @@ mod tests {
     #[test]
     fn outage_below_six_db() {
         let t = McsTable::nr_table();
-        assert!(t.is_outage(5.9));
-        assert!(!t.is_outage(6.0));
         assert!(t.select(5.0).is_none());
         assert_eq!(t.spectral_efficiency(3.0), 0.0);
         assert!(t.select(6.0).is_some());

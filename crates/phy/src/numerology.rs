@@ -32,31 +32,6 @@ impl Numerology {
     pub fn slot_duration_s(&self) -> f64 {
         1e-3 / (1u32 << self.mu) as f64
     }
-
-    /// Slots per 10 ms radio frame.
-    pub fn slots_per_frame(&self) -> usize {
-        10 * (1usize << self.mu)
-    }
-
-    /// OFDM symbols per slot (normal cyclic prefix).
-    pub fn symbols_per_slot(&self) -> usize {
-        14
-    }
-
-    /// Average OFDM symbol duration including cyclic prefix, seconds.
-    pub fn symbol_duration_s(&self) -> f64 {
-        self.slot_duration_s() / self.symbols_per_slot() as f64
-    }
-
-    /// Useful (FFT) symbol duration, seconds — `1/SCS`.
-    pub fn useful_symbol_s(&self) -> f64 {
-        1.0 / self.scs_hz()
-    }
-
-    /// Nominal cyclic-prefix length, seconds.
-    pub fn cp_s(&self) -> f64 {
-        self.symbol_duration_s() - self.useful_symbol_s()
-    }
 }
 
 #[cfg(test)]
@@ -68,9 +43,6 @@ mod tests {
         let n = Numerology::paper_mu3();
         assert_eq!(n.scs_hz(), 120_000.0);
         assert!((n.slot_duration_s() - 0.125e-3).abs() < 1e-12);
-        // "8.93 µs @ 120 kHz" (§5.2)
-        assert!((n.symbol_duration_s() - 8.93e-6).abs() < 0.02e-6);
-        assert_eq!(n.slots_per_frame(), 80);
     }
 
     #[test]
@@ -78,16 +50,6 @@ mod tests {
         let n = Numerology::new(0);
         assert_eq!(n.scs_hz(), 15_000.0);
         assert!((n.slot_duration_s() - 1e-3).abs() < 1e-12);
-        assert_eq!(n.slots_per_frame(), 10);
-    }
-
-    #[test]
-    fn cp_positive_and_small() {
-        for mu in 0..=4 {
-            let n = Numerology::new(mu);
-            assert!(n.cp_s() > 0.0);
-            assert!(n.cp_s() < n.useful_symbol_s());
-        }
     }
 
     #[test]

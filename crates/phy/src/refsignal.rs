@@ -121,12 +121,6 @@ impl ProbeBudget {
     pub fn mmreliable_maintenance_s(&self, k_beams: usize, csi_rs: &CsiRsConfig) -> f64 {
         Self::mmreliable_probes(k_beams) as f64 * csi_rs.slots_per_probe as f64 * self.slot_s()
     }
-
-    /// Fractional airtime overhead of a probing pattern that spends
-    /// `probe_airtime_s` every `period_s`.
-    pub fn overhead_fraction(probe_airtime_s: f64, period_s: f64) -> f64 {
-        (probe_airtime_s / period_s).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +183,7 @@ mod tests {
         // full slot (the paper's 0.04% counts only the symbol).
         let b = ProbeBudget::paper();
         let csi = CsiRsConfig::default();
-        let frac = ProbeBudget::overhead_fraction(
-            csi.slots_per_probe as f64 * b.numerology.slot_duration_s(),
-            csi.period_s,
-        );
+        let frac = csi.slots_per_probe as f64 * b.numerology.slot_duration_s() / csi.period_s;
         assert!(frac < 0.007, "CSI-RS overhead {frac}");
     }
 
@@ -221,11 +212,5 @@ mod tests {
     #[test]
     fn single_beam_maintenance_needs_one_probe() {
         assert_eq!(ProbeBudget::mmreliable_probes(1), 1);
-    }
-
-    #[test]
-    fn overhead_fraction_clamped() {
-        assert_eq!(ProbeBudget::overhead_fraction(2.0, 1.0), 1.0);
-        assert_eq!(ProbeBudget::overhead_fraction(0.0, 1.0), 0.0);
     }
 }

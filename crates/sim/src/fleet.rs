@@ -49,7 +49,7 @@ use crate::metrics::RunResult;
 use crate::simulator::{front_end_stack, FrontEndStack, SlotLoop};
 use crate::spec::{is_registry_name, mix_fields, registry_names, MixGroup};
 use mmreliable::linkstate::LifecycleConfig;
-use mmreliable::{Intent, IntentKind, IntentQueue, Io, StateHandler, UeId};
+use mmreliable::{Intent, IntentKind, IntentQueue, StateHandler, UeId};
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_channel::{SharedSceneCache, SharedSceneCounters};
 use mmwave_hotpath::hot_path;
@@ -371,16 +371,7 @@ impl FleetShard {
                 done: false,
             });
         }
-        let mut handler =
-            StateHandler::new(ues.iter().map(|&u| UeId(u)), LifecycleConfig::default());
-        // Label each lane with its decorator stack so history lines say
-        // which environment (clean/faulted/impaired) produced the tape.
-        for lane in &lanes {
-            let note = lane.sim.note();
-            if !note.is_empty() {
-                handler.set_note(UeId(lane.ue), note);
-            }
-        }
+        let handler = StateHandler::new(ues.iter().map(|&u| UeId(u)), LifecycleConfig::default());
         Ok(Self {
             handler,
             lanes,

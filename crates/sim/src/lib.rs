@@ -78,7 +78,7 @@ pub use fleet::{
 pub use impairments::{
     ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent, ImpairmentKind, ImpairmentStage,
 };
-pub use metrics::{csv_field, csv_parse_row, RunCounters, RunEvent, RunResult, Sample};
+pub use metrics::{RunCounters, RunEvent, RunResult, Sample};
 pub use runner::{run_many, Aggregate};
 pub use scenario::{Scenario, ScenarioError, ValidationMessage};
 pub use simulator::{

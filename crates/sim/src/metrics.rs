@@ -16,52 +16,6 @@ use mmreliable::linkstate::{LinkStateKind, Transition};
 use mmwave_phy::mcs::McsTable;
 use mmwave_telemetry::RunLatency;
 
-/// Escapes one CSV field per RFC 4180: fields containing a comma, a double
-/// quote, or a line break are wrapped in double quotes with embedded quotes
-/// doubled; everything else passes through unchanged. Every free-text field
-/// the run records emit (strategy and scenario names, event payloads) goes
-/// through here so a name like `widebeam, 3 dB` cannot shear a row.
-pub fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Parses one RFC 4180 CSV record back into its fields: the inverse of
-/// joining [`csv_field`]-escaped fields with commas. Quoted fields may
-/// contain commas, doubled quotes, and line breaks, so a record with an
-/// embedded newline spans multiple physical lines — pass the whole record.
-/// Used by the results tooling (and its tests) to guarantee every row the
-/// harness writes machine-reads back to the original fields.
-pub fn csv_parse_row(record: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = record.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' if chars.peek() == Some(&'"') => {
-                    chars.next();
-                    cur.push('"');
-                }
-                '"' => in_quotes = false,
-                c => cur.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
-                c => cur.push(c),
-            }
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
 /// One typed entry in a run's event log: a lifecycle transition of the
 /// strategy's link state machine, a fault the injection layer hit the
 /// front end with, or a hardware-impairment annotation.
@@ -197,11 +151,6 @@ impl RunResult {
             .map(|s| mcs.throughput_bps(s.snr_db, self.bandwidth_hz, 0.0) * s.dur_s)
             .sum();
         bits / total
-    }
-
-    /// Mean spectral efficiency, bits/s/Hz.
-    pub fn mean_se(&self, mcs: &McsTable) -> f64 {
-        self.mean_throughput_bps(mcs) / self.bandwidth_hz
     }
 
     /// The paper's combined metric: reliability × mean throughput (bits/s).
@@ -408,45 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_row_with_quotes_commas_newlines_round_trips() {
-        // Satellite guarantee: any free-text field the harness writes into
-        // a results CSV machine-reads back to the original bytes.
-        let nasty = [
-            "plain",
-            "comma, separated",
-            "has \"quotes\" inside",
-            "line\nbreak",
-            "crlf\r\nbreak",
-            "all: \"q\", comma, \nnewline",
-            "",
-            "trailing,",
-        ];
-        let record = nasty
-            .iter()
-            .map(|f| csv_field(f))
-            .collect::<Vec<_>>()
-            .join(",");
-        let parsed = csv_parse_row(&record);
-        assert_eq!(parsed.len(), nasty.len());
-        for (orig, back) in nasty.iter().zip(&parsed) {
-            assert_eq!(orig, back, "field must round-trip");
-        }
-        // And a realistic results row shape: name fields escaped, numeric
-        // fields bare.
-        let row = format!(
-            "{},{},{:.4},{:.1}",
-            csv_field("widebeam, 3 dB"),
-            csv_field("scenario \"A\""),
-            0.9714,
-            1432.5
-        );
-        assert_eq!(
-            csv_parse_row(&row),
-            vec!["widebeam, 3 dB", "scenario \"A\"", "0.9714", "1432.5"]
-        );
-    }
-
-    #[test]
     fn reliability_counts_outage_and_probing() {
         let r = mk(vec![
             s(0.0, 0.25, 20.0, false),     // up
@@ -502,15 +412,6 @@ mod tests {
         let r = mk(Vec::new());
         assert_eq!(r.reliability(), 0.0);
         assert!(r.mean_snr_db().is_nan());
-    }
-
-    #[test]
-    fn csv_field_escapes_delimiters() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("line\nbreak"), "\"line\nbreak\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_field(""), "");
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl LinkSimulator {
         self.cancel = token;
     }
 
-    /// The installed cancellation token (a clone observing shared state).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Hot-path counters accumulated so far (all-zero unless the
     /// `perf-counters` feature is enabled). The run loop resets them at
     /// the start of every run and copies them into the returned
@@ -371,20 +366,6 @@ pub fn front_end_stack(
     FaultInjector::new(impaired, fault)
 }
 
-impl FrontEndStack {
-    /// Stable annotation for the active layers (empty for a clean front
-    /// end). Fleet lanes put it on their state-history lines so a
-    /// transition tape says which environment produced it.
-    pub fn note(&self) -> &'static str {
-        match (self.schedule().is_inert(), self.inner().config().is_inert()) {
-            (true, true) => "",
-            (false, true) => "faulted",
-            (true, false) => "impaired",
-            (false, false) => "faulted+impaired",
-        }
-    }
-}
-
 /// The run loop as an explicit, resumable state machine.
 ///
 /// [`run_front_end`] drives it to completion in one call — the single-link
@@ -472,11 +453,6 @@ impl SlotLoop {
     fn started(mut self) -> Self {
         self.done = false;
         self
-    }
-
-    /// True once the run has covered its full simulated span.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Samples recorded so far (the fleet's intent derivation reads the

@@ -63,7 +63,7 @@ fn assert_steady_passes_do_not_allocate(cfg: &FleetConfig) {
     for ue in 0..cfg.n_ues {
         let state = handler.state(mmreliable::UeId(ue)).expect("lane exists");
         assert!(state.is_established(), "ue{ue} not established: {state:?}");
-        let m = handler.metrics(mmreliable::UeId(ue)).expect("lane exists");
+        let m = handler.stats(mmreliable::UeId(ue)).expect("lane exists");
         assert!(m.intents > 0, "ue{ue} submitted no intents");
     }
     assert!(shard.pass_latency().count() > 0);

@@ -148,14 +148,6 @@ impl LatencyHist {
         self.sum_ns
     }
 
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Raw bucket counts, for exporters and tests.
     pub fn bucket_counts(&self) -> &[u64; N_BUCKETS] {
         &self.counts
@@ -413,6 +405,5 @@ mod tests {
         let h = LatencyHist::new();
         assert_eq!(h.percentile_ns(50.0), 0);
         assert_eq!(h.summary(), StageSummary::default());
-        assert_eq!(h.mean_ns(), 0.0);
     }
 }

@@ -7,7 +7,6 @@
 //! before trusting a trace.
 
 /// Escape a string for embedding inside a JSON string literal.
-// xtask-allow(hot-path-closure): string building inside the opt-in JSON export; reached in the hot closure only via the over-approximate `record` method edge
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -26,7 +25,6 @@ pub fn json_escape(s: &str) -> String {
 
 /// Format an `f64` as a JSON value. JSON has no NaN/Infinity, so
 /// non-finite values become `null` — readers treat that as "unknown".
-// xtask-allow(hot-path-closure): string building inside the opt-in JSON export; reached in the hot closure only via the over-approximate `record` method edge
 pub fn fmt_f64_json(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");

@@ -201,11 +201,6 @@ impl MetricsRegistry {
             .map(|&i| HistId(i))
     }
 
-    /// Registered resource names, insertion order.
-    pub fn resources(&self) -> impl Iterator<Item = &str> {
-        self.resources.iter().map(String::as_str)
-    }
-
     /// All counters as `(resource, metric, value)`, sorted by metric
     /// then resource.
     pub fn counters(&self) -> Vec<(&str, &str, u64)> {

@@ -95,7 +95,6 @@ impl TraceEvent {
     }
 
     /// Render as one JSON line tagged with the owning cell id.
-    // xtask-allow(hot-path-closure): JSON rendering runs at drain/flush time in the opt-in observability export; it appears in the hot closure only through the call graph's method-name over-approximation (`record` resolves to every visible method of that name)
     pub fn to_json(&self, cell: &str) -> String {
         let head = format!(
             "{{\"cell\":\"{}\",\"kind\":\"{}\",\"t_s\":{}",
@@ -250,10 +249,11 @@ pub struct JsonlSink {
     cell: String,
     path: PathBuf,
     lines: Vec<String>,
-    /// Auto-flush after this many unflushed records (0 = only on demand).
-    flush_every: usize,
     unflushed: usize,
 }
+
+/// [`JsonlSink`] rewrites its file after this many unflushed records.
+const FLUSH_EVERY: usize = 256;
 
 impl JsonlSink {
     pub fn new(path: impl Into<PathBuf>, cell: impl Into<String>) -> Self {
@@ -261,22 +261,14 @@ impl JsonlSink {
             cell: cell.into(),
             path: path.into(),
             lines: Vec::new(),
-            flush_every: 256,
             unflushed: 0,
         }
-    }
-
-    /// Override the auto-flush cadence (records between rewrites).
-    pub fn with_flush_every(mut self, n: usize) -> Self {
-        self.flush_every = n;
-        self
     }
 
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    // xtask-allow(hot-path-closure): file export at flush time; in the hot closure only via the over-approximate `record` method edge, not any per-slot call
     fn write_all_lines(&self) -> Result<(), String> {
         let tmp = self.path.with_extension("jsonl.tmp");
         if let Some(dir) = self.path.parent() {
@@ -300,7 +292,7 @@ impl TelemetrySink for JsonlSink {
     fn record(&mut self, ev: TraceEvent) {
         self.lines.push(ev.to_json(&self.cell));
         self.unflushed += 1;
-        if self.flush_every > 0 && self.unflushed >= self.flush_every {
+        if self.unflushed >= FLUSH_EVERY {
             // Mid-run persistence is best-effort; the explicit post-run
             // flush surfaces any error.
             let _ = self.flush();
@@ -401,7 +393,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("mmwave-telemetry-test-{}", std::process::id()));
         let path = dir.join("trace.jsonl");
-        let mut s = JsonlSink::new(&path, "cellA").with_flush_every(0);
+        let mut s = JsonlSink::new(&path, "cellA");
         for n in 0..4 {
             s.record(slot(n));
         }

@@ -255,7 +255,6 @@ impl Tracer {
     }
 
     /// Persist anything the sink buffers.
-    // xtask-allow(hot-path-panic): a poisoned tracer lock means another thread already panicked mid-trace; propagating loudly is the correct response
     pub fn flush(&self) -> Result<(), String> {
         match self.inner.as_ref() {
             Some(shared) => shared.lock().expect("tracer poisoned").sink.flush(),

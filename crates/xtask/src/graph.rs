@@ -14,21 +14,29 @@
 //! DESIGN.md §16:
 //!
 //! - **Over-approximations** (may add edges that cannot execute): a
-//!   method call `.f(…)` edges to *every* workspace method named `f`
-//!   regardless of receiver type (this is also what makes trait-object
-//!   dispatch sound); closure and nested-`fn` bodies are attributed to
-//!   the enclosing item-level function.
-//! - **Under-approximations** (may miss edges): calls through function
-//!   pointers / stored closures, macro-generated calls, `<T as
-//!   Trait>::f` qualified-path calls, and body-local `use` imports are
-//!   not resolved — they are recorded as *external* calls, never
-//!   silently dropped.
+//!   method call `.f(…)` edges to every workspace method named `f` with a
+//!   matching empty or non-empty argument list in the caller's crate
+//!   dependency closure, unless the receiver is a `self.field` of a
+//!   workspace type that has an `f` (this is also what makes
+//!   trait-object dispatch sound); a fn named as a value edges where it
+//!   is named, not where it is called; closure and nested-`fn` bodies
+//!   are attributed to the enclosing item-level function.
+//! - **Under-approximations** (may miss edges): macro-generated calls,
+//!   `<T as Trait>::f` qualified-path calls, and body-local `use` imports
+//!   are not resolved — they are recorded as *external* calls, never
+//!   silently dropped. Calls the compiler makes (operators, `Display`,
+//!   `Drop`, a global allocator) have no token; the unreached report
+//!   roots them instead.
+//!
+//! Calls inside `#[cfg(feature = …)]` regions are kept apart
+//! ([`CallGraph::feature_edges`]): the transitive lints judge the
+//! default build, the unreached report every build.
 //!
 //! Test code (files under `tests/` and `#[cfg(test)]` regions) is parsed
 //! but flagged, and neither resolves as a call target nor participates
 //! in any transitive analysis.
 
-use crate::regions::{in_any, test_regions, Region};
+use crate::regions::{gated_regions, in_any, test_regions, Region};
 use crate::scrub::Scrubbed;
 use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,6 +52,8 @@ pub struct FnNode {
     pub name: String,
     /// `impl`/`trait` owner type, when the fn is a method.
     pub owner: Option<String>,
+    /// The trait of an `impl Trait for Type` block the fn sits in.
+    pub(crate) trait_impl: Option<String>,
     /// Module path including the crate root, e.g. `mmwave_dsp::sinc`.
     pub module: String,
     /// Raw attribute texts (scrubbed: string contents blanked).
@@ -55,6 +65,8 @@ pub struct FnNode {
     pub hot_path: bool,
     /// Lives in a `tests/` tree or a `#[cfg(test)]` region.
     pub in_test: bool,
+    /// Takes a parameter besides the `self` receiver.
+    pub(crate) takes_args: bool,
 }
 
 impl FnNode {
@@ -76,6 +88,10 @@ pub enum CallKind {
     Path,
     /// `.f(…)` — method syntax.
     Method,
+    /// `f` or `a::f` named as a value (a fn pointer, `.map(f)`): an
+    /// edge when it resolves to a workspace fn, and otherwise nothing,
+    /// since most such tokens are variables.
+    Ref,
 }
 
 /// One call token inside a function body.
@@ -86,12 +102,20 @@ pub struct CallSite {
     pub path: Vec<String>,
     /// Byte offset of the first segment (for spans).
     pub offset: usize,
+    /// Sits in a `#[cfg(feature = …)]` region, so only a feature build
+    /// makes the call.
+    pub(crate) gated: bool,
+    /// The argument list is empty: `f()`, `.f()`.
+    pub(crate) no_args: bool,
+    /// For `self.field.f(…)`, the field.
+    pub(crate) self_field: Option<String>,
 }
 
 impl CallSite {
     pub fn display(&self) -> String {
         match self.kind {
             CallKind::Method => format!(".{}()", self.path[0]),
+            CallKind::Ref => self.path.join("::"),
             _ => format!("{}()", self.path.join("::")),
         }
     }
@@ -110,6 +134,16 @@ pub struct FileSyms {
     pub imports: BTreeMap<String, String>,
     /// `use path::*` glob targets.
     pub globs: Vec<String>,
+    /// Head segment of every `a::b` path the file's non-test code
+    /// spells, in `use` trees, types and bodies alike: with the crate
+    /// names among them, the crate dependency graph method calls
+    /// resolve over.
+    pub(crate) path_heads: BTreeSet<String>,
+    /// Names of the traits the file declares.
+    pub(crate) traits: Vec<String>,
+    /// `(struct, field)` → the field's type name, generics stripped
+    /// (`tracer: mmwave_telemetry::Tracer` → `Tracer`).
+    pub(crate) fields: BTreeMap<(String, String), String>,
 }
 
 /// The workspace call graph. `calls`, `edges`, and `external` are
@@ -118,8 +152,12 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Raw call tokens per node.
     pub calls: Vec<Vec<CallSite>>,
-    /// Resolved workspace-internal edges per node (sorted, deduped).
+    /// Resolved workspace-internal edges per node (sorted, deduped) that
+    /// the default build makes.
     pub edges: Vec<Vec<usize>>,
+    /// Edges only a feature build makes (feature-gated call sites), not
+    /// repeated from `edges`.
+    pub feature_edges: Vec<Vec<usize>>,
     /// Unresolved call spellings per node (sorted, deduped) — recorded,
     /// never silently dropped.
     pub external: Vec<Vec<String>>,
@@ -206,25 +244,55 @@ pub fn build(files: &[SourceFile], scrubbed: &[Scrubbed]) -> CallGraph {
     let mut syms = Vec::new();
     for (idx, (f, s)) in files.iter().zip(scrubbed).enumerate() {
         let tests = test_regions(s, &f.src);
+        let features = gated_regions(s, &f.src, |attr| {
+            attr.starts_with("#[cfg(") && attr.contains("feature") && !attr.contains("not(")
+        });
         let rel = f.rel.display().to_string();
         let (module, crate_root, tree_is_test) = file_module(&rel);
-        let mut p = Parser::new(idx, s, &tests);
+        let mut p = Parser::new(idx, s, &tests, &features);
         p.syms.module = module;
         p.syms.crate_root = crate_root;
+        if !tree_is_test {
+            p.syms.path_heads = path_heads(&s.text, &tests);
+        }
         p.file_in_test = tree_is_test;
         p.parse();
         nodes.extend(p.nodes);
         calls.extend(p.calls);
         syms.push(p.syms);
     }
-    let (edges, external) = crate::resolve::resolve(&nodes, &calls, &syms);
+    let r = crate::resolve::resolve(&nodes, &calls, &syms);
     CallGraph {
         nodes,
         calls,
-        edges,
-        external,
+        edges: r.edges,
+        feature_edges: r.feature_edges,
+        external: r.external,
         files: syms,
     }
+}
+
+/// The first segment of every `a::b` path in `text` outside `tests`.
+fn path_heads(text: &str, tests: &[Region]) -> BTreeSet<String> {
+    let bytes = text.as_bytes();
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut heads = BTreeSet::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !is_ident(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident(bytes[i]) {
+            i += 1;
+        }
+        let after_colons = start >= 2 && &text[start - 2..start] == "::";
+        if text[i..].starts_with("::") && !after_colons && !in_any(tests, start) {
+            heads.insert(text[start..i].to_string());
+        }
+    }
+    heads
 }
 
 /// True when the attribute text applies the `hot_path` marker — any
@@ -243,7 +311,9 @@ pub fn attr_is_hot_path(attr: &str) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 enum ScopeKind {
     Module(String),
-    Owner(String), // impl or trait block
+    /// An impl or trait block: the owner type, and the trait an
+    /// `impl Trait for Type` block implements.
+    Owner(String, Option<String>),
     Fn(usize),
     Other,
 }
@@ -261,6 +331,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     tests: &'a [Region],
+    /// `#[cfg(feature = …)]` regions.
+    features: &'a [Region],
     i: usize,
     depth: usize,
     /// Whole file lives in a test tree (`tests/`).
@@ -284,10 +356,11 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 impl<'a> Parser<'a> {
-    fn new(file: usize, s: &'a Scrubbed, tests: &'a [Region]) -> Self {
+    fn new(file: usize, s: &'a Scrubbed, tests: &'a [Region], features: &'a [Region]) -> Self {
         Parser {
             file,
             s,
+            features,
             text: &s.text,
             bytes: s.text.as_bytes(),
             tests,
@@ -311,9 +384,9 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn current_owner(&self) -> Option<String> {
+    fn current_owner(&self) -> Option<(String, Option<String>)> {
         self.scopes.iter().rev().find_map(|sc| match &sc.kind {
-            ScopeKind::Owner(o) => Some(o.clone()),
+            ScopeKind::Owner(o, t) => Some((o.clone(), t.clone())),
             _ => None,
         })
     }
@@ -482,45 +555,92 @@ impl<'a> Parser<'a> {
                 }
                 self.pending_attrs.clear();
             }
-            "impl" => {
-                let owner = self.parse_impl_header();
-                self.pending_scope = Some(ScopeKind::Owner(owner));
+            // `impl Trait` in a signature is a type, not a block.
+            "impl" if !matches!(self.pending_scope, Some(ScopeKind::Fn(_))) => {
+                let (owner, tr) = self.parse_impl_header();
+                self.pending_scope = Some(ScopeKind::Owner(owner, tr));
                 self.pending_attrs.clear();
             }
             "trait" => {
                 self.skip_ws_and_comments();
                 let name = self.read_ident();
-                self.pending_scope = Some(ScopeKind::Owner(name));
+                self.syms.traits.push(name.clone());
+                self.pending_scope = Some(ScopeKind::Owner(name, None));
                 self.pending_attrs.clear();
             }
             "fn" => {
                 self.skip_ws_and_comments();
                 let name = self.read_ident();
+                if name.is_empty() {
+                    // A `fn(…)` pointer type, not an item.
+                    return;
+                }
                 let sig_start = self.i - name.len();
+                let takes_args = self.takes_args();
                 let (line, _) = self.s.line_col(sig_start);
                 let attrs = std::mem::take(&mut self.pending_attrs);
                 let hot = attrs.iter().any(|a| attr_is_hot_path(a));
                 let in_test = self.file_in_test || in_any(self.tests, sig_start);
+                let (owner, trait_impl) = self.current_owner().unzip();
                 let node = FnNode {
                     file: self.file,
                     line,
                     name,
-                    owner: self.current_owner(),
+                    owner,
+                    trait_impl: trait_impl.flatten(),
                     module: self.current_module(),
                     attrs,
                     body: None,
                     hot_path: hot,
                     in_test,
+                    takes_args,
                 };
                 self.nodes.push(node);
                 self.calls.push(Vec::new());
                 self.pending_scope = Some(ScopeKind::Fn(self.nodes.len() - 1));
             }
             "macro_rules" => self.skip_macro_rules(),
-            "struct" | "enum" | "union" | "static" | "const" | "type" | "extern" => {
+            "struct" => {
+                self.parse_struct_fields();
+                self.pending_attrs.clear();
+            }
+            "enum" | "union" | "static" | "const" | "type" | "extern" => {
                 self.pending_attrs.clear();
             }
             _ => {}
+        }
+    }
+
+    /// Records the named fields of the `struct` item at the cursor, and
+    /// leaves the cursor where it was.
+    fn parse_struct_fields(&mut self) {
+        let save = self.i;
+        self.skip_ws_and_comments();
+        let name = self.read_ident();
+        let body_start = self.text[self.i..]
+            .find(['{', '(', ';'])
+            .map(|o| self.i + o);
+        self.i = save;
+        let Some(open) = body_start.filter(|&o| self.bytes[o] == b'{') else {
+            return;
+        };
+        let Some(close) = crate::regions::matching_brace(self.bytes, open) else {
+            return;
+        };
+        for field in split_top_level_commas(&self.text[open + 1..close]) {
+            let mut f = field.trim();
+            while f.starts_with("#[") {
+                f = f.find(']').map_or("", |e| f[e + 1..].trim_start());
+            }
+            let Some((lhs, ty)) = f.split_once(':') else {
+                continue;
+            };
+            let field_name = lhs.rsplit(|c: char| c.is_whitespace() || c == ')').next();
+            if let Some(field_name) = field_name.filter(|n| !n.is_empty()) {
+                self.syms
+                    .fields
+                    .insert((name.clone(), field_name.to_string()), last_type_name(ty));
+            }
         }
     }
 
@@ -541,7 +661,8 @@ impl<'a> Parser<'a> {
         parse_use_tree(&tree, "", &mut self.syms);
     }
 
-    fn parse_impl_header(&mut self) -> String {
+    /// The implementing type and, for `impl Trait for Type`, the trait.
+    fn parse_impl_header(&mut self) -> (String, Option<String>) {
         // Grab text up to the opening `{` (or `;` for bodyless impls of
         // the form `impl Trait for Type;` — not real Rust, but be safe).
         let start = self.i;
@@ -556,11 +677,10 @@ impl<'a> Parser<'a> {
         // `impl<T> Trait<U> for Type<T>` → the implementing type is what
         // follows the last top-level ` for `; otherwise the whole header
         // is the type (inherent impl).
-        let subject = match split_top_level_for(header) {
-            Some(after) => after,
-            None => header,
-        };
-        last_type_name(subject)
+        match split_top_level_for(header) {
+            Some((tr, ty)) => (last_type_name(ty), Some(last_type_name(tr))),
+            None => (last_type_name(header), None),
+        }
     }
 
     fn skip_macro_rules(&mut self) {
@@ -629,11 +749,11 @@ impl<'a> Parser<'a> {
         // its arguments get scanned as ordinary body text).
         let save = self.i;
         self.skip_ws_and_comments();
-        let is_call = self.text[self.i..].starts_with('(');
+        let rest = &self.text[self.i..];
+        let is_call = rest.starts_with('(');
+        let not_a_value =
+            rest.starts_with('!') || (rest.starts_with(':') && !rest.starts_with("::"));
         self.i = save;
-        if !is_call {
-            return;
-        }
         // Previous non-ws char decides method-call syntax; a `..` range
         // before the name (`0..len(…)`) is not a method receiver.
         let mut k = start;
@@ -645,12 +765,21 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let kind = match prev {
-            Some(p) if self.bytes[p] == b'.' && (p == 0 || self.bytes[p - 1] != b'.') => {
-                CallKind::Method
+        let after_dot = matches!(prev, Some(p) if self.bytes[p] == b'.' && (p == 0 || self.bytes[p - 1] != b'.'));
+        if !is_call {
+            // A field access, macro or field/binding name is never a fn
+            // value; anything else may be one.
+            if !after_dot && !not_a_value {
+                self.push_call(CallKind::Ref, path, start);
             }
-            _ if path.len() > 1 => CallKind::Path,
-            _ => CallKind::Bare,
+            return;
+        }
+        let kind = if after_dot {
+            CallKind::Method
+        } else if path.len() > 1 {
+            CallKind::Path
+        } else {
+            CallKind::Bare
         };
         if kind == CallKind::Method && path.len() > 1 {
             // `x.seg::seg(` is not valid Rust; treat conservatively as a
@@ -662,8 +791,84 @@ impl<'a> Parser<'a> {
 
     fn push_call(&mut self, kind: CallKind, path: Vec<String>, offset: usize) {
         if let Some(f) = self.current_fn() {
-            self.calls[f].push(CallSite { kind, path, offset });
+            let gated = in_any(self.features, offset);
+            let after = self.text[self.i..].trim_start();
+            let no_args = after
+                .strip_prefix('(')
+                .is_some_and(|a| a.trim_start().starts_with(')'));
+            let self_field = (kind == CallKind::Method)
+                .then(|| self.self_field(offset))
+                .flatten();
+            self.calls[f].push(CallSite {
+                kind,
+                path,
+                offset,
+                gated,
+                no_args,
+                self_field,
+            });
         }
+    }
+
+    /// The `field` of a `self.field.name(` method call whose name starts
+    /// at `name_at`.
+    fn self_field(&self, name_at: usize) -> Option<String> {
+        let before = self.text[..name_at]
+            .trim_end()
+            .strip_suffix('.')?
+            .trim_end();
+        let field_start = before
+            .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .map_or(0, |p| p + 1);
+        let field = &before[field_start..];
+        let recv = before[..field_start]
+            .trim_end()
+            .strip_suffix('.')?
+            .trim_end();
+        let is_self = recv.strip_suffix("self").is_some_and(|head| {
+            !head.ends_with(|c: char| c.is_alphanumeric() || c == '_' || c == '.')
+        });
+        (is_self && !field.is_empty()).then(|| field.to_string())
+    }
+
+    /// Whether the parameter list after a fn's name (and generics) holds
+    /// a parameter besides `self`. Leaves the cursor where it was.
+    fn takes_args(&mut self) -> bool {
+        let save = self.i;
+        self.skip_ws_and_comments();
+        if self.text[self.i..].starts_with('<') && !self.skip_angles() {
+            self.i = save;
+            return true;
+        }
+        self.skip_ws_and_comments();
+        let open = self.i;
+        self.i = save;
+        if !self.text[open..].starts_with('(') {
+            return true;
+        }
+        let mut depth = 0usize;
+        let mut close = open;
+        for (j, &b) in self.bytes.iter().enumerate().skip(open) {
+            match b {
+                b'(' => depth += 1,
+                b')' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        close = j;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let params = &self.text[open + 1..close];
+        // The receiver, when there is one, is the first parameter and the
+        // only one spelled with a bare `self` token.
+        let rest = match crate::lints::find_token(params, "self").first() {
+            Some(&at) => params[at..].split_once(',').map_or("", |(_, r)| r),
+            None => params,
+        };
+        !rest.trim().is_empty()
     }
 
     /// Skips a balanced `<…>` group starting at `self.i` (which points at
@@ -721,10 +926,10 @@ fn strip_leading_generics(header: &str) -> &str {
     header
 }
 
-/// Splits `impl … for Type` at the top-level ` for `, returning the text
-/// after it. Angle depth is respected so `Foo<for<'a> Fn(&'a u8)>` does
-/// not split.
-fn split_top_level_for(header: &str) -> Option<&str> {
+/// Splits `impl Trait for Type` at the top-level ` for ` into the text
+/// before and after it. Angle depth is respected so
+/// `Foo<for<'a> Fn(&'a u8)>` does not split.
+fn split_top_level_for(header: &str) -> Option<(&str, &str)> {
     let bytes = header.as_bytes();
     let mut depth = 0i64;
     let mut i = 0;
@@ -743,7 +948,7 @@ fn split_top_level_for(header: &str) -> Option<&str> {
                 && bytes[i - 1].is_ascii_whitespace()
                 && header[i + 3..].starts_with(|c: char| c.is_whitespace()) =>
             {
-                return Some(&header[i + 3..]);
+                return Some((&header[..i], &header[i + 3..]));
             }
             _ => {}
         }
@@ -900,8 +1105,14 @@ impl CallGraph {
         self.reach(&roots)
     }
 
-    /// BFS over call edges from `roots`, never entering test nodes.
+    /// BFS over the default build's call edges from `roots`, never
+    /// entering test nodes. The transitive lints judge this build: the
+    /// one the allocation and digest pins run.
     pub fn reach(&self, roots: &[usize]) -> (Vec<bool>, Vec<Option<usize>>) {
+        self.walk(roots, false)
+    }
+
+    fn walk(&self, roots: &[usize], with_features: bool) -> (Vec<bool>, Vec<Option<usize>>) {
         let mut seen = vec![false; self.nodes.len()];
         let mut parent = vec![None; self.nodes.len()];
         let mut queue: std::collections::VecDeque<usize> = Default::default();
@@ -912,7 +1123,12 @@ impl CallGraph {
             }
         }
         while let Some(n) = queue.pop_front() {
-            for &m in &self.edges[n] {
+            let gated = if with_features {
+                &self.feature_edges[n][..]
+            } else {
+                &[]
+            };
+            for &m in self.edges[n].iter().chain(gated) {
                 if !seen[m] && !self.nodes[m].in_test {
                     seen[m] = true;
                     parent[m] = Some(n);
@@ -981,28 +1197,39 @@ impl CallGraph {
             .collect()
     }
 
-    /// Non-test functions that no entry point reaches, and the non-test
-    /// total: `(unreached, total)`. The roots are every `main`, every
-    /// function of a `benches/` file (`criterion_main!` generates their
-    /// `main` and calls them through a macro the graph cannot see), and
-    /// every function whose name `mentioned` holds — the identifiers of
-    /// the code outside `crates/` ([`crate::mentioned_names`]). The graph
-    /// misses edges, so the count overstates: a report, not a lint.
-    pub fn unreached(&self, mentioned: &BTreeSet<String>) -> (usize, usize) {
+    /// Non-test functions that no entry point reaches, in node order,
+    /// and the non-test total. The roots are every `main`, every function
+    /// of a `benches/` file (`criterion_main!` generates their `main` and
+    /// calls them through a macro the graph cannot see), the methods of
+    /// impls of traits declared outside the workspace (operators,
+    /// `Display`, `GlobalAlloc`: the compiler calls them, no token does),
+    /// every `#[proc_macro*]` entry, and every function whose name
+    /// `mentioned` holds — the identifiers of the code outside `crates/`
+    /// ([`crate::mentioned_names`]). Feature-gated calls count: code that
+    /// only a feature build reaches is still reached.
+    pub fn unreached(&self, mentioned: &BTreeSet<String>) -> (Vec<usize>, usize) {
+        let ours: BTreeSet<&str> = self
+            .files
+            .iter()
+            .flat_map(|f| f.traits.iter().map(String::as_str))
+            .collect();
         let roots: Vec<usize> = (0..self.nodes.len())
             .filter(|&i| {
                 let n = &self.nodes[i];
                 !n.in_test
                     && ((n.name == "main" && n.owner.is_none())
                         || self.files[n.file].module.split("::").nth(1) == Some("benches")
+                        || n.trait_impl.as_deref().is_some_and(|t| !ours.contains(t))
+                        || n.attrs.iter().any(|a| a.starts_with("#[proc_macro"))
                         || mentioned.contains(&n.name))
             })
             .collect();
-        let (seen, _) = self.reach(&roots);
+        let (seen, _) = self.walk(&roots, true);
         let live: Vec<usize> = (0..self.nodes.len())
             .filter(|&i| !self.nodes[i].in_test)
             .collect();
-        (live.iter().filter(|&&i| !seen[i]).count(), live.len())
+        let total = live.len();
+        (live.into_iter().filter(|&i| !seen[i]).collect(), total)
     }
 
     /// Summary counts for `--stats` and the JSON export.

@@ -129,12 +129,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> Result<(), String
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root`; findings come back sorted
-/// by (file, line, col) for stable text and JSON output.
-pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
-    Ok(lint_files(&collect_workspace(root)?))
-}
-
 /// One line counting the well-formed `xtask-allow` directives per lint,
 /// most-used first, over the files outside `crates/xtask` (whose sources
 /// name the hatch on purpose). `cargo xtask lint --stats` prints it, so
@@ -161,8 +155,15 @@ pub fn allow_summary(files: &[SourceFile], scrubbed: &[scrub::Scrubbed]) -> Stri
 
 /// The directories outside `crates/` whose code calls into the
 /// workspace: the root package's library, examples and tests, and the
-/// benchmark harness.
-pub const MENTION_DIRS: &[&str] = &["src", "examples", "tests", "perfbench/src"];
+/// benchmark harness with its tests (`perfbench/tests/alloc.rs` installs
+/// `CountingAllocator`).
+pub const MENTION_DIRS: &[&str] = &[
+    "src",
+    "examples",
+    "tests",
+    "perfbench/src",
+    "perfbench/tests",
+];
 
 /// Every identifier that the code under `root`'s [`MENTION_DIRS`] names,
 /// comments and literals excluded. A missing directory contributes

@@ -105,7 +105,8 @@ pub fn run(rel: &Path, src: &str, scrubbed: &Scrubbed) -> Vec<Finding> {
                 snippet: snippet_at(src, scrubbed, off),
                 message: "`LinkSignal` used outside crates/core/src/: fleet-mode lifecycle \
                           state is written only by `StateHandler::pass` — queue an `Intent` \
-                          through the handler's `Io` instead of signalling a lifecycle directly"
+                          on the handler's `IntentQueue` instead of signalling a lifecycle \
+                          directly"
                     .to_string(),
             });
         }

@@ -37,8 +37,9 @@ fn usage() {
     eprintln!("           and results/callgraph.dot");
     eprintln!("  --stats  print graph summary stats (nodes/edges, hot-path closure");
     eprintln!("           size, taint source/sink counts), the xtask-allow count");
-    eprintln!("           per lint outside crates/xtask, and the count of non-test");
-    eprintln!("           fns no main or outside-crates mention reaches, on stderr");
+    eprintln!("           per lint outside crates/xtask, and the non-test fns no");
+    eprintln!("           main or outside-crates mention reaches (count, then each");
+    eprintln!("           as file:line), on stderr");
     eprintln!("  --root   workspace root (default: parent of crates/xtask at build time,");
     eprintln!("           i.e. the repo checkout the binary was built from)");
 }
@@ -94,7 +95,12 @@ fn lint(args: &[String]) -> ExitCode {
             match xtask::mentioned_names(&root) {
                 Ok(names) => {
                     let (unreached, total) = g.unreached(&names);
-                    eprintln!("unreached: {unreached} of {total} non-test fns");
+                    eprintln!("unreached: {} of {total} non-test fns", unreached.len());
+                    for i in unreached {
+                        let n = &g.nodes[i];
+                        let file = files[n.file].rel.display();
+                        eprintln!("  {file}:{} {}", n.line, n.display());
+                    }
                 }
                 Err(e) => eprintln!("xtask lint: unreached report skipped: {e}"),
             }

@@ -141,7 +141,7 @@ fn item_extent(text: &str, from: usize) -> Option<usize> {
 }
 
 /// Offset of the `}` matching the `{` at `open`.
-fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
+pub(crate) fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
     debug_assert_eq!(bytes[open], b'{');
     let mut depth = 0usize;
     for (j, &b) in bytes.iter().enumerate().skip(open) {

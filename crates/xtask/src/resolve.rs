@@ -37,9 +37,23 @@ struct SymbolTable {
     by_last: BTreeMap<String, Vec<usize>>,
     /// node index → first module segment (its crate).
     crate_of: Vec<String>,
+    /// node index → takes a parameter besides `self`.
+    takes_args: Vec<bool>,
+    /// `(struct, field)` → the type names that field has across the
+    /// workspace's same-named structs.
+    fields: BTreeMap<(String, String), BTreeSet<String>>,
+    /// `module::name` → the full path a `use` in that module binds
+    /// `name` to, so a crate-root `pub use` re-export resolves.
+    aliases: BTreeMap<String, String>,
+    /// Every module path that holds a fn, and each of its prefixes.
+    modules: BTreeSet<String>,
+    /// Crate root → every workspace crate its non-test code names,
+    /// directly or through the crates it names: the crates whose types
+    /// its values can have.
+    deps: BTreeMap<String, BTreeSet<String>>,
 }
 
-fn build_table(nodes: &[FnNode]) -> SymbolTable {
+fn build_table(nodes: &[FnNode], syms: &[FileSyms]) -> SymbolTable {
     let mut t = SymbolTable {
         free: BTreeMap::new(),
         methods: BTreeMap::new(),
@@ -50,7 +64,46 @@ fn build_table(nodes: &[FnNode]) -> SymbolTable {
             .iter()
             .map(|n| first_seg(&n.module).to_string())
             .collect(),
+        takes_args: nodes.iter().map(|n| n.takes_args).collect(),
+        fields: BTreeMap::new(),
+        aliases: BTreeMap::new(),
+        deps: BTreeMap::new(),
+        modules: nodes
+            .iter()
+            .flat_map(|n| {
+                let segs: Vec<&str> = n.module.split("::").collect();
+                (1..=segs.len()).map(move |k| segs[..k].join("::"))
+            })
+            .collect(),
     };
+    for fs in syms {
+        for (key, ty) in &fs.fields {
+            t.fields.entry(key.clone()).or_default().insert(ty.clone());
+        }
+        for (name, target) in &fs.imports {
+            let full = expand_path(target, fs, &t);
+            t.aliases.insert(format!("{}::{name}", fs.module), full);
+        }
+    }
+    let crates: BTreeSet<&str> = t.crate_of.iter().map(String::as_str).collect();
+    let mut direct: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for fs in syms {
+        let named = fs.path_heads.iter().map(String::as_str);
+        direct
+            .entry(&fs.crate_root)
+            .or_default()
+            .extend(named.filter(|h| crates.contains(h)));
+    }
+    for (&root, named) in &direct {
+        let mut seen: BTreeSet<String> = BTreeSet::from([first_seg(root).to_string()]);
+        let mut stack: Vec<&str> = named.iter().copied().collect();
+        while let Some(c) = stack.pop() {
+            if seen.insert(c.to_string()) {
+                stack.extend(direct.get(c).into_iter().flatten().copied());
+            }
+        }
+        t.deps.insert(root.to_string(), seen);
+    }
     for (i, n) in nodes.iter().enumerate() {
         if n.in_test {
             continue;
@@ -76,67 +129,106 @@ fn build_table(nodes: &[FnNode]) -> SymbolTable {
     t
 }
 
-/// Resolves every call site of every node. Returns `(edges, external)`
-/// parallel to `nodes`, both sorted and deduped.
-pub fn resolve(
-    nodes: &[FnNode],
-    calls: &[Vec<CallSite>],
-    syms: &[FileSyms],
-) -> (Vec<Vec<usize>>, Vec<Vec<String>>) {
-    let table = build_table(nodes);
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    let mut external: Vec<Vec<String>> = vec![Vec::new(); nodes.len()];
+/// Every node's resolved edges, sorted and deduped, each list parallel
+/// to `nodes`.
+pub struct Resolved {
+    /// Edges from call sites every build compiles.
+    pub edges: Vec<Vec<usize>>,
+    /// Edges only from feature-gated call sites.
+    pub feature_edges: Vec<Vec<usize>>,
+    /// Unresolved call spellings.
+    pub external: Vec<Vec<String>>,
+}
+
+/// Resolves every call site of every node.
+pub fn resolve(nodes: &[FnNode], calls: &[Vec<CallSite>], syms: &[FileSyms]) -> Resolved {
+    let table = build_table(nodes, syms);
+    let mut out = Resolved {
+        edges: Vec::with_capacity(nodes.len()),
+        feature_edges: Vec::with_capacity(nodes.len()),
+        external: Vec::with_capacity(nodes.len()),
+    };
     for (i, n) in nodes.iter().enumerate() {
         let fs = &syms[n.file];
         let mut es: BTreeSet<usize> = BTreeSet::new();
+        let mut gated: BTreeSet<usize> = BTreeSet::new();
         let mut ex: BTreeSet<String> = BTreeSet::new();
         for call in &calls[i] {
             let targets = resolve_call(call, n, fs, &table);
             if targets.is_empty() {
-                ex.insert(call.display());
+                if call.kind != CallKind::Ref {
+                    ex.insert(call.display());
+                }
             } else {
-                es.extend(targets.into_iter().filter(|&t| t != i));
+                let set = if call.gated { &mut gated } else { &mut es };
+                set.extend(targets.into_iter().filter(|&t| t != i));
             }
         }
-        edges[i] = es.into_iter().collect();
-        external[i] = ex.into_iter().collect();
+        out.feature_edges
+            .push(gated.difference(&es).copied().collect());
+        out.edges.push(es.into_iter().collect());
+        out.external.push(ex.into_iter().collect());
     }
-    (edges, external)
+    out
 }
 
 fn resolve_call(call: &CallSite, node: &FnNode, fs: &FileSyms, t: &SymbolTable) -> Vec<usize> {
     match call.kind {
-        CallKind::Method => resolve_method(&call.path[0], node, fs, t),
+        CallKind::Method => resolve_method(call, node, fs, t),
         CallKind::Bare => resolve_bare(&call.path[0], node, fs, t),
         CallKind::Path => resolve_path(&call.path, node, fs, t),
+        CallKind::Ref if call.path.len() == 1 => resolve_bare(&call.path[0], node, fs, t),
+        CallKind::Ref => resolve_path(&call.path, node, fs, t),
     }
 }
 
 /// Method calls have no receiver type without inference, so `.f(…)`
 /// over-approximates to every workspace method named `f` — but only in
-/// crates the calling file can see: its own crate plus every crate named
-/// by a `use` import or glob. A method on a type from crate B cannot be
-/// called in crate A unless B's names are in scope somewhere in A, so
-/// this keeps trait-object dispatch sound while preventing noise edges
-/// into crates the caller does not even depend on.
-fn resolve_method(name: &str, node: &FnNode, fs: &FileSyms, t: &SymbolTable) -> Vec<usize> {
+/// crates whose values the caller can hold: its own crate and every
+/// crate in its dependency closure. A crate's direct dependencies are
+/// the crates its non-test code names at the head of a path, in a `use`,
+/// a field type (`tracer: mmwave_telemetry::Tracer`) or a body; the
+/// closure adds what those name, since a value can arrive typed from a
+/// crate the caller never spells. This keeps trait-object dispatch sound
+/// while preventing noise edges into crates the caller does not even
+/// depend on.
+///
+/// A method that takes arguments cannot answer `.f()`, nor one that
+/// takes none `.f(x)`, so `.drain(..)` on a `Vec` never edges to a
+/// workspace `drain(&mut self)`. A `self.field.f(…)` call whose field
+/// has a workspace type with a method `f` edges to that method alone:
+/// `self.tracer.begin()` is `Tracer::begin`, and `self.ewma.reset()` is
+/// not.
+fn resolve_method(call: &CallSite, node: &FnNode, fs: &FileSyms, t: &SymbolTable) -> Vec<usize> {
+    let name = &call.path[0];
+    let field_types = match (&call.self_field, &node.owner) {
+        (Some(field), Some(owner)) => t.fields.get(&(owner.clone(), field.clone())),
+        _ => None,
+    };
+    let typed: Vec<usize> = field_types
+        .into_iter()
+        .flatten()
+        .filter_map(|ty| t.methods.get(&(ty.clone(), name.clone())))
+        .flatten()
+        .copied()
+        .filter(|&c| t.takes_args[c] != call.no_args)
+        .collect();
+    if !typed.is_empty() {
+        return typed;
+    }
     let cands = match t.methods_by_name.get(name) {
         Some(v) => v,
         None => return Vec::new(),
     };
-    let mut visible: BTreeSet<&str> = BTreeSet::new();
-    visible.insert(first_seg(&node.module));
-    visible.insert(first_seg(&fs.crate_root));
-    for target in fs.imports.values() {
-        visible.insert(first_seg(target));
-    }
-    for g in &fs.globs {
-        visible.insert(first_seg(g));
-    }
+    let deps = t.deps.get(&fs.crate_root);
     cands
         .iter()
         .copied()
-        .filter(|&c| visible.contains(t.crate_of[c].as_str()))
+        .filter(|&c| {
+            let krate = t.crate_of[c].as_str();
+            krate == first_seg(&node.module) || deps.is_some_and(|d| d.contains(krate))
+        })
+        .filter(|&c| t.takes_args[c] != call.no_args)
         .collect()
 }
 
@@ -155,16 +247,20 @@ fn resolve_bare(name: &str, node: &FnNode, fs: &FileSyms, t: &SymbolTable) -> Ve
             return v.clone();
         }
     }
-    // Explicitly imported name.
+    // Explicitly imported name, possibly through a re-export.
     if let Some(target) = fs.imports.get(name) {
-        let full = expand_path(target, node, fs);
-        if let Some(v) = t.full.get(&full) {
+        let full = expand_path(target, fs, t);
+        if let Some(v) = t
+            .full
+            .get(&full)
+            .or_else(|| t.full.get(&canonical(&full, t)))
+        {
             return v.clone();
         }
     }
     // Glob-imported modules.
     for g in &fs.globs {
-        let base = expand_path(g, node, fs);
+        let base = expand_path(g, fs, t);
         if let Some(v) = t.free.get(&(base, name.to_string())) {
             return v.clone();
         }
@@ -197,12 +293,18 @@ fn resolve_path(path: &[String], node: &FnNode, fs: &FileSyms, t: &SymbolTable) 
         }
         head => {
             if let Some(target) = fs.imports.get(head) {
-                segs[0] = expand_path(target, node, fs);
+                segs[0] = expand_path(target, fs, t);
             }
         }
     }
-    // Re-split: substituted heads may hold multi-segment paths.
+    // Re-split: substituted heads may hold multi-segment paths, and a
+    // prefix that names no fn may name a re-export.
     let joined = segs.join("::");
+    let joined = if t.full.contains_key(&joined) {
+        joined
+    } else {
+        canonical(&joined, t)
+    };
     let segs: Vec<&str> = joined.split("::").collect();
 
     // Exact full-path match (free fns and `Type::method` where the path
@@ -278,9 +380,36 @@ fn is_path_suffix(full: &str, suffix: &str) -> bool {
             .unwrap_or(false)
 }
 
-/// Expands `crate`/`self`/`super` heads in a stored import path against
-/// the calling context.
-fn expand_path(path: &str, node: &FnNode, fs: &FileSyms) -> String {
+/// Rewrites the longest prefix of `path` that names a `use` binding
+/// (`mmwave_telemetry::field_str` after the crate root's
+/// `pub use json::field_str`) to the path it binds, until none does.
+/// The hop bound stops an import cycle.
+fn canonical(path: &str, t: &SymbolTable) -> String {
+    let mut path = path.to_string();
+    for _ in 0..8 {
+        let segs: Vec<&str> = path.split("::").collect();
+        let Some((k, target)) = (2..=segs.len())
+            .rev()
+            .find_map(|k| t.aliases.get(&segs[..k].join("::")).map(|a| (k, a)))
+        else {
+            break;
+        };
+        let rewritten = std::iter::once(target.as_str())
+            .chain(segs[k..].iter().copied())
+            .collect::<Vec<_>>()
+            .join("::");
+        if rewritten == path {
+            break;
+        }
+        path = rewritten;
+    }
+    path
+}
+
+/// Expands `crate`/`self`/`super` heads, and a head naming a child
+/// module (`pub use json::field_str` in a crate root), in a stored
+/// import path against the importing file.
+fn expand_path(path: &str, fs: &FileSyms, t: &SymbolTable) -> String {
     let mut segs: Vec<&str> = path.split("::").collect();
     let head_owned;
     match segs[0] {
@@ -294,8 +423,15 @@ fn expand_path(path: &str, node: &FnNode, fs: &FileSyms) -> String {
                 .unwrap_or_else(|| fs.module.clone());
             segs[0] = &head_owned;
         }
-        _ => {}
+        head => {
+            let child = format!("{}::{head}", fs.module);
+            if t.modules.contains(&child) {
+                return std::iter::once(child.as_str())
+                    .chain(segs[1..].iter().copied())
+                    .collect::<Vec<_>>()
+                    .join("::");
+            }
+        }
     }
-    let _ = node;
     segs.join("::")
 }

@@ -1,8 +1,8 @@
 // Fixture: the fleet scheduler's sanctioned idioms — StopWatch for
-// latency-only wall time, order-preserving Vecs, intents queued through
-// the handler's Io, reuse inside #[hot_path] kernels. Linted at the
+// latency-only wall time, order-preserving Vecs, intents queued on the
+// handler's IntentQueue, reuse inside #[hot_path] kernels. Linted at the
 // virtual path crates/sim/src/fleet.rs — never compiled.
-use mmreliable::{Intent, IntentKind, Io, UeId};
+use mmreliable::{Intent, IntentKind, IntentQueue, UeId};
 use mmwave_hotpath::hot_path;
 use mmwave_telemetry::{LatencyHist, StopWatch};
 
@@ -15,7 +15,7 @@ pub struct GoodFleetShard {
 impl GoodFleetShard {
     // Wall time flows only into the latency histogram (digest-excluded),
     // through the sanctioned StopWatch wrapper.
-    pub fn timed_pass(&mut self, io: &mut dyn Io) {
+    pub fn timed_pass(&mut self, io: &mut IntentQueue) {
         let watch = StopWatch::start();
         for (ue, snr) in self.lanes.iter() {
             // Lifecycle state is written by the StateHandler alone: the

@@ -205,7 +205,7 @@ fn fleet_scheduler_is_determinism_hotpath_and_lifecycle_scoped() {
 #[test]
 fn fleet_idioms_stay_clean() {
     // StopWatch wall time into a latency histogram, Vec-ordered lanes,
-    // and intents queued through Io are the sanctioned spellings.
+    // and intents queued on an IntentQueue are the sanctioned spellings.
     let src = include_str!("fixtures/fleet_clean.rs");
     let found = lint("crates/sim/src/fleet.rs", src);
     assert!(found.is_empty(), "findings: {found:#?}");
@@ -439,7 +439,7 @@ fn allow_summary_counts_directives_outside_xtask_per_lint() {
 }
 
 #[test]
-fn unreached_counts_fns_no_main_or_mention_reaches() {
+fn unreached_lists_fns_no_main_or_mention_reaches() {
     let sources = vec![
         SourceFile {
             rel: PathBuf::from("crates/bench/src/bin/tool.rs"),
@@ -452,9 +452,150 @@ fn unreached_counts_fns_no_main_or_mention_reaches() {
         },
     ];
     let (_, g) = xtask::build_graph(&sources);
+    let names = |mentioned: &std::collections::BTreeSet<String>| {
+        let (unreached, total) = g.unreached(mentioned);
+        let names: Vec<String> = unreached.iter().map(|&i| g.nodes[i].name.clone()).collect();
+        (names, total)
+    };
     let mentioned = std::collections::BTreeSet::from(["exported".to_string()]);
     // `orphan` is the one unreached fn; the test-module helper is not counted.
-    assert_eq!(g.unreached(&mentioned), (1, 4));
+    assert_eq!(names(&mentioned), (vec!["orphan".to_string()], 4));
     // Without the outside mention, `exported` is unreached too.
-    assert_eq!(g.unreached(&Default::default()), (2, 4));
+    assert_eq!(
+        names(&Default::default()),
+        (vec!["orphan".to_string(), "exported".to_string()], 4)
+    );
+}
+
+/// Display paths of the fns no `main` reaches in `files`.
+fn unreached_in(files: &[(&str, &str)]) -> Vec<String> {
+    let sources: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, src)| SourceFile {
+            rel: PathBuf::from(rel),
+            src: src.to_string(),
+        })
+        .collect();
+    let (_, g) = xtask::build_graph(&sources);
+    let (unreached, _) = g.unreached(&Default::default());
+    unreached.iter().map(|&i| g.nodes[i].display()).collect()
+}
+
+const TRACER: &str = "pub struct Tracer;
+impl Tracer {
+    pub fn disabled() -> Self { Tracer }
+    pub fn begin(&self) -> usize { let v: Vec<u8> = Vec::new(); v.len() }
+    pub fn end(&self) {}
+}
+pub struct Span;
+impl Span {
+    pub fn end(&self) {}
+}
+";
+
+#[test]
+fn calls_in_feature_gated_regions_are_reached_but_not_linted() {
+    let fixture = include_str!("fixtures/reach_cfg_gated.rs");
+    let files = [
+        ("crates/core/src/fixture.rs", fixture),
+        ("crates/telemetry/src/tracer.rs", TRACER),
+    ];
+    let unreached = unreached_in(&files);
+    assert!(
+        !unreached.contains(&"mmwave_telemetry::tracer::Tracer::begin".to_string()),
+        "{unreached:?}"
+    );
+    // The transitive lints judge the default build, which has no such
+    // call: `begin`'s allocation is not in the hot closure.
+    let found = lint_many(&files);
+    assert!(found.is_empty(), "findings: {found:#?}");
+}
+
+#[test]
+fn field_receiver_calls_resolve_through_the_field_type() {
+    let files = [
+        (
+            "crates/sim/src/fixture.rs",
+            include_str!("fixtures/reach_field_receiver.rs"),
+        ),
+        ("crates/telemetry/src/tracer.rs", TRACER),
+    ];
+    let unreached = unreached_in(&files);
+    assert!(
+        !unreached.contains(&"mmwave_telemetry::tracer::Tracer::end".to_string()),
+        "{unreached:?}"
+    );
+    // The field's type picks the method: a same-named `end` elsewhere
+    // stays unreached.
+    assert!(
+        unreached.contains(&"mmwave_telemetry::tracer::Span::end".to_string()),
+        "{unreached:?}"
+    );
+}
+
+#[test]
+fn crate_root_reexports_resolve_to_their_definitions() {
+    let unreached = unreached_in(&[
+        (
+            "crates/sim/src/fixture.rs",
+            include_str!("fixtures/reach_reexport.rs"),
+        ),
+        (
+            "crates/telemetry/src/lib.rs",
+            "pub mod json;\npub use json::{field_str, field_u64};\n",
+        ),
+        (
+            "crates/telemetry/src/json.rs",
+            "pub fn field_str(l: &str, k: &str) -> Option<String> { None }
+pub fn field_u64(l: &str, k: &str) -> Option<u64> { None }
+pub fn field_f64(l: &str, k: &str) -> Option<f64> { None }
+",
+        ),
+    ]);
+    for reached in ["field_str", "field_u64"] {
+        let name = format!("mmwave_telemetry::json::{reached}");
+        assert!(!unreached.contains(&name), "{name} in {unreached:?}");
+    }
+    assert!(
+        unreached.contains(&"mmwave_telemetry::json::field_f64".to_string()),
+        "{unreached:?}"
+    );
+}
+
+#[test]
+fn foreign_trait_impls_and_proc_macro_entries_are_roots() {
+    let unreached = unreached_in(&[
+        (
+            "crates/channel/src/fixture.rs",
+            include_str!("fixtures/reach_trait_impl.rs"),
+        ),
+        (
+            "crates/hotpath/src/lib.rs",
+            "#[proc_macro_attribute]\npub fn hot_path(_a: TokenStream, i: TokenStream) -> TokenStream { i }\n",
+        ),
+    ]);
+    for reached in [
+        "mmwave_channel::fixture::Vec2::add",
+        "mmwave_channel::fixture::Vec2::fmt",
+        "mmwave_hotpath::hot_path",
+    ] {
+        assert!(
+            !unreached.contains(&reached.to_string()),
+            "{reached} in {unreached:?}"
+        );
+    }
+    // An impl of a workspace trait is reached only through a call.
+    assert!(
+        unreached.contains(&"mmwave_channel::fixture::Vec2::area".to_string()),
+        "{unreached:?}"
+    );
+}
+
+#[test]
+fn fns_named_as_values_are_reached() {
+    let unreached = unreached_in(&[(
+        "crates/bench/src/bin/fixture.rs",
+        include_str!("fixtures/reach_fn_value.rs"),
+    )]);
+    assert!(unreached.is_empty(), "{unreached:?}");
 }

@@ -14,8 +14,8 @@
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmreliable::frontend::LinkFrontEnd;
-use mmreliable::ue::estimate_rotation_deg;
 use mmwave_array::geometry::ArrayGeometry;
+use mmwave_array::pattern::invert_gain_drop;
 use mmwave_array::steering::single_beam;
 use mmwave_channel::blockage::BlockageProcess;
 use mmwave_channel::channel::UeReceiver;
@@ -71,12 +71,13 @@ fn main() {
         sim.wait(25e-3);
         let t = sim.now_s();
 
-        // UE-side maintenance: measure the drop, invert the UE pattern,
-        // resolve the sign with one extra measurement.
+        // UE-side maintenance: a rotation moves only the UE-side gain, so
+        // invert the UE pattern alone for the angle, then resolve the sign
+        // with one extra measurement.
         let w = ctl.current_weights();
         let p_now = db_from_pow(sim.probe(&w).mean_power_mw().max(1e-20));
         let drop = (baseline_db - p_now).max(0.0);
-        if let Some(dev) = estimate_rotation_deg(&ue_geom, ue_beam_deg, drop) {
+        if let Some(dev) = invert_gain_drop(&ue_geom, ue_beam_deg, drop) {
             if dev > 0.5 {
                 // Hypothesis: +dev. Try it, keep whichever is better.
                 let try_beam = |sim: &mut LinkSimulator, angle: f64| {
