@@ -73,11 +73,6 @@ impl MultiBeam {
         Self { components }
     }
 
-    /// Degenerate single beam toward `angle_deg`.
-    pub fn single(angle_deg: f64) -> Self {
-        Self::new(vec![BeamComponent::reference(angle_deg)])
-    }
-
     /// The paper's 2-beam constructor `w(φ₁, φ₂, δ, σ)` (Eq. 10).
     pub fn two_beam(phi1_deg: f64, phi2_deg: f64, delta: f64, sigma_rad: f64) -> Self {
         Self::new(vec![
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn single_component_equals_single_beam() {
         let g = ArrayGeometry::ula(8);
-        let mb = MultiBeam::single(12.0).weights(&g);
+        let mb = MultiBeam::new(vec![BeamComponent::reference(12.0)]).weights(&g);
         let sb = single_beam(&g, 12.0);
         for (a, b) in mb.as_slice().iter().zip(sb.as_slice()) {
             assert!((*a - *b).abs() < 1e-12);
@@ -233,7 +228,10 @@ mod tests {
                 ArrayGeometry::ula(16),
                 MultiBeam::two_beam(0.0, 30.0, 1.0, -std::f64::consts::FRAC_PI_2),
             ),
-            (ArrayGeometry::paper_8x8(), MultiBeam::single(17.0)),
+            (
+                ArrayGeometry::paper_8x8(),
+                MultiBeam::new(vec![BeamComponent::reference(17.0)]),
+            ),
         ];
         for (g, mb) in &cases {
             synthesize_into(mb.components(), g, &mut w);

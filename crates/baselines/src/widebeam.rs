@@ -69,11 +69,6 @@ impl WideBeamStrategy {
         }
     }
 
-    /// Current pointing angle.
-    pub fn angle_deg(&self) -> Option<f64> {
-        self.angle_deg
-    }
-
     fn scan(&mut self, fe: &mut dyn LinkFrontEnd) {
         let geom = *fe.geometry();
         // A coarse scan with the wide beam itself.
@@ -172,7 +167,7 @@ mod tests {
         let mut s = WideBeamStrategy::new(WideBeamConfig::default());
         s.on_tick(&mut fe, 0.0);
         assert_eq!(s.scans, 1);
-        let angle = s.angle_deg().unwrap();
+        let angle = s.angle_deg.unwrap();
         assert!((angle - 7.3).abs() < 10.0, "beam at {angle}");
     }
 

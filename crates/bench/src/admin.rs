@@ -103,7 +103,7 @@ pub fn dedup_last_wins(entries: &[JournalEntry]) -> (Vec<(String, &JournalEntry)
     let mut last: BTreeMap<String, &JournalEntry> = BTreeMap::new();
     let mut superseded = 0;
     for e in entries {
-        let id = e.key().id();
+        let id = e.key.id();
         if last.insert(id.clone(), e).is_some() {
             superseded += 1;
         } else {
@@ -141,7 +141,7 @@ pub fn status_report(scan: &JournalScan) -> String {
         if e.status == "ok" {
             ok_rel.push(e.reliability);
         }
-        match parse_fleet_scenario(&e.scenario) {
+        match parse_fleet_scenario(&e.key.scenario) {
             None => singles += 1,
             Some(FleetScenarioRef::Aggregate { base, n_ues }) => {
                 aggregates += 1;
@@ -226,7 +226,7 @@ pub fn find_resource<'e>(
     }
     let by_scenario: Vec<&&JournalEntry> = cells
         .iter()
-        .filter(|(_, e)| e.scenario == resource)
+        .filter(|(_, e)| e.key.scenario == resource)
         .map(|(_, e)| e)
         .collect();
     match by_scenario.as_slice() {
@@ -256,7 +256,7 @@ fn routed_cell<'e>(
         ReplayTarget::Cell(cell) => Ok((entry, cell)),
         ReplayTarget::Fleet(_) => Err(format!(
             "{resource:?} is a fleet aggregate; ask a member instead (e.g. {}:ue0)",
-            entry.scenario
+            entry.key.scenario
         )),
         ReplayTarget::Skip(note) => Err(format!(
             "{resource:?} cannot be replayed by this binary: {note}"
@@ -276,7 +276,7 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
     if entry.status != "ok" {
         return Err(format!(
             "cell {} journaled as {:?} ({}); only completed cells have a replayable tape",
-            entry.key().id(),
+            entry.key.id(),
             entry.status,
             if entry.message.is_empty() {
                 "no message"
@@ -291,7 +291,7 @@ pub fn history_report(scan: &JournalScan, resource: &str) -> Result<String, Stri
     check_transition_tape(tape.iter().copied())
         .map_err(|e| format!("replayed tape violates the lifecycle contract: {e}"))?;
     let mut out = String::new();
-    let _ = writeln!(out, "cell {}", entry.key().id());
+    let _ = writeln!(out, "cell {}", entry.key.id());
     let _ = writeln!(
         out,
         "digest {digest:016x} ({})",
@@ -373,7 +373,7 @@ pub fn trace_report(
         Err(f) => format!("{}: {}", f.kind.as_str(), f.message),
     };
     let verdict = LineReplay::Cell(outcome).verdict(entry);
-    let id = entry.key().id();
+    let id = entry.key.id();
     let mut out = String::new();
     match format {
         TraceFormat::Csv => {
@@ -399,7 +399,7 @@ pub fn trace_report(
             }
         }
         TraceFormat::Summary => {
-            let _ = writeln!(out, "cell: {}", entry.key());
+            let _ = writeln!(out, "cell: {}", entry.key);
             let journal = if entry.status == "ok" {
                 format!("ok, digest {:016x}", entry.digest)
             } else {
@@ -831,7 +831,7 @@ pub fn entry_line(e: &JournalEntry) -> String {
     if e.status == "ok" {
         format!(
             "ok         {}  digest {:016x}  rel {:.4}",
-            e.key().id(),
+            e.key.id(),
             e.digest,
             e.reliability
         )
@@ -839,7 +839,7 @@ pub fn entry_line(e: &JournalEntry) -> String {
         format!(
             "{:<10} {}  attempts {}  {}",
             e.status,
-            e.key().id(),
+            e.key.id(),
             e.attempts,
             e.message
         )
@@ -849,13 +849,17 @@ pub fn entry_line(e: &JournalEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmwave_sim::campaign::CellKey;
 
     fn entry(scenario: &str, seed: u64, status: &str, digest: u64) -> JournalEntry {
         JournalEntry {
-            scenario: scenario.to_string(),
-            strategy: "mmreliable".to_string(),
-            seed,
-            fault: "none".to_string(),
+            key: CellKey {
+                scenario: scenario.to_string(),
+                strategy: "mmreliable".to_string(),
+                seed,
+                fault_spec: "none".to_string(),
+                impairment_spec: "none".to_string(),
+            },
             status: status.to_string(),
             attempts: 1,
             digest,
@@ -863,7 +867,6 @@ mod tests {
             reliability: if status == "ok" { 0.99 } else { 0.0 },
             message: String::new(),
             features: String::new(),
-            impairment: "none".to_string(),
         }
     }
 
@@ -883,14 +886,15 @@ mod tests {
 
     #[test]
     fn legacy_and_modern_clean_ids_coincide() {
-        let mut legacy = entry("a", 1, "ok", 5);
-        legacy.impairment = String::new(); // pre-impairment journal line
         let modern = entry("a", 1, "ok", 5);
-        assert_eq!(legacy.key().id(), modern.key().id());
-        assert_eq!(modern.key().id().matches("//").count(), 3);
+        // A pre-impairment journal line has no impairment field.
+        let legacy_line = modern.to_json().replace(r#","impairment":"none""#, "");
+        let legacy = JournalEntry::parse(&legacy_line).expect("legacy line parses");
+        assert_eq!(legacy.key.id(), modern.key.id());
+        assert_eq!(modern.key.id().matches("//").count(), 3);
         let mut impaired = entry("a", 1, "ok", 5);
-        impaired.impairment = "pn-strong".to_string();
-        assert_eq!(impaired.key().id().matches("//").count(), 4);
+        impaired.key.impairment_spec = "pn-strong".to_string();
+        assert_eq!(impaired.key.id().matches("//").count(), 4);
     }
 
     #[test]
@@ -902,7 +906,7 @@ mod tests {
         assert!(tail.feed(rest).is_empty()); // newline not yet written
         let got = tail.feed("\n");
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].scenario, "a");
+        assert_eq!(got[0].key.scenario, "a");
         assert_eq!(tail.torn, 0);
         // A completed garbage line is torn; a trailing fragment is not.
         assert!(tail.feed("garbage\n{\"scen").is_empty());

@@ -14,7 +14,8 @@
 //!
 //! Every generated spec's canonical string is appended to `--corpus`
 //! (the CI corpus artifact). On an oracle violation the failing spec is
-//! shrunk and its replayable journal line is written to `--journal`, so
+//! shrunk and its replayable journal line is appended to `--journal`
+//! (after the journal's whole lines; a torn tail is dropped), so
 //!
 //! ```text
 //! cargo run --release -p mmwave-bench --bin mmwave-admin -- diff <journal> --replay
@@ -29,8 +30,9 @@
 //! Exit code 0 when all cases pass, 1 on a counterexample, 2 on usage
 //! errors.
 
+use mmwave_sim::campaign::LineFile;
 use mmwave_sim::fuzz::{run_fuzz, OracleOptions};
-use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -106,19 +108,15 @@ fn main() -> ExitCode {
             println!("fuzz: original spec: {}", cx.original.spec_string());
             println!("fuzz: shrunk spec:   {}", cx.spec.spec_string());
             if let Some(path) = journal {
-                let line = cx.entry.to_json();
-                let write = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .and_then(|mut f| writeln!(f, "{line}"));
+                let write = LineFile::open_journal(Path::new(&path))
+                    .and_then(|(mut file, _)| file.append([cx.entry.to_json()]));
                 match write {
                     Ok(()) => println!(
                         "fuzz: counterexample journal line appended to {path} — \
-                         replay it with: replay {path}"
+                         replay it with: mmwave-admin diff {path} --replay"
                     ),
                     Err(e) => {
-                        eprintln!("fuzz: cannot write journal {path}: {e}");
+                        eprintln!("fuzz: {e}");
                         return ExitCode::from(2);
                     }
                 }

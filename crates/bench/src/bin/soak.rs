@@ -179,7 +179,7 @@ fn main() -> ExitCode {
         entries.len() == jobs.len(),
         "journal covers every cell (zero lost)",
     );
-    let mut ids: Vec<String> = entries.iter().map(|e| e.key().id()).collect();
+    let mut ids: Vec<String> = entries.iter().map(|e| e.key.id()).collect();
     ids.sort();
     ids.dedup();
     check(
@@ -193,7 +193,7 @@ fn main() -> ExitCode {
     // Failure classification: the timeout cell timed out, the broken cell
     // is a terminal panic after max_attempts, everything else completed.
     for e in &entries {
-        match e.seed {
+        match e.key.seed {
             TIMEOUT_SEED => {
                 check(
                     e.status == "timeout",
@@ -233,7 +233,7 @@ fn main() -> ExitCode {
             Err(f) => check(false, &format!("ok cell replay failed: {}", f.message)),
         }
     }
-    if let Some(to_entry) = entries.iter().find(|e| e.seed == TIMEOUT_SEED) {
+    if let Some(to_entry) = entries.iter().find(|e| e.key.seed == TIMEOUT_SEED) {
         match replay_cell(to_entry) {
             Err(f) => check(
                 f.kind == FailureKind::Timeout,
@@ -317,10 +317,11 @@ fn main() -> ExitCode {
             "campaign-merged latency histograms accumulated",
         );
         check(
-            std::fs::read_to_string(&chrome_path)
-                .map(|t| t.contains("\"traceEvents\""))
-                .unwrap_or(false),
-            "chrome trace written",
+            std::fs::read_to_string(&chrome_path).is_ok_and(|t| {
+                mmwave_telemetry::validate_json_line(t.trim()).is_ok()
+                    && t.contains("\"traceEvents\"")
+            }),
+            "chrome trace written as one strict JSON document",
         );
     } else {
         println!("[skip] telemetry feature off: trace content checks skipped");

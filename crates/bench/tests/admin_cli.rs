@@ -52,7 +52,7 @@ fn history_reproduces_the_validated_transition_tape() {
     let journal = campaign_journal("history.jsonl", 9000..9002);
     let scan = scan_journal(&journal).expect("scan");
     assert_eq!(scan.torn, 0);
-    let id = scan.entries[0].key().id();
+    let id = scan.entries[0].key.id();
     let report = history_report(&scan, &id).expect("history");
     assert!(report.contains("matches journal"), "{report}");
     // history_report already cross-checks the tape with
@@ -116,7 +116,7 @@ fn diff_tolerates_torn_lines_and_legacy_four_segment_ids() {
     assert!(report
         .rows
         .iter()
-        .any(|(id, d)| id == &scan_a.entries[0].key().id() && *d == CellDiff::Identical));
+        .any(|(id, d)| id == &scan_a.entries[0].key.id() && *d == CellDiff::Identical));
 
     // Torn-only journals diff without panicking.
     let torn_only = tmp("torn-only.jsonl");
@@ -214,7 +214,7 @@ fn fleet_member_and_aggregate_lines_classify_correctly() {
 fn trace_reports_a_flipped_digest_as_a_divergence() {
     let journal = campaign_journal("trace.jsonl", 9500..9501);
     let scan = scan_journal(&journal).expect("scan");
-    let id = scan.entries[0].key().id();
+    let id = scan.entries[0].key.id();
     let clean = trace_report(&scan, &id, TraceFormat::Csv, 10).expect("trace");
     assert!(matches!(clean.verdict, Verdict::Reproduced(_)));
     assert!(clean
@@ -236,7 +236,7 @@ fn trace_reports_a_flipped_digest_as_a_divergence() {
 fn replay_selection_narrows_to_one_cell_or_to_failures() {
     let journal = campaign_journal("select.jsonl", 9600..9603);
     let mut scan = scan_journal(&journal).expect("scan");
-    let id = scan.entries[1].key().id();
+    let id = scan.entries[1].key.id();
 
     // One cell, written by a build with other features: one row, one note.
     scan.entries[1].features = "telemetry,from-elsewhere".to_string();
@@ -265,7 +265,7 @@ fn replay_selection_narrows_to_one_cell_or_to_failures() {
     let failures = select_cells(&scan, None, true).expect("failures");
     assert_eq!(failures.entries.len(), 1);
     assert!(failures.entries.iter().all(|e| e.status != "ok"));
-    assert_eq!(failures.entries[0].key().id(), failed.key().id());
+    assert_eq!(failures.entries[0].key.id(), failed.key.id());
 }
 
 #[test]
@@ -333,15 +333,13 @@ fn lines_this_binary_cannot_rebuild_are_skipped_not_divergent() {
         "fleet:no-such-scene:8",
         "fleet:static-walker:8:ue9",
     ] {
-        unbuildable.push(JournalEntry {
-            scenario: scenario.to_string(),
-            ..real.clone()
-        });
+        let mut e = real.clone();
+        e.key.scenario = scenario.to_string();
+        unbuildable.push(e);
     }
-    unbuildable.push(JournalEntry {
-        impairment: "pn=bogus".to_string(),
-        ..real.clone()
-    });
+    let mut e = real.clone();
+    e.key.impairment_spec = "pn=bogus".to_string();
+    unbuildable.push(e);
     scan.entries.extend(unbuildable.iter().cloned());
 
     let report = self_replay_diff(&scan);
@@ -355,8 +353,8 @@ fn lines_this_binary_cannot_rebuild_are_skipped_not_divergent() {
     assert!(report
         .rows
         .iter()
-        .any(|(id, d)| id == &real.key().id() && *d == CellDiff::Identical));
+        .any(|(id, d)| id == &real.key.id() && *d == CellDiff::Identical));
     for e in &unbuildable {
-        assert!(journal_note(e).is_some(), "{}", e.key().id());
+        assert!(journal_note(e).is_some(), "{}", e.key.id());
     }
 }

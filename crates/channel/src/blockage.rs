@@ -85,11 +85,6 @@ impl BlockageEvent {
         }
         0.0
     }
-
-    /// Time at which the event is fully over.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + 2.0 * self.ramp_s + self.hold_s
-    }
 }
 
 /// A set of blockage events over an experiment.
@@ -212,7 +207,7 @@ mod tests {
         assert_eq!(e.attenuation_db(1.2), 20.0); // hold
         assert!((e.attenuation_db(1.45) - 10.0).abs() < 1e-9); // mid-recovery
         assert_eq!(e.attenuation_db(2.0), 0.0);
-        assert!((e.end_s() - 1.5).abs() < 1e-12);
+        assert_eq!(e.attenuation_db(1.5 + 1e-9), 0.0); // fully over at 1.5 s
     }
 
     #[test]
@@ -371,7 +366,8 @@ mod tests {
             let e = p.events()[0];
             assert!((0.1..=0.5).contains(&e.hold_s));
             assert!((25.0..=35.0).contains(&e.depth_db));
-            assert!(e.end_s() < 1.1, "event must fit a ~1 s experiment");
+            let end_s = e.start_s + 2.0 * e.ramp_s + e.hold_s;
+            assert!(end_s < 1.1, "event must fit a ~1 s experiment");
         }
     }
 }

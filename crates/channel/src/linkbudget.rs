@@ -8,7 +8,7 @@
 //! paper's Appendix B finding that 28 GHz outperforms 60 GHz by ~4.7× in
 //! throughput at equal bandwidth.
 
-use mmwave_dsp::units::{db_from_pow, pow_from_db, thermal_noise_dbm, FC_28GHZ, FC_60GHZ};
+use mmwave_dsp::units::{FC_28GHZ, FC_60GHZ};
 
 /// Transmit/receive budget of one link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,11 +58,6 @@ impl LinkBudget {
         }
     }
 
-    /// Noise power at the receiver, dBm.
-    pub fn noise_dbm(&self) -> f64 {
-        thermal_noise_dbm(self.bandwidth_hz, self.noise_figure_db)
-    }
-
     /// Oxygen absorption over `dist_m` meters, dB. Significant only near
     /// the 60 GHz O₂ resonance (≈ 15 dB/km); negligible at 28 GHz
     /// (≈ 0.06 dB/km).
@@ -74,36 +69,19 @@ impl LinkBudget {
         };
         db_per_km * dist_m / 1000.0
     }
-
-    /// Linear SNR given a *channel power gain* (the squared magnitude of the
-    /// effective scalar channel — beamforming and path loss included) and a
-    /// propagation distance for atmospheric absorption.
-    pub fn snr_linear(&self, channel_power_gain: f64, dist_m: f64) -> f64 {
-        let rx_dbm = self.tx_power_dbm + db_from_pow(channel_power_gain.max(1e-300))
-            - self.atmospheric_absorption_db(dist_m);
-        pow_from_db(rx_dbm - self.noise_dbm())
-    }
-
-    /// SNR in dB; `-inf`-safe (floors at −60 dB).
-    pub fn snr_db(&self, channel_power_gain: f64, dist_m: f64) -> f64 {
-        db_from_pow(self.snr_linear(channel_power_gain, dist_m)).max(-60.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmwave_dsp::units::{amp_from_db, fspl_db};
+    use mmwave_dsp::units::{amp_from_db, db_from_pow, fspl_db, thermal_noise_dbm};
 
     #[test]
     fn noise_floor_reference() {
         let b = LinkBudget::paper_28ghz();
         // −174 + 10·log10(400e6) + 5 ≈ −83 dBm
-        assert!(
-            (b.noise_dbm() + 83.0).abs() < 0.2,
-            "noise {}",
-            b.noise_dbm()
-        );
+        let noise = thermal_noise_dbm(b.bandwidth_hz, b.noise_figure_db);
+        assert!((noise + 83.0).abs() < 0.2, "noise {noise}");
     }
 
     #[test]
@@ -113,14 +91,10 @@ mod tests {
         let b = LinkBudget::paper_28ghz();
         let chan_amp = amp_from_db(-fspl_db(7.0, b.fc_hz)); // λ/(4πd)
         let array_gain = 64.0; // |AF|² of a 64-element conjugate beam
-        let snr = b.snr_db(chan_amp * chan_amp * array_gain, 7.0);
+        let snr = b.tx_power_dbm + db_from_pow(chan_amp * chan_amp * array_gain)
+            - b.atmospheric_absorption_db(7.0)
+            - thermal_noise_dbm(b.bandwidth_hz, b.noise_figure_db);
         assert!((snr - 27.0).abs() < 4.0, "snr {snr} dB");
-    }
-
-    #[test]
-    fn snr_monotone_in_gain() {
-        let b = LinkBudget::paper_28ghz();
-        assert!(b.snr_linear(1e-8, 10.0) > b.snr_linear(1e-9, 10.0));
     }
 
     #[test]
@@ -130,14 +104,6 @@ mod tests {
         assert!(b60.atmospheric_absorption_db(1000.0) > 10.0);
         assert!(b28.atmospheric_absorption_db(1000.0) < 0.1);
         // Same channel gain → 60 GHz link is worse over distance.
-        let snr60 = b60.snr_db(1e-9, 500.0);
-        let snr28 = b28.snr_db(1e-9, 500.0);
-        assert!(snr28 - snr60 > 5.0);
-    }
-
-    #[test]
-    fn zero_gain_floors() {
-        let b = LinkBudget::paper_28ghz();
-        assert_eq!(b.snr_db(0.0, 10.0), -60.0);
+        assert!(b60.atmospheric_absorption_db(500.0) - b28.atmospheric_absorption_db(500.0) > 5.0);
     }
 }

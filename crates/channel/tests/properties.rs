@@ -72,7 +72,7 @@ proptest! {
         prop_assert!(a >= 0.0 && a <= depth + 1e-9);
         // Fully outside the event window → exactly zero.
         prop_assert!(e.attenuation_db(start - 0.01) == 0.0);
-        prop_assert!(e.attenuation_db(e.end_s() + 0.01) == 0.0);
+        prop_assert!(e.attenuation_db(start + 2.0 * ramp + hold + 0.01) == 0.0);
     }
 
     #[test]

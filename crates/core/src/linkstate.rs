@@ -88,13 +88,6 @@ impl LinkStateKind {
             LinkStateKind::Recovering => "recovering",
         }
     }
-
-    /// Inverse of [`LinkStateKind::name`]: the stable serde names history
-    /// lines are written with. `None` for anything else — callers decide
-    /// whether an unknown name (a newer writer) is a skip or an error.
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 impl std::fmt::Display for LinkStateKind {
@@ -238,7 +231,7 @@ pub enum TransitionCause {
 }
 
 impl TransitionCause {
-    /// Every cause, for exhaustive table tests and name round-trips.
+    /// Every cause, for exhaustive table tests.
     pub const ALL: [TransitionCause; 10] = [
         TransitionCause::Established,
         TransitionCause::AcquireFailed,
@@ -252,10 +245,9 @@ impl TransitionCause {
         TransitionCause::RetryBudgetExhausted,
     ];
 
-    /// Stable kebab-case serde name. These are a wire format: state
-    /// history lines (`StateHandler::history_json`) and the admin CLI's
-    /// transition tapes are diffed across binary versions, so renaming a
-    /// variant must not rename its serialized form.
+    /// Stable kebab-case serde name. These are a wire format: the admin
+    /// CLI's transition tapes are diffed across binary versions, so
+    /// renaming a variant must not rename its serialized form.
     pub fn name(self) -> &'static str {
         match self {
             TransitionCause::Established => "established",
@@ -269,11 +261,6 @@ impl TransitionCause {
             TransitionCause::RetrainFailed => "retrain-failed",
             TransitionCause::RetryBudgetExhausted => "retry-budget-exhausted",
         }
-    }
-
-    /// Inverse of [`TransitionCause::name`].
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.name() == name)
     }
 
     /// True for the causes that represent a failed attempt to leave a
@@ -1066,16 +1053,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_names_are_stable_and_round_trip() {
-        // These strings are a wire format (history lines, admin tapes):
+    fn serde_names_are_stable() {
+        // These strings are a wire format (trace events, admin tapes):
         // the literals are pinned here so a rename shows up as a test
         // diff, not a silent format change.
         let expected_states = ["acquiring", "steady", "degraded", "outage", "recovering"];
         for (k, want) in LinkStateKind::ALL.into_iter().zip(expected_states) {
             assert_eq!(k.name(), want);
-            assert_eq!(LinkStateKind::parse(want), Some(k));
         }
-        assert_eq!(LinkStateKind::parse("warp-drive"), None);
         let expected_causes = [
             "established",
             "acquire-failed",
@@ -1090,9 +1075,7 @@ mod tests {
         ];
         for (c, want) in TransitionCause::ALL.into_iter().zip(expected_causes) {
             assert_eq!(c.name(), want);
-            assert_eq!(TransitionCause::parse(want), Some(c));
         }
-        assert_eq!(TransitionCause::parse("nope"), None);
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //! transition history is its lifecycle's own log, which the run drains
 //! into the journal; `mmwave-admin history` replays it from there.
 
-use crate::linkstate::{
-    LifecycleConfig, LinkLifecycle, LinkSignal, LinkState, LinkStateKind, Transition,
-};
+use crate::linkstate::{LifecycleConfig, LinkLifecycle, LinkSignal, LinkState, LinkStateKind};
 use mmwave_hotpath::hot_path;
 
 /// Identity of one UE within a cell. Cell-local: the fleet layer maps
@@ -255,15 +253,6 @@ impl StateHandler {
         self.lane_idx(ue).map(|i| &self.lanes[i].stats)
     }
 
-    /// Drains one UE's accumulated transitions (end-of-run export).
-    pub fn drain_transitions(&mut self, ue: UeId) -> Vec<Transition> {
-        let mut out = Vec::new();
-        if let Some(i) = self.lane_idx(ue) {
-            self.lanes[i].lifecycle.drain_log_into(&mut out);
-        }
-        out
-    }
-
     /// One handler pass: drains everything queued in `io`, applies each
     /// intent to its lane in FIFO order, and updates per-resource metrics.
     /// The only call site in the cell that mutates lifecycle state.
@@ -375,10 +364,18 @@ impl StateHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linkstate::LinkStateKind;
+    use crate::linkstate::{LinkStateKind, Transition};
 
     fn handler(n: u32) -> StateHandler {
         StateHandler::new((0..n).map(UeId), LifecycleConfig::default())
+    }
+
+    /// Drains one UE's accumulated transitions.
+    fn drain_transitions(h: &mut StateHandler, ue: UeId) -> Vec<Transition> {
+        let mut out = Vec::new();
+        let i = h.lane_idx(ue).expect("registered ue");
+        h.lanes[i].lifecycle.drain_log_into(&mut out);
+        out
     }
 
     fn establish(io: &mut IntentQueue, ue: u32, t_s: f64, snr_db: f64) {
@@ -427,7 +424,7 @@ mod tests {
         assert_eq!(stats.transitions, 1);
         assert_eq!(h.state(UeId(0)).unwrap().kind(), LinkStateKind::Outage);
         assert_eq!(h.stats(UeId(0)).unwrap().intents, 2);
-        assert_eq!(h.drain_transitions(UeId(0)).len(), 2);
+        assert_eq!(drain_transitions(&mut h, UeId(0)).len(), 2);
     }
 
     #[test]
@@ -505,8 +502,8 @@ mod tests {
             }
             h.pass(&mut io);
             (
-                h.drain_transitions(UeId(0)),
-                h.drain_transitions(UeId(1)),
+                drain_transitions(&mut h, UeId(0)),
+                drain_transitions(&mut h, UeId(1)),
                 h.stats(UeId(0)).cloned().unwrap(),
             )
         };

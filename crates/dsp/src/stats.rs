@@ -126,53 +126,6 @@ impl Ewma {
     }
 }
 
-/// Simple fixed-capacity sliding window with summary accessors — used by the
-/// blockage detector (rate-of-change over the last few reference signals).
-#[derive(Clone, Debug)]
-pub struct SlidingWindow {
-    cap: usize,
-    buf: Vec<f64>,
-}
-
-impl SlidingWindow {
-    /// Creates a window holding at most `cap` samples. Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "window capacity must be positive");
-        Self {
-            cap,
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Pushes a sample, evicting the oldest when full.
-    pub fn push(&mut self, x: f64) {
-        if self.buf.len() == self.cap {
-            self.buf.remove(0);
-        }
-        self.buf.push(x);
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no samples are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Contents in arrival order.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.buf
-    }
-
-    /// Clears all samples.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,17 +200,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_zero_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn sliding_window_eviction() {
-        let mut w = SlidingWindow::new(3);
-        assert!(w.is_empty());
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            w.push(v);
-        }
-        assert_eq!(w.as_slice(), &[2.0, 3.0, 4.0]);
-        w.clear();
-        assert!(w.is_empty());
     }
 }

@@ -20,18 +20,19 @@
 //!   structurally-garbage result) is terminal immediately, since it would
 //!   fail identically on every retry.
 //! - **Crash-consistent journal** — every terminal outcome appends one
-//!   JSONL line (atomically: full rewrite to a temp file + rename) with
-//!   the cell key, status, attempts, and a 64-bit result digest. A
-//!   campaign pointed at an existing journal *resumes*: journaled cells
-//!   are skipped, so an interrupted overnight sweep completes without
-//!   rerunning finished seeds and without duplicating any cell.
+//!   JSONL line through [`LineFile`] (atomically: full rewrite to a temp
+//!   file + rename, [`write_lines_atomic`]) with the cell key, status,
+//!   attempts, and a 64-bit result digest. A campaign pointed at an
+//!   existing journal *resumes*: journaled cells are skipped and the old
+//!   lines keep their file order, so an interrupted overnight sweep
+//!   completes without rerunning finished seeds and without duplicating
+//!   any cell.
 //! - **Telemetry capture** — with a [`TelemetrySpec`] configured, every
 //!   cell runs under a ring-buffered tracer (see `mmwave-telemetry`);
 //!   completed and terminally-failed cells drain into a cell-tagged JSONL
-//!   trace (same crash-consistent write idiom as the journal), per-stage
-//!   latency histograms merge campaign-wide onto the report, and an
-//!   optional Chrome-trace-format file renders the whole sweep in
-//!   Perfetto.
+//!   trace (a [`LineFile`] like the journal), per-stage latency
+//!   histograms merge campaign-wide onto the report, and an optional
+//!   Chrome-trace-format file renders the whole sweep in Perfetto.
 //!
 //! Cells run in submission order. Every failed cell carries its full
 //! repro tuple; `mmwave-admin diff <journal> --replay` (in `mmwave-bench`)
@@ -100,9 +101,9 @@ impl CellKey {
     /// with a clean front end keep the historical four-segment form so old
     /// journals (and pinned CI cell ids) still match; an impairment spec
     /// adds a fifth segment. A legacy journal line with an empty impairment
-    /// field keys as `none` ([`JournalEntry::key`]), so it normalizes to the
-    /// four-segment form and a pre-impairment journal diffs cleanly against
-    /// a modern re-run of the same grid.
+    /// field parses as `none` ([`JournalEntry::parse`]), so it normalizes to
+    /// the four-segment form and a pre-impairment journal diffs cleanly
+    /// against a modern re-run of the same grid.
     pub fn id(&self) -> String {
         if self.impairment_spec == "none" {
             format!(
@@ -319,9 +320,9 @@ pub fn compiled_features() -> String {
 #[derive(Clone, Debug)]
 pub struct TelemetrySpec {
     /// Cell-tagged JSONL trace path (one event per line, each carrying its
-    /// cell id). Rewritten from scratch each campaign with the journal's
-    /// crash-consistent tmp + rename idiom; resumed cells re-run nothing
-    /// and so contribute no trace.
+    /// cell id). Rewritten from scratch each campaign through a
+    /// [`LineFile`], like the journal; resumed cells re-run nothing and so
+    /// contribute no trace.
     pub trace: Option<PathBuf>,
     /// Chrome-trace-format (Perfetto `chrome://tracing`) output path, one
     /// process per cell, written once after the campaign completes.
@@ -419,16 +420,6 @@ impl FailureKind {
             FailureKind::Validation => "validation",
         }
     }
-
-    /// Parses a journal status string (excluding `"ok"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "panic" => FailureKind::Panic,
-            "timeout" => FailureKind::Timeout,
-            "validation" => FailureKind::Validation,
-            _ => return None,
-        })
-    }
 }
 
 /// A terminal failure with its classification and last error message.
@@ -490,17 +481,6 @@ impl CampaignReport {
         }
     }
 
-    /// Results of cells completed *this* campaign, in submission order.
-    pub fn results(&self) -> Vec<&RunResult> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match &o.status {
-                CellStatus::Completed { result, .. } => Some(result.as_ref()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Terminal failures, with their keys.
     pub fn failures(&self) -> Vec<(&CellKey, &CampaignFailure)> {
         self.outcomes
@@ -528,14 +508,8 @@ impl CampaignReport {
 /// One journal line: a cell's terminal outcome.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalEntry {
-    /// Cell scenario name.
-    pub scenario: String,
-    /// Cell strategy name.
-    pub strategy: String,
-    /// Cell seed.
-    pub seed: u64,
-    /// Cell fault spec.
-    pub fault: String,
+    /// The cell this line records.
+    pub key: CellKey,
     /// `"ok"`, `"panic"`, `"timeout"`, or `"validation"`.
     pub status: String,
     /// Attempts consumed.
@@ -552,26 +526,28 @@ pub struct JournalEntry {
     /// Observability features the recording binary was compiled with
     /// ([`compiled_features`]; empty for entries from older journals).
     pub features: String,
-    /// Hardware-impairment spec the cell ran under (`"none"` for a clean
-    /// front end; empty for entries from journals that predate the
-    /// impairment layer).
-    pub impairment: String,
 }
 
 impl JournalEntry {
-    /// The cell key this entry records. A missing impairment field (journal
-    /// written before the impairment layer) reads as a clean front end.
-    pub fn key(&self) -> CellKey {
-        CellKey {
-            scenario: self.scenario.clone(),
-            strategy: self.strategy.clone(),
-            seed: self.seed,
-            fault_spec: self.fault.clone(),
-            impairment_spec: if self.impairment.is_empty() {
-                "none".to_string()
-            } else {
-                self.impairment.clone()
-            },
+    /// The line of a cell that ended with `outcome`: `Ok((digest,
+    /// reliability))` for a completed run, `Err(failure)` for a terminal
+    /// failure (digest and reliability `0`). One attempt, no tick budget
+    /// and this binary's [`compiled_features`]; a supervised cell sets
+    /// `attempts` and `tick_budget` itself.
+    pub fn new(key: CellKey, outcome: Result<(u64, f64), &CampaignFailure>) -> Self {
+        let (status, digest, reliability, message) = match outcome {
+            Ok((digest, reliability)) => ("ok", digest, reliability, String::new()),
+            Err(f) => (f.kind.as_str(), 0, 0.0, f.message.clone()),
+        };
+        Self {
+            key,
+            status: status.to_string(),
+            attempts: 1,
+            digest,
+            tick_budget: None,
+            reliability,
+            message,
+            features: compiled_features(),
         }
     }
 
@@ -586,10 +562,10 @@ impl JournalEntry {
         };
         format!(
             r#"{{"scenario":"{}","strategy":"{}","seed":{},"fault":"{}","status":"{}","attempts":{},"digest":"{:016x}","tick_budget":{},"reliability":{reliability},"message":"{}","features":"{}","impairment":"{}"}}"#,
-            json_escape(&self.scenario),
-            json_escape(&self.strategy),
-            self.seed,
-            json_escape(&self.fault),
+            json_escape(&self.key.scenario),
+            json_escape(&self.key.strategy),
+            self.key.seed,
+            json_escape(&self.key.fault_spec),
             json_escape(&self.status),
             self.attempts,
             self.digest,
@@ -597,22 +573,29 @@ impl JournalEntry {
                 .map_or_else(|| "null".to_string(), |b| b.to_string()),
             json_escape(&self.message),
             json_escape(&self.features),
-            json_escape(&self.impairment),
+            json_escape(&self.key.impairment_spec),
         )
     }
 
     /// Parses one journal line. `None` for malformed lines (a torn trailing
-    /// write after a crash is expected and tolerated).
+    /// write after a crash is expected and tolerated). An empty or absent
+    /// impairment field (journals written before the impairment layer) and
+    /// an empty fault field (fleet members journaled before fleet mixes)
+    /// read as `"none"`, a clean front end.
     pub fn parse(line: &str) -> Option<Self> {
         let line = line.trim();
         if !(line.starts_with('{') && line.ends_with('}')) {
             return None;
         }
+        let spec = |s: String| if s.is_empty() { "none".to_string() } else { s };
         Some(Self {
-            scenario: field_str(line, "scenario")?,
-            strategy: field_str(line, "strategy")?,
-            seed: field_u64(line, "seed")?,
-            fault: field_str(line, "fault")?,
+            key: CellKey {
+                scenario: field_str(line, "scenario")?,
+                strategy: field_str(line, "strategy")?,
+                seed: field_u64(line, "seed")?,
+                fault_spec: spec(field_str(line, "fault")?),
+                impairment_spec: spec(field_str(line, "impairment").unwrap_or_default()),
+            },
             status: field_str(line, "status")?,
             attempts: field_raw(line, "attempts")?.parse().ok()?,
             digest: u64::from_str_radix(&field_str(line, "digest")?, 16).ok()?,
@@ -624,8 +607,6 @@ impl JournalEntry {
             message: field_str(line, "message")?,
             // Absent from journals written before the telemetry layer.
             features: field_str(line, "features").unwrap_or_default(),
-            // Absent from journals written before the impairment layer.
-            impairment: field_str(line, "impairment").unwrap_or_default(),
         })
     }
 }
@@ -652,32 +633,50 @@ pub fn load_journal(path: &Path) -> Result<Vec<JournalEntry>, String> {
     Ok(entries)
 }
 
-/// The crash-consistent journal writer: every append rewrites the full
-/// line set to `<path>.tmp` and renames over `<path>`, so the journal on
-/// disk is always a prefix-complete set of whole lines — a reader never
-/// observes a torn entry produced by *this* writer.
-struct JournalFile {
+/// The crash-consistent JSONL writer behind every journal and the
+/// campaign trace: it holds the file's whole lines and commits each
+/// append with [`write_lines_atomic`], so the file on disk is always the
+/// lines it opened over plus whole appends — a reader never observes a
+/// torn line this writer produced.
+pub struct LineFile {
     path: PathBuf,
     lines: Vec<String>,
 }
 
-impl JournalFile {
-    fn open(path: &Path, existing: &[JournalEntry]) -> Self {
+impl LineFile {
+    /// A file that starts empty: the first append replaces whatever
+    /// `path` held.
+    pub fn create(path: &Path) -> Self {
         Self {
             path: path.to_path_buf(),
-            lines: existing.iter().map(|e| e.to_json()).collect(),
+            lines: Vec::new(),
         }
     }
 
-    fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        self.lines.push(entry.to_json());
+    /// Opens the journal at `path` over the entries [`load_journal`]
+    /// reads back, in file order, and returns them too. A torn tail is
+    /// not among them, so the first append drops it.
+    pub fn open_journal(path: &Path) -> Result<(Self, Vec<JournalEntry>), String> {
+        let entries = load_journal(path)?;
+        let file = Self {
+            path: path.to_path_buf(),
+            lines: entries.iter().map(JournalEntry::to_json).collect(),
+        };
+        Ok((file, entries))
+    }
+
+    /// Appends `lines` in one commit.
+    pub fn append(&mut self, lines: impl IntoIterator<Item = String>) -> Result<(), String> {
+        self.lines.extend(lines);
         write_lines_atomic(&self.path, &self.lines)
     }
 }
 
 /// Rewrites `lines` (plus trailing newline) to `<path>.tmp` and renames
 /// over `path`: the file on disk is always a whole-line prefix of the
-/// writer's state, never a torn entry.
+/// writer's state, never a torn entry. The workspace's one tmp + rename:
+/// [`LineFile`] commits through it, and the one-shot artifacts (the
+/// Chrome trace, the metrics snapshots) call it directly.
 ///
 /// Public because it *is* the journal's commit protocol: the loom model
 /// test (`tests/loom_journal.rs`, run under `RUSTFLAGS="--cfg loom"`)
@@ -700,27 +699,6 @@ pub fn write_lines_atomic(path: &Path, lines: &[String]) -> Result<(), String> {
     std::fs::write(&tmp, body).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot rename {} into place: {e}", path.display()))
-}
-
-/// Crash-consistent trace writer: each finished cell's event lines append
-/// as one block via the same full-rewrite + rename idiom as the journal.
-struct TraceFile {
-    path: PathBuf,
-    lines: Vec<String>,
-}
-
-impl TraceFile {
-    fn create(path: &Path) -> Self {
-        Self {
-            path: path.to_path_buf(),
-            lines: Vec::new(),
-        }
-    }
-
-    fn append_cell(&mut self, lines: impl IntoIterator<Item = String>) -> Result<(), String> {
-        self.lines.extend(lines);
-        write_lines_atomic(&self.path, &self.lines)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -943,7 +921,7 @@ fn replay_cell_inner(
     spec: Option<&TelemetrySpec>,
 ) -> (Result<(RunResult, u64), CampaignFailure>, Option<CellTrace>) {
     install_quiet_cancel_hook();
-    let key = entry.key();
+    let key = &entry.key;
     let token = match entry.tick_budget {
         Some(b) => CancelToken::with_tick_budget(b),
         None => CancelToken::new(),
@@ -952,7 +930,7 @@ fn replay_cell_inner(
     let run_tracer = tracer.clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let spec = ScenarioSpec::parse_spec(&key.id()).map_err(|e| e.to_string())?;
-        run_setup(spec_setup(&spec)?, &key, token.clone(), run_tracer)
+        run_setup(spec_setup(&spec)?, key, token.clone(), run_tracer)
     }));
     let trace = tracer.as_ref().map(CellTrace::drain_from);
     let result = match outcome {
@@ -1003,11 +981,12 @@ impl ReplayTarget {
     /// journals for them.
     pub fn of(entry: &JournalEntry) -> Self {
         let mut cell = entry.clone();
-        if entry.scenario.starts_with("fleet:") {
-            let Some(fleet) = parse_fleet_scenario(&entry.scenario) else {
+        let key = &entry.key;
+        if key.scenario.starts_with("fleet:") {
+            let Some(fleet) = parse_fleet_scenario(&key.scenario) else {
                 return Self::Skip(format!(
                     "scenario {:?} uses a fleet form this binary does not recognize",
-                    entry.scenario
+                    key.scenario
                 ));
             };
             let (base, n_ues, member) = match fleet {
@@ -1020,12 +999,12 @@ impl ReplayTarget {
                 ));
             }
             let Some(ue) = member else {
-                return match parse_mix_fields(&entry.fault, &entry.impairment) {
+                return match parse_mix_fields(&key.fault_spec, &key.impairment_spec) {
                     Ok(mix) => Self::Fleet(FleetConfig {
                         threads: 1,
                         shards: 1,
                         mix,
-                        ..FleetConfig::new(&base, &entry.strategy, n_ues, entry.seed)
+                        ..FleetConfig::new(&base, &key.strategy, n_ues, key.seed)
                     }),
                     Err(e) => Self::Skip(format!(
                         "fleet aggregate carries a mix this binary cannot parse ({})",
@@ -1038,22 +1017,16 @@ impl ReplayTarget {
                     "fleet member index ue{ue} is out of range for a {n_ues}-UE fleet"
                 ));
             }
-            cell.scenario = base;
-            // Members journaled before fleet mixes wrote an empty fault
-            // field: a clean front end.
-            if cell.fault.is_empty() {
-                cell.fault = "none".to_string();
-            }
-        } else if entry.scenario.starts_with("spec:") {
-            if let Err(e) = WorldSpec::parse(&entry.scenario) {
+            cell.key.scenario = base;
+        } else if key.scenario.starts_with("spec:") {
+            if let Err(e) = WorldSpec::parse(&key.scenario) {
                 return Self::Skip(format!(
                     "scenario {:?} uses a spec form this binary cannot parse ({})",
-                    entry.scenario,
+                    key.scenario,
                     e.reason()
                 ));
             }
         }
-        let key = cell.key();
         if let Err(e) = FaultSchedule::parse_spec(&key.fault_spec) {
             return Self::Skip(format!(
                 "fault spec {:?} does not parse under this binary ({e})",
@@ -1161,22 +1134,15 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
             return Err(format!("duplicate cell key: {}", job.key));
         }
     }
-    let journaled: HashMap<String, JournalEntry> = match &cfg.journal {
-        Some(path) => load_journal(path)?
-            .into_iter()
-            .map(|e| (e.key().id(), e))
-            .collect(),
-        None => HashMap::new(),
+    let (journal, journaled) = match &cfg.journal {
+        Some(path) => {
+            let (file, entries) = LineFile::open_journal(path)?;
+            let by_id: HashMap<String, JournalEntry> =
+                entries.into_iter().map(|e| (e.key.id(), e)).collect();
+            (Some(Mutex::new(file)), by_id)
+        }
+        None => (None, HashMap::new()),
     };
-    let journal = cfg.journal.as_ref().map(|path| {
-        let existing: Vec<JournalEntry> = {
-            // Preserve on-disk order for the rewrite.
-            let mut v: Vec<&JournalEntry> = journaled.values().collect();
-            v.sort_by_key(|e| e.key().id());
-            v.into_iter().cloned().collect()
-        };
-        Mutex::new(JournalFile::open(path, &existing))
-    });
 
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -1208,9 +1174,9 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
     let watchdog_stop = AtomicBool::new(false);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let spec = cfg.telemetry.as_ref();
-    let trace_file: Option<Mutex<TraceFile>> = spec
+    let trace_file: Option<Mutex<LineFile>> = spec
         .and_then(|s| s.trace.as_deref())
-        .map(|path| Mutex::new(TraceFile::create(path)));
+        .map(|path| Mutex::new(LineFile::create(path)));
     let chrome_wanted = spec.is_some_and(|s| s.chrome_trace.is_some());
     let chrome_cells: Mutex<Vec<(String, Vec<TraceEvent>)>> = Mutex::new(Vec::new());
     let merged: Mutex<[LatencyHist; STAGE_COUNT]> =
@@ -1247,7 +1213,7 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
                         let cell_id = job.key.id();
                         if let Some(tf) = &trace_file {
                             let lines = trace.events.iter().map(|e| e.to_json(&cell_id));
-                            if let Err(e) = tf.lock().unwrap().append_cell(lines) {
+                            if let Err(e) = tf.lock().unwrap().append(lines) {
                                 journal_err.lock().unwrap().get_or_insert(e);
                             }
                         }
@@ -1255,50 +1221,26 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
                             chrome_cells.lock().unwrap().push((cell_id, trace.events));
                         }
                     }
-                    let (entry, status) = match result {
-                        Ok((result, digest)) => (
-                            JournalEntry {
-                                scenario: job.key.scenario.clone(),
-                                strategy: job.key.strategy.clone(),
-                                seed: job.key.seed,
-                                fault: job.key.fault_spec.clone(),
-                                status: "ok".to_string(),
-                                attempts,
-                                digest,
-                                tick_budget: job.tick_budget,
-                                reliability: result.reliability(),
-                                message: String::new(),
-                                features: compiled_features(),
-                                impairment: job.key.impairment_spec.clone(),
-                            },
-                            CellStatus::Completed {
-                                result: Box::new(result),
-                                digest,
-                            },
-                        ),
-                        Err(failure) => (
-                            JournalEntry {
-                                scenario: job.key.scenario.clone(),
-                                strategy: job.key.strategy.clone(),
-                                seed: job.key.seed,
-                                fault: job.key.fault_spec.clone(),
-                                status: failure.kind.as_str().to_string(),
-                                attempts,
-                                digest: 0,
-                                tick_budget: job.tick_budget,
-                                reliability: 0.0,
-                                message: failure.message.clone(),
-                                features: compiled_features(),
-                                impairment: job.key.impairment_spec.clone(),
-                            },
-                            CellStatus::Failed { failure },
-                        ),
-                    };
+                    let mut entry = JournalEntry::new(
+                        job.key.clone(),
+                        result
+                            .as_ref()
+                            .map(|(r, digest)| (*digest, r.reliability())),
+                    );
+                    entry.attempts = attempts;
+                    entry.tick_budget = job.tick_budget;
                     if let Some(j) = &journal {
-                        if let Err(e) = j.lock().unwrap().append(&entry) {
+                        if let Err(e) = j.lock().unwrap().append([entry.to_json()]) {
                             journal_err.lock().unwrap().get_or_insert(e);
                         }
                     }
+                    let status = match result {
+                        Ok((result, digest)) => CellStatus::Completed {
+                            result: Box::new(result),
+                            digest,
+                        },
+                        Err(failure) => CellStatus::Failed { failure },
+                    };
                     slots.lock().unwrap()[idx] = Some(CellOutcome {
                         key: job.key.clone(),
                         attempts,
@@ -1322,7 +1264,7 @@ pub fn run_campaign(jobs: &[Job], cfg: &CampaignConfig) -> Result<CampaignReport
         // Completion order is thread-dependent; sort for a deterministic
         // file.
         cells.sort_by(|a, b| a.0.cmp(&b.0));
-        mmwave_telemetry::write_chrome_trace(path, &cells)?;
+        write_lines_atomic(path, &[mmwave_telemetry::chrome_trace_json(&cells)])?;
     }
     let outcomes: Vec<CellOutcome> = slots
         .into_inner()
@@ -1406,9 +1348,11 @@ mod tests {
                 ..CampaignConfig::default()
             };
             let report = run_campaign(&jobs, &cfg).unwrap();
-            let campaign_results = report.results();
-            assert_eq!(campaign_results.len(), 2);
-            for (seed, c) in (400..).zip(campaign_results) {
+            assert_eq!(report.outcomes.len(), 2);
+            for (seed, o) in (400..).zip(&report.outcomes) {
+                let CellStatus::Completed { result: c, .. } = &o.status else {
+                    panic!("{strategy} seed {seed}: cell must complete");
+                };
                 let sc = short(seed);
                 let mut s = build_strategy(strategy).unwrap();
                 let serial = sc.simulator(seed).run_with_warmup(
@@ -1549,10 +1493,13 @@ mod tests {
     #[test]
     fn journal_entry_round_trips() {
         let e = JournalEntry {
-            scenario: "mobile-blockage".into(),
-            strategy: "mm, \"quoted\"\nstrategy".into(),
-            seed: 17,
-            fault: "seed=9;loss=0.5@0..1".into(),
+            key: CellKey {
+                scenario: "mobile-blockage".into(),
+                strategy: "mm, \"quoted\"\nstrategy".into(),
+                seed: 17,
+                fault_spec: "seed=9;loss=0.5@0..1".into(),
+                impairment_spec: "seed=3;pn=200000@0.001".into(),
+            },
             status: "ok".into(),
             attempts: 2,
             digest: 0xdead_beef_0123_4567,
@@ -1560,7 +1507,6 @@ mod tests {
             reliability: 0.97125,
             message: String::new(),
             features: "perf-counters,telemetry".into(),
-            impairment: "seed=3;pn=200000@0.001".into(),
         };
         let parsed = JournalEntry::parse(&e.to_json()).expect("parses");
         assert_eq!(parsed, e);
@@ -1685,20 +1631,7 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn replay_traced_reproduces_digest_and_trace() {
-        let entry = JournalEntry {
-            scenario: "mobile-blockage".into(),
-            strategy: "single-beam-reactive".into(),
-            seed: 5,
-            fault: "none".into(),
-            status: "ok".into(),
-            attempts: 1,
-            digest: 0,
-            tick_budget: None,
-            reliability: 0.0,
-            message: String::new(),
-            features: compiled_features(),
-            impairment: "none".into(),
-        };
+        let entry = entry_with_impairment("none");
         let (first, trace) = replay_cell_traced(&entry, &TelemetrySpec::default());
         let (r1, d1) = first.expect("replay completes");
         assert!(!trace.events.is_empty(), "replay must capture events");
@@ -1776,20 +1709,23 @@ mod tests {
     }
 
     fn entry_with_impairment(impairment: &str) -> JournalEntry {
-        JournalEntry {
+        let key = CellKey {
             scenario: "mobile-blockage".into(),
             strategy: "single-beam-reactive".into(),
             seed: 5,
-            fault: "none".into(),
-            status: "ok".into(),
-            attempts: 1,
-            digest: 0,
-            tick_budget: None,
-            reliability: 0.0,
-            message: String::new(),
-            features: compiled_features(),
-            impairment: impairment.into(),
-        }
+            fault_spec: "none".into(),
+            impairment_spec: impairment.into(),
+        };
+        JournalEntry::new(key, Ok((0, 0.0)))
+    }
+
+    /// `entry`'s line as a journal written before the impairment layer
+    /// and fleet mixes holds it: no impairment field, an empty fault.
+    fn legacy_line(entry: &JournalEntry) -> String {
+        entry
+            .to_json()
+            .replace(r#","impairment":"none""#, "")
+            .replace(r#""fault":"none""#, r#""fault":"""#)
     }
 
     #[test]
@@ -1802,10 +1738,10 @@ mod tests {
         let (_, d2) = replay_cell(&impaired).expect("impaired replay repeats");
         assert_eq!(d1, d2, "impaired replay must be deterministic");
         assert_ne!(d1, d_clean, "enabled impairments must perturb the digest");
-        // A legacy entry (field absent from the journal line) replays as a
-        // clean front end.
-        let legacy = entry_with_impairment("");
-        assert_eq!(legacy.key().impairment_spec, "none");
+        // A legacy line (impairment field absent, fault empty) parses to
+        // the clean cell and replays as a clean front end.
+        let legacy = JournalEntry::parse(&legacy_line(&clean)).expect("legacy line parses");
+        assert_eq!(legacy, clean);
         let (_, d_legacy) = replay_cell(&legacy).expect("legacy replay completes");
         assert_eq!(d_legacy, d_clean);
     }
@@ -1814,9 +1750,6 @@ mod tests {
     fn journal_note_skips_exactly_the_lines_this_binary_cannot_rebuild() {
         let severe = ImpairmentConfig::severe(1).spec_string();
         let mut cases: Vec<(JournalEntry, bool)> = vec![
-            // A legacy line (impairment field absent) replays as a clean
-            // front end.
-            (entry_with_impairment(""), false),
             (entry_with_impairment("none"), false),
             (entry_with_impairment(&severe), false),
             (entry_with_impairment("pn=bogus"), true),
@@ -1835,26 +1768,23 @@ mod tests {
             ("not-a-world", false),
         ] {
             let mut e = entry_with_impairment("none");
-            e.scenario = scenario.into();
+            e.key.scenario = scenario.into();
+            // A legacy line (empty fault, no impairment field) of every
+            // form routes like its modern twin.
+            let legacy = JournalEntry::parse(&legacy_line(&e)).expect("legacy line parses");
             cases.push((e, skipped));
+            cases.push((legacy, skipped));
         }
         let mut bad_fault = entry_with_impairment("none");
-        bad_fault.fault = "loss=bogus".into();
+        bad_fault.key.fault_spec = "loss=bogus".into();
         cases.push((bad_fault, true));
         let mut bad_mix = entry_with_impairment("mix:none");
-        bad_mix.scenario = "fleet:static-walker:8".into();
-        bad_mix.fault = "mix:none|none".into();
+        bad_mix.key.scenario = "fleet:static-walker:8".into();
+        bad_mix.key.fault_spec = "mix:none|none".into();
         cases.push((bad_mix, true));
         for (entry, skipped) in &cases {
             let note = journal_note(entry);
-            assert_eq!(
-                note.is_some(),
-                *skipped,
-                "{} / {} / {}: {note:?}",
-                entry.scenario,
-                entry.fault,
-                entry.impairment
-            );
+            assert_eq!(note.is_some(), *skipped, "{}: {note:?}", entry.key.id());
             assert_eq!(
                 matches!(ReplayTarget::of(entry), ReplayTarget::Skip(_)),
                 *skipped

@@ -31,17 +31,16 @@
 //! neutral, and `SlotLoop` stepping is control-flow slicing of the exact
 //! single-link loop.
 //!
-//! Journaling reuses the campaign's crash-consistent JSONL format with a
-//! distinguishable scenario form: per-UE lines are
-//! `fleet:{base}:{n}:ue{k}` (seed = the UE's derived seed) and one
-//! aggregate line `fleet:{base}:{n}` (seed = the fleet seed, digest = the
-//! fleet digest). [`crate::campaign::replay_line`] re-executes a per-UE
+//! Journaling reuses the campaign's crash-consistent JSONL format and
+//! writer ([`LineFile`]) with a distinguishable scenario form: per-UE
+//! lines are `fleet:{base}:{n}:ue{k}` (seed = the UE's derived seed) and
+//! one aggregate line `fleet:{base}:{n}` (seed = the fleet seed, digest =
+//! the fleet digest). [`crate::campaign::replay_line`] re-executes a per-UE
 //! line as a plain single-link cell — bit-identically — and notes and
 //! skips (never errors on) fleet forms a binary predates.
 
 use crate::campaign::{
-    build_scenario, build_strategy, compiled_features, load_journal, write_lines_atomic,
-    JournalEntry, STRATEGY_NAMES,
+    build_scenario, build_strategy, CellKey, JournalEntry, LineFile, STRATEGY_NAMES,
 };
 use crate::faults::FaultSchedule;
 use crate::impairments::ImpairmentConfig;
@@ -54,6 +53,7 @@ use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_channel::{SharedSceneCache, SharedSceneCounters};
 use mmwave_hotpath::hot_path;
 use mmwave_telemetry::{LatencyHist, StopWatch};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -579,40 +579,29 @@ impl FleetReport {
     }
 }
 
-fn per_ue_entry(cfg: &FleetConfig, ue: u32, r: &RunResult) -> JournalEntry {
-    let (fault, impairment) = ue_mix_specs(&cfg.mix, ue);
-    JournalEntry {
+/// The cell key member `ue` journals under: its per-UE scenario form,
+/// derived seed and derived fault/impairment specs.
+fn member_key(cfg: &FleetConfig, ue: u32) -> CellKey {
+    let (fault_spec, impairment_spec) = ue_mix_specs(&cfg.mix, ue);
+    CellKey {
         scenario: fleet_ue_scenario_id(&cfg.scenario, cfg.n_ues, ue),
         strategy: cfg.strategy.clone(),
         seed: ue_seed(cfg.seed, ue),
-        fault,
-        status: "ok".to_string(),
-        attempts: 1,
-        digest: r.digest(),
-        tick_budget: None,
-        reliability: r.reliability(),
-        message: String::new(),
-        features: compiled_features(),
-        impairment,
+        fault_spec,
+        impairment_spec,
     }
 }
 
 fn aggregate_entry(cfg: &FleetConfig, report: &FleetReport) -> JournalEntry {
-    let (fault, impairment) = mix_fields(&cfg.mix);
-    JournalEntry {
+    let (fault_spec, impairment_spec) = mix_fields(&cfg.mix);
+    let key = CellKey {
         scenario: fleet_scenario_id(&cfg.scenario, cfg.n_ues),
         strategy: cfg.strategy.clone(),
         seed: cfg.seed,
-        fault,
-        status: "ok".to_string(),
-        attempts: 1,
-        digest: report.digest,
-        tick_budget: None,
-        reliability: report.mean_reliability(),
-        message: String::new(),
-        features: compiled_features(),
-        impairment,
-    }
+        fault_spec,
+        impairment_spec,
+    };
+    JournalEntry::new(key, Ok((report.digest, report.mean_reliability())))
 }
 
 // ---------------------------------------------------------------------------
@@ -631,37 +620,24 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     };
     let shards = if cfg.shards == 0 { threads } else { cfg.shards };
 
-    // Resume: a journaled ok per-UE line with the exact identity this
-    // fleet would write (scenario form, seed, strategy, and the member's
-    // derived fault/impairment specs) supplies that member's digest
-    // without re-running it. Pre-mix journals wrote empty schedule fields;
-    // those match a clean member.
-    let spec_matches =
-        |field: &str, expected: &str| field == expected || (expected == "none" && field.is_empty());
+    // Resume: a journaled ok line with the cell key member `ue` would
+    // write supplies that member's digest without re-running it.
     let n = cfg.n_ues as usize;
     let mut resumed: Vec<Option<(u64, f64)>> = vec![None; n];
-    let mut journal_lines: Vec<String> = Vec::new();
+    let mut journal = None;
     if let Some(path) = &cfg.journal {
-        for e in load_journal(path)? {
-            let keep = e.to_json();
-            if e.status == "ok" && e.strategy == cfg.strategy {
-                if let Some(FleetScenarioRef::PerUe { base, n_ues, ue }) =
-                    parse_fleet_scenario(&e.scenario)
-                {
-                    let (exp_fault, exp_imp) = ue_mix_specs(&cfg.mix, ue);
-                    if base == cfg.scenario
-                        && n_ues == cfg.n_ues
-                        && ue < cfg.n_ues
-                        && e.seed == ue_seed(cfg.seed, ue)
-                        && spec_matches(&e.fault, &exp_fault)
-                        && spec_matches(&e.impairment, &exp_imp)
-                    {
-                        resumed[ue as usize] = Some((e.digest, e.reliability));
-                    }
-                }
-            }
-            journal_lines.push(keep);
+        let (file, entries) = LineFile::open_journal(path)?;
+        let ok: BTreeMap<String, &JournalEntry> = entries
+            .iter()
+            .filter(|e| e.status == "ok")
+            .map(|e| (e.key.id(), e))
+            .collect();
+        for (ue, slot) in (0..cfg.n_ues).zip(resumed.iter_mut()) {
+            *slot = ok
+                .get(&member_key(cfg, ue).id())
+                .map(|e| (e.digest, e.reliability));
         }
+        journal = Some(Mutex::new(file));
     }
 
     // Deterministic sharding of the members still to run.
@@ -680,10 +656,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let cache = Arc::new(SharedSceneCache::build(&reference.dynamic.scene));
 
     let watch = StopWatch::start();
-    let journal = cfg
-        .journal
-        .as_ref()
-        .map(|p| Mutex::new((p.clone(), journal_lines)));
     let next_shard = AtomicUsize::new(0);
     let outputs: Mutex<Vec<ShardOutput>> = Mutex::new(Vec::new());
     let first_err: Mutex<Option<String>> = Mutex::new(None);
@@ -707,13 +679,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
                 shard.run_to_completion();
                 let out = shard.finish();
                 if let Some(j) = &journal {
-                    let mut guard = j.lock().expect("poisoned");
-                    let (path, lines) = &mut *guard;
-                    for (ue, r) in &out.results {
-                        lines.push(per_ue_entry(cfg, *ue, r).to_json());
-                    }
-                    if let Err(e) = write_lines_atomic(path, lines) {
-                        drop(guard);
+                    let lines = out.results.iter().map(|(ue, r)| {
+                        JournalEntry::new(member_key(cfg, *ue), Ok((r.digest(), r.reliability())))
+                            .to_json()
+                    });
+                    let committed = j.lock().expect("poisoned").append(lines);
+                    if let Err(e) = committed {
                         first_err.lock().expect("poisoned").get_or_insert(e);
                         break;
                     }
@@ -802,10 +773,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         elapsed_ns,
     };
     if let Some(j) = &journal {
-        let mut guard = j.lock().expect("poisoned");
-        let (path, lines) = &mut *guard;
-        lines.push(aggregate_entry(cfg, &report).to_json());
-        write_lines_atomic(path, lines)?;
+        j.lock()
+            .expect("poisoned")
+            .append([aggregate_entry(cfg, &report).to_json()])?;
     }
     #[cfg(feature = "telemetry")]
     if let (Some(path), Some(mut reg)) = (cfg.metrics.as_ref(), registry.take()) {
@@ -822,7 +792,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         reg.set_counter(c_traces, report.cache.traces_served);
         reg.set_counter(c_mirror, report.cache.mirror_ops_saved);
         reg.merge_hist(h_pass, &report.pass_latency);
-        write_lines_atomic(path, &reg.snapshot_jsonl())?;
+        crate::campaign::write_lines_atomic(path, &reg.snapshot_jsonl())?;
     }
     Ok(report)
 }

@@ -455,7 +455,7 @@ pub fn check_spec(spec: &ScenarioSpec, opts: &OracleOptions) -> Result<(u64, f64
 }
 
 fn check_single_spec(spec: &ScenarioSpec, opts: &OracleOptions) -> Result<(u64, f64), FuzzFailure> {
-    let entry = spec.journal_entry(0, 0.0, "");
+    let entry = JournalEntry::new(spec.cell_key(), Ok((0, 0.0)));
     let (result, digest) = replay_cell(&entry).map_err(run_failure)?;
     let reliability = result.reliability();
     let completed = |oracle: &'static str, detail: String| FuzzFailure {
@@ -740,12 +740,9 @@ pub struct FuzzReport {
 /// [`JournalEntry::parse`] and replayable by `mmwave-admin diff <journal>
 /// --replay --cell <id>`.
 pub fn counterexample_entry(spec: &ScenarioSpec, failure: &FuzzFailure) -> JournalEntry {
-    let mut entry = spec.journal_entry(
-        failure.digest,
-        failure.reliability,
-        &format!("fuzz:{}: {}", failure.oracle, failure.detail),
-    );
+    let mut entry = JournalEntry::new(spec.cell_key(), Ok((failure.digest, failure.reliability)));
     entry.status = failure.status.clone();
+    entry.message = format!("fuzz:{}: {}", failure.oracle, failure.detail);
     entry
 }
 

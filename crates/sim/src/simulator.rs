@@ -461,11 +461,6 @@ impl SlotLoop {
         &self.samples
     }
 
-    /// Total simulated span (warm-up + measurement), seconds.
-    pub fn total_s(&self) -> f64 {
-        self.total_s
-    }
-
     /// Runs loop iterations until simulated time reaches `t_end_s` (or the
     /// run's end, whichever is first) and reports whether the run is done.
     /// Passing `f64::INFINITY` runs to completion. Iterations are executed

@@ -28,7 +28,7 @@
 //! parse notes and skips the line ([`crate::campaign::journal_note`])
 //! instead of erroring, like every other journal form it predates.
 
-use crate::campaign::{CellKey, JournalEntry, STRATEGY_NAMES};
+use crate::campaign::{CellKey, STRATEGY_NAMES};
 use crate::faults::FaultSchedule;
 use crate::fleet::{fleet_scenario_id, FleetConfig};
 use crate::impairments::ImpairmentConfig;
@@ -896,28 +896,6 @@ impl ScenarioSpec {
         let mut cfg = FleetConfig::new(base, &self.strategy, fleet.n_ues, self.seed);
         cfg.mix = fleet.groups.clone();
         Ok(cfg)
-    }
-
-    /// A journal-entry template for this spec: the line the campaign (or
-    /// the fuzzer's counterexample writer) records for a completed run.
-    /// `digest`/`reliability` come from the run; `message` is free-form
-    /// annotation space (the fuzzer stamps the failing oracle here).
-    pub fn journal_entry(&self, digest: u64, reliability: f64, message: &str) -> JournalEntry {
-        let key = self.cell_key();
-        JournalEntry {
-            scenario: key.scenario,
-            strategy: key.strategy,
-            seed: key.seed,
-            fault: key.fault_spec,
-            status: "ok".to_string(),
-            attempts: 1,
-            digest,
-            tick_budget: None,
-            reliability,
-            message: message.to_string(),
-            features: crate::campaign::compiled_features(),
-            impairment: key.impairment_spec,
-        }
     }
 }
 

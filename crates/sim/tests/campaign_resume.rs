@@ -5,7 +5,7 @@
 
 use mmwave_baselines::single_reactive::{ReactiveConfig, SingleBeamReactive};
 use mmwave_sim::campaign::{
-    closure_jobs, load_journal, run_campaign, CampaignConfig, CellStatus, Job,
+    closure_jobs, load_journal, run_campaign, CampaignConfig, CampaignReport, CellStatus, Job,
 };
 use mmwave_sim::scenario;
 use std::collections::HashMap;
@@ -21,6 +21,15 @@ fn jobs(n: usize, base_seed: u64) -> Vec<Job> {
         scenario::mobile_blockage,
         || Box::new(SingleBeamReactive::new(ReactiveConfig::default())),
     )
+}
+
+/// Cells the campaign ran to completion itself (resumed cells excluded).
+fn completed(report: &CampaignReport) -> usize {
+    report
+        .outcomes
+        .iter()
+        .filter(|o| matches!(o.status, CellStatus::Completed { .. }))
+        .count()
 }
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -44,7 +53,7 @@ fn killed_campaign_resumes_without_loss_or_duplication() {
 
     // Phase 1: the process "dies" after the first three cells...
     let report1 = run_campaign(&all[..3], &cfg).expect("phase 1");
-    assert_eq!(report1.results().len(), 3);
+    assert_eq!(completed(&report1), 3);
     // ...mid-write: a torn half-line trails the journal.
     {
         let mut f = std::fs::OpenOptions::new()
@@ -62,7 +71,7 @@ fn killed_campaign_resumes_without_loss_or_duplication() {
         "phase-1 cells must resume, not rerun"
     );
     assert_eq!(
-        report2.results().len(),
+        completed(&report2),
         3,
         "only the missing cells execute in phase 2"
     );
@@ -70,7 +79,7 @@ fn killed_campaign_resumes_without_loss_or_duplication() {
     // Union: every cell exactly once.
     let entries = load_journal(&journal).expect("readable journal");
     assert_eq!(entries.len(), all.len(), "zero lost cells");
-    let mut ids: Vec<String> = entries.iter().map(|e| e.key().id()).collect();
+    let mut ids: Vec<String> = entries.iter().map(|e| e.key.id()).collect();
     ids.sort();
     let deduped = ids.len();
     ids.dedup();
@@ -97,9 +106,9 @@ fn killed_campaign_resumes_without_loss_or_duplication() {
     for e in &entries {
         assert_eq!(
             e.digest,
-            clean_digests[&e.key().id()],
+            clean_digests[&e.key.id()],
             "cell {} diverged across kill/resume",
-            e.key().id()
+            e.key.id()
         );
     }
     let _ = std::fs::remove_file(&journal);
@@ -162,12 +171,46 @@ fn journaled_failures_are_not_rerun() {
         2,
         "failures resume like completions"
     );
-    assert_eq!(report2.results().len(), 0, "nothing re-executes");
+    assert_eq!(completed(&report2), 0, "nothing re-executes");
     let entries = load_journal(&journal).expect("load");
     assert_eq!(entries.len(), 2);
     assert_eq!(
         entries.iter().filter(|e| e.status == "validation").count(),
         1
+    );
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn resume_keeps_the_journal_in_file_order() {
+    let journal = temp_journal("order");
+    let all = jobs(4, 600);
+    let cfg = CampaignConfig {
+        threads: 1,
+        journal: Some(journal.clone()),
+        ..CampaignConfig::default()
+    };
+    run_campaign(&all[..3], &cfg).expect("seed the journal");
+    // Reverse the journal so its lines are out of cell-id order.
+    let text = std::fs::read_to_string(&journal).expect("read");
+    let old: Vec<&str> = text.lines().rev().collect();
+    assert_eq!(old.len(), 3);
+    std::fs::write(&journal, old.join("\n") + "\n").expect("rewrite");
+
+    let report = run_campaign(&all, &cfg).expect("resume");
+    assert_eq!(report.resumed_count(), 3);
+    let text = std::fs::read_to_string(&journal).expect("reread");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4);
+    assert_eq!(
+        lines[..3],
+        old[..],
+        "old lines keep their file order, byte for byte"
+    );
+    let new = mmwave_sim::campaign::JournalEntry::parse(lines[3]).expect("new line parses");
+    assert_eq!(
+        new.key, all[3].key,
+        "the resumed run appends its one new cell"
     );
     let _ = std::fs::remove_file(&journal);
 }

@@ -55,12 +55,12 @@ fn injected_wedge_bug_is_caught_shrunk_and_replays_bit_identically() {
     // parses back losslessly and carries the spec as its cell identity.
     let line = cx.entry.to_json();
     let parsed = JournalEntry::parse(&line).expect("counterexample line parses");
-    assert_eq!(parsed.key(), cx.entry.key());
+    assert_eq!(parsed.key, cx.entry.key);
     assert_eq!(parsed.digest, cx.entry.digest);
     assert_eq!(parsed.status, "ok", "the wedged run itself completed");
     assert!(parsed.message.contains("fuzz:lifecycle-wedge"));
     assert_eq!(
-        ScenarioSpec::parse_spec(&parsed.key().id()).expect("cell id is a spec"),
+        ScenarioSpec::parse_spec(&parsed.key.id()).expect("cell id is a spec"),
         cx.spec
     );
 

@@ -2,7 +2,7 @@
 //! [`ScenarioSpec`], produces a bit-identical run fingerprint to the
 //! constructor-built scenario, and spec strings parse back losslessly.
 
-use mmwave_sim::campaign::{build_strategy, replay_cell};
+use mmwave_sim::campaign::{build_strategy, replay_cell, JournalEntry};
 use mmwave_sim::scenario::{self, Scenario};
 use mmwave_sim::spec::{curated_worlds, FleetMixSpec, MixGroup};
 use mmwave_sim::{FaultSchedule, ImpairmentConfig, ScenarioSpec, SimFrontEnd, WorldSpec};
@@ -59,7 +59,7 @@ fn every_curated_world_matches_its_constructor_bit_for_bit() {
 
         // Full journal path: the spec's cell id through the campaign
         // registry, exactly as `mmwave-admin diff --replay` would execute it.
-        let (_, replayed) = replay_cell(&spec.journal_entry(0, 0.0, ""))
+        let (_, replayed) = replay_cell(&JournalEntry::new(spec.cell_key(), Ok((0, 0.0))))
             .unwrap_or_else(|f| panic!("replay of {} failed: {}", world.id(), f.message));
         assert_eq!(
             replayed,
@@ -104,11 +104,12 @@ fn faulted_and_fleet_specs_round_trip_through_journal_entries() {
     let mut spec = ScenarioSpec::single(WorldSpec::StaticWalker, "mmreliable", 41);
     spec.fault = fault.clone();
     spec.impairment = ImpairmentConfig::mild(3);
-    let entry = spec.journal_entry(0xdead_beef, 0.5, "note");
-    let parsed =
-        mmwave_sim::campaign::JournalEntry::parse(&entry.to_json()).expect("journal line parses");
+    let mut entry = JournalEntry::new(spec.cell_key(), Ok((0xdead_beef, 0.5)));
+    entry.message = "note".into();
+    let parsed = JournalEntry::parse(&entry.to_json()).expect("journal line parses");
+    assert_eq!(parsed, entry);
     assert_eq!(
-        ScenarioSpec::parse_spec(&parsed.key().id()).expect("key parses"),
+        ScenarioSpec::parse_spec(&parsed.key.id()).expect("key parses"),
         spec
     );
 

@@ -12,7 +12,6 @@
 
 use crate::json::{fmt_f64_json, json_escape};
 use crate::sink::TraceEvent;
-use std::path::Path;
 
 const COMPUTE_TID: u32 = 1;
 const EVENT_TID: u32 = 2;
@@ -84,20 +83,6 @@ pub fn chrome_trace_json(cells: &[(String, Vec<TraceEvent>)]) -> String {
     )
 }
 
-/// Write the Chrome trace with tmp + atomic-rename (crash-consistent).
-pub fn write_chrome_trace(path: &Path, cells: &[(String, Vec<TraceEvent>)]) -> Result<(), String> {
-    let tmp = path.with_extension("json.tmp");
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(&tmp, chrome_trace_json(cells))
-        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +149,5 @@ mod tests {
         // NaN SNR sample contributes no snr counter but keeps blockage.
         assert_eq!(doc.matches("\"name\":\"snr_db\"").count(), 1);
         assert_eq!(doc.matches("\"name\":\"blockage_db\"").count(), 2);
-    }
-
-    #[test]
-    fn write_is_atomic() {
-        let dir = std::env::temp_dir().join(format!("mmwave-chrome-test-{}", std::process::id()));
-        let path = dir.join("trace.json");
-        write_chrome_trace(&path, &[("c".to_string(), vec![])]).expect("write");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        validate_json_line(&body).expect("valid");
-        assert!(!path.with_extension("json.tmp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

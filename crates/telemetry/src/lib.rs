@@ -13,9 +13,9 @@
 //!   histograms: 496 buckets cover the full `u64` ns range at ≤ 12.5 %
 //!   relative error, and two histograms merge bucket-for-bucket, which
 //!   is what lets the campaign aggregate thousands of cells.
-//! * [`sink`] — `NullSink` (histograms only, provably allocation-free),
-//!   `RingBufferSink` (bounded, per-worker, drained post-run), and
-//!   `JsonlSink` (crash-consistent tmp+rename JSONL).
+//! * [`sink`] — `NullSink` (histograms only, provably allocation-free)
+//!   and `RingBufferSink` (bounded, per-worker, drained post-run; the
+//!   campaign persists what it drains as cell-tagged JSONL).
 //! * [`metrics::MetricsRegistry`] — typed counters/gauges/histograms
 //!   registered per resource (a UE, a worker, a campaign cell), with a
 //!   Prometheus text exporter and a JSONL snapshot form that re-merges
@@ -37,9 +37,9 @@ pub mod metrics;
 pub mod sink;
 pub mod tracer;
 
-pub use chrome::{chrome_trace_json, write_chrome_trace};
+pub use chrome::chrome_trace_json;
 pub use hist::{LatencyHist, StageSummary, N_BUCKETS};
 pub use json::{field_f64, field_raw, field_str, field_u64, json_escape, validate_json_line};
 pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry, ResourceId};
-pub use sink::{JsonlSink, NullSink, RingBufferSink, SlotTrace, TelemetrySink, TraceEvent};
+pub use sink::{NullSink, RingBufferSink, SlotTrace, TelemetrySink, TraceEvent};
 pub use tracer::{RunLatency, SpanClock, Stage, StopWatch, Tracer, STAGE_COUNT};

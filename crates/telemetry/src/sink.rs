@@ -9,15 +9,13 @@
 //!   fill; they are fixed arrays).
 //! * [`RingBufferSink`] — a bounded in-memory ring, owned by one run on
 //!   one worker thread (never shared, so no locking beyond the tracer's
-//!   own uncontended mutex); drained post-run by the campaign supervisor.
-//! * [`JsonlSink`] — renders events to JSON lines and persists them with
-//!   the same tmp-file + atomic-rename discipline as the campaign
-//!   journal, so a crash never leaves a torn trace.
+//!   own uncontended mutex); drained post-run by the campaign supervisor,
+//!   which persists the events as cell-tagged JSON lines
+//!   ([`TraceEvent::to_json`]) through its crash-consistent line file.
 
 use crate::json::{fmt_f64_json, json_escape};
 use crate::tracer::Stage;
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
 
 /// Per-slot link telemetry sampled from the simulator's run loop at the
 /// configured decimation. All scalars — constructing one never allocates.
@@ -169,11 +167,6 @@ pub trait TelemetrySink: Send {
         Vec::new()
     }
 
-    /// Persist anything buffered. No-op for in-memory sinks.
-    fn flush(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-
     /// Events discarded due to capacity limits.
     fn dropped(&self) -> u64 {
         0
@@ -239,85 +232,10 @@ impl TelemetrySink for RingBufferSink {
     }
 }
 
-/// Renders events to cell-tagged JSON lines and persists them crash-
-/// consistently: the full line set is rewritten to `<path>.tmp` and
-/// atomically renamed over `<path>`, exactly like the campaign journal.
-/// A reader therefore sees either the previous complete trace or the new
-/// complete trace — never a torn line.
-#[derive(Debug)]
-pub struct JsonlSink {
-    cell: String,
-    path: PathBuf,
-    lines: Vec<String>,
-    unflushed: usize,
-}
-
-/// [`JsonlSink`] rewrites its file after this many unflushed records.
-const FLUSH_EVERY: usize = 256;
-
-impl JsonlSink {
-    pub fn new(path: impl Into<PathBuf>, cell: impl Into<String>) -> Self {
-        Self {
-            cell: cell.into(),
-            path: path.into(),
-            lines: Vec::new(),
-            unflushed: 0,
-        }
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn write_all_lines(&self) -> Result<(), String> {
-        let tmp = self.path.with_extension("jsonl.tmp");
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create {}: {e}", dir.display()))?;
-            }
-        }
-        let mut body = String::new();
-        for l in &self.lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), self.path.display()))
-    }
-}
-
-impl TelemetrySink for JsonlSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.lines.push(ev.to_json(&self.cell));
-        self.unflushed += 1;
-        if self.unflushed >= FLUSH_EVERY {
-            // Mid-run persistence is best-effort; the explicit post-run
-            // flush surfaces any error.
-            let _ = self.flush();
-        }
-    }
-
-    fn flush(&mut self) -> Result<(), String> {
-        self.write_all_lines()?;
-        self.unflushed = 0;
-        Ok(())
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        if self.unflushed > 0 {
-            let _ = self.write_all_lines();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{field_str, field_u64, validate_json_line};
+    use crate::json::{field_str, validate_json_line};
 
     fn slot(n: u64) -> TraceEvent {
         TraceEvent::Slot(SlotTrace {
@@ -386,26 +304,5 @@ mod tests {
             .collect();
         assert_eq!(slots, [2, 3, 4]);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_persists_atomically() {
-        let dir =
-            std::env::temp_dir().join(format!("mmwave-telemetry-test-{}", std::process::id()));
-        let path = dir.join("trace.jsonl");
-        let mut s = JsonlSink::new(&path, "cellA");
-        for n in 0..4 {
-            s.record(slot(n));
-        }
-        s.flush().expect("flush");
-        let body = std::fs::read_to_string(&path).expect("trace file");
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for (n, l) in lines.iter().enumerate() {
-            validate_json_line(l).expect("valid line");
-            assert_eq!(field_u64(l, "slot"), Some(n as u64));
-        }
-        assert!(!path.with_extension("jsonl.tmp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

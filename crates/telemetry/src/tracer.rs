@@ -254,14 +254,6 @@ impl Tracer {
         }
     }
 
-    /// Persist anything the sink buffers.
-    pub fn flush(&self) -> Result<(), String> {
-        match self.inner.as_ref() {
-            Some(shared) => shared.lock().expect("tracer poisoned").sink.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Events the sink discarded for capacity.
     pub fn dropped(&self) -> u64 {
         match self.inner.as_ref() {
@@ -305,7 +297,6 @@ mod tests {
         });
         assert!(t.latency().is_empty());
         assert!(t.drain_events().is_empty());
-        assert!(t.flush().is_ok());
     }
 
     #[test]
